@@ -9,7 +9,7 @@ readouts are blind (TV 0).
 
 import argparse
 
-from catlab import build_scenario, discriminate
+from catlab import discriminate, load_scenario
 
 
 CASES = (
@@ -30,7 +30,7 @@ def main() -> None:
         f"{'TV':>8} {'chi2 p':>10}"
     )
     for scenario, pure, mixed, names in CASES:
-        sc = build_scenario(scenario)
+        sc = load_scenario(scenario)[0]
         for name in names:
             rep = discriminate(
                 sc.states[pure], sc.mixtures[mixed], sc.measurements[name],

@@ -13,9 +13,9 @@ from catlab import (
     ProtocolSpec,
     RepeatStep,
     StopIfStep,
-    build_scenario,
     enumerate_protocol,
     leaf_mass,
+    load_scenario,
     run_monte_carlo,
 )
 
@@ -32,7 +32,7 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    sc = build_scenario("resurrection")
+    sc = load_scenario("resurrection")[0]
     dead, alive = sc.states["dead"], sc.states["alive"]
     q = 0.5  # 2 a^2 b^2 at a = b = 1/sqrt(2)
 

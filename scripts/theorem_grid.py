@@ -9,7 +9,7 @@ transition.  The depth-2 witness probability should track a^2 * b^2.
 import argparse
 import math
 
-from catlab import build_scenario, nogo_verdict, superposition_projector
+from catlab import load_scenario, nogo_verdict, superposition_projector
 
 
 def main() -> None:
@@ -18,7 +18,7 @@ def main() -> None:
     ap.add_argument("--depth", type=int, default=8)
     args = ap.parse_args()
 
-    sc = build_scenario("cat")
+    sc = load_scenario("cat")[0]
     alive, dead = sc.states["alive"], sc.states["dead"]
 
     print(f"{'a^2':>6} {'b^2':>6} {'violated':>9} {'depth':>6} {'witness p':>12} {'a^2*b^2':>12} {'|diff|':>9}")

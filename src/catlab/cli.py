@@ -22,7 +22,7 @@ import os
 import sys
 import time
 
-from .catalog import Scenario
+from . import __version__
 from .errors import CatlabError
 from .lab import DEFAULT_MAX_DEPTH, nogo_verdict, state_key, verdict_to_json
 from .protocols import (
@@ -33,9 +33,7 @@ from .protocols import (
     tree_to_json,
 )
 from .qstate import StateVector, format_state
-from .scenario import load_scenario
-
-__version__ = "0.1.0"
+from .scenario import Scenario, load_scenario
 
 FORMAT_VERSION = 1
 EXIT_OK = 0

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import CatlabError, DepthCeiling, DimensionMismatch, DisallowedOperation
 from .lab import Laboratory, state_key
@@ -497,6 +496,28 @@ def _sample_counts(
     return np.bincount(idx, minlength=len(cum))
 
 
+def _chi2_sf(x: float, df: int) -> float:
+    """Upper tail P(X > x) of a chi-square variable with integer ``df`` >= 1.
+
+    Finite series, Abramowitz & Stegun 26.4.4-26.4.5 with h = x/2: even
+    df sums e^-h h^i / i! for i < df/2; odd df is erfc(sqrt h) plus
+    e^-h h^(r-1/2) / Gamma(r+1/2) for r = 1..(df-1)/2.
+    """
+    h = x / 2.0
+    if df % 2:
+        total = math.erfc(math.sqrt(h))
+        term = 2.0 * math.exp(-h) * math.sqrt(h / math.pi)  # r = 1: Gamma(3/2) = sqrt(pi)/2
+        first = 1.5
+    else:
+        total = 0.0
+        term = math.exp(-h)
+        first = 1.0
+    for i in range(df // 2):
+        total += term
+        term *= h / (first + i)
+    return total
+
+
 def chi_square_test(
     counts: Mapping[str, int], expected: Mapping[str, float], n: int
 ) -> tuple[float, int, float]:
@@ -526,7 +547,7 @@ def chi_square_test(
         df += 1
     if df <= 0:
         return stat, max(df, 0), 1.0 if stat == 0.0 else 0.0
-    return stat, df, float(chi2.sf(stat, df))
+    return stat, df, _chi2_sf(stat, df)
 
 
 def discriminate(

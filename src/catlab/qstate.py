@@ -20,7 +20,6 @@ from typing import Iterable, Literal, Sequence, Union
 
 import numpy as np
 
-from . import jacobi
 from .errors import (
     BadWeights,
     CatlabError,
@@ -164,7 +163,7 @@ class DensityMatrix:
         tr = complex(np.trace(arr))
         if abs(tr - 1.0) > NORM_TOL:
             raise CatlabError(f"density matrix trace = {tr!r}, expected 1")
-        if jacobi.min_eigenvalue(arr) < PSD_FLOOR:
+        if np.linalg.eigvalsh(arr)[0] < PSD_FLOOR:
             raise CatlabError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "mat", arr)
 
@@ -206,7 +205,7 @@ class Operator:
     @property
     def rank(self) -> int:
         """Numerical rank via the eigenvalues (meaningful for projectors)."""
-        w, _ = jacobi.eigh(self.mat @ self.mat.conj().T)
+        w = np.linalg.eigvalsh(self.mat @ self.mat.conj().T)
         return int(np.sum(w > 1e-9))
 
 
@@ -270,6 +269,13 @@ def pure_density(psi: StateVector) -> DensityMatrix:
 def projector_from_state(psi: StateVector) -> Operator:
     """Rank-one projector onto a pure state."""
     return Operator(psi.space, np.outer(psi.amps, psi.amps.conj()), "projector")
+
+
+def superposition_projector(space: HilbertSpace, a: complex, b: complex) -> Operator:
+    """Rank-one projector onto a*|first> + b*|second> of a two-level space."""
+    if space.dim != 2:
+        raise CatlabError("superposition_projector expects a two-level space")
+    return projector_from_state(make_state(space, [a, b]))
 
 
 def identity_operator(space: HilbertSpace) -> Operator:

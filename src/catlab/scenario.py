@@ -49,13 +49,12 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import yaml
 
-from .catalog import SCENARIO_NAMES, Scenario
 from .errors import CatlabError, ParseError, UnknownScenario, ValidationError
 from .lab import Laboratory
 from .measure import ProjectiveMeasurement, make_measurement, measurement_from_states
@@ -71,12 +70,16 @@ from .qstate import (
     DensityMatrix,
     HilbertSpace,
     Operator,
+    State,
     StateVector,
     make_mixture,
     make_state,
     tensor_space,
     unitary_operator,
 )
+
+# the laboratories bundled as ``scenarios/<name>.scn``
+SCENARIO_NAMES = ("cat", "composite", "photon", "stone-bread", "resurrection")
 
 AMP_CHARS = frozenset("0123456789.+-eEi")
 
@@ -91,6 +94,42 @@ _TOP_KEYS = (
     "lab",
     "protocols",
 )
+
+
+# ---------------------------------------------------------------------------
+# object model
+
+
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """A laboratory bundled with every named object declared around it."""
+
+    name: str
+    space: HilbertSpace
+    states: Mapping[str, StateVector]
+    mixtures: Mapping[str, DensityMatrix]
+    measurements: Mapping[str, ProjectiveMeasurement]
+    unitaries: Mapping[str, Operator]
+    lab: Laboratory
+    protocols: Mapping[str, ProtocolSpec] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "states", dict(self.states))
+        object.__setattr__(self, "mixtures", dict(self.mixtures))
+        object.__setattr__(self, "measurements", dict(self.measurements))
+        object.__setattr__(self, "unitaries", dict(self.unitaries))
+        object.__setattr__(self, "protocols", dict(self.protocols))
+        clash = set(self.states) & set(self.mixtures)
+        if clash:
+            raise CatlabError(f"names declared as both state and mixture: {clash}")
+
+    def initial(self, name: str) -> State:
+        """Resolve a state or mixture name."""
+        if name in self.states:
+            return self.states[name]
+        if name in self.mixtures:
+            return self.mixtures[name]
+        raise CatlabError(f"no state or mixture named {name!r}")
 
 
 # ---------------------------------------------------------------------------

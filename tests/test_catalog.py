@@ -1,4 +1,4 @@
-"""Built-in scenario catalog."""
+"""The five shipped scenarios, as loaded from their ``.scn`` files."""
 
 import numpy as np
 import pytest
@@ -8,36 +8,31 @@ from catlab import (
     CatlabError,
     RepeatStep,
     UnknownScenario,
-    build_scenario,
-    cat_mixture,
-    cat_space,
-    chamber_mixture,
-    composite_space,
-    device_space,
     enumerate_protocol,
+    load_scenario,
     partial_trace,
     pure_density,
     run_monte_carlo,
-    schroedinger_plus,
     superposition_projector,
 )
+
 
 def test_all_names_build():
     dims = {"cat": 2, "composite": 4, "photon": 2, "stone-bread": 2, "resurrection": 2}
     for name in SCENARIO_NAMES:
-        sc = build_scenario(name)
+        sc = load_scenario(name)[0]
         assert sc.name == name
         assert sc.space.dim == dims[name]
 
 
 def test_unknown_scenario():
     with pytest.raises(UnknownScenario) as exc:
-        build_scenario("ghost")
+        load_scenario("ghost")
     assert "cat" in str(exc.value)
 
 
 def test_cat_lab_allows_only_basis():
-    sc = build_scenario("cat")
+    sc = load_scenario("cat")[0]
     assert tuple(sc.lab.measurements) == ("basis",)
     assert "plusminus" in sc.measurements  # declared but not allowed
     assert sc.lab.forbidden[0][0] is sc.states["dead"]
@@ -45,39 +40,40 @@ def test_cat_lab_allows_only_basis():
 
 
 def test_schroedinger_state_amplitudes():
-    psi = schroedinger_plus()
+    psi = load_scenario("composite")[0].states["psi_plus"]
     r = 1 / np.sqrt(2)
     assert np.allclose(psi.amps, [r, 0, 0, r], atol=1e-15)
-    labels = composite_space().labels
+    labels = psi.space.labels
     assert labels == ("undecayed⊗alive", "undecayed⊗dead", "decayed⊗alive", "decayed⊗dead")
 
 
 def test_reduced_cat_state_is_even_mixture():
-    rho = pure_density(schroedinger_plus())
+    rho = pure_density(load_scenario("composite")[0].states["psi_plus"])
     reduced = partial_trace(rho, keep="cat")
-    assert np.allclose(reduced.mat, cat_mixture().mat, atol=1e-12)
+    rho_cat = load_scenario("cat")[0].mixtures["rho_cat"]
+    assert np.allclose(reduced.mat, rho_cat.mat, atol=1e-12)
     dev = partial_trace(rho, keep="device")
     assert np.allclose(dev.mat, np.eye(2) / 2, atol=1e-12)
 
 
 def test_chamber_mixture_is_diagonal():
-    rho = chamber_mixture()
+    rho = load_scenario("composite")[0].mixtures["rho_s"]
     expect = np.zeros((4, 4))
     expect[0, 0] = expect[3, 3] = 0.5
     assert np.allclose(rho.mat, expect, atol=1e-15)
 
 
 def test_superposition_projector_rank_one():
-    p = superposition_projector(cat_space(), 0.6, 0.8)
+    p = superposition_projector(load_scenario("cat")[0].space, 0.6, 0.8)
     assert p.kind == "projector"
     assert np.allclose(p.mat @ p.mat, p.mat, atol=1e-12)
     assert abs(np.trace(p.mat) - 1.0) < 1e-12
     with pytest.raises(CatlabError):
-        superposition_projector(composite_space(), 0.6, 0.8)
+        superposition_projector(load_scenario("composite")[0].space, 0.6, 0.8)
 
 
 def test_initial_resolves_states_and_mixtures():
-    sc = build_scenario("cat")
+    sc = load_scenario("cat")[0]
     assert sc.initial("cat_plus") is sc.states["cat_plus"]
     assert sc.initial("rho_cat") is sc.mixtures["rho_cat"]
     with pytest.raises(CatlabError):
@@ -85,7 +81,7 @@ def test_initial_resolves_states_and_mixtures():
 
 
 def test_photon_rotated_run_is_deterministic():
-    sc = build_scenario("photon")
+    sc = load_scenario("photon")[0]
     tree = enumerate_protocol(
         sc.protocols["through_rotated"], sc.lab, sc.states["x_plus"]
     )
@@ -99,7 +95,7 @@ def test_photon_rotated_run_is_deterministic():
 
 
 def test_stone_bread_forbidden_both_ways():
-    sc = build_scenario("stone-bread")
+    sc = load_scenario("stone-bread")[0]
     pairs = sc.lab.forbidden
     assert len(pairs) == 2
     assert {(a.space.labels[int(np.argmax(np.abs(a.amps)))],
@@ -110,7 +106,7 @@ def test_stone_bread_forbidden_both_ways():
 
 
 def test_resurrection_protocol_counts():
-    sc = build_scenario("resurrection")
+    sc = load_scenario("resurrection")[0]
     for name, k in (("resurrect1", 1), ("resurrect3", 3), ("resurrect10", 10)):
         spec = sc.protocols[name]
         assert isinstance(spec.steps[0], RepeatStep)
@@ -122,7 +118,7 @@ def test_composite_device_readout_blind_to_chamber():
     # device-local plus/minus readout cannot tell psi_plus from the mixture
     from catlab import exact_distribution, total_variation
 
-    sc = build_scenario("composite")
+    sc = load_scenario("composite")[0]
     da = exact_distribution(sc.measurements["device_pm"], sc.states["psi_plus"])
     db = exact_distribution(sc.measurements["device_pm"], sc.mixtures["rho_s"])
     assert total_variation(da, db) < 1e-10
@@ -134,7 +130,7 @@ def test_composite_device_readout_blind_to_chamber():
 def test_scenario_name_clash_rejected():
     from catlab import Scenario
 
-    sc = build_scenario("cat")
+    sc = load_scenario("cat")[0]
     with pytest.raises(CatlabError):
         Scenario(
             name="bad",
@@ -148,6 +144,7 @@ def test_scenario_name_clash_rejected():
 
 
 def test_spaces():
-    assert cat_space().labels == ("alive", "dead")
-    assert device_space().labels == ("undecayed", "decayed")
-    assert composite_space().factors is not None
+    assert load_scenario("cat")[0].space.labels == ("alive", "dead")
+    composite = load_scenario("composite")[0].space
+    assert composite.factors is not None
+    assert composite.factors[0].labels == ("undecayed", "decayed")

@@ -360,3 +360,10 @@ def test_console_script():
     )
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)["seed"] == 13
+
+
+def test_import_does_not_load_scipy():
+    subprocess.run(
+        [sys.executable, "-c", "import catlab, sys; assert 'scipy' not in sys.modules"],
+        check=True,
+    )

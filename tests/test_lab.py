@@ -10,9 +10,9 @@ from catlab import (
     Laboratory,
     PreconditionFailed,
     basis_state,
-    build_scenario,
     check_conditions,
     find_steering_path,
+    load_scenario,
     make_measurement,
     make_state,
     measurement_from_states,
@@ -30,7 +30,7 @@ CAT = HilbertSpace(("alive", "dead"), name="cat")
 
 
 def cat_lab():
-    return build_scenario("cat").lab
+    return load_scenario("cat")[0].lab
 
 
 def candidate(a2: float):
@@ -70,7 +70,7 @@ def test_with_measurement_collision():
 
 
 def test_operations_order():
-    lab = build_scenario("photon").lab
+    lab = load_scenario("photon")[0].lab
     kinds = [(name, kind) for name, kind, _ in lab.operations()]
     assert kinds == [
         ("zbasis", "measurement"),
@@ -177,7 +177,7 @@ def test_adjoined_name_collision_is_renamed():
 
 
 def test_stone_bread_violations_both_directions():
-    sc = build_scenario("stone-bread")
+    sc = load_scenario("stone-bread")[0]
     plus = sc.measurements["mixbasis"].projector("+")
     for frm, to in (("stone", "bread"), ("bread", "stone")):
         v = nogo_verdict(
@@ -188,7 +188,7 @@ def test_stone_bread_violations_both_directions():
 
 
 def test_composite_witness():
-    sc = build_scenario("composite")
+    sc = load_scenario("composite")[0]
     v = nogo_verdict(
         sc.lab,
         sc.measurements["sch_plus"].projector("Ψ+"),
@@ -217,7 +217,7 @@ def test_verdict_deterministic():
 def test_find_steering_path_photon():
     # the deterministic rotation route to x_plus wins the frontier dedup over
     # the 0.5-probability xbasis route, then zbasis lands on |0>
-    sc = build_scenario("photon")
+    sc = load_scenario("photon")[0]
     path = find_steering_path(sc.lab, sc.states["z1"], sc.states["z0"])
     assert path is not None
     assert path.steps == (("rotate45_inv", ""), ("zbasis", "0"))
@@ -232,7 +232,7 @@ def test_find_steering_path_absent():
 
 
 def test_min_prob_filters_weak_paths():
-    sc = build_scenario("resurrection")  # best dead -> alive path has p = 0.25
+    sc = load_scenario("resurrection")[0]  # best dead -> alive path has p = 0.25
     dead, alive = sc.states["dead"], sc.states["alive"]
     assert find_steering_path(sc.lab, dead, alive) is not None
     assert find_steering_path(sc.lab, dead, alive, min_prob=0.5) is None

@@ -1,5 +1,7 @@
 """Protocol enumeration, Monte Carlo sampling and discrimination."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,22 +17,23 @@ from catlab import (
     UnitaryStep,
     aggregate_leaves,
     basis_state,
-    build_scenario,
     chi_square_test,
     discriminate,
     enumerate_protocol,
     exact_distribution,
     leaf_mass,
+    load_scenario,
     merge_histograms,
     run_monte_carlo,
     total_reach_probability,
     total_variation,
     tree_to_json,
 )
+from catlab.protocols import _chi2_sf
 
 
 def resurrection():
-    return build_scenario("resurrection")
+    return load_scenario("resurrection")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +72,7 @@ def test_empty_protocol_single_leaf():
 
 
 def test_disallowed_operation():
-    cat = build_scenario("cat")
+    cat = load_scenario("cat")[0]
     spec = ProtocolSpec((MeasureStep("plusminus"),))  # declared but not allowed
     with pytest.raises(DisallowedOperation):
         enumerate_protocol(spec, cat.lab, cat.states["dead"])
@@ -161,7 +164,7 @@ def test_tree_json_shape():
 
 
 def test_unitary_steps_in_tree():
-    ph = build_scenario("photon")
+    ph = load_scenario("photon")[0]
     tree = enumerate_protocol(ph.protocols["through_rotated"], ph.lab, ph.states["x_plus"])
     agg = aggregate_leaves(tree)
     assert len(agg) == 1
@@ -197,7 +200,7 @@ def test_monte_carlo_frequencies_near_exact():
 
 
 def test_monte_carlo_mixture_initial():
-    sc = build_scenario("cat")
+    sc = load_scenario("cat")[0]
     n = 20_000
     mc = run_monte_carlo(sc.protocols["observe"], sc.lab, sc.mixtures["rho_cat"], n, 3)
     freq = mc.frequency(sc.states["alive"])
@@ -246,14 +249,14 @@ def test_total_variation_basics():
 
 
 def test_exact_distribution():
-    sc = build_scenario("photon")
+    sc = load_scenario("photon")[0]
     dist = exact_distribution(sc.measurements["zbasis"], sc.states["x_plus"])
     assert abs(dist["0"] - 0.5) < 1e-12
     assert abs(dist["1"] - 0.5) < 1e-12
 
 
 def test_discrimination_separating_vs_blind():
-    ph = build_scenario("photon")
+    ph = load_scenario("photon")[0]
     sep = discriminate(
         ph.states["x_plus"], ph.mixtures["rho_ph"], ph.measurements["xbasis"],
         20_000, 7, name="xbasis",
@@ -269,7 +272,7 @@ def test_discrimination_separating_vs_blind():
 
 
 def test_discrimination_same_source():
-    cat = build_scenario("cat")
+    cat = load_scenario("cat")[0]
     rep = discriminate(
         cat.mixtures["rho_cat"], cat.mixtures["rho_cat"],
         cat.measurements["basis"], 50_000, 11, name="basis",
@@ -279,7 +282,7 @@ def test_discrimination_same_source():
 
 
 def test_discrimination_report_shapes():
-    cat = build_scenario("cat")
+    cat = load_scenario("cat")[0]
     rep = discriminate(
         cat.states["cat_plus"], cat.mixtures["rho_cat"],
         cat.measurements["plusminus"], 1000, 5, name="plusminus",
@@ -327,3 +330,27 @@ def test_chi_square_zero_expected_zero_observed_dropped():
     stat, df, p = chi_square_test({"a": 1000, "b": 0}, {"a": 1.0, "b": 0.0}, 1000)
     assert stat == 0.0
     assert p == 1.0
+
+
+# df 1..15: a measurement has at most DIM_CEILING = 16 outcomes
+CHI2_DFS = range(1, 16)
+
+
+def test_chi2_sf_exact_points():
+    for x in (1e-8, 0.3, 1.0, 7.5, 40.0, 600.0):
+        assert _chi2_sf(x, 2) == math.exp(-x / 2)
+        assert _chi2_sf(x, 1) == math.erfc(math.sqrt(x / 2))
+    for df in CHI2_DFS:
+        assert _chi2_sf(0.0, df) == 1.0
+
+
+def test_chi2_sf_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    xs = np.geomspace(1e-8, 2000.0, 600)
+    for df in CHI2_DFS:
+        ref = stats.chi2.sf(xs, df)
+        got = np.array([_chi2_sf(float(x), df) for x in xs])
+        keep = ref > 1e-290
+        assert keep.any()
+        rel = np.abs(got[keep] - ref[keep]) / ref[keep]
+        assert rel.max() <= 1e-12, (df, float(rel.max()))

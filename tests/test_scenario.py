@@ -8,7 +8,6 @@ from catlab import (
     SCENARIO_NAMES,
     UnknownScenario,
     ValidationError,
-    build_scenario,
     load_scenario,
     parse_scenario,
     parse_scenario_text,
@@ -33,13 +32,6 @@ def parse(text, path="t.scn"):
 
 # ---------------------------------------------------------------------------
 # shipped files
-
-
-@pytest.mark.parametrize("name", SCENARIO_NAMES)
-def test_shipped_matches_catalog(name):
-    text = shipped_scenario_path(name).read_text(encoding="utf-8")
-    _, parsed = parse(text, f"{name}.scn")
-    assert_scenarios_equivalent(parsed, build_scenario(name))
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
