@@ -78,7 +78,16 @@ from .qstate import (
     unitary_operator,
 )
 
-# the laboratories bundled as ``scenarios/<name>.scn``
+# The laboratories bundled as ``scenarios/<name>.scn``:
+# cat - alive/dead, readable only in that basis, dead -> alive forbidden; the
+#   plus/minus basis is declared for discrimination but not allowed.
+# composite - a decaying device tensored with the cat; all-dead -> all-alive
+#   forbidden.
+# photon - polarisation with both bases and the 45-degree rotation allowed;
+#   nothing forbidden.
+# stone-bread - two classical configurations, forbidden both ways.
+# resurrection - the cat lab with the equal-weight superposition readout
+#   allowed; its repeat protocols amplify the forbidden transition.
 SCENARIO_NAMES = ("cat", "composite", "photon", "stone-bread", "resurrection")
 
 AMP_CHARS = frozenset("0123456789.+-eEi")
