@@ -55,6 +55,16 @@ CASES = (
       "cat_plus", "rho_cat", "basis"], 0),
     ("run-exact-resurrect10",
      ["run", "--scenario", "resurrection", "--initial", "dead", "--exact", "resurrect10"], 0),
+    # protocols with a unitary step, from a mixture and from a pure state
+    ("enumerate-photon-rho",
+     ["enumerate", "--scenario", "photon", "--initial", "rho_ph", "through_rotated"], 0),
+    ("run-exact-photon-rho",
+     ["run", "--scenario", "photon", "--initial", "rho_ph", "--exact", "through_rotated"], 0),
+    ("run-sample-photon-rho",
+     ["run", "--scenario", "photon", "--initial", "rho_ph", "--trials", "20000",
+      "--seed", "106", "through_rotated"], 0),
+    ("enumerate-photon-x",
+     ["enumerate", "--scenario", "photon", "--initial", "x_plus", "through_rotated"], 0),
 )
 
 
