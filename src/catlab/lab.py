@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import CatlabError, DimensionMismatch, PreconditionFailed
 from .measure import (
-    PRUNE_TOL,
     ProjectiveMeasurement,
     make_measurement,
     outcome_distribution,
@@ -130,26 +129,56 @@ def check_conditions(lab: Laboratory, l_state: StateVector, d_state: StateVector
     return False
 
 
-def _branches(lab, name, kind, op, state, cache):
-    """Outcome branches of one operation: (label, probability, post state)."""
-    if kind == "unitary":
-        return (("", 1.0, canonical_state(apply_unitary(op, state))),)
-    key = (name, state_key(state))
-    hit = cache.get(key)
-    if hit is None:
-        hit = tuple(
-            (r.label, r.probability, _canon(r.post_state))
-            for r in outcome_distribution(op, state)
-            if r.probability >= PRUNE_TOL
-        )
-        cache[key] = hit
-    return hit
+class Transitions:
+    """The interned transition table of one laboratory.
 
+    ``intern`` gives each state a dense integer id under its ``state_key``;
+    the first state interned under a key represents that key from then on
+    (``states[id]``, with ``keys[id]`` its key).  ``rows`` memoises, per
+    (operation, id), the outcome rows ``(label, probability, next id)``.
+    The steering search, the outcome tree and Monte Carlo each build one
+    table per call and reach states only through it.
+    """
 
-def _canon(x: State | None) -> State | None:
-    if isinstance(x, StateVector):
-        return canonical_state(x)
-    return x
+    def __init__(self, lab: Laboratory) -> None:
+        self.lab = lab
+        self.states: list[State] = []
+        self.keys: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+        self._rows: dict[tuple[str, int], tuple[tuple[str, float, int | None], ...]] = {}
+
+    def intern(self, x: State) -> int:
+        """The id of ``x`` with its phase canonicalised."""
+        if isinstance(x, StateVector):
+            x = canonical_state(x)
+        key = state_key(x)
+        sid = self._ids.get(key)
+        if sid is None:
+            sid = self._ids[key] = len(self.states)
+            self.states.append(x)
+            self.keys.append(key)
+        return sid
+
+    def rows(self, name: str, sid: int) -> tuple[tuple[str, float, int | None], ...]:
+        """Outcome rows of operation ``name`` on state ``sid``.
+
+        A measurement gives one row per outcome in outcome order, with next
+        id None below ``PRUNE_TOL``; a unitary gives ``(("", 1.0, id),)``.
+        """
+        hit = self._rows.get((name, sid))
+        if hit is None:
+            state = self.states[sid]
+            if name in self.lab.unitaries:
+                post = apply_unitary(self.lab.unitaries[name], state)
+                hit = (("", 1.0, self.intern(post)),)
+            else:
+                hit = tuple(
+                    (r.label, r.probability,
+                     None if r.post_state is None else self.intern(r.post_state))
+                    for r in outcome_distribution(self.lab.measurements[name], state)
+                )
+            self._rows[(name, sid)] = hit
+        return hit
 
 
 def _search(
@@ -159,40 +188,45 @@ def _search(
     max_depth: int,
     min_prob: float,
 ) -> tuple[SteeringPath | None, bool]:
-    """Breadth-first steering search.  Returns (path, bound_reached).
+    """Breadth-first steering search over interned state ids.  Returns
+    (path, bound_reached).
 
     Deterministic: operations expand in declaration order and outcomes in
-    outcome order; revisited states keep their highest-probability
-    representative (position in the frontier is fixed by first arrival).
+    outcome order.  Each state is the first one interned under its key in
+    this search's own ``Transitions`` table, and the witness ends on that
+    representative.  Revisited ids keep their highest-probability path
+    (position in the frontier is fixed by first arrival).
     """
+    if max_depth < 0:
+        raise CatlabError(f"search depth must be >= 0, got {max_depth}")
     if start.space != lab.space or target.space != lab.space:
         raise DimensionMismatch("states live outside the laboratory space")
-    root = canonical_state(start)
-    if squared_overlap(root, target) > 1.0 - MATCH_TOL:
-        return SteeringPath((), 1.0, root), False
-    visited: dict[tuple, float] = {state_key(root): 1.0}
-    frontier: dict[tuple, tuple[StateVector, tuple, float]] = {
-        state_key(root): (root, (), 1.0)
-    }
-    ops = list(lab.operations())
-    cache: dict = {}
+    table = Transitions(lab)
+    root = table.intern(start)
+    if squared_overlap(table.states[root], target) > 1.0 - MATCH_TOL:
+        return SteeringPath((), 1.0, table.states[root]), False
+    visited: dict[int, float] = {root: 1.0}
+    frontier: dict[int, tuple[tuple, float]] = {root: ((), 1.0)}
+    names = [name for name, _, _ in lab.operations()]
     for _depth in range(1, max_depth + 1):
-        next_frontier: dict[tuple, tuple[StateVector, tuple, float]] = {}
-        for state, steps, prob in frontier.values():
-            for name, kind, op in ops:
-                for label, p, post in _branches(lab, name, kind, op, state, cache):
+        next_frontier: dict[int, tuple[tuple, float]] = {}
+        for sid, (steps, prob) in frontier.items():
+            for name in names:
+                for label, p, nid in table.rows(name, sid):
+                    if nid is None:
+                        continue
                     new_prob = prob * p
                     if new_prob < min_prob:
                         continue
                     new_steps = steps + ((name, label),)
+                    post = table.states[nid]
                     if squared_overlap(post, target) > 1.0 - MATCH_TOL:
                         return SteeringPath(new_steps, new_prob, post), False
-                    k = state_key(post)
-                    best = visited.get(k)
+                    best = visited.get(nid)
                     if best is not None and best >= new_prob:
                         continue
-                    visited[k] = new_prob
-                    next_frontier[k] = (post, new_steps, new_prob)
+                    visited[nid] = new_prob
+                    next_frontier[nid] = (new_steps, new_prob)
         if not next_frontier:
             return None, False
         frontier = next_frontier
@@ -207,23 +241,10 @@ def find_steering_path(
     min_prob: float = DEFAULT_MIN_PROB,
 ) -> SteeringPath | None:
     """Minimal-depth chain of allowed operations steering start onto target,
-    or None when no such chain exists within the depth bound."""
+    or None when no such chain exists within the depth bound.  Raises
+    ``CatlabError`` for a negative ``max_depth``."""
     path, _ = _search(lab, start, target, max_depth, min_prob)
     return path
-
-
-def total_reach_probability(
-    lab: Laboratory,
-    start: State,
-    target: StateVector,
-    protocol,
-) -> float:
-    """Probability that a protocol run from ``start`` ends on ``target``,
-    summed exactly over the full outcome tree."""
-    from . import protocols as _protocols
-
-    tree = _protocols.enumerate_protocol(protocol, lab, start)
-    return _protocols.leaf_mass(tree, target)
 
 
 def nogo_verdict(
@@ -241,9 +262,10 @@ def nogo_verdict(
     path that realises the forbidden d->l transition.
 
     Raises ``PreconditionFailed`` unless the pair is orthogonal and d->l is
-    declared forbidden.  ``violated=True`` means a witness path exists; with
-    ``violated=False``, ``bound_reached`` distinguishes an exhausted search
-    space (conclusive relative to the declared operations) from a depth cut.
+    declared forbidden, and ``CatlabError`` for a negative ``max_depth``.
+    ``violated=True`` means a witness path exists; with ``violated=False``,
+    ``bound_reached`` distinguishes an exhausted search space (conclusive
+    relative to the declared operations) from a depth cut.
     """
     if candidate.kind != "projector":
         raise CatlabError("the no-go candidate must be a projector")

@@ -12,22 +12,15 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from .errors import CatlabError, DepthCeiling, DimensionMismatch, DisallowedOperation
-from .lab import Laboratory, state_key
-from .measure import PRUNE_TOL, ProjectiveMeasurement, outcome_distribution
-from .qstate import (
-    DensityMatrix,
-    State,
-    StateVector,
-    apply_unitary,
-    canonical_state,
-    format_state,
-    states_match,
-)
+from .lab import Laboratory, Transitions
+from .measure import ProjectiveMeasurement, outcome_distribution
+from .qstate import State, StateVector, format_state, states_match
 from .rng import RandomStream
 
 MAX_UNROLLED_STEPS = 64
@@ -128,6 +121,7 @@ class OutcomeNode:
     ``operation``/``label`` describe the edge from the parent (both None at
     the root; ``label`` is None for unitary edges).  ``probability`` is the
     branch probability, ``cumulative`` the product along the path.
+    ``state`` is the representative of id ``sid`` in the tree's table.
     """
 
     operation: str | None
@@ -135,6 +129,7 @@ class OutcomeNode:
     probability: float
     cumulative: float
     state: State
+    sid: int
     children: list["OutcomeNode"] = field(default_factory=list)
     stopped: bool = False
 
@@ -147,6 +142,7 @@ class OutcomeNode:
 class OutcomeTree:
     root: OutcomeNode
     pruned_mass: float
+    table: Transitions
 
     def leaves(self) -> list[OutcomeNode]:
         out: list[OutcomeNode] = []
@@ -175,21 +171,22 @@ def enumerate_protocol(
     """Exact outcome tree of a protocol from an initial state.
 
     Branches with probability below ``PRUNE_TOL`` are dropped; their mass is
-    accounted in ``tree.pruned_mass``.  Pure states are kept in canonical
-    phase throughout so identical branches share identical payloads.
+    accounted in ``tree.pruned_mass``.  Every node holds an id of the tree's
+    ``Transitions`` table and that id's representative state, so identical
+    branches share identical payloads.
     """
     if initial.space != lab.space:
         raise DimensionMismatch("initial state lives outside the laboratory space")
     steps = protocol.unrolled()
     _resolve_steps(steps, lab)
-    root_state = canonical_state(initial) if isinstance(initial, StateVector) else initial
-    root = OutcomeNode(None, None, 1.0, 1.0, root_state)
+    table = Transitions(lab)
+    root_id = table.intern(initial)
+    root = OutcomeNode(None, None, 1.0, 1.0, table.states[root_id], root_id)
     pruned = 0.0
-    cache: dict = {}
-    # (node, step index, last outcome label, dedup key of node.state)
-    stack = [(root, 0, None, state_key(root_state))]
+    # (node, step index, last outcome label)
+    stack = [(root, 0, None)]
     while stack:
-        node, i, last, key = stack.pop()
+        node, i, last = stack.pop()
         if i >= len(steps):
             continue
         step = steps[i]
@@ -197,69 +194,45 @@ def enumerate_protocol(
             if last is not None and last == step.outcome:
                 node.stopped = True
             else:
-                stack.append((node, i + 1, last, key))
+                stack.append((node, i + 1, last))
             continue
-        if isinstance(step, UnitaryStep):
-            ckey = (step.unitary, key)
-            hit = cache.get(ckey)
-            if hit is None:
-                nxt = apply_unitary(lab.unitaries[step.unitary], node.state)
-                if isinstance(nxt, StateVector):
-                    nxt = canonical_state(nxt)
-                hit = (nxt, state_key(nxt))
-                cache[ckey] = hit
-            nxt, nkey = hit
-            child = OutcomeNode(step.unitary, None, 1.0, node.cumulative, nxt)
-            node.children.append(child)
-            stack.append((child, i + 1, last, nkey))
-            continue
-        # measurement step; transition tables memoised per (name, state)
-        name = step.measurement
-        ckey = (name, key)
-        branches = cache.get(ckey)
-        if branches is None:
-            branches = []
-            for rec in outcome_distribution(lab.measurements[name], node.state):
-                if rec.probability < PRUNE_TOL:
-                    branches.append((rec.label, rec.probability, None, None))
-                    continue
-                post = rec.post_state
-                if isinstance(post, StateVector):
-                    post = canonical_state(post)
-                branches.append((rec.label, rec.probability, post, state_key(post)))
-            branches = tuple(branches)
-            cache[ckey] = branches
+        name = step.measurement if isinstance(step, MeasureStep) else step.unitary
         cum = node.cumulative
-        for label, p, post, pkey in branches:
-            if post is None:
+        for label, p, nid in table.rows(name, node.sid):
+            if nid is None:
                 pruned += cum * p
                 continue
-            child = OutcomeNode(name, label, p, cum * p, post)
+            # a unitary row's empty label: the edge has no label and the
+            # last outcome stays the one before
+            child = OutcomeNode(name, label or None, p, cum * p, table.states[nid], nid)
             node.children.append(child)
-            stack.append((child, i + 1, label, pkey))
-    return OutcomeTree(root, pruned)
+            stack.append((child, i + 1, label or last))
+    return OutcomeTree(root, pruned, table)
+
+
+def total_reach_probability(
+    lab: Laboratory,
+    start: State,
+    target: StateVector,
+    protocol: ProtocolSpec,
+) -> float:
+    """Probability that a protocol run from ``start`` ends on ``target``,
+    summed exactly over the full outcome tree."""
+    return leaf_mass(enumerate_protocol(protocol, lab, start), target)
 
 
 def leaf_mass(tree: OutcomeTree, target: StateVector) -> float:
     """Total probability of leaves whose state matches ``target``."""
-    return sum(
-        leaf.cumulative for leaf in tree.leaves() if states_match(leaf.state, target)
-    )
+    match = [states_match(st, target) for st in tree.table.states]
+    return sum(leaf.cumulative for leaf in tree.leaves() if match[leaf.sid])
 
 
 def aggregate_leaves(tree: OutcomeTree) -> list[tuple[State, float]]:
-    """Leaf masses merged by canonical final state, in first-leaf order."""
-    order: list[tuple] = []
-    acc: dict[tuple, tuple[State, float]] = {}
+    """Leaf masses merged by interned final state, in first-leaf order."""
+    acc: dict[int, float] = {}
     for leaf in tree.leaves():
-        k = state_key(leaf.state)
-        if k in acc:
-            st, mass = acc[k]
-            acc[k] = (st, mass + leaf.cumulative)
-        else:
-            order.append(k)
-            acc[k] = (leaf.state, leaf.cumulative)
-    return [acc[k] for k in order]
+        acc[leaf.sid] = acc.get(leaf.sid, 0.0) + leaf.cumulative
+    return [(tree.table.states[sid], mass) for sid, mass in acc.items()]
 
 
 def tree_to_json(tree: OutcomeTree) -> dict:
@@ -327,8 +300,8 @@ def run_monte_carlo(
     Trials are partitioned into fixed blocks of ``TRIALS_PER_BLOCK``; block
     ``j`` draws from stream ``(seed, j)`` with a fixed per-trial stride, so
     the histogram does not depend on how blocks would be spread over
-    workers.  Transition tables are memoised per (operation, state), which
-    keeps the inner loop at one dictionary lookup and one uniform per step.
+    workers.  The inner loop works on the ids of one ``Transitions`` table,
+    at one dictionary lookup and one uniform per measurement step.
     """
     if n < 0:
         raise CatlabError("trial count must be >= 0")
@@ -337,54 +310,25 @@ def run_monte_carlo(
     steps = protocol.unrolled()
     _resolve_steps(steps, lab)
     n_measure = sum(1 for s in steps if isinstance(s, MeasureStep))
-    start: State = (
-        canonical_state(initial) if isinstance(initial, StateVector) else initial
-    )
-    start_key = state_key(start)
+    table = Transitions(lab)
+    start = table.intern(initial)
 
-    # transition tables: key -> (next keys, cumulative probs, labels)
-    states: dict[tuple, State] = {start_key: start}
-    trans: dict[tuple, tuple[list[tuple], list[float], list[str]]] = {}
-    uni: dict[tuple, tuple] = {}
+    # (measurement, id) -> (next ids, cumulative probs, labels) of kept rows
+    samplers: dict[tuple[str, int], tuple[list[int], list[float], list[str]]] = {}
 
-    def measure_table(name: str, key: tuple):
-        tkey = (name, key)
-        tab = trans.get(tkey)
+    def sampler(name: str, sid: int):
+        tab = samplers.get((name, sid))
         if tab is None:
-            recs = outcome_distribution(lab.measurements[name], states[key])
-            keys: list[tuple] = []
-            cums: list[float] = []
-            labels: list[str] = []
-            acc = 0.0
-            for rec in recs:
-                if rec.probability < PRUNE_TOL:
-                    continue
-                post = rec.post_state
-                if isinstance(post, StateVector):
-                    post = canonical_state(post)
-                pk = state_key(post)
-                states.setdefault(pk, post)
-                acc += rec.probability
-                keys.append(pk)
-                cums.append(acc)
-                labels.append(rec.label)
-            tab = (keys, cums, labels)
-            trans[tkey] = tab
+            kept = [row for row in table.rows(name, sid) if row[2] is not None]
+            tab = (
+                [nid for _, _, nid in kept],
+                list(accumulate(p for _, p, _ in kept)),
+                [label for label, _, _ in kept],
+            )
+            samplers[(name, sid)] = tab
         return tab
 
-    def unitary_next(name: str, key: tuple) -> tuple:
-        tkey = (name, key)
-        nk = uni.get(tkey)
-        if nk is None:
-            post = apply_unitary(lab.unitaries[name], states[key])
-            if isinstance(post, StateVector):
-                post = canonical_state(post)
-            nk = state_key(post)
-            states.setdefault(nk, post)
-            uni[tkey] = nk
-        return nk
-
-    bins: dict[tuple, int] = {}
+    bins: dict[int, int] = {}
     stride = max(n_measure, 1)
     done = 0
     block_index = 0
@@ -394,7 +338,7 @@ def run_monte_carlo(
         for t in range(block_n):
             base = t * stride
             draw = 0
-            key = start_key
+            sid = start
             last: str | None = None
             for step in steps:
                 if isinstance(step, StopIfStep):
@@ -402,21 +346,23 @@ def run_monte_carlo(
                         break
                     continue
                 if isinstance(step, UnitaryStep):
-                    key = unitary_next(step.unitary, key)
+                    sid = table.rows(step.unitary, sid)[0][2]
                     continue
-                keys, cums, labels = measure_table(step.measurement, key)
-                if not keys:
+                ids, cums, labels = sampler(step.measurement, sid)
+                if not ids:
                     raise CatlabError("ran out of probability mass mid-trial")
                 idx = bisect_right(cums, u[base + draw])
                 draw += 1
-                if idx >= len(keys):
-                    idx = len(keys) - 1
-                key = keys[idx]
+                if idx >= len(ids):
+                    idx = len(ids) - 1
+                sid = ids[idx]
                 last = labels[idx]
-            bins[key] = bins.get(key, 0) + 1
+            bins[sid] = bins.get(sid, 0) + 1
         done += block_n
         block_index += 1
-    return MonteCarloResult(n, seed, {k: (states[k], c) for k, c in bins.items()})
+    return MonteCarloResult(
+        n, seed, {table.keys[s]: (table.states[s], c) for s, c in bins.items()}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,17 @@ def test_check_no_violation_exit_0(capsys):
     assert doc["result"]["witness"] is None
 
 
+def test_check_negative_depth_exit_1(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "check", "--scenario", "cat", "--from", "dead", "--to", "alive",
+        "plusminus:+", "--depth", "-3",
+    )
+    assert code == 1
+    assert out == ""
+    assert "depth" in err
+
+
 def test_check_envelope_keys(capsys):
     _, doc, _ = run_json(
         capsys,

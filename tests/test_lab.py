@@ -225,6 +225,28 @@ def test_find_steering_path_photon():
     assert states_match(path.final_state, sc.states["z0"])
 
 
+def test_find_steering_path_through_unitaries():
+    sc = load_scenario("photon")[0]
+    lab = Laboratory(sc.space, {}, sc.lab.unitaries)
+    z0, x_plus = sc.states["z0"], sc.states["x_plus"]
+    path = find_steering_path(lab, z0, x_plus)
+    assert path is not None
+    assert path.steps == (("rotate45", ""),)
+    prob, final = replay_path(lab, z0, path)
+    assert prob == path.probability == 1.0
+    assert states_match(final, path.final_state)
+    assert states_match(path.final_state, x_plus)
+
+
+def test_negative_depth_rejected():
+    lab = cat_lab()
+    alive, dead = basis_state(CAT, "alive"), basis_state(CAT, "dead")
+    with pytest.raises(CatlabError, match="depth"):
+        find_steering_path(lab, dead, alive, max_depth=-3)
+    with pytest.raises(CatlabError, match="depth"):
+        nogo_verdict(lab, candidate(0.5), alive, dead, max_depth=-1)
+
+
 def test_find_steering_path_absent():
     lab = cat_lab()  # only the diagonal basis: dead stays dead
     path = find_steering_path(lab, basis_state(CAT, "dead"), basis_state(CAT, "alive"))

@@ -1,10 +1,20 @@
 """Randomized invariants."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from catlab import (
+    Laboratory,
+    MeasureStep,
+    ProtocolSpec,
+    UnitaryStep,
+    aggregate_leaves,
     apply_unitary,
+    enumerate_protocol,
+    leaf_mass,
+    run_monte_carlo,
     canonical_state,
     make_mixture,
     make_state,
@@ -148,3 +158,92 @@ def test_pure_density_matches_projector(psi):
     assert np.allclose(
         pure_density(psi).mat, projector_from_state(psi).mat, atol=1e-15
     )
+
+
+# ---------------------------------------------------------------------------
+# outcome tree against density-matrix propagation and Monte Carlo
+
+
+def random_lab(rng, dim, n_groups):
+    """A lab with one coarse-grained random-basis measurement ``m`` and one
+    random unitary ``u``.  Outcome ``g0`` is the rank-one projector on the
+    first basis column, returned as a target state."""
+    space = space_of_dim(dim)
+    basis = rand_unitary(rng, dim)
+    groups = [[0]] + [[] for _ in range(n_groups - 1)]
+    for col in range(1, dim):  # every later group gets a column, then at random
+        groups[col if col < n_groups else int(rng.integers(1, n_groups))].append(col)
+    outcomes = [
+        (f"g{i}", Operator(space, basis[:, cols] @ basis[:, cols].conj().T, "projector"))
+        for i, cols in enumerate(groups)
+    ]
+    lab = Laboratory(
+        space,
+        {"m": make_measurement(space, outcomes)},
+        {"u": unitary_operator(space, rand_unitary(rng, dim))},
+    )
+    return lab, make_state(space, basis[:, 0])
+
+
+def propagate(lab, steps, rho):
+    """Distribution of the last outcome label, by propagating the density
+    matrix through every step (None: the protocol measured nothing)."""
+    last = {None: 1.0}
+    for step in steps:
+        if isinstance(step, UnitaryStep):
+            u = lab.unitaries[step.unitary].mat
+            rho = u @ rho @ u.conj().T
+        else:
+            outcomes = lab.measurements[step.measurement].outcomes
+            last = {label: float(np.real(np.trace(op.mat @ rho))) for label, op in outcomes}
+            rho = sum(op.mat @ rho @ op.mat for _, op in outcomes)
+    return last
+
+
+def mass_by_last_label(tree):
+    out = {}
+    stack = [(tree.root, None)]
+    while stack:
+        node, last = stack.pop()
+        last = node.label or last  # unitary edges keep the last outcome
+        if node.is_leaf:
+            out[last] = out.get(last, 0.0) + node.cumulative
+        else:
+            stack.extend((child, last) for child in node.children)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seeds,
+    st.integers(2, 4),
+    st.data(),
+    st.booleans(),
+    st.lists(st.booleans(), min_size=1, max_size=8),
+)
+def test_tree_agrees_with_propagation_and_sampling(seed, dim, data, mixed, measures):
+    rng = np.random.default_rng(seed)
+    lab, target = random_lab(rng, dim, data.draw(st.integers(2, dim)))
+    initial = rand_density(rng, lab.space) if mixed else rand_state(rng, lab.space)
+    rho = initial.mat if mixed else pure_density(initial).mat
+    protocol = ProtocolSpec(
+        tuple(MeasureStep("m") if m else UnitaryStep("u") for m in measures)
+    )
+    tree = enumerate_protocol(protocol, lab, initial)
+    agg = aggregate_leaves(tree)
+
+    by_label = mass_by_last_label(tree)
+    for label, p in propagate(lab, protocol.steps, rho).items():
+        assert abs(by_label.get(label, 0.0) - p) <= 1e-12 + tree.pruned_mass
+    assert abs(sum(p for _, p in agg) + tree.pruned_mass - 1.0) < 1e-12
+    matched = sum(p for st_, p in agg if states_match(st_, target))
+    assert abs(leaf_mass(tree, target) - matched) < 1e-12
+
+    n = 2000
+    mc = run_monte_carlo(protocol, lab, initial, n, seed)
+    exact = {state_key(st_): p for st_, p in agg}
+    assert set(mc.bins) <= set(exact)
+    for key, p in exact.items():
+        count = mc.bins[key][1] if key in mc.bins else 0
+        # 6 sigma, plus one count so that outcomes with n*p << 1 may occur once
+        assert abs(count - n * p) <= 6 * math.sqrt(n * p * (1 - p)) + 1
