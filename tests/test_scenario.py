@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from catlab import (
+    CatlabError,
     ParseError,
     SCENARIO_NAMES,
     UnknownScenario,
@@ -187,6 +188,84 @@ measurements:
             MINIMAL
             + "unitaries:\n  u:\n    - [1, 0, 0]\n    - [0, 1, 0]\n    - [0, 0, 1]\n"
         )
+
+
+XY = MINIMAL + "states:\n  x: [1, 0]\n  y: [0, 1]\n"
+XYP = XY + "  p: [1, 1]\n"
+WITH_M = XY + "measurements:\n  m:\n    states: {a: x, b: y}\n"
+WITH_U = WITH_M + "unitaries:\n  u:\n    - [0, 1]\n    - [1, 0]\n"
+P = ParseError
+V = ValidationError
+
+
+@pytest.mark.parametrize(
+    "text, cls, message",
+    [
+        # unknown and missing keys in fixed-key mappings
+        (XY + "mixtures:\n  r:\n    - {weight: 1, state: x, extra: 1}\n",
+         P, "t.scn:9:29: unknown mixture key 'extra'"),
+        (XY + "mixtures:\n  r:\n    - {weight: 1}\n",
+         P, "t.scn:9:7: mixture part needs weight and state"),
+        (XY + "forbidden:\n  - {from: x, to: y, via: x}\n",
+         P, "t.scn:8:22: unknown forbidden key 'via'"),
+        (XY + "forbidden:\n  - {from: x}\n",
+         P, "t.scn:8:5: forbidden pair needs from and to"),
+        (WITH_M + "protocols:\n  p:\n    - repeat: {count: 2, body: [], times: 3}\n",
+         P, "t.scn:12:36: unknown repeat key 'times'"),
+        (WITH_M + "protocols:\n  p:\n    - repeat: {body: []}\n",
+         P, "t.scn:12:15: repeat needs count and body"),
+        ("space: {labels: [x, y], size: 2}\n",
+         P, "t.scn:1:25: unknown space key 'size'"),
+        ("space: {name: s}\n",
+         P, "t.scn:1:8: space needs exactly one of labels or factors"),
+        ("space:\n  labels: [x, y]\n  factors: [{labels: [a, b]}, {labels: [c, d]}]\n",
+         P, "t.scn:2:3: space needs exactly one of labels or factors"),
+        (WITH_M + "lab:\n  measurements: [m]\n  gates: []\n",
+         P, "t.scn:12:3: unknown lab key 'gates'"),
+        # undeclared names at every reference site
+        (XY + "mixtures:\n  r:\n    - {weight: 1, state: ghost}\n",
+         P, "t.scn:9:26: undeclared state 'ghost'"),
+        (XY + "measurements:\n  m:\n    states: {a: x, b: ghost}\n",
+         P, "t.scn:9:23: undeclared state 'ghost'"),
+        (XY + "forbidden:\n  - {from: ghost, to: y}\n",
+         P, "t.scn:8:12: undeclared state 'ghost'"),
+        (XY + "forbidden:\n  - {from: x, to: ghost}\n",
+         P, "t.scn:8:19: undeclared state 'ghost'"),
+        (WITH_M + "lab:\n  measurements: [m, ghost]\n",
+         P, "t.scn:11:21: undeclared measurement 'ghost'"),
+        (WITH_U + "lab:\n  unitaries: [ghost]\n",
+         P, "t.scn:15:15: undeclared unitary 'ghost'"),
+        (WITH_M + "protocols:\n  p:\n    - {measure: ghost}\n",
+         P, "t.scn:12:17: undeclared measurement 'ghost'"),
+        (WITH_U + "protocols:\n  p:\n    - {measure: m}\n    - {unitary: ghost}\n",
+         P, "t.scn:17:17: undeclared unitary 'ghost'"),
+        # object invariants, located at the declaration that broke them
+        ("space:\n  labels: [x, x]\n",
+         V, "t.scn:2:3: CatlabError: basis labels must be unique within a space"),
+        (MINIMAL + "states:\n  z: [0, 0]\n",
+         V, "t.scn:5:6: ZeroVector: cannot normalise an all-zero amplitude list"),
+        (XY + "mixtures:\n  r:\n    - {weight: 0.6, state: x}\n    - {weight: 0.6, state: y}\n",
+         V, "t.scn:9:5: BadWeights: weights sum to 1.2, expected 1"),
+        (XYP + "measurements:\n  m:\n    states: {a: x, b: p}\n",
+         V, "t.scn:10:5: NotOrthogonal: states 'a' and 'b' overlap (|<i|j>| = 0.707)"),
+        (MINIMAL + "measurements:\n  m:\n    projectors:\n      a:\n        - [1, 1]\n        - [0, 0]\n",
+         V, "t.scn:8:9: CatlabError: projector is not Hermitian"),
+        (MINIMAL + "measurements:\n  m:\n    projectors:\n      a:\n        - [1, 0]\n        - [0, 0]\n"
+         "      b:\n        - [1, 0]\n        - [0, 0]\n",
+         V, "t.scn:6:5: CatlabError: projector is not idempotent"),
+        (MINIMAL + "unitaries:\n  u:\n    - [1, 1]\n    - [0, 1]\n",
+         V, "t.scn:6:5: CatlabError: matrix is not unitary"),
+        (XYP + "forbidden:\n  - {from: x, to: p}\nlab:\n  measurements: []\n",
+         V, "t.scn:11:3: CatlabError: forbidden pair must be distinct orthogonal states"),
+        (XYP + "forbidden:\n  - {from: x, to: p}\n",
+         V, "t.scn:1:1: CatlabError: forbidden pair must be distinct orthogonal states"),
+    ],
+)
+def test_diagnostics_are_pinned(text, cls, message):
+    with pytest.raises(CatlabError) as exc:
+        parse(text)
+    assert type(exc.value) is cls
+    assert str(exc.value) == message
 
 
 def test_measurement_needs_exactly_one_form():
