@@ -16,12 +16,12 @@ import numpy as np
 
 from .errors import CatlabError, DimensionMismatch, PreconditionFailed
 from .measure import (
+    ORTHO_TOL,
     ProjectiveMeasurement,
     make_measurement,
     outcome_distribution,
 )
 from .qstate import (
-    DensityMatrix,
     HilbertSpace,
     Operator,
     State,
@@ -29,14 +29,11 @@ from .qstate import (
     apply_unitary,
     canonical_state,
     overlap,
-    squared_overlap,
     state_to_json,
     states_match,
 )
 
 GRID = 1e-6  # amplitude grid for dedup keys
-MATCH_TOL = 1e-9  # squared-overlap slack for "reached the target"
-ORTHO_TOL = 1e-9
 DEFAULT_MAX_DEPTH = 8
 DEFAULT_MIN_PROB = 1e-12
 
@@ -203,7 +200,7 @@ def _search(
         raise DimensionMismatch("states live outside the laboratory space")
     table = Transitions(lab)
     root = table.intern(start)
-    if squared_overlap(table.states[root], target) > 1.0 - MATCH_TOL:
+    if states_match(table.states[root], target):
         return SteeringPath((), 1.0, table.states[root]), False
     visited: dict[int, float] = {root: 1.0}
     frontier: dict[int, tuple[tuple, float]] = {root: ((), 1.0)}
@@ -220,7 +217,7 @@ def _search(
                         continue
                     new_steps = steps + ((name, label),)
                     post = table.states[nid]
-                    if squared_overlap(post, target) > 1.0 - MATCH_TOL:
+                    if states_match(post, target):
                         return SteeringPath(new_steps, new_prob, post), False
                     best = visited.get(nid)
                     if best is not None and best >= new_prob:

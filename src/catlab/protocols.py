@@ -26,8 +26,6 @@ from .rng import RandomStream
 MAX_UNROLLED_STEPS = 64
 TRIALS_PER_BLOCK = 4096  # fixed partition unit; stream id = block index
 CHI2_MIN_EXPECTED = 5.0
-LEAF_SUM_TOL = 1e-8
-CHILD_SUM_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +84,13 @@ class ProtocolSpec:
 def _unroll(steps: Sequence[Step], out: list[Step]) -> None:
     for step in steps:
         if isinstance(step, RepeatStep):
-            for _ in range(step.count):
-                _unroll(step.body, out)
+            # Unroll the body once and copy it, so the count costs nothing
+            # when the body is empty; copies past the ceiling would only be
+            # rejected by the check below.
+            body: list[Step] = []
+            if step.count:
+                _unroll(step.body, body)
+            out.extend(body * min(step.count, MAX_UNROLLED_STEPS + 1))
         elif isinstance(step, (MeasureStep, UnitaryStep, StopIfStep)):
             out.append(step)
         else:

@@ -227,8 +227,9 @@ def make_state(space: HilbertSpace, raw_amps: Sequence[complex]) -> StateVector:
     norm2 = float(np.real(np.vdot(arr, arr)))
     if norm2 < 1e-20:
         raise ZeroVector("cannot normalise an all-zero amplitude list")
-    # skip the division when already normalised so reloading a serialised
-    # state reproduces it bit for bit
+    # skip the division when already normalised: amplitudes written
+    # normalised in a .scn file load bit for bit as written, and report
+    # bytes depend on those doubles
     if abs(norm2 - 1.0) > 1e-15:
         arr = arr / math.sqrt(norm2)
     return StateVector(space, arr)

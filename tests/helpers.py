@@ -1,4 +1,4 @@
-"""Shared generators and comparison helpers for the test suite."""
+"""Shared generators for the test suite."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import numpy as np
 from catlab import (
     DensityMatrix,
     HilbertSpace,
-    Operator,
-    Scenario,
     StateVector,
     make_mixture,
     make_state,
@@ -39,39 +37,3 @@ def rand_density(
     weights = rng.dirichlet(np.ones(parts))
     states = [rand_state(rng, space) for _ in range(parts)]
     return make_mixture(list(zip(weights.tolist(), states)))
-
-
-def same_matrix(a: np.ndarray, b: np.ndarray) -> bool:
-    """Bitwise equality (used for golden-file and serialization checks)."""
-    return a.shape == b.shape and bool(np.all(a == b))
-
-
-def assert_scenarios_equivalent(x: Scenario, y: Scenario) -> None:
-    """Entrywise-exact equality of everything two scenarios declare."""
-    assert x.name == y.name
-    assert x.space.labels == y.space.labels
-    assert x.space.name == y.space.name
-    assert sorted(x.states) == sorted(y.states)
-    for n in x.states:
-        assert same_matrix(x.states[n].amps, y.states[n].amps), f"state {n}"
-    assert sorted(x.mixtures) == sorted(y.mixtures)
-    for n in x.mixtures:
-        assert same_matrix(x.mixtures[n].mat, y.mixtures[n].mat), f"mixture {n}"
-    assert sorted(x.measurements) == sorted(y.measurements)
-    for n in x.measurements:
-        mx, my = x.measurements[n], y.measurements[n]
-        assert mx.labels == my.labels, f"measurement {n}"
-        for lab in mx.labels:
-            assert same_matrix(
-                mx.projector(lab).mat, my.projector(lab).mat
-            ), f"measurement {n}:{lab}"
-    assert sorted(x.unitaries) == sorted(y.unitaries)
-    for n in x.unitaries:
-        assert same_matrix(x.unitaries[n].mat, y.unitaries[n].mat), f"unitary {n}"
-    assert list(x.lab.measurements) == list(y.lab.measurements)
-    assert list(x.lab.unitaries) == list(y.lab.unitaries)
-    assert len(x.lab.forbidden) == len(y.lab.forbidden)
-    for (f1, t1), (f2, t2) in zip(x.lab.forbidden, y.lab.forbidden):
-        assert same_matrix(f1.amps, f2.amps)
-        assert same_matrix(t1.amps, t2.amps)
-    assert x.protocols == y.protocols

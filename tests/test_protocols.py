@@ -55,6 +55,20 @@ def test_unroll_ceiling():
         spec.unrolled()
 
 
+def test_unroll_empty_repeat_is_immediate():
+    nested = RepeatStep((RepeatStep((), 10**9),), 10**9)
+    spec = ProtocolSpec((nested, MeasureStep("m")))
+    assert spec.unrolled() == (MeasureStep("m"),)
+
+
+def test_unroll_ceiling_counts_copies():
+    spec = ProtocolSpec((RepeatStep((MeasureStep("pm"), StopIfStep("a")), 10**9),))
+    with pytest.raises(DepthCeiling, match="protocol unrolls past 64 steps"):
+        spec.unrolled()
+    flat = ProtocolSpec((RepeatStep((MeasureStep("pm"), StopIfStep("a")), 32),)).unrolled()
+    assert len(flat) == 64
+
+
 def test_repeat_zero_is_empty():
     spec = ProtocolSpec((RepeatStep((MeasureStep("pm"),), 0),))
     assert spec.unrolled() == ()
