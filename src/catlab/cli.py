@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from typing import Mapping
 
 from . import __version__
 from .errors import CatlabError
@@ -32,7 +33,7 @@ from .protocols import (
     run_monte_carlo,
     tree_to_json,
 )
-from .qstate import StateVector, format_state
+from .qstate import format_state
 from .scenario import Scenario, load_scenario
 
 FORMAT_VERSION = 1
@@ -117,35 +118,23 @@ def resolve_seed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _named_state(scenario: Scenario, name: str) -> StateVector:
-    if name not in scenario.states:
-        raise CatlabError(f"no state named {name!r} in scenario {scenario.name!r}")
-    return scenario.states[name]
-
-
-def _named_protocol(scenario: Scenario, name: str):
-    if name not in scenario.protocols:
-        raise CatlabError(f"no protocol named {name!r} in scenario {scenario.name!r}")
-    return scenario.protocols[name]
-
-
-def _named_measurement(scenario: Scenario, name: str):
-    if name not in scenario.measurements:
-        raise CatlabError(f"no measurement named {name!r} in scenario {scenario.name!r}")
-    return scenario.measurements[name]
+def _named(scenario: Scenario, kind: str, table: Mapping, name: str):
+    if name not in table:
+        raise CatlabError(f"no {kind} named {name!r} in scenario {scenario.name!r}")
+    return table[name]
 
 
 def cmd_check(scenario: Scenario, args: argparse.Namespace):
     name, _, label = args.candidate.partition(":")
-    m = _named_measurement(scenario, name)
+    m = _named(scenario, "measurement", scenario.measurements, name)
     if not label:
         label = m.labels[0]
     candidate = m.projector(label)
     verdict = nogo_verdict(
         scenario.lab,
         candidate,
-        _named_state(scenario, args.target),
-        _named_state(scenario, args.source),
+        _named(scenario, "state", scenario.states, args.target),
+        _named(scenario, "state", scenario.states, args.source),
         max_depth=args.depth,
         name=name,
         outcome_label=label,
@@ -164,7 +153,7 @@ def cmd_check(scenario: Scenario, args: argparse.Namespace):
 def cmd_run(scenario: Scenario, args: argparse.Namespace, seed: int):
     if args.exact and args.trials is not None:
         raise CatlabError("--exact and --trials are mutually exclusive")
-    protocol = _named_protocol(scenario, args.protocol)
+    protocol = _named(scenario, "protocol", scenario.protocols, args.protocol)
     initial = scenario.initial(args.initial)
     tree = enumerate_protocol(protocol, scenario.lab, initial)
     exact = aggregate_leaves(tree)
@@ -212,7 +201,7 @@ def cmd_discriminate(scenario: Scenario, args: argparse.Namespace, seed: int):
     report = discriminate(
         scenario.initial(args.source_a),
         scenario.initial(args.source_b),
-        _named_measurement(scenario, args.measurement),
+        _named(scenario, "measurement", scenario.measurements, args.measurement),
         args.trials,
         seed,
         name=args.measurement,
@@ -227,7 +216,7 @@ def cmd_discriminate(scenario: Scenario, args: argparse.Namespace, seed: int):
 
 
 def cmd_enumerate(scenario: Scenario, args: argparse.Namespace):
-    protocol = _named_protocol(scenario, args.protocol)
+    protocol = _named(scenario, "protocol", scenario.protocols, args.protocol)
     tree = enumerate_protocol(protocol, scenario.lab, scenario.initial(args.initial))
     params = {"protocol": args.protocol, "initial": args.initial}
     return params, tree_to_json(tree), None, EXIT_OK
@@ -251,21 +240,29 @@ def main(argv=None) -> int:
         print(f"catlab: error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    if getattr(args, "format", "json") == "csv" and rows is not None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerows(rows)
-    else:
-        report = {
-            "format_version": FORMAT_VERSION,
-            "version": __version__,
-            "command": args.command,
-            "scenario": args.scenario,
-            "scenario_sha256": sha,
-            "seed": seed,
-            "params": params,
-            "result": result,
-        }
-        print(json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False))
+    try:
+        if getattr(args, "format", "json") == "csv" and rows is not None:
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerows(rows)
+        else:
+            report = {
+                "format_version": FORMAT_VERSION,
+                "version": __version__,
+                "command": args.command,
+                "scenario": args.scenario,
+                "scenario_sha256": sha,
+                "seed": seed,
+                "params": params,
+                "result": result,
+            }
+            print(json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``catlab ... | head``).  The
+        # report was computed, so keep its exit code; point stdout at
+        # devnull so the flush at interpreter shutdown does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return code
 

@@ -187,19 +187,3 @@ def sample_outcome(
         raise CatlabError("distribution carries no probability mass")
     return chosen.label, chosen.post_state
 
-
-def records_to_json(records: Sequence[OutcomeRecord]) -> list[dict]:
-    """JSON-ready rows; post states embed as labels/re/im payloads."""
-    from .qstate import density_to_json, state_to_json  # local to avoid cycle noise
-
-    rows = []
-    for rec in records:
-        row: dict = {"label": rec.label, "probability": rec.probability}
-        if isinstance(rec.post_state, StateVector):
-            row["post_state"] = state_to_json(rec.post_state)
-        elif isinstance(rec.post_state, DensityMatrix):
-            row["post_state"] = density_to_json(rec.post_state)
-        else:
-            row["post_state"] = None
-        rows.append(row)
-    return rows

@@ -74,10 +74,6 @@ class ProtocolSpec:
         """Flatten repeats; raises ``DepthCeiling`` past MAX_UNROLLED_STEPS."""
         out: list[Step] = []
         _unroll(self.steps, out)
-        if len(out) > MAX_UNROLLED_STEPS:
-            raise DepthCeiling(
-                f"protocol unrolls to {len(out)} steps (max {MAX_UNROLLED_STEPS})"
-            )
         return tuple(out)
 
 
@@ -213,17 +209,6 @@ def enumerate_protocol(
     return OutcomeTree(root, pruned, table)
 
 
-def total_reach_probability(
-    lab: Laboratory,
-    start: State,
-    target: StateVector,
-    protocol: ProtocolSpec,
-) -> float:
-    """Probability that a protocol run from ``start`` ends on ``target``,
-    summed exactly over the full outcome tree."""
-    return leaf_mass(enumerate_protocol(protocol, lab, start), target)
-
-
 def leaf_mass(tree: OutcomeTree, target: StateVector) -> float:
     """Total probability of leaves whose state matches ``target``."""
     match = [states_match(st, target) for st in tree.table.states]
@@ -278,19 +263,6 @@ class MonteCarloResult:
         return total / self.n if self.n else 0.0
 
 
-def merge_histograms(a: MonteCarloResult, b: MonteCarloResult) -> MonteCarloResult:
-    """Associative merge of partial histograms (same seed, disjoint blocks)."""
-    if a.seed != b.seed:
-        raise CatlabError("cannot merge histograms from different seeds")
-    bins = dict(a.bins)
-    for k, (st, c) in b.bins.items():
-        if k in bins:
-            bins[k] = (bins[k][0], bins[k][1] + c)
-        else:
-            bins[k] = (st, c)
-    return MonteCarloResult(a.n + b.n, a.seed, bins)
-
-
 def run_monte_carlo(
     protocol: ProtocolSpec,
     lab: Laboratory,
@@ -302,9 +274,9 @@ def run_monte_carlo(
 
     Trials are partitioned into fixed blocks of ``TRIALS_PER_BLOCK``; block
     ``j`` draws from stream ``(seed, j)`` with a fixed per-trial stride, so
-    the histogram does not depend on how blocks would be spread over
-    workers.  The inner loop works on the ids of one ``Transitions`` table,
-    at one dictionary lookup and one uniform per measurement step.
+    the histogram depends only on the seed and ``n``.  The inner loop works
+    on the ids of one ``Transitions`` table, at one dictionary lookup and
+    one uniform per measurement step.
     """
     if n < 0:
         raise CatlabError("trial count must be >= 0")

@@ -40,7 +40,7 @@ SPAN_TOL = 1e-9
 MATCH_TOL = 1e-9  # squared-overlap slack when deciding two states are the same
 TENSOR_SEP = "⊗"  # the circled-times sign used in product labels
 
-OperatorKind = Literal["projector", "unitary", "general"]
+OperatorKind = Literal["projector", "unitary"]
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +141,6 @@ class StateVector:
             raise CatlabError(f"state vector norm^2 = {norm2!r}, expected 1")
         object.__setattr__(self, "amps", arr)
 
-    def amplitude(self, label: str) -> complex:
-        return complex(self.amps[self.space.index(label)])
-
     def __repr__(self) -> str:
         return f"StateVector({format_state(self)})"
 
@@ -167,10 +164,6 @@ class DensityMatrix:
             raise CatlabError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "mat", arr)
 
-    def probability(self, label: str) -> float:
-        i = self.space.index(label)
-        return float(self.mat[i, i].real)
-
     def __repr__(self) -> str:
         diag = ", ".join(f"{v.real:.6g}" for v in self.mat.diagonal())
         return f"DensityMatrix(diag=[{diag}])"
@@ -185,7 +178,7 @@ class Operator:
 
     space: HilbertSpace
     mat: np.ndarray
-    kind: OperatorKind = "general"
+    kind: OperatorKind
 
     def __post_init__(self) -> None:
         d = self.space.dim
@@ -198,7 +191,7 @@ class Operator:
         elif self.kind == "unitary":
             if float(np.max(np.abs(arr.conj().T @ arr - np.eye(d)))) > HERM_TOL:
                 raise CatlabError("matrix is not unitary")
-        elif self.kind != "general":
+        else:
             raise CatlabError(f"unknown operator kind {self.kind!r}")
         object.__setattr__(self, "mat", arr)
 
@@ -279,10 +272,6 @@ def superposition_projector(space: HilbertSpace, a: complex, b: complex) -> Oper
     return projector_from_state(make_state(space, [a, b]))
 
 
-def identity_operator(space: HilbertSpace) -> Operator:
-    return Operator(space, np.eye(space.dim, dtype=np.complex128), "projector")
-
-
 def unitary_operator(space: HilbertSpace, mat) -> Operator:
     return Operator(space, mat, "unitary")
 
@@ -355,19 +344,6 @@ def overlap(a: StateVector, b: StateVector) -> complex:
 
 def squared_overlap(a: StateVector, b: StateVector) -> float:
     return abs(overlap(a, b)) ** 2
-
-
-def overlap_probability(x: State, projector: Operator) -> float:
-    """Born probability of a projector on a pure or mixed state, in [0, 1]."""
-    if projector.kind != "projector":
-        raise CatlabError("overlap_probability needs a projector operator")
-    if projector.space != x.space:
-        raise DimensionMismatch("projector and state live on different spaces")
-    if isinstance(x, StateVector):
-        p = float(np.real(np.vdot(x.amps, projector.mat @ x.amps)))
-    else:
-        p = float(np.real(np.trace(projector.mat @ x.mat)))
-    return min(1.0, max(0.0, p))
 
 
 def states_match(x: State, target: StateVector) -> bool:
@@ -454,45 +430,8 @@ def space_to_json(space: HilbertSpace) -> dict:
     return doc
 
 
-def space_from_json(doc: dict) -> HilbertSpace:
-    factors = None
-    if "factors" in doc:
-        factors = tuple(
-            HilbertSpace(tuple(f["labels"]), name=f.get("name"))
-            for f in doc["factors"]
-        )
-    return HilbertSpace(tuple(doc["labels"]), name=doc.get("name"), factors=factors)
-
-
 def state_to_json(psi: StateVector) -> dict:
     doc = space_to_json(psi.space)
     doc["re"] = [float(v) for v in psi.amps.real]
     doc["im"] = [float(v) for v in psi.amps.imag]
     return doc
-
-
-def state_from_json(doc: dict) -> StateVector:
-    space = space_from_json(doc)
-    amps = np.asarray(doc["re"], dtype=np.float64) + 1j * np.asarray(
-        doc["im"], dtype=np.float64
-    )
-    return StateVector(space, amps)
-
-
-def density_to_json(dm: DensityMatrix) -> dict:
-    doc = space_to_json(dm.space)
-    flat = dm.mat.reshape(-1)  # row-major
-    doc["re"] = [float(v) for v in flat.real]
-    doc["im"] = [float(v) for v in flat.imag]
-    return doc
-
-
-def density_from_json(doc: dict) -> DensityMatrix:
-    space = space_from_json(doc)
-    d = space.dim
-    flat = np.asarray(doc["re"], dtype=np.float64) + 1j * np.asarray(
-        doc["im"], dtype=np.float64
-    )
-    if flat.shape != (d * d,):
-        raise DimensionMismatch("matrix payload length disagrees with labels")
-    return DensityMatrix(space, flat.reshape(d, d))

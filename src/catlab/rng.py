@@ -1,8 +1,8 @@
 """Seeded counter-based random streams.
 
 A stream is addressed by the pair ``(seed, stream)``; distinct ids give
-statistically independent sequences, so blocks of trials can be farmed out
-to workers and merged without caring about worker count or ordering.
+statistically independent sequences.  Monte Carlo block *j* draws from
+stream *j*, so a histogram depends only on the seed and the trial count.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ class RandomStream:
     def uniforms(self, n: int) -> np.ndarray:
         """A block of draws, identical to n successive uniform() calls."""
         return self._gen.random(int(n))
-
-    def derive(self, stream: int) -> "RandomStream":
-        """A fresh independent stream under the same seed."""
-        return RandomStream(self.seed, stream)
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream={self.stream})"

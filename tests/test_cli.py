@@ -303,16 +303,29 @@ def test_unknown_scenario(capsys):
 
 
 def test_unknown_names(capsys):
-    for argv in (
-        ("run", "--scenario", "cat", "missing", "--initial", "alive"),
-        ("run", "--scenario", "cat", "observe", "--initial", "missing"),
-        ("discriminate", "--scenario", "cat", "alive", "dead", "missing"),
-        ("check", "--scenario", "cat", "missing", "--from", "dead", "--to", "alive"),
-        ("check", "--scenario", "cat", "plusminus:nope", "--from", "dead", "--to", "alive"),
+    in_cat = "in scenario 'cat'"
+    for argv, message in (
+        (("run", "--scenario", "cat", "missing", "--initial", "alive"),
+         f"no protocol named 'missing' {in_cat}"),
+        (("run", "--scenario", "cat", "observe", "--initial", "missing"),
+         "no state or mixture named 'missing'"),
+        (("discriminate", "--scenario", "cat", "alive", "dead", "missing"),
+         f"no measurement named 'missing' {in_cat}"),
+        (("check", "--scenario", "cat", "missing", "--from", "dead", "--to", "alive"),
+         f"no measurement named 'missing' {in_cat}"),
+        (("check", "--scenario", "cat", "plusminus:nope", "--from", "dead", "--to", "alive"),
+         "no outcome labelled 'nope'"),
+        (("check", "--scenario", "cat", "plusminus", "--from", "missing", "--to", "alive"),
+         f"no state named 'missing' {in_cat}"),
+        (("check", "--scenario", "cat", "plusminus", "--from", "dead", "--to", "missing"),
+         f"no state named 'missing' {in_cat}"),
+        (("enumerate", "--scenario", "cat", "missing", "--initial", "alive"),
+         f"no protocol named 'missing' {in_cat}"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1, argv
-        assert "missing" in err or "nope" in err
+        assert out == ""
+        assert err.splitlines()[0] == f"catlab: error: {message}", argv
 
 
 def test_usage_error_is_exit_1(capsys):
@@ -378,3 +391,24 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", "import catlab, sys; assert 'scipy' not in sys.modules"],
         check=True,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 5.5 MB of JSON: the pipe breaks whatever the timing
+        ("enumerate", "--scenario", "resurrection", "--initial", "dead", "resurrect10"),
+        ("run", "--scenario", "resurrection", "--initial", "dead", "--exact",
+         "--format", "csv", "resurrect3"),
+    ],
+    ids=["json", "csv"],
+)
+def test_reader_closing_early_keeps_exit_code(argv):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "catlab", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # like `catlab ... | head` exiting before the report
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 0
+    assert "Traceback" not in err

@@ -1,6 +1,41 @@
-"""The package's public name list."""
+"""The package's public name list, and the imports of its modules."""
+
+import ast
+from pathlib import Path
+
+import pytest
 
 import catlab
+import catlab.measure
+import catlab.protocols
+import catlab.qstate
+
+SRC = Path(catlab.__file__).parent
+
+REMOVED = {
+    catlab: (
+        "ScenarioDoc",
+        "serialize_scenario",
+        "parse_scenario",
+        "identity_operator",
+        "merge_histograms",
+        "overlap_probability",
+        "total_reach_probability",
+    ),
+    catlab.qstate: (
+        "density_from_json",
+        "density_to_json",
+        "identity_operator",
+        "overlap_probability",
+        "space_from_json",
+        "state_from_json",
+    ),
+    catlab.measure: ("records_to_json",),
+    catlab.protocols: ("merge_histograms", "total_reach_probability"),
+    catlab.RandomStream: ("derive",),
+    catlab.StateVector: ("amplitude",),
+    catlab.DensityMatrix: ("probability",),
+}
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -12,6 +47,29 @@ def test_all_is_sorted_unique_and_resolves():
 
 
 def test_removed_names_stay_removed():
-    for name in ("ScenarioDoc", "serialize_scenario", "parse_scenario"):
-        assert name not in catlab.__all__
-        assert not hasattr(catlab, name)
+    for owner, names in REMOVED.items():
+        for name in names:
+            assert name not in getattr(owner, "__all__", ()), (owner, name)
+            assert not hasattr(owner, name), (owner, name)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # ``import a.b`` binds ``a``
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"),
+)
+def test_no_unused_imports(module):
+    # __init__.py is left out: it imports names only to re-export them
+    assert _unused_imports(SRC / module) == []

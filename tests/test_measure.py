@@ -22,7 +22,7 @@ from catlab import (
     sample_outcome,
     states_match,
 )
-from catlab.measure import COMPLEMENT_LABEL, records_to_json
+from catlab.measure import COMPLEMENT_LABEL
 from helpers import rand_density, rand_state, rand_unitary, space_of_dim
 
 CAT = HilbertSpace(("alive", "dead"), name="cat")
@@ -213,8 +213,3 @@ def test_sample_skips_pruned_outcomes():
         assert label == "alive"
 
 
-def test_records_to_json():
-    recs = outcome_distribution(cat_basis(), make_state(CAT, [1, 1]))
-    docs = records_to_json(recs)
-    assert [d["label"] for d in docs] == ["alive", "dead"]
-    assert all("probability" in d for d in docs)

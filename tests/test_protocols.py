@@ -10,7 +10,6 @@ from catlab import (
     DepthCeiling,
     DisallowedOperation,
     MeasureStep,
-    MonteCarloResult,
     ProtocolSpec,
     RepeatStep,
     StopIfStep,
@@ -23,9 +22,7 @@ from catlab import (
     exact_distribution,
     leaf_mass,
     load_scenario,
-    merge_histograms,
     run_monte_carlo,
-    total_reach_probability,
     total_variation,
     tree_to_json,
 )
@@ -141,9 +138,8 @@ def test_amplification_matches_closed_form(k):
 
 def test_total_reach_probability_agrees():
     sc = resurrection()
-    p = total_reach_probability(
-        sc.lab, sc.states["dead"], sc.states["alive"], sc.protocols["resurrect10"]
-    )
+    tree = enumerate_protocol(sc.protocols["resurrect10"], sc.lab, sc.states["dead"])
+    p = leaf_mass(tree, sc.states["alive"])
     assert abs(p - (1 - 2.0**-10)) < 1e-10
 
 
@@ -228,19 +224,6 @@ def test_monte_carlo_rows_consistent():
     assert sum(c for _, c, _ in rows) == 8192
     for _, count, freq in rows:
         assert freq == count / 8192
-
-
-def test_merge_histograms():
-    sc = resurrection()
-    a = run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"], 4096, 9)
-    b = run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"], 4096, 9)
-    merged = merge_histograms(a, b)
-    assert merged.n == 8192
-    for k, (_, count) in merged.bins.items():
-        assert count == a.bins[k][1] + b.bins[k][1]
-    other = MonteCarloResult(1, 999, {})
-    with pytest.raises(CatlabError):
-        merge_histograms(a, other)
 
 
 def test_trials_validation():

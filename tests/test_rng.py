@@ -35,11 +35,6 @@ def test_range():
     assert np.all(u >= 0.0) and np.all(u < 1.0)
 
 
-def test_derive_matches_explicit_stream():
-    root = RandomStream(42)
-    assert np.all(root.derive(6).uniforms(16) == RandomStream(42, 6).uniforms(16))
-
-
 def test_wide_ints_masked_to_64_bits():
     assert RandomStream(-1).seed == (1 << 64) - 1
     big = RandomStream(1 << 80, 1 << 72)
