@@ -9,7 +9,7 @@ Four subcommands over a scenario file (a path or a shipped name):
 * ``enumerate``    - dump the full outcome tree of a protocol.
 
 Reports go to stdout; wall-time and errors go to stderr.  With fixed
-inputs and an explicit seed the stdout bytes are identical across runs.
+inputs and seed the stdout bytes are identical across runs.
 Exit codes: 0 no violation / success, 1 input error, 2 violation witness.
 """
 
@@ -66,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--seed",
             type=int,
-            default=None,
-            help="RNG seed; falls back to CATLAB_SEED, then 0",
+            default=0,
+            help="RNG seed (default 0)",
         )
         if fmt:
             p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -106,18 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("CATLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CatlabError(f"CATLAB_SEED must be an integer, got {env!r}")
-    return 0
-
-
 def _named(scenario: Scenario, kind: str, table: Mapping, name: str):
     if name not in table:
         raise CatlabError(f"no {kind} named {name!r} in scenario {scenario.name!r}")
@@ -150,7 +138,7 @@ def cmd_check(scenario: Scenario, args: argparse.Namespace):
     return params, verdict_to_json(verdict), None, code
 
 
-def cmd_run(scenario: Scenario, args: argparse.Namespace, seed: int):
+def cmd_run(scenario: Scenario, args: argparse.Namespace):
     if args.exact and args.trials is not None:
         raise CatlabError("--exact and --trials are mutually exclusive")
     protocol = _named(scenario, "protocol", scenario.protocols, args.protocol)
@@ -178,7 +166,7 @@ def cmd_run(scenario: Scenario, args: argparse.Namespace, seed: int):
     if trials < 1:
         raise CatlabError("need at least one trial (or use --exact)")
     params["trials"] = trials
-    mc = run_monte_carlo(protocol, scenario.lab, initial, trials, seed)
+    mc = run_monte_carlo(protocol, scenario.lab, initial, trials, args.seed)
     exact_by_key = {state_key(st): p for st, p in exact}
     histogram = []
     rows = [["state", "exact_p", "empirical_freq", "n"]]
@@ -197,13 +185,13 @@ def cmd_run(scenario: Scenario, args: argparse.Namespace, seed: int):
     return params, result, rows, EXIT_OK
 
 
-def cmd_discriminate(scenario: Scenario, args: argparse.Namespace, seed: int):
+def cmd_discriminate(scenario: Scenario, args: argparse.Namespace):
     report = discriminate(
         scenario.initial(args.source_a),
         scenario.initial(args.source_b),
         _named(scenario, "measurement", scenario.measurements, args.measurement),
         args.trials,
-        seed,
+        args.seed,
         name=args.measurement,
     )
     params = {
@@ -227,13 +215,12 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         scenario, sha = load_scenario(args.scenario)
-        seed = resolve_seed(args)
         if args.command == "check":
             params, result, rows, code = cmd_check(scenario, args)
         elif args.command == "run":
-            params, result, rows, code = cmd_run(scenario, args, seed)
+            params, result, rows, code = cmd_run(scenario, args)
         elif args.command == "discriminate":
-            params, result, rows, code = cmd_discriminate(scenario, args, seed)
+            params, result, rows, code = cmd_discriminate(scenario, args)
         else:
             params, result, rows, code = cmd_enumerate(scenario, args)
     except CatlabError as err:
@@ -251,7 +238,7 @@ def main(argv=None) -> int:
                 "command": args.command,
                 "scenario": args.scenario,
                 "scenario_sha256": sha,
-                "seed": seed,
+                "seed": args.seed,
                 "params": params,
                 "result": result,
             }

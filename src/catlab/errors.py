@@ -29,10 +29,6 @@ class NotProductSpace(CatlabError):
     """Partial trace requested on a space without factor metadata."""
 
 
-class NotInSpan(CatlabError):
-    """A vector lies outside the two-dimensional span it was resolved in."""
-
-
 class NotOrthogonal(CatlabError):
     """States meant to define measurement outcomes are not orthogonal."""
 

@@ -10,7 +10,7 @@ projector to the lab and runs that search across a forbidden transition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .qstate import (
 
 GRID = 1e-6  # amplitude grid for dedup keys
 DEFAULT_MAX_DEPTH = 8
-DEFAULT_MIN_PROB = 1e-12
+MIN_PROB = 1e-12  # branches below this probability are not followed
 
 
 def state_key(x: State) -> tuple:
@@ -79,13 +79,6 @@ class Laboratory:
                 raise CatlabError(
                     "forbidden pair must be distinct orthogonal states"
                 )
-
-    def operations(self) -> Iterator[tuple[str, str, object]]:
-        """(name, kind, op) in declaration order: measurements, then unitaries."""
-        for name, m in self.measurements.items():
-            yield name, "measurement", m
-        for name, u in self.unitaries.items():
-            yield name, "unitary", u
 
     def with_measurement(self, name: str, m: ProjectiveMeasurement) -> "Laboratory":
         """A copy of this lab with one more allowed measurement appended."""
@@ -183,7 +176,6 @@ def _search(
     start: StateVector,
     target: StateVector,
     max_depth: int,
-    min_prob: float,
 ) -> tuple[SteeringPath | None, bool]:
     """Breadth-first steering search over interned state ids.  Returns
     (path, bound_reached).
@@ -204,7 +196,7 @@ def _search(
         return SteeringPath((), 1.0, table.states[root]), False
     visited: dict[int, float] = {root: 1.0}
     frontier: dict[int, tuple[tuple, float]] = {root: ((), 1.0)}
-    names = [name for name, _, _ in lab.operations()]
+    names = [*lab.measurements, *lab.unitaries]
     for _depth in range(1, max_depth + 1):
         next_frontier: dict[int, tuple[tuple, float]] = {}
         for sid, (steps, prob) in frontier.items():
@@ -213,7 +205,7 @@ def _search(
                     if nid is None:
                         continue
                     new_prob = prob * p
-                    if new_prob < min_prob:
+                    if new_prob < MIN_PROB:
                         continue
                     new_steps = steps + ((name, label),)
                     post = table.states[nid]
@@ -235,12 +227,11 @@ def find_steering_path(
     start: StateVector,
     target: StateVector,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    min_prob: float = DEFAULT_MIN_PROB,
 ) -> SteeringPath | None:
     """Minimal-depth chain of allowed operations steering start onto target,
     or None when no such chain exists within the depth bound.  Raises
     ``CatlabError`` for a negative ``max_depth``."""
-    path, _ = _search(lab, start, target, max_depth, min_prob)
+    path, _ = _search(lab, start, target, max_depth)
     return path
 
 
@@ -253,7 +244,6 @@ def nogo_verdict(
     *,
     name: str = "candidate",
     outcome_label: str = "S",
-    min_prob: float = DEFAULT_MIN_PROB,
 ) -> NoGoVerdict:
     """Adjoin {candidate, complement} to the lab and hunt for a steering
     path that realises the forbidden d->l transition.
@@ -277,7 +267,7 @@ def nogo_verdict(
     while adjoined in lab.measurements or adjoined in lab.unitaries:
         adjoined += "'"
     extended = lab.with_measurement(adjoined, m)
-    path, bound = _search(extended, d_state, l_state, max_depth, min_prob)
+    path, bound = _search(extended, d_state, l_state, max_depth)
     return NoGoVerdict(
         operator_name=name,
         violated=path is not None,

@@ -25,8 +25,6 @@ from .errors import (
     CatlabError,
     DimensionCeiling,
     DimensionMismatch,
-    NotInSpan,
-    NotOrthogonal,
     NotProductSpace,
     ZeroVector,
 )
@@ -36,7 +34,6 @@ NORM_TOL = 1e-10
 HERM_TOL = 1e-10
 PSD_FLOOR = -1e-9
 ZERO_AMP = 1e-12
-SPAN_TOL = 1e-9
 MATCH_TOL = 1e-9  # squared-overlap slack when deciding two states are the same
 TENSOR_SEP = "⊗"  # the circled-times sign used in product labels
 
@@ -195,12 +192,6 @@ class Operator:
             raise CatlabError(f"unknown operator kind {self.kind!r}")
         object.__setattr__(self, "mat", arr)
 
-    @property
-    def rank(self) -> int:
-        """Numerical rank via the eigenvalues (meaningful for projectors)."""
-        w = np.linalg.eigvalsh(self.mat @ self.mat.conj().T)
-        return int(np.sum(w > 1e-9))
-
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -272,22 +263,8 @@ def superposition_projector(space: HilbertSpace, a: complex, b: complex) -> Oper
     return projector_from_state(make_state(space, [a, b]))
 
 
-def unitary_operator(space: HilbertSpace, mat) -> Operator:
-    return Operator(space, mat, "unitary")
-
-
 # ---------------------------------------------------------------------------
 # algebra
-
-
-def tensor(a: State, b: State) -> State:
-    """Tensor product of two states of the same kind."""
-    space = tensor_space(a.space, b.space)
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(space, np.kron(a.amps, b.amps))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(space, np.kron(a.mat, b.mat))
-    raise CatlabError("tensor operands must both be vectors or both matrices")
 
 
 def partial_trace(dm: DensityMatrix, keep: int | str) -> DensityMatrix:
@@ -366,27 +343,6 @@ def canonical_state(psi: StateVector) -> StateVector:
     out = amps * np.conj(phase)
     out[idx] = r  # exact zero imaginary part on the anchor entry
     return StateVector(psi.space, out)
-
-
-def orthogonal_in_span(psi: StateVector, basis2: tuple[StateVector, StateVector]) -> StateVector:
-    """The unique (up to phase) state orthogonal to psi inside a 2d span.
-
-    ``basis2`` must be an orthonormal pair and ``psi`` must lie in its span
-    within ``SPAN_TOL``; the result comes back phase-canonicalised.
-    """
-    e1, e2 = basis2
-    if e1.space != psi.space or e2.space != psi.space:
-        raise DimensionMismatch("span basis lives on a different space")
-    if abs(overlap(e1, e2)) > SPAN_TOL:
-        raise NotOrthogonal("span basis pair is not orthogonal")
-    c1 = overlap(e1, psi)
-    c2 = overlap(e2, psi)
-    residual = psi.amps - c1 * e1.amps - c2 * e2.amps
-    if math.sqrt(float(np.real(np.vdot(residual, residual)))) > SPAN_TOL:
-        raise NotInSpan("state lies outside the given two-dimensional span")
-    raw = np.conj(c2) * e1.amps - np.conj(c1) * e2.amps
-    raw = raw / math.sqrt(float(np.real(np.vdot(raw, raw))))
-    return canonical_state(StateVector(psi.space, raw))
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,6 @@ from .qstate import (
     make_mixture,
     make_state,
     tensor_space,
-    unitary_operator,
 )
 
 # The laboratories bundled as ``scenarios/<name>.scn``:
@@ -315,7 +314,8 @@ def _parse_steps(
         elif key == "unitary":
             steps.append(UnitaryStep(w.ref(vnode, unitaries, "unitary")))
         elif key == "stop_if":
-            steps.append(StopIfStep(w.string(vnode, "stop_if outcome")))
+            labels = dict.fromkeys(x for m in measurements.values() for x in m.labels)
+            steps.append(StopIfStep(w.ref(vnode, labels, "outcome", "stop_if outcome")))
         elif key == "repeat":
             f = w.fields(vnode, "repeat", ("count", "body"), required=True)
             count = w.integer(f["count"], "repeat count")
@@ -410,7 +410,7 @@ def parse_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
             w.fail(knode, f"name {key!r} already declared as a measurement")
         mat = w.matrix(vnode, f"unitary {key!r}", space.dim)
         with w.checked(vnode):
-            unitaries[key] = unitary_operator(space, mat)
+            unitaries[key] = Operator(space, mat, "unitary")
 
     forbidden: list[tuple[StateVector, StateVector]] = []
     for pnode in w.sequence(sections.get("forbidden"), "forbidden"):

@@ -1,7 +1,6 @@
 """Command line interface, run in-process through main(argv)."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -19,11 +18,6 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     return code, json.loads(out), err
-
-
-@pytest.fixture(autouse=True)
-def no_env_seed(monkeypatch):
-    monkeypatch.delenv("CATLAB_SEED", raising=False)
 
 
 # ---------------------------------------------------------------------------
@@ -242,31 +236,7 @@ def test_enumerate_tree(capsys):
 
 
 # ---------------------------------------------------------------------------
-# seed resolution
-
-
-def test_seed_from_env(capsys, monkeypatch):
-    argv = (
-        "run", "--scenario", "cat", "observe", "--initial", "cat_plus",
-        "--trials", "500",
-    )
-    monkeypatch.setenv("CATLAB_SEED", "42")
-    _, env_doc, _ = run_json(capsys, *argv)
-    assert env_doc["seed"] == 42
-    monkeypatch.delenv("CATLAB_SEED")
-    _, flag_doc, _ = run_json(capsys, *argv, "--seed", "42")
-    assert flag_doc["seed"] == 42
-    assert env_doc["result"] == flag_doc["result"]
-
-
-def test_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("CATLAB_SEED", "42")
-    _, doc, _ = run_json(
-        capsys,
-        "run", "--scenario", "cat", "observe", "--initial", "cat_plus",
-        "--trials", "100", "--seed", "9",
-    )
-    assert doc["seed"] == 9
+# seed
 
 
 def test_default_seed_zero(capsys):
@@ -278,14 +248,17 @@ def test_default_seed_zero(capsys):
     assert doc["seed"] == 0
 
 
-def test_bad_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("CATLAB_SEED", "many")
-    code, out, err = run_cli(
-        capsys,
+def test_env_seed_ignored(capsys, monkeypatch):
+    argv = (
         "run", "--scenario", "cat", "observe", "--initial", "cat_plus",
+        "--trials", "500",
     )
-    assert code == 1
-    assert "CATLAB_SEED" in err
+    monkeypatch.delenv("CATLAB_SEED", raising=False)
+    _, plain, _ = run_cli(capsys, *argv)
+    monkeypatch.setenv("CATLAB_SEED", "42")
+    _, with_env, _ = run_cli(capsys, *argv)
+    assert json.loads(with_env)["seed"] == 0
+    assert with_env == plain
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +338,18 @@ def test_custom_scenario_file(capsys, tmp_path):
 
 
 def test_console_script():
-    env = dict(os.environ)
-    env.pop("CATLAB_SEED", None)
     out = subprocess.run(
         [sys.executable, "-m", "catlab", "--version"],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "catlab 0.1.0"
     argv = [
         sys.executable, "-m", "catlab",
         "run", "--scenario", "cat", "observe", "--initial", "cat_plus",
-        "--trials", "256",
+        "--trials", "256", "--seed", "13",
     ]
-    env_run = dict(env, CATLAB_SEED="13")
-    a = subprocess.run(argv, capture_output=True, text=True, env=env_run, check=True)
-    b = subprocess.run(
-        argv + ["--seed", "13"], capture_output=True, text=True, env=env, check=True
-    )
+    a = subprocess.run(argv, capture_output=True, text=True, check=True)
+    b = subprocess.run(argv, capture_output=True, text=True, check=True)
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)["seed"] == 13
 

@@ -8,7 +8,6 @@ recorded one.  After an intended report change, rewrite the files with
 
 import contextlib
 import io
-import os
 import pathlib
 
 import pytest
@@ -76,8 +75,7 @@ def run_case(argv):
 
 
 @pytest.mark.parametrize("cid, argv, exit_code", CASES, ids=[c[0] for c in CASES])
-def test_golden_stdout(cid, argv, exit_code, monkeypatch):
-    monkeypatch.delenv("CATLAB_SEED", raising=False)
+def test_golden_stdout(cid, argv, exit_code):
     code, out = run_case(argv)
     assert code == exit_code
     expected = (GOLDEN / f"{cid}.txt").read_bytes().decode("utf-8")
@@ -85,7 +83,6 @@ def test_golden_stdout(cid, argv, exit_code, monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ.pop("CATLAB_SEED", None)
     GOLDEN.mkdir(exist_ok=True)
     for cid, argv, _ in CASES:
         (GOLDEN / f"{cid}.txt").write_bytes(run_case(argv)[1].encode("utf-8"))

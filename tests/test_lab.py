@@ -8,6 +8,7 @@ from catlab import (
     DimensionMismatch,
     HilbertSpace,
     Laboratory,
+    Operator,
     PreconditionFailed,
     basis_state,
     check_conditions,
@@ -22,9 +23,9 @@ from catlab import (
     state_key,
     states_match,
     superposition_projector,
-    unitary_operator,
     verdict_to_json,
 )
+from catlab.lab import MIN_PROB
 
 CAT = HilbertSpace(("alive", "dead"), name="cat")
 
@@ -71,13 +72,8 @@ def test_with_measurement_collision():
 
 def test_operations_order():
     lab = load_scenario("photon")[0].lab
-    kinds = [(name, kind) for name, kind, _ in lab.operations()]
-    assert kinds == [
-        ("zbasis", "measurement"),
-        ("xbasis", "measurement"),
-        ("rotate45", "unitary"),
-        ("rotate45_inv", "unitary"),
-    ]
+    assert list(lab.measurements) == ["zbasis", "xbasis"]
+    assert list(lab.unitaries) == ["rotate45", "rotate45_inv"]
 
 
 def test_check_conditions():
@@ -158,7 +154,7 @@ def test_preconditions_enforced():
     with pytest.raises(PreconditionFailed):
         nogo_verdict(lab, candidate(0.5), dead, alive)  # direction not forbidden
     with pytest.raises(CatlabError):
-        nogo_verdict(lab, unitary_operator(CAT, np.eye(2)), alive, dead)
+        nogo_verdict(lab, Operator(CAT, np.eye(2), "unitary"), alive, dead)
 
 
 def test_adjoined_name_collision_is_renamed():
@@ -253,11 +249,35 @@ def test_find_steering_path_absent():
     assert path is None
 
 
-def test_min_prob_filters_weak_paths():
-    sc = load_scenario("resurrection")[0]  # best dead -> alive path has p = 0.25
-    dead, alive = sc.states["dead"], sc.states["alive"]
-    assert find_steering_path(sc.lab, dead, alive) is not None
-    assert find_steering_path(sc.lab, dead, alive, min_prob=0.5) is None
+def weak_lab(eps: float) -> Laboratory:
+    """Every dead -> alive path has probability about eps**2, while each
+    outcome on it has probability at least eps."""
+    space = HilbertSpace(("alive", "dead", "mid"))
+    s, c = np.sqrt(eps), np.sqrt(1.0 - eps)
+    a = measurement_from_states(
+        [make_state(space, [0, c, s]), make_state(space, [0, s, -c])], ["a1", "a2"]
+    )
+    b = measurement_from_states(
+        [make_state(space, [s, 0, c]), make_state(space, [-c, 0, s])], ["b1", "b2"]
+    )
+    basis = measurement_from_states(
+        [basis_state(space, label) for label in space.labels], list(space.labels)
+    )
+    return Laboratory(space, {"A": a, "B": b, "basis": basis})
+
+
+@pytest.mark.parametrize("eps, found", [(1e-5, True), (1e-6, False), (1e-7, False)])
+def test_search_cut_off_is_fixed(eps, found):
+    assert MIN_PROB == 1e-12
+    lab = weak_lab(eps)
+    dead, alive = basis_state(lab.space, "dead"), basis_state(lab.space, "alive")
+    path = find_steering_path(lab, dead, alive)
+    if not found:
+        assert path is None
+        return
+    assert len(path.steps) == 3
+    assert path.probability == pytest.approx(eps**2 * (1 - eps) ** 2, rel=1e-9)
+    assert replay_path(lab, dead, path)[0] == pytest.approx(path.probability, rel=1e-12)
 
 
 def test_verdict_json_shape():

@@ -16,10 +16,8 @@ from catlab import (
     leaf_mass,
     run_monte_carlo,
     canonical_state,
-    make_mixture,
     make_state,
     make_measurement,
-    orthogonal_in_span,
     outcome_distribution,
     overlap,
     partial_trace,
@@ -28,7 +26,6 @@ from catlab import (
     state_key,
     states_match,
     tensor_space,
-    unitary_operator,
     Operator,
 )
 
@@ -127,25 +124,11 @@ def test_mixture_is_positive(seed, dim):
 
 
 @SETTINGS
-@given(seeds, dims, st.floats(0.05, 0.95))
-def test_orthogonal_in_span(seed, dim, weight):
-    rng = np.random.default_rng(seed)
-    space = space_of_dim(dim)
-    u = rand_unitary(rng, dim)
-    b0 = make_state(space, u[:, 0])
-    b1 = make_state(space, u[:, 1])
-    psi = make_state(space, np.sqrt(weight) * b0.amps + np.sqrt(1 - weight) * b1.amps)
-    phi = orthogonal_in_span(psi, (b0, b1))
-    assert abs(overlap(psi, phi)) < 1e-9
-    assert np.allclose(phi.amps, canonical_state(phi).amps, atol=1e-12)
-
-
-@SETTINGS
 @given(seeds, dims)
 def test_unitary_preserves_overlap(seed, dim):
     rng = np.random.default_rng(seed)
     space = space_of_dim(dim)
-    u = unitary_operator(space, rand_unitary(rng, dim))
+    u = Operator(space, rand_unitary(rng, dim), "unitary")
     a, b = rand_state(rng, space), rand_state(rng, space)
     before = abs(overlap(a, b))
     after = abs(overlap(apply_unitary(u, a), apply_unitary(u, b)))
@@ -180,7 +163,7 @@ def random_lab(rng, dim, n_groups):
     lab = Laboratory(
         space,
         {"m": make_measurement(space, outcomes)},
-        {"u": unitary_operator(space, rand_unitary(rng, dim))},
+        {"u": Operator(space, rand_unitary(rng, dim), "unitary")},
     )
     return lab, make_state(space, basis[:, 0])
 

@@ -210,6 +210,8 @@ V = ValidationError
          P, "t.scn:12:17: undeclared measurement 'ghost'"),
         (WITH_U + "protocols:\n  p:\n    - {measure: m}\n    - {unitary: ghost}\n",
          P, "t.scn:17:17: undeclared unitary 'ghost'"),
+        (WITH_M + "protocols:\n  p:\n    - {measure: m}\n    - {stop_if: alve}\n",
+         P, "t.scn:13:17: undeclared outcome 'alve'"),
         # object invariants, located at the declaration that broke them
         ("space:\n  labels: [x, x]\n",
          V, "t.scn:2:3: CatlabError: basis labels must be unique within a space"),
@@ -273,6 +275,15 @@ protocols:
             base
             + "protocols:\n  p:\n    - repeat:\n        count: -1\n        body:\n          - {measure: m}\n"
         )
+
+
+def test_stop_if_resolves_complement_label():
+    sc = parse(
+        MINIMAL
+        + "states:\n  s: [1, 0]\nmeasurements:\n  m:\n    states: {out: s}\n"
+        + "protocols:\n  p:\n    - {measure: m}\n    - {stop_if: ⊥}\n"
+    )
+    assert sc.protocols["p"].steps[-1].outcome == "⊥"
 
 
 # ---------------------------------------------------------------------------
