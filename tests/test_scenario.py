@@ -241,6 +241,21 @@ def test_diagnostics_are_pinned(text, cls, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, prefix",
+    [
+        ("space:\n  labels: [x, y\nname: t\n", "t.scn:3:5: "),  # unterminated flow sequence
+        ("a: b: c\n", "t.scn:1:5: "),
+        ("space:\n  labels: *ghost\n", "t.scn:2:11: "),  # undefined alias
+    ],
+)
+def test_yaml_syntax_errors_are_located(text, prefix):
+    with pytest.raises(CatlabError) as exc:
+        parse(text)
+    assert type(exc.value) is ParseError
+    assert str(exc.value).startswith(prefix)
+
+
 def test_measurement_needs_exactly_one_form():
     with pytest.raises(ParseError, match="exactly one of states or projectors"):
         parse(MINIMAL + "states:\n  s: [1, 0]\nmeasurements:\n  m: {}\n")
