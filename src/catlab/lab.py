@@ -41,14 +41,18 @@ MIN_PROB = 1e-12  # branches below this probability are not followed
 def state_key(x: State) -> tuple:
     """Hashable dedup key: canonical phase, then a 1e-6 amplitude grid."""
     if isinstance(x, StateVector):
-        amps = canonical_state(x).amps
-        flat = np.empty(2 * amps.size)
-        flat[0::2] = amps.real
-        flat[1::2] = amps.imag
-        return ("v",) + tuple(int(v) for v in np.round(flat / GRID))
+        return _canonical_key(canonical_state(x).amps)
     flat = x.mat.reshape(-1)
     grid = np.round(np.concatenate([flat.real, flat.imag]) / GRID)
     return ("m",) + tuple(int(v) for v in grid)
+
+
+def _canonical_key(amps: np.ndarray) -> tuple:
+    """``state_key`` of a vector whose amplitudes are already canonical."""
+    flat = np.empty(2 * amps.size)
+    flat[0::2] = amps.real
+    flat[1::2] = amps.imag
+    return ("v",) + tuple(int(v) for v in np.round(flat / GRID))
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +145,9 @@ class Transitions:
         """The id of ``x`` with its phase canonicalised."""
         if isinstance(x, StateVector):
             x = canonical_state(x)
-        key = state_key(x)
+            key = _canonical_key(x.amps)
+        else:
+            key = state_key(x)
         sid = self._ids.get(key)
         if sid is None:
             sid = self._ids[key] = len(self.states)

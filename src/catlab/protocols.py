@@ -10,7 +10,6 @@ sources through one measurement.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Mapping, Sequence, Union
@@ -273,10 +272,12 @@ def run_monte_carlo(
     """Run ``n`` independent seeded trials of a protocol.
 
     Trials are partitioned into fixed blocks of ``TRIALS_PER_BLOCK``; block
-    ``j`` draws from stream ``(seed, j)`` with a fixed per-trial stride, so
-    the histogram depends only on the seed and ``n``.  The inner loop works
-    on the ids of one ``Transitions`` table, at one dictionary lookup and
-    one uniform per measurement step.
+    ``j`` draws from stream ``(seed, j)``, one row of ``stride`` uniforms
+    per trial, and column ``c`` of that row feeds the trial's ``c``-th
+    measurement, so the histogram depends only on the seed and ``n``.  A
+    block advances one protocol step at a time over the ids of its live
+    trials in one ``Transitions`` table; a trial leaves the live set when a
+    ``stop_if`` step matches its last outcome.
     """
     if n < 0:
         raise CatlabError("trial count must be >= 0")
@@ -284,57 +285,87 @@ def run_monte_carlo(
         raise DimensionMismatch("initial state lives outside the laboratory space")
     steps = protocol.unrolled()
     _resolve_steps(steps, lab)
-    n_measure = sum(1 for s in steps if isinstance(s, MeasureStep))
     table = Transitions(lab)
     start = table.intern(initial)
 
-    # (measurement, id) -> (next ids, cumulative probs, labels) of kept rows
-    samplers: dict[tuple[str, int], tuple[list[int], list[float], list[str]]] = {}
+    # Outcome labels as small ints; -1 means no measurement yet.  A stop_if
+    # label that no row carries gets an id too, and simply never matches.
+    label_ids: dict[str, int] = {}
+    # (measurement, id) -> (next ids, cumulative probs, label ids) of the
+    # kept rows, padded to one entry per outcome: +inf after the last
+    # cumulative probability and copies of the last kept row, so that a
+    # draw past the last cumulative probability clamps to the last kept row.
+    samplers: dict[tuple[str, int], tuple[list[int], list[float], list[int]]] = {}
 
     def sampler(name: str, sid: int):
         tab = samplers.get((name, sid))
         if tab is None:
-            kept = [row for row in table.rows(name, sid) if row[2] is not None]
+            rows = table.rows(name, sid)
+            kept = [row for row in rows if row[2] is not None]
+            if not kept:
+                raise CatlabError("ran out of probability mass mid-trial")
+            pad = len(rows) - len(kept)
+            nids = [nid for _, _, nid in kept]
+            labels = [label_ids.setdefault(label, len(label_ids)) for label, _, _ in kept]
             tab = (
-                [nid for _, _, nid in kept],
-                list(accumulate(p for _, p, _ in kept)),
-                [label for label, _, _ in kept],
+                nids + nids[-1:] * pad,
+                list(accumulate(p for _, p, _ in kept)) + [math.inf] * pad,
+                labels + labels[-1:] * pad,
             )
             samplers[(name, sid)] = tab
         return tab
 
+    # The protocol is straight-line, so every live trial is at the same
+    # step and has used the same number of draws: a measure step's column.
+    plan: list[tuple[type, str | int, int]] = []
+    stride = 0
+    for step in steps:
+        if isinstance(step, MeasureStep):
+            plan.append((MeasureStep, step.measurement, stride))
+            stride += 1
+        elif isinstance(step, UnitaryStep):
+            plan.append((UnitaryStep, step.unitary, 0))
+        else:
+            plan.append((StopIfStep, label_ids.setdefault(step.outcome, len(label_ids)), 0))
+    stride = max(stride, 1)
+
     bins: dict[int, int] = {}
-    stride = max(n_measure, 1)
-    done = 0
-    block_index = 0
-    while done < n:
+    for block_index, done in enumerate(range(0, n, TRIALS_PER_BLOCK)):
         block_n = min(TRIALS_PER_BLOCK, n - done)
         u = RandomStream(seed, block_index).uniforms(block_n * stride)
-        for t in range(block_n):
-            base = t * stride
-            draw = 0
-            sid = start
-            last: str | None = None
-            for step in steps:
-                if isinstance(step, StopIfStep):
-                    if last is not None and last == step.outcome:
+        u = u.reshape(block_n, stride)
+        live = np.arange(block_n)
+        sid = np.full(block_n, start)
+        last = np.full(block_n, -1)
+        finals = []
+        for kind, arg, col in plan:
+            if kind is StopIfStep:
+                hit = last == arg
+                if hit.any():
+                    finals.append(sid[hit])
+                    keep = ~hit
+                    live, sid, last = live[keep], sid[keep], last[keep]
+                    if not live.size:
                         break
-                    continue
-                if isinstance(step, UnitaryStep):
-                    sid = table.rows(step.unitary, sid)[0][2]
-                    continue
-                ids, cums, labels = sampler(step.measurement, sid)
-                if not ids:
-                    raise CatlabError("ran out of probability mass mid-trial")
-                idx = bisect_right(cums, u[base + draw])
-                draw += 1
-                if idx >= len(ids):
-                    idx = len(ids) - 1
-                sid = ids[idx]
-                last = labels[idx]
-            bins[sid] = bins.get(sid, 0) + 1
-        done += block_n
-        block_index += 1
+                continue
+            ids, inv = np.unique(sid, return_inverse=True)
+            if kind is UnitaryStep:
+                nxt = np.array([table.rows(arg, s)[0][2] for s in ids.tolist()])
+                sid = nxt[inv]
+                continue
+            nxt, cum, lab_id = map(np.array, zip(*(sampler(arg, s) for s in ids.tolist())))
+            # bisect_right: the number of cumulative probabilities <= u,
+            # counted one column at a time (a row-wise sum is far slower)
+            x = u[live, col]
+            idx = np.zeros(live.size, dtype=np.intp)
+            for c in range(cum.shape[1]):
+                idx += cum[:, c][inv] <= x
+            idx = np.minimum(idx, cum.shape[1] - 1)
+            sid = nxt[inv, idx]
+            last = lab_id[inv, idx]
+        finals.append(sid)
+        for s, c in zip(*np.unique(np.concatenate(finals), return_counts=True)):
+            bins[int(s)] = bins.get(int(s), 0) + int(c)
     return MonteCarloResult(
         n, seed, {table.keys[s]: (table.states[s], c) for s, c in bins.items()}
     )

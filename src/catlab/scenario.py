@@ -333,7 +333,7 @@ def parse_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
     and, without a ``name`` section, names the scenario after its stem."""
     w = _Walker(path)
     try:
-        root = yaml.compose(text)
+        root = yaml.compose(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         at = f"{path}:{mark.line + 1}:{mark.column + 1}: " if mark else f"{path}: "

@@ -1,14 +1,19 @@
 """Randomized invariants."""
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from catlab import (
     Laboratory,
     MeasureStep,
     ProtocolSpec,
+    RandomStream,
+    StopIfStep,
+    Transitions,
     UnitaryStep,
     aggregate_leaves,
     apply_unitary,
@@ -28,6 +33,8 @@ from catlab import (
     tensor_space,
     Operator,
 )
+
+from catlab.protocols import TRIALS_PER_BLOCK
 
 from helpers import rand_density, rand_state, rand_unitary, space_of_dim
 
@@ -62,6 +69,8 @@ def test_canonical_phase_invariance(psi, theta):
     b = canonical_state(rotated)
     assert state_key(a) == state_key(b)
     assert states_match(a, b)
+    table = Transitions(Laboratory(psi.space))
+    assert table.keys[table.intern(rotated)] == state_key(rotated)
     again = canonical_state(a)
     assert np.allclose(again.amps, a.amps, atol=1e-12)
     lead = a.amps[np.argmax(np.abs(a.amps) > 1e-12)]
@@ -230,3 +239,77 @@ def test_tree_agrees_with_propagation_and_sampling(seed, dim, data, mixed, measu
         count = mc.bins[key][1] if key in mc.bins else 0
         # 6 sigma, plus one count so that outcomes with n*p << 1 may occur once
         assert abs(count - n * p) <= 6 * math.sqrt(n * p * (1 - p)) + 1
+
+
+# ---------------------------------------------------------------------------
+# block-stepped Monte Carlo against a per-trial walk
+
+
+def per_trial_counts(protocol, lab, initial, n, seed):
+    """Monte Carlo one trial at a time over a ``Transitions`` table: trial
+    t of block j reads row t of stream (seed, j), one uniform per
+    measurement, and picks the kept row by ``bisect_right`` over the
+    cumulative probabilities, clamped to the last kept row."""
+    steps = protocol.unrolled()
+    stride = max(sum(isinstance(s, MeasureStep) for s in steps), 1)
+    table = Transitions(lab)
+    start = table.intern(initial)
+    counts = {}
+    for j, done in enumerate(range(0, n, TRIALS_PER_BLOCK)):
+        block_n = min(TRIALS_PER_BLOCK, n - done)
+        u = RandomStream(seed, j).uniforms(block_n * stride)
+        for t in range(block_n):
+            sid, last, draws = start, None, iter(u[t * stride:(t + 1) * stride])
+            for step in steps:
+                if isinstance(step, StopIfStep):
+                    if last == step.outcome:
+                        break
+                elif isinstance(step, UnitaryStep):
+                    sid = table.rows(step.unitary, sid)[0][2]
+                else:
+                    kept = [r for r in table.rows(step.measurement, sid) if r[2] is not None]
+                    idx = bisect_right(list(accumulate(p for _, p, _ in kept)), next(draws))
+                    last, _, sid = kept[min(idx, len(kept) - 1)]
+            key = table.keys[sid]
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+step_codes = st.one_of(st.just("m"), st.just("u"), st.integers(0, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seeds,
+    st.integers(2, 4),
+    st.integers(2, 4),
+    st.booleans(),
+    st.lists(step_codes, min_size=1, max_size=8),
+    st.sampled_from([0, 1, 4095, 4096, 4097, 3 * 4096 + 5]),
+)
+@example(7, 3, 3, False, ["m", 0, "m", "u", "m", 1, "m"], 3 * 4096 + 5)
+@example(7, 4, 2, True, [1, "u", "m", "m", 0, "u", "m"], 4097)
+def test_monte_carlo_matches_per_trial_walk(seed, dim, groups, mixed, codes, n):
+    rng = np.random.default_rng(seed)
+    n_groups = min(groups, dim)
+    lab, _ = random_lab(rng, dim, n_groups)
+    initial = rand_density(rng, lab.space) if mixed else rand_state(rng, lab.space)
+    protocol = ProtocolSpec(tuple(
+        MeasureStep("m") if c == "m" else UnitaryStep("u") if c == "u"
+        else StopIfStep(f"g{c % n_groups}")
+        for c in codes
+    ))
+    mc = run_monte_carlo(protocol, lab, initial, n, seed)
+    assert {key: c for key, (_, c) in mc.bins.items()} == per_trial_counts(
+        protocol, lab, initial, n, seed
+    )
+
+
+def test_stop_if_before_any_measurement_never_fires():
+    lab, psi = random_lab(np.random.default_rng(5), 3, 3)
+    protocol = ProtocolSpec((StopIfStep("g0"), UnitaryStep("u"), StopIfStep("g1")))
+    n = TRIALS_PER_BLOCK + 1
+    mc = run_monte_carlo(protocol, lab, psi, n, 9)
+    moved = state_key(apply_unitary(lab.unitaries["u"], psi))
+    assert {key: c for key, (_, c) in mc.bins.items()} == {moved: n}
+    assert per_trial_counts(protocol, lab, psi, n, 9) == {moved: n}
