@@ -33,7 +33,6 @@ from catlab import (
     tensor_space,
     Operator,
 )
-
 from catlab.protocols import TRIALS_PER_BLOCK
 
 from helpers import rand_density, rand_state, rand_unitary, space_of_dim
