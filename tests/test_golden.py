@@ -24,6 +24,12 @@ CASES = (
      ["check", "--scenario", "stone-bread", "--from", "stone", "--to", "bread", "mixbasis:+"], 2),
     ("check-composite",
      ["check", "--scenario", "composite", "--from", "dd", "--to", "ua", "sch_plus"], 2),
+    # a conclusive "no", and a "no" cut at the depth bound
+    ("check-cat-safe",
+     ["check", "--scenario", "cat", "--from", "dead", "--to", "alive", "basis:alive"], 0),
+    ("check-cat-depth-cut",
+     ["check", "--scenario", "cat", "--from", "dead", "--to", "alive", "--depth", "1",
+      "plusminus:+"], 0),
     ("run-exact-resurrect3",
      ["run", "--scenario", "resurrection", "--initial", "dead", "--exact", "resurrect3"], 0),
     ("run-exact-csv-rho",
