@@ -40,7 +40,10 @@ def main() -> None:
     for a2 in (0.0, 1.0):
         cand = superposition_projector(sc.space, math.sqrt(a2), math.sqrt(1 - a2))
         v = nogo_verdict(sc.lab, cand, alive, dead, max_depth=6, name="cand")
-        print(f"degenerate a^2={a2:.0f}: violated={v.violated} bound_reached={v.bound_reached}")
+        print(
+            f"degenerate a^2={a2:.0f}: violated={v.violated} "
+            f"bound_reached={v.bound_reached} certificate={v.certificate}"
+        )
 
 
 if __name__ == "__main__":

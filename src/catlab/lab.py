@@ -4,7 +4,9 @@ A laboratory declares which measurements and unitaries are physically
 available and which state transitions are forbidden.  The steering search
 asks whether chaining allowed operations can drag an initial state onto a
 target state with positive probability; the no-go check adjoins a candidate
-projector to the lab and runs that search across a forbidden transition.
+projector to the lab and runs that search across a forbidden transition,
+unless a subspace that the operations leave invariant already rules the
+target out at every depth.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .qstate import (
     State,
     StateVector,
     apply_unitary,
+    canonical_amps,
     canonical_state,
     overlap,
     state_to_json,
@@ -36,6 +39,7 @@ from .qstate import (
 GRID = 1e-6  # amplitude grid for dedup keys
 DEFAULT_MAX_DEPTH = 8
 MIN_PROB = 1e-12  # branches below this probability are not followed
+NEW_DIRECTION = 1e-6  # closure directions (and target residuals) above this count
 
 
 def state_key(x: State) -> tuple:
@@ -108,6 +112,7 @@ class NoGoVerdict:
     violated: bool
     witness: SteeringPath | None
     bound_reached: bool
+    certificate: int | None  # dim of the invariant subspace that rules l out
 
 
 def check_conditions(lab: Laboratory, l_state: StateVector, d_state: StateVector) -> bool:
@@ -142,14 +147,18 @@ class Transitions:
         self._rows: dict[tuple[str, int], tuple[tuple[str, float, int | None], ...]] = {}
 
     def intern(self, x: State) -> int:
-        """The id of ``x`` with its phase canonicalised."""
+        """The id of ``x`` with its phase canonicalised.  A vector is keyed
+        on its canonical amplitudes, and the canonical ``StateVector`` is
+        built only for a new key."""
         if isinstance(x, StateVector):
-            x = canonical_state(x)
-            key = _canonical_key(x.amps)
+            amps = canonical_amps(x.amps)
+            key = _canonical_key(amps)
         else:
             key = state_key(x)
         sid = self._ids.get(key)
         if sid is None:
+            if isinstance(x, StateVector) and amps is not x.amps:
+                x = StateVector(x.space, amps)
             sid = self._ids[key] = len(self.states)
             self.states.append(x)
             self.keys.append(key)
@@ -175,6 +184,37 @@ class Transitions:
                 )
             self._rows[(name, sid)] = hit
         return hit
+
+
+def invariant_subspace(lab: Laboratory, start: StateVector) -> np.ndarray | None:
+    """Orthonormal columns spanning V, the smallest subspace that contains
+    ``start`` and that every outcome projector and every unitary of ``lab``
+    maps into itself; None when V cannot be told apart from rounding.
+
+    A block Krylov closure: apply every operator to the newest block,
+    orthogonalise the images against the basis twice, and keep the left
+    singular vectors of the remainder as new directions, until none
+    appears.  A singular value at most ``d * eps`` is rounding and is
+    dropped; one above ``NEW_DIRECTION`` is a new direction; one in between
+    gives None.
+    """
+    d = lab.space.dim
+    ops = np.array(
+        [op.mat for m in lab.measurements.values() for _, op in m.outcomes]
+        + [u.mat for u in lab.unitaries.values()]
+    )
+    noise = d * np.finfo(np.float64).eps
+    basis = newest = start.amps.reshape(d, 1)
+    while newest.shape[1] and basis.shape[1] < d:
+        block = (ops @ newest).transpose(1, 0, 2).reshape(d, -1)
+        for _ in range(2):
+            block = block - basis @ (basis.conj().T @ block)
+        u, s, _ = np.linalg.svd(block, full_matrices=False)
+        if ((s > noise) & (s <= NEW_DIRECTION)).any():
+            return None
+        newest = u[:, s > NEW_DIRECTION]
+        basis = np.concatenate([basis, newest], axis=1)
+    return basis
 
 
 def _search(
@@ -257,8 +297,18 @@ def nogo_verdict(
     Raises ``PreconditionFailed`` unless the pair is orthogonal and d->l is
     declared forbidden, and ``CatlabError`` for a negative ``max_depth``.
     ``violated=True`` means a witness path exists; with ``violated=False``,
-    ``bound_reached`` distinguishes an exhausted search space (conclusive
-    relative to the declared operations) from a depth cut.
+    ``bound_reached`` distinguishes a conclusive "no" (relative to the
+    declared operations) from a depth cut.
+
+    Before searching, the no-go argument is tried in its linear-algebra
+    form: V = ``invariant_subspace(extended lab, d)`` holds every state
+    reachable from d, at any depth, because each projector and unitary maps
+    V into itself.  If l has a squared residual above ``NEW_DIRECTION`` off
+    V, no reachable state can match it, and the verdict is a conclusive "no"
+    with ``certificate = dim V`` and no search.  Closure directions weaker
+    than ``d * eps`` are treated as rounding; a direction between that and
+    ``NEW_DIRECTION``, or a target too close to V, gives no certificate,
+    and the depth-bounded search decides as without the closure.
     """
     if candidate.kind != "projector":
         raise CatlabError("the no-go candidate must be a projector")
@@ -273,12 +323,26 @@ def nogo_verdict(
     while adjoined in lab.measurements or adjoined in lab.unitaries:
         adjoined += "'"
     extended = lab.with_measurement(adjoined, m)
+    if max_depth < 0:
+        raise CatlabError(f"search depth must be >= 0, got {max_depth}")
+    basis = invariant_subspace(extended, d_state)
+    if basis is not None:
+        off = l_state.amps - basis @ (basis.conj().T @ l_state.amps)
+        if float(np.vdot(off, off).real) > NEW_DIRECTION:
+            return NoGoVerdict(
+                operator_name=name,
+                violated=False,
+                witness=None,
+                bound_reached=False,
+                certificate=basis.shape[1],
+            )
     path, bound = _search(extended, d_state, l_state, max_depth)
     return NoGoVerdict(
         operator_name=name,
         violated=path is not None,
         witness=path,
         bound_reached=bound,
+        certificate=None,
     )
 
 
@@ -310,8 +374,11 @@ def verdict_to_json(v: NoGoVerdict) -> dict:
         "operator": v.operator_name,
         "violated": v.violated,
         "bound_reached": v.bound_reached,
+        "certificate": None,
         "witness": None,
     }
+    if v.certificate is not None:
+        doc["certificate"] = {"invariant_dim": v.certificate}
     if v.witness is not None:
         doc["witness"] = {
             "steps": [

@@ -118,7 +118,7 @@ def _frozen_array(data, shape: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.array(data, dtype=np.complex128)
     if arr.shape != shape:
         raise DimensionMismatch(f"{what}: expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise CatlabError(f"{what}: non-finite entries")
     arr.setflags(write=False)
     return arr
@@ -333,16 +333,22 @@ def states_match(x: State, target: StateVector) -> bool:
 
 def canonical_state(psi: StateVector) -> StateVector:
     """Fix the global phase: first non-negligible amplitude real positive."""
-    amps = psi.amps
+    amps = canonical_amps(psi.amps)
+    return psi if amps is psi.amps else StateVector(psi.space, amps)
+
+
+def canonical_amps(amps: np.ndarray) -> np.ndarray:
+    """``canonical_state``'s amplitudes as a raw array; ``amps`` itself when
+    no amplitude is above ``ZERO_AMP``."""
     idx = int(np.argmax(np.abs(amps) > ZERO_AMP))
     a0 = amps[idx]
     r = abs(a0)
     if r <= ZERO_AMP:  # degenerate; a valid state always has one
-        return psi
+        return amps
     phase = a0 / r
     out = amps * np.conj(phase)
     out[idx] = r  # exact zero imaginary part on the anchor entry
-    return StateVector(psi.space, out)
+    return out
 
 
 # ---------------------------------------------------------------------------

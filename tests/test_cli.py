@@ -55,7 +55,8 @@ def test_check_no_violation_exit_0(capsys):
     )
     assert code == 0
     assert doc["result"]["violated"] is False
-    assert doc["result"]["bound_reached"] is False  # conclusive at this depth
+    assert doc["result"]["bound_reached"] is False  # conclusive at any depth
+    assert doc["result"]["certificate"] == {"invariant_dim": 1}
     assert doc["result"]["witness"] is None
 
 

@@ -27,6 +27,8 @@ from catlab import (
 )
 from catlab.lab import MIN_PROB
 
+from helpers import rand_unitary, space_of_dim
+
 CAT = HilbertSpace(("alive", "dead"), name="cat")
 
 
@@ -146,6 +148,90 @@ def test_depth_cut_reports_bound():
     v = nogo_verdict(lab, candidate(0.5), alive, dead, max_depth=1)
     assert not v.violated
     assert v.bound_reached
+    assert v.certificate is None
+
+
+def test_degenerate_candidates_are_certified():
+    lab = cat_lab()
+    alive, dead = basis_state(CAT, "alive"), basis_state(CAT, "dead")
+    for a2 in (0.0, 1.0):
+        # the closure stays on span{dead}, so even depth 0 is conclusive
+        v = nogo_verdict(lab, candidate(a2), alive, dead, max_depth=0)
+        assert (v.violated, v.bound_reached, v.certificate) == (False, False, 1)
+
+
+@pytest.mark.parametrize("a2", [1e-13, 1e-17, 1e-20, 1e-26])
+def test_faint_superpositions_are_not_certified(a2):
+    # a witness of probability about a^2 exists: the alive direction of the
+    # candidate is far above rounding, so the closure must not drop it
+    lab = cat_lab()
+    alive, dead = basis_state(CAT, "alive"), basis_state(CAT, "dead")
+    v = nogo_verdict(lab, candidate(a2), alive, dead)
+    assert v.certificate is None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_lab_closure_is_the_complement_of_alive(seed):
+    # the benchmark's random-lab construction at d = 8: two coarse-grained
+    # measurements with alive as an eigenvector (alone in one, inside a
+    # block in the other), a unitary fixing alive, and rank-two candidates
+    rng = np.random.default_rng(seed)
+    d = 8
+    space = space_of_dim(d)
+    e = np.eye(d, dtype=np.complex128)
+    alive, dead = make_state(space, e[0]), make_state(space, e[1])
+
+    def perp_columns():
+        q = np.zeros((d, d - 1), dtype=np.complex128)
+        q[1:, :] = rand_unitary(rng, d - 1)
+        return q
+
+    def projector(cols):
+        return Operator(space, cols @ cols.conj().T, "projector")
+
+    def coarse(sizes, alive_alone):
+        q = perp_columns()
+        cuts = np.cumsum((0,) + sizes)
+        cols = [q[:, a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+        if alive_alone:
+            cols.insert(0, e[:, :1])
+        else:
+            cols[0] = np.concatenate([e[:, :1], cols[0]], axis=1)
+        return make_measurement(space, [(f"k{i}", projector(c)) for i, c in enumerate(cols)])
+
+    twist = e.copy()
+    twist[1:, 1:] = rand_unitary(rng, d - 1)
+    lab = Laboratory(
+        space,
+        {"coarse_a": coarse((3, 4), True), "coarse_b": coarse((4, 3), False)},
+        {"twist": Operator(space, twist, "unitary")},
+        ((dead, alive),),
+    )
+    for _ in range(2):
+        safe = nogo_verdict(lab, projector(perp_columns()[:, :2]), alive, dead, max_depth=4)
+        assert (safe.violated, safe.bound_reached, safe.certificate) == (False, False, d - 1)
+    mixed_in = make_state(space, e[0] + perp_columns()[:, 0])
+    unsafe = nogo_verdict(lab, projector_from_state(mixed_in), alive, dead, max_depth=4)
+    assert unsafe.violated
+    assert unsafe.certificate is None
+
+
+def test_every_outcome_enters_the_closure():
+    # only m's second outcome leads out of span{dead}: (alive + dead)/sqrt2,
+    # which the alive outcome of `pointer` then collapses onto alive
+    space = HilbertSpace(("alive", "dead", "x"))
+    alive, dead, x = (basis_state(space, s) for s in space.labels)
+    lab = Laboratory(
+        space,
+        {
+            "pointer": make_measurement(space, [("alive", projector_from_state(alive))]),
+            "m": measurement_from_states([x, make_state(space, [1, 1, 0])], ["x", "mix"]),
+        },
+        forbidden=((dead, alive),),
+    )
+    v = nogo_verdict(lab, projector_from_state(x), alive, dead)
+    assert v.violated
+    assert v.certificate is None
 
 
 def test_preconditions_enforced():
@@ -292,6 +378,7 @@ def test_verdict_json_shape():
     )
     doc = verdict_to_json(v)
     assert doc["violated"] is True
+    assert doc["certificate"] is None
     assert doc["operator"] == "P"
     assert doc["witness"]["steps"] == [
         {"operation": "P", "outcome": "S"},

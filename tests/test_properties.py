@@ -18,11 +18,13 @@ from catlab import (
     aggregate_leaves,
     apply_unitary,
     enumerate_protocol,
+    find_steering_path,
     leaf_mass,
     run_monte_carlo,
     canonical_state,
     make_state,
     make_measurement,
+    nogo_verdict,
     outcome_distribution,
     overlap,
     partial_trace,
@@ -312,3 +314,63 @@ def test_stop_if_before_any_measurement_never_fires():
     moved = state_key(apply_unitary(lab.unitaries["u"], psi))
     assert {key: c for key, (_, c) in mc.bins.items()} == {moved: n}
     assert per_trial_counts(protocol, lab, psi, n, 9) == {moved: n}
+
+
+# ---------------------------------------------------------------------------
+# the invariant-subspace certificate against the steering search
+
+
+def alive_lab(rng, dim, n_groups, invariant):
+    """A lab on ``dim`` levels with ``alive`` = e0 and ``dead`` = e1 and
+    ``dead -> alive`` forbidden, like the benchmark's random labs: a
+    measurement ``m`` whose outcome ``g0`` is ``alive`` alone, the rest of
+    a random basis of the complement grouped at random, and a unitary
+    ``u`` fixing ``alive``.  Returns (lab, candidate, alive, dead).  The
+    rank-one candidate lies in the complement of ``alive`` when
+    ``invariant``, so no chain of operations reaches ``alive``; otherwise
+    it mixes ``alive`` in, and ``g0`` after it is a depth-2 witness."""
+    space = space_of_dim(dim)
+    alive, dead = (make_state(space, col) for col in np.eye(dim)[:2])
+
+    def perp_unitary():
+        out = np.eye(dim, dtype=np.complex128)
+        out[1:, 1:] = rand_unitary(rng, dim - 1)
+        return out
+
+    basis = perp_unitary()
+    groups = [[0]] + [[] for _ in range(n_groups - 1)]
+    for col in range(1, dim):
+        groups[int(rng.integers(1, n_groups)) if n_groups > 1 else 0].append(col)
+    outcomes = [
+        (f"g{i}", Operator(space, basis[:, cols] @ basis[:, cols].conj().T, "projector"))
+        for i, cols in enumerate(groups) if cols
+    ]
+    lab = Laboratory(
+        space,
+        {"m": make_measurement(space, outcomes)},
+        {"u": Operator(space, perp_unitary(), "unitary")},
+        ((dead, alive),),
+    )
+    w = perp_unitary()[:, 1]
+    if not invariant:
+        a2 = rng.uniform(0.1, 0.9)
+        w = math.sqrt(a2) * alive.amps + math.sqrt(1 - a2) * w
+    return lab, projector_from_state(make_state(space, w)), alive, dead
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(2, 4), st.integers(1, 4), st.booleans())
+def test_certificate_never_contradicts_the_search(seed, dim, groups, invariant):
+    rng = np.random.default_rng(seed)
+    lab, cand, alive, dead = alive_lab(rng, dim, min(groups, dim), invariant)
+    v = nogo_verdict(lab, cand, alive, dead, max_depth=6, name="c", outcome_label="S")
+    extended = lab.with_measurement("c", make_measurement(lab.space, [("S", cand)]))
+    path = find_steering_path(extended, dead, alive, max_depth=6)
+    if v.certificate is not None:
+        assert path is None
+        assert not v.violated and not v.bound_reached
+        assert 1 <= v.certificate < dim
+    if path is not None:
+        assert v.certificate is None
+        assert v.violated
+    assert (v.certificate is not None) == invariant
