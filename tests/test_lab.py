@@ -139,7 +139,8 @@ def test_degenerate_candidates_conclusive():
         v = nogo_verdict(lab, candidate(a2), alive, dead, max_depth=6)
         assert not v.violated
         assert v.witness is None
-        assert not v.bound_reached  # search space exhausted, not cut off
+        assert not v.bound_reached  # conclusive, not cut off
+        assert v.certificate == 1  # the closure stays on span{dead}
 
 
 def test_depth_cut_reports_bound():
@@ -151,13 +152,32 @@ def test_depth_cut_reports_bound():
     assert v.certificate is None
 
 
-def test_degenerate_candidates_are_certified():
-    lab = cat_lab()
+def test_search_decides_when_the_closure_spans_everything():
+    # with the candidate alone, V is the whole plane, yet only dead, the
+    # candidate's state and its complement are reachable: the search, not
+    # the closure, gives the conclusive "no"
     alive, dead = basis_state(CAT, "alive"), basis_state(CAT, "dead")
-    for a2 in (0.0, 1.0):
-        # the closure stays on span{dead}, so even depth 0 is conclusive
-        v = nogo_verdict(lab, candidate(a2), alive, dead, max_depth=0)
-        assert (v.violated, v.bound_reached, v.certificate) == (False, False, 1)
+    lab = Laboratory(CAT, forbidden=((dead, alive),))
+    v = nogo_verdict(lab, candidate(0.5), alive, dead)
+    assert (v.violated, v.bound_reached, v.certificate) == (False, False, None)
+
+
+def test_target_within_match_tolerance_of_the_closure_goes_to_the_search():
+    # V = span{dead, x} and l is 1e-10 off it in squared residual, so x
+    # matches l within MATCH_TOL: the search finds that witness, and the
+    # closure must not certify l unreachable
+    space = HilbertSpace(("alive", "dead", "x"))
+    alive, dead, x = (basis_state(space, s) for s in space.labels)
+    target = make_state(space, [1e-5, 0, 1])
+    swap = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    lab = Laboratory(
+        space, unitaries={"swap": Operator(space, swap, "unitary")},
+        forbidden=((dead, target),),
+    )
+    v = nogo_verdict(lab, projector_from_state(x), target, dead)
+    assert v.violated
+    assert v.witness.steps == (("swap", ""),)
+    assert v.certificate is None
 
 
 @pytest.mark.parametrize("a2", [1e-13, 1e-17, 1e-20, 1e-26])
