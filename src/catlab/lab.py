@@ -374,11 +374,9 @@ def verdict_to_json(v: NoGoVerdict) -> dict:
         "operator": v.operator_name,
         "violated": v.violated,
         "bound_reached": v.bound_reached,
-        "certificate": None,
+        "certificate": None if v.certificate is None else {"invariant_dim": v.certificate},
         "witness": None,
     }
-    if v.certificate is not None:
-        doc["certificate"] = {"invariant_dim": v.certificate}
     if v.witness is not None:
         doc["witness"] = {
             "steps": [
