@@ -9,20 +9,13 @@ compares three numbers per row: the exact enumeration, the closed form
 import argparse
 
 from catlab import (
-    MeasureStep,
     ProtocolSpec,
     RepeatStep,
-    StopIfStep,
     enumerate_protocol,
     leaf_mass,
     load_scenario,
     run_monte_carlo,
 )
-
-
-def rounds_protocol(k: int) -> ProtocolSpec:
-    body = (MeasureStep("pm"), MeasureStep("basis"), StopIfStep("alive"))
-    return ProtocolSpec((RepeatStep(body, k),))
 
 
 def main() -> None:
@@ -34,11 +27,13 @@ def main() -> None:
 
     sc = load_scenario("resurrection")[0]
     dead, alive = sc.states["dead"], sc.states["alive"]
+    # one round, measure pm, measure basis, stop on alive, as the scenario declares it
+    body = sc.protocols["resurrect1"].steps[0].body
     q = 0.5  # 2 a^2 b^2 at a = b = 1/sqrt(2)
 
     print(f"{'k':>3} {'exact':>14} {'closed form':>14} {'|diff|':>9} {'mc freq':>9}")
     for k in range(1, args.max_rounds + 1):
-        spec = rounds_protocol(k)
+        spec = ProtocolSpec((RepeatStep(body, k),))
         mass = leaf_mass(enumerate_protocol(spec, sc.lab, dead), alive)
         closed = 1 - (1 - q) ** k
         mc = run_monte_carlo(spec, sc.lab, dead, args.trials, args.seed)

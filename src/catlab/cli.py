@@ -2,8 +2,9 @@
 
 Four subcommands over a scenario file (a path or a shipped name):
 
-* ``check``    - adjoin a declared measurement's projector to the lab and
-  search for a steering path across a forbidden transition.
+* ``check``    - adjoin a declared measurement's projector to the lab, try
+  to certify that no chain crosses a forbidden transition, and search for
+  a steering path across it when no certificate is found.
 * ``run``      - enumerate a protocol exactly or sample it by Monte Carlo.
 * ``discriminate`` - compare two sources through one measurement.
 * ``enumerate``    - dump the full outcome tree of a protocol.

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import CatlabError, DimensionMismatch, PreconditionFailed
 from .measure import (
+    COMPLEMENT_LABEL,
     ORTHO_TOL,
     ProjectiveMeasurement,
     make_measurement,
@@ -30,7 +31,6 @@ from .qstate import (
     StateVector,
     apply_unitary,
     canonical_amps,
-    canonical_state,
     overlap,
     state_to_json,
     states_match,
@@ -45,14 +45,14 @@ NEW_DIRECTION = 1e-6  # closure directions (and target residuals) above this cou
 def state_key(x: State) -> tuple:
     """Hashable dedup key: canonical phase, then a 1e-6 amplitude grid."""
     if isinstance(x, StateVector):
-        return _canonical_key(canonical_state(x).amps)
+        return _canonical_key(canonical_amps(x.amps))
     flat = x.mat.reshape(-1)
     grid = np.round(np.concatenate([flat.real, flat.imag]) / GRID)
     return ("m",) + tuple(int(v) for v in grid)
 
 
 def _canonical_key(amps: np.ndarray) -> tuple:
-    """``state_key`` of a vector whose amplitudes are already canonical."""
+    """``state_key`` of a vector from its ``canonical_amps``."""
     flat = np.empty(2 * amps.size)
     flat[0::2] = amps.real
     flat[1::2] = amps.imag
@@ -318,7 +318,13 @@ def nogo_verdict(
         raise PreconditionFailed(
             "need orthogonal states with the d->l transition declared forbidden"
         )
-    m = make_measurement(lab.space, [(outcome_label, candidate)])
+    outcomes = [(outcome_label, candidate)]
+    if outcome_label == COMPLEMENT_LABEL:
+        # make_measurement would label the complement ⊥ as well: prime it,
+        # as the operation name is primed below
+        rest = np.eye(lab.space.dim) - candidate.mat
+        outcomes.append((COMPLEMENT_LABEL + "'", Operator(lab.space, rest, "projector")))
+    m = make_measurement(lab.space, outcomes)
     adjoined = name
     while adjoined in lab.measurements or adjoined in lab.unitaries:
         adjoined += "'"

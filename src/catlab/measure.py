@@ -1,4 +1,4 @@
-"""Projective measurements: Born-rule statistics, collapse and sampling.
+"""Projective measurements: Born-rule statistics and collapse.
 
 A measurement is a list of labelled, mutually orthogonal projectors that
 resolve the identity.  Incomplete projector lists are completed with a
@@ -24,7 +24,6 @@ from .qstate import (
     StateVector,
     projector_from_state,
 )
-from .rng import RandomStream
 
 PRUNE_TOL = 1e-12  # outcomes below this probability carry no post state
 ORTHO_TOL = 1e-9  # overlap allowed between outcome-defining states
@@ -166,24 +165,3 @@ def outcome_distribution(m: ProjectiveMeasurement, x: State) -> list[OutcomeReco
                 post = DensityMatrix(m.space, (op.mat @ x.mat @ op.mat) / p)
             records.append(OutcomeRecord(label, p, post))
     return records
-
-
-def sample_outcome(
-    m: ProjectiveMeasurement, x: State, rng: RandomStream
-) -> tuple[str, State]:
-    """Draw one outcome by inverse CDF on the stream's next uniform."""
-    records = outcome_distribution(m, x)
-    u = rng.uniform()
-    acc = 0.0
-    chosen = None
-    for rec in records:
-        if rec.probability < PRUNE_TOL:
-            continue
-        chosen = rec
-        acc += rec.probability
-        if u < acc:
-            break
-    if chosen is None:
-        raise CatlabError("distribution carries no probability mass")
-    return chosen.label, chosen.post_state
-

@@ -119,14 +119,14 @@ class OutcomeNode:
     ``operation``/``label`` describe the edge from the parent (both None at
     the root; ``label`` is None for unitary edges).  ``probability`` is the
     branch probability, ``cumulative`` the product along the path.
-    ``state`` is the representative of id ``sid`` in the tree's table.
+    ``sid`` is the id of the node's state in the tree's table: the state
+    is ``tree.table.states[node.sid]``.
     """
 
     operation: str | None
     label: str | None
     probability: float
     cumulative: float
-    state: State
     sid: int
     children: list["OutcomeNode"] = field(default_factory=list)
     stopped: bool = False
@@ -169,9 +169,8 @@ def enumerate_protocol(
     """Exact outcome tree of a protocol from an initial state.
 
     Branches with probability below ``PRUNE_TOL`` are dropped; their mass is
-    accounted in ``tree.pruned_mass``.  Every node holds an id of the tree's
-    ``Transitions`` table and that id's representative state, so identical
-    branches share identical payloads.
+    accounted in ``tree.pruned_mass``.  Every node holds the id of its state
+    in the tree's ``Transitions`` table, so identical branches share one id.
     """
     if initial.space != lab.space:
         raise DimensionMismatch("initial state lives outside the laboratory space")
@@ -179,7 +178,7 @@ def enumerate_protocol(
     _resolve_steps(steps, lab)
     table = Transitions(lab)
     root_id = table.intern(initial)
-    root = OutcomeNode(None, None, 1.0, 1.0, table.states[root_id], root_id)
+    root = OutcomeNode(None, None, 1.0, 1.0, root_id)
     pruned = 0.0
     # (node, step index, last outcome label)
     stack = [(root, 0, None)]
@@ -202,7 +201,7 @@ def enumerate_protocol(
                 continue
             # a unitary row's empty label: the edge has no label and the
             # last outcome stays the one before
-            child = OutcomeNode(name, label or None, p, cum * p, table.states[nid], nid)
+            child = OutcomeNode(name, label or None, p, cum * p, nid)
             node.children.append(child)
             stack.append((child, i + 1, label or last))
     return OutcomeTree(root, pruned, table)
@@ -229,7 +228,7 @@ def tree_to_json(tree: OutcomeTree) -> dict:
             "label": node.label,
             "probability": node.probability,
             "cumulative": node.cumulative,
-            "state": format_state(node.state),
+            "state": format_state(tree.table.states[node.sid]),
             "stopped": node.stopped,
             "children": [node_doc(c) for c in node.children],
         }

@@ -331,15 +331,10 @@ def states_match(x: State, target: StateVector) -> bool:
     return fid > 1.0 - MATCH_TOL
 
 
-def canonical_state(psi: StateVector) -> StateVector:
-    """Fix the global phase: first non-negligible amplitude real positive."""
-    amps = canonical_amps(psi.amps)
-    return psi if amps is psi.amps else StateVector(psi.space, amps)
-
-
 def canonical_amps(amps: np.ndarray) -> np.ndarray:
-    """``canonical_state``'s amplitudes as a raw array; ``amps`` itself when
-    no amplitude is above ``ZERO_AMP``."""
+    """Fix the global phase: the first amplitude above ``ZERO_AMP`` becomes
+    real positive.  Returns a new raw array, or ``amps`` itself when no
+    amplitude is above ``ZERO_AMP``."""
     idx = int(np.argmax(np.abs(amps) > ZERO_AMP))
     a0 = amps[idx]
     r = abs(a0)

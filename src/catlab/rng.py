@@ -21,12 +21,9 @@ class RandomStream:
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def uniform(self) -> float:
-        """One draw; the n-th call returns the n-th value of the stream."""
-        return float(self._gen.random())
-
     def uniforms(self, n: int) -> np.ndarray:
-        """A block of draws, identical to n successive uniform() calls."""
+        """The stream's next n draws; splitting a block into several calls
+        does not change the values."""
         return self._gen.random(int(n))
 
     def __repr__(self) -> str:

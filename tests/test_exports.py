@@ -1,4 +1,4 @@
-"""The package's public name list, and the imports of its modules."""
+"""The package's public name list, and the imports of its modules, tests and scripts."""
 
 import ast
 import inspect
@@ -16,6 +16,7 @@ import catlab.qstate
 
 SRC = Path(catlab.__file__).parent
 TESTS = Path(__file__).parent
+SCRIPTS = TESTS.parent / "scripts"
 
 REMOVED = {
     catlab: (
@@ -30,6 +31,8 @@ REMOVED = {
         "orthogonal_in_span",
         "tensor",
         "unitary_operator",
+        "canonical_state",
+        "sample_outcome",
     ),
     catlab.qstate: (
         "density_from_json",
@@ -43,17 +46,19 @@ REMOVED = {
         "orthogonal_in_span",
         "tensor",
         "unitary_operator",
+        "canonical_state",
     ),
     catlab.errors: ("NotInSpan",),
     catlab.cli: ("resolve_seed",),
     catlab.lab: ("DEFAULT_MIN_PROB",),
-    catlab.measure: ("records_to_json",),
+    catlab.measure: ("records_to_json", "sample_outcome"),
     catlab.protocols: ("merge_histograms", "total_reach_probability"),
-    catlab.RandomStream: ("derive",),
+    catlab.RandomStream: ("derive", "uniform"),
     catlab.StateVector: ("amplitude",),
     catlab.DensityMatrix: ("probability",),
     catlab.Laboratory: ("operations",),
     catlab.Operator: ("rank",),
+    catlab.OutcomeNode: ("state",),
 }
 
 
@@ -99,3 +104,8 @@ def test_no_unused_imports(module):
 @pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
 def test_no_unused_imports_in_tests(module):
     assert _unused_imports(TESTS / module) == []
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_no_unused_imports_in_scripts(script):
+    assert _unused_imports(SCRIPTS / script) == []

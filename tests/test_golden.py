@@ -30,6 +30,9 @@ CASES = (
     ("check-cat-depth-cut",
      ["check", "--scenario", "cat", "--from", "dead", "--to", "alive", "--depth", "1",
       "plusminus:+"], 0),
+    # a candidate labelled like the complement: the complement is primed
+    ("check-composite-complement",
+     ["check", "--scenario", "composite", "--from", "dd", "--to", "ua", "sch_plus:⊥"], 2),
     ("run-exact-resurrect3",
      ["run", "--scenario", "resurrection", "--initial", "dead", "--exact", "resurrect3"], 0),
     ("run-exact-csv-rho",

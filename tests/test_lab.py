@@ -26,6 +26,7 @@ from catlab import (
     verdict_to_json,
 )
 from catlab.lab import MIN_PROB
+from catlab.measure import COMPLEMENT_LABEL
 
 from helpers import rand_unitary, space_of_dim
 
@@ -276,6 +277,35 @@ def test_adjoined_name_collision_is_renamed():
     )
     prob, final = replay_path(extended, dead, v.witness)
     assert abs(prob - v.witness.probability) < 1e-12
+
+
+def test_candidate_labelled_like_the_complement():
+    # the adjoined complement is primed instead of clashing with the ⊥ label
+    sc = load_scenario("composite")[0]
+    sch = sc.measurements["sch_plus"]
+    dd, ua = sc.states["dd"], sc.states["ua"]
+    v = nogo_verdict(
+        sc.lab, sch.projector(COMPLEMENT_LABEL), ua, dd,
+        name="sch_plus", outcome_label=COMPLEMENT_LABEL,
+    )
+    assert v.violated
+    assert v.witness.steps == (("sch_plus", "⊥"), ("collective", "undecayed⊗alive"))
+    assert abs(v.witness.probability - 0.25) < 1e-10
+    adjoined = make_measurement(
+        sc.space, [("⊥", sch.projector("⊥")), ("⊥'", sch.projector("Ψ+"))]
+    )
+    prob, final = replay_path(sc.lab.with_measurement("sch_plus", adjoined), dd, v.witness)
+    assert abs(prob - v.witness.probability) < 1e-12
+    assert states_match(final, ua)
+    # relabelling the candidate changes only the label in the witness
+    lab = cat_lab()
+    alive, dead = basis_state(CAT, "alive"), basis_state(CAT, "dead")
+    plain = nogo_verdict(lab, candidate(0.3), alive, dead, name="P")
+    primed = nogo_verdict(lab, candidate(0.3), alive, dead, name="P", outcome_label="⊥")
+    assert primed.witness.probability == plain.witness.probability
+    assert primed.witness.steps == tuple(
+        ("P", "⊥") if step == ("P", "S") else step for step in plain.witness.steps
+    )
 
 
 def test_stone_bread_violations_both_directions():

@@ -1,4 +1,4 @@
-"""Born statistics, collapse, auto-completion and sampling."""
+"""Born statistics, collapse and auto-completion."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from catlab import (
     NotOrthogonal,
     Operator,
     ProjectiveMeasurement,
-    RandomStream,
     basis_state,
     make_measurement,
     make_mixture,
@@ -18,7 +17,6 @@ from catlab import (
     measurement_from_states,
     outcome_distribution,
     projector_from_state,
-    sample_outcome,
     states_match,
 )
 from catlab.measure import COMPLEMENT_LABEL
@@ -182,33 +180,5 @@ def test_wrong_space_rejected():
     with pytest.raises(DimensionMismatch):
         outcome_distribution(cat_basis(), basis_state(other, "a"))
 
-
-def test_sampling_frequencies():
-    m = cat_basis()
-    plus = make_state(CAT, [1, 1])
-    rng = RandomStream(2024)
-    n = 100_000
-    hits = sum(1 for _ in range(n) if sample_outcome(m, plus, rng)[0] == "alive")
-    # 4 sigma band around p = 1/2
-    assert abs(hits / n - 0.5) < 4 * np.sqrt(0.25 / n)
-
-
-def test_sampling_deterministic_and_collapses():
-    m = cat_basis()
-    plus = make_state(CAT, [1, 1])
-    a = [sample_outcome(m, plus, RandomStream(5, k))[0] for k in range(32)]
-    b = [sample_outcome(m, plus, RandomStream(5, k))[0] for k in range(32)]
-    assert a == b
-    label, post = sample_outcome(m, plus, RandomStream(5))
-    assert states_match(post, basis_state(CAT, label))
-
-
-def test_sample_skips_pruned_outcomes():
-    # all mass on one outcome: every draw must land there, even u ~ 1
-    m = cat_basis()
-    alive = basis_state(CAT, "alive")
-    for k in range(64):
-        label, _ = sample_outcome(m, alive, RandomStream(11, k))
-        assert label == "alive"
 
 

@@ -118,7 +118,8 @@ def test_failure_branches_return_to_start():
     tree = enumerate_protocol(sc.protocols["resurrect3"], sc.lab, dead)
     for leaf in tree.leaves():
         if not leaf.stopped:
-            assert abs(abs(np.vdot(leaf.state.amps, dead.amps)) - 1.0) < 1e-10
+            state = tree.table.states[leaf.sid]
+            assert abs(abs(np.vdot(state.amps, dead.amps)) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -215,6 +216,15 @@ def test_monte_carlo_mixture_initial():
     mc = run_monte_carlo(sc.protocols["observe"], sc.lab, sc.mixtures["rho_cat"], n, 3)
     freq = mc.frequency(sc.states["alive"])
     assert abs(freq - 0.5) < 4 * np.sqrt(0.25 / n)
+
+
+def test_monte_carlo_skips_pruned_outcomes():
+    # all mass on one outcome: every trial must land there, even for u ~ 1
+    sc = load_scenario("cat")[0]
+    n = 3 * 4096 + 5
+    mc = run_monte_carlo(sc.protocols["observe"], sc.lab, sc.states["alive"], n, 11)
+    assert [c for _, c in mc.bins.values()] == [n]
+    assert mc.frequency(sc.states["alive"]) == 1.0
 
 
 def test_monte_carlo_rows_consistent():

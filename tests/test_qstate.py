@@ -14,7 +14,6 @@ from catlab import (
     ZeroVector,
     apply_unitary,
     basis_state,
-    canonical_state,
     format_state,
     make_mixture,
     make_state,
@@ -26,7 +25,7 @@ from catlab import (
     states_match,
     tensor_space,
 )
-from catlab.qstate import space_to_json, state_to_json
+from catlab.qstate import canonical_amps, space_to_json, state_to_json
 from helpers import rand_density, rand_state, rand_unitary, space_of_dim
 
 CAT = HilbertSpace(("alive", "dead"), name="cat")
@@ -287,21 +286,24 @@ def test_states_match_mixed_vs_pure():
     assert not states_match(even, plus)
 
 
-def test_canonical_state_phase_rule():
+def test_canonical_amps_phase_rule():
     psi = make_state(CAT, [np.exp(0.7j) * 0.6, np.exp(0.7j) * 0.8j])
-    canon = canonical_state(psi)
-    assert canon.amps[0].imag == 0.0
-    assert canon.amps[0].real > 0
-    assert states_match(psi, canon)
+    canon = canonical_amps(psi.amps)
+    assert canon[0].imag == 0.0
+    assert canon[0].real > 0
+    assert states_match(psi, StateVector(CAT, canon))
     # idempotent
-    again = canonical_state(canon)
-    assert np.all(again.amps == canon.amps)
+    assert np.all(canonical_amps(canon) == canon)
 
 
-def test_canonical_state_skips_negligible_leading_amp():
-    psi = StateVector(CAT, np.array([1e-13, 1.0], dtype=complex))
-    canon = canonical_state(psi)
-    assert canon.amps[1].real > 0 and canon.amps[1].imag == 0.0
+def test_canonical_amps_skips_negligible_leading_amp():
+    canon = canonical_amps(np.array([1e-13, 1.0], dtype=complex))
+    assert canon[1].real > 0 and canon[1].imag == 0.0
+
+
+def test_canonical_amps_leaves_a_zero_vector_alone():
+    zero = np.zeros(2, dtype=complex)
+    assert canonical_amps(zero) is zero
 
 
 # ---------------------------------------------------------------------------
