@@ -2,8 +2,9 @@
 """Success mass of the repeated measure-then-check loop, round by round.
 
 Runs the resurrection laboratory from |dead> for k = 1..K rounds and
-compares three numbers per row: the exact enumeration, the closed form
-1 - (1 - 2 a^2 b^2)^k, and a seeded Monte Carlo estimate.
+compares three numbers per row: the exact mass on |alive> (read off the
+forward propagation), the closed form 1 - (1 - 2 a^2 b^2)^k, and a seeded
+Monte Carlo estimate.
 """
 
 import argparse

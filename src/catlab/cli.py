@@ -142,6 +142,9 @@ def cmd_check(scenario: Scenario, args: argparse.Namespace):
 def cmd_run(scenario: Scenario, args: argparse.Namespace):
     if args.exact and args.trials is not None:
         raise CatlabError("--exact and --trials are mutually exclusive")
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
+    if not args.exact and trials < 1:
+        raise CatlabError("need at least one trial (or use --exact)")
     protocol = _named(scenario, "protocol", scenario.protocols, args.protocol)
     initial = scenario.initial(args.initial)
     tree = enumerate_protocol(protocol, scenario.lab, initial)
@@ -155,7 +158,7 @@ def cmd_run(scenario: Scenario, args: argparse.Namespace):
         result = {
             "mode": "exact",
             "nodes": tree.n_nodes(),
-            "leaves": len(tree.leaves()),
+            "leaves": tree.n_leaves(),
             "pruned_mass": tree.pruned_mass,
             "table": table,
         }
@@ -163,9 +166,6 @@ def cmd_run(scenario: Scenario, args: argparse.Namespace):
         rows += [[format_state(st), repr(p), "", ""] for st, p in exact]
         return params, result, rows, EXIT_OK
 
-    trials = DEFAULT_TRIALS if args.trials is None else args.trials
-    if trials < 1:
-        raise CatlabError("need at least one trial (or use --exact)")
     params["trials"] = trials
     mc = run_monte_carlo(protocol, scenario.lab, initial, trials, args.seed)
     exact_by_key = {state_key(st): p for st, p in exact}

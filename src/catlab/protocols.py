@@ -2,9 +2,10 @@
 
 A protocol is a list of steps: apply a named measurement, apply a named
 unitary, repeat a block, or stop the current branch when the last outcome
-label matched.  Protocols can be expanded into an exact outcome tree, run
-as seeded Monte Carlo trials, or used to compare two state-preparation
-sources through one measurement.
+label matched.  A protocol's exact outcome distribution is propagated
+forward over (state, last label) cells, and its outcome tree is built only
+when read.  Protocols also run as seeded Monte Carlo trials, and two
+state-preparation sources can be compared through one measurement.
 """
 
 from __future__ import annotations
@@ -136,11 +137,70 @@ class OutcomeNode:
         return not self.children
 
 
-@dataclass
 class OutcomeTree:
-    root: OutcomeNode
-    pruned_mass: float
-    table: Transitions
+    """The exact outcome distribution of a protocol from one initial state.
+
+    The masses, counts and ``pruned_mass`` come from a forward propagation
+    (see ``enumerate_protocol``).  The node tree itself is built, by a
+    depth-first walk over the same ``table``, only when ``root`` or
+    ``leaves()`` is first read.
+    """
+
+    def __init__(
+        self,
+        table: Transitions,
+        steps: tuple[Step, ...],
+        start: int,
+        finals: list[tuple[int, int]],
+        scale: int,
+        pruned: int,
+        nodes: int,
+        leaves: int,
+    ) -> None:
+        self.table = table
+        # (sid, exact leaf mass times 2**scale), in first-leaf order
+        self._finals = finals
+        self._scale = scale
+        self.pruned_mass = pruned / (1 << scale)
+        self._steps = steps
+        self._start = start
+        self._nodes = nodes
+        self._leaves = leaves
+        self._root: OutcomeNode | None = None
+
+    @property
+    def root(self) -> OutcomeNode:
+        if self._root is None:
+            self._root = self._build()
+        return self._root
+
+    def _build(self) -> OutcomeNode:
+        steps, table = self._steps, self.table
+        root = OutcomeNode(None, None, 1.0, 1.0, self._start)
+        # (node, step index, last outcome label)
+        stack = [(root, 0, None)]
+        while stack:
+            node, i, last = stack.pop()
+            if i >= len(steps):
+                continue
+            step = steps[i]
+            if isinstance(step, StopIfStep):
+                if last is not None and last == step.outcome:
+                    node.stopped = True
+                else:
+                    stack.append((node, i + 1, last))
+                continue
+            name = step.measurement if isinstance(step, MeasureStep) else step.unitary
+            cum = node.cumulative
+            for label, p, nid in table.rows(name, node.sid):
+                if nid is None:
+                    continue
+                # a unitary row's empty label: the edge has no label and the
+                # last outcome stays the one before
+                child = OutcomeNode(name, label or None, p, cum * p, nid)
+                node.children.append(child)
+                stack.append((child, i + 1, label or last))
+        return root
 
     def leaves(self) -> list[OutcomeNode]:
         out: list[OutcomeNode] = []
@@ -154,71 +214,118 @@ class OutcomeTree:
         return out
 
     def n_nodes(self) -> int:
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(node.children)
-        return count
+        return self._nodes
+
+    def n_leaves(self) -> int:
+        return self._leaves
+
+
+def _dyadic(p: float) -> tuple[int, int]:
+    """``(n, k)`` with ``p == n / 2**k``: every finite float is dyadic."""
+    n, d = p.as_integer_ratio()
+    return n, d.bit_length() - 1
 
 
 def enumerate_protocol(
     protocol: ProtocolSpec, lab: Laboratory, initial: State
 ) -> OutcomeTree:
-    """Exact outcome tree of a protocol from an initial state.
+    """Exact outcome distribution of a protocol from an initial state.
 
-    Branches with probability below ``PRUNE_TOL`` are dropped; their mass is
-    accounted in ``tree.pruned_mass``.  Every node holds the id of its state
-    in the tree's ``Transitions`` table, so identical branches share one id.
+    The unrolled protocol is stepped forward over one ``Transitions`` table.
+    The tree's nodes fall into cells, one per (state id, last outcome
+    label), and each cell keeps its exact mass, its number of nodes and
+    its first path (the row indices from the root of its first node in
+    depth-first order).  A mass is an integer over a power of two: row
+    probabilities are floats, hence dyadic, so products and sums over paths
+    stay exact, and each reported mass is the correctly rounded value of
+    the exact sum.  Live cells stay in order of their first path, so the
+    first insertion into a cell is its first path, and final states come in
+    first-leaf order.  Branches with probability below ``PRUNE_TOL`` are
+    dropped; their mass is accounted in ``tree.pruned_mass``.
     """
     if initial.space != lab.space:
         raise DimensionMismatch("initial state lives outside the laboratory space")
     steps = protocol.unrolled()
     _resolve_steps(steps, lab)
     table = Transitions(lab)
-    root_id = table.intern(initial)
-    root = OutcomeNode(None, None, 1.0, 1.0, root_id)
-    pruned = 0.0
-    # (node, step index, last outcome label)
-    stack = [(root, 0, None)]
-    while stack:
-        node, i, last = stack.pop()
-        if i >= len(steps):
-            continue
-        step = steps[i]
+    start = table.intern(initial)
+    # (sid, last label) -> [mass * 2**scale, node count, first path]
+    cells: dict[tuple[int, str | None], list] = {(start, None): [1, 1, ()]}
+    scale = pruned = 0
+    nodes, leaves = 1, 0  # the root is a node
+    # (first path, sid, mass * 2**at, at) of every leaf cell
+    ended: list[tuple[tuple[int, ...], int, int, int]] = []
+    dyadic_rows: dict[tuple[str, int], tuple] = {}
+    for step in steps:
         if isinstance(step, StopIfStep):
-            if last is not None and last == step.outcome:
-                node.stopped = True
-            else:
-                stack.append((node, i + 1, last))
+            kept = {}
+            for key, cell in cells.items():
+                if key[1] is not None and key[1] == step.outcome:
+                    ended.append((cell[2], key[0], cell[0], scale))
+                    leaves += cell[1]
+                else:
+                    kept[key] = cell
+            cells = kept
             continue
         name = step.measurement if isinstance(step, MeasureStep) else step.unitary
-        cum = node.cumulative
-        for label, p, nid in table.rows(name, node.sid):
-            if nid is None:
-                pruned += cum * p
-                continue
-            # a unitary row's empty label: the edge has no label and the
-            # last outcome stays the one before
-            child = OutcomeNode(name, label or None, p, cum * p, nid)
-            node.children.append(child)
-            stack.append((child, i + 1, label or last))
-    return OutcomeTree(root, pruned, table)
+        expanded = []
+        for key in cells:
+            rows = dyadic_rows.get((name, key[0]))
+            if rows is None:
+                rows = dyadic_rows[(name, key[0])] = tuple(
+                    (label, *_dyadic(p), nid) for label, p, nid in table.rows(name, key[0])
+                )
+            expanded.append(rows)
+        # one denominator per step: the largest one among its rows
+        shift = max((k for rows in expanded for _, _, k, _ in rows), default=0)
+        pruned <<= shift
+        nxt: dict[tuple[int, str | None], list] = {}
+        for ((sid, last), (num, count, path)), rows in zip(cells.items(), expanded):
+            branched = False
+            for r, (label, n, k, nid) in enumerate(rows):
+                mass = num * n << (shift - k)
+                if nid is None:
+                    pruned += mass
+                    continue
+                branched = True
+                nodes += count
+                # a unitary row's empty label keeps the last outcome
+                cell = nxt.get((nid, label or last))
+                if cell is None:
+                    nxt[(nid, label or last)] = [mass, count, path + (r,)]
+                else:
+                    cell[0] += mass
+                    cell[1] += count
+            if not branched:
+                ended.append((path, sid, num, scale))
+                leaves += count
+        scale += shift
+        cells = nxt
+    for (sid, _), (num, count, path) in cells.items():
+        ended.append((path, sid, num, scale))
+        leaves += count
+    # first paths are distinct, so sorting orders leaves depth-first
+    finals: dict[int, int] = {}
+    for _, sid, num, at in sorted(ended):
+        finals[sid] = finals.get(sid, 0) + (num << (scale - at))
+    return OutcomeTree(
+        table, steps, start, list(finals.items()), scale, pruned, nodes, leaves
+    )
 
 
 def leaf_mass(tree: OutcomeTree, target: StateVector) -> float:
-    """Total probability of leaves whose state matches ``target``."""
-    match = [states_match(st, target) for st in tree.table.states]
-    return sum(leaf.cumulative for leaf in tree.leaves() if match[leaf.sid])
+    """Total probability of leaves whose state matches ``target``: the
+    correctly rounded value of the exact sum."""
+    states = tree.table.states
+    num = sum(n for sid, n in tree._finals if states_match(states[sid], target))
+    return num / (1 << tree._scale)
 
 
 def aggregate_leaves(tree: OutcomeTree) -> list[tuple[State, float]]:
-    """Leaf masses merged by interned final state, in first-leaf order."""
-    acc: dict[int, float] = {}
-    for leaf in tree.leaves():
-        acc[leaf.sid] = acc.get(leaf.sid, 0.0) + leaf.cumulative
-    return [(tree.table.states[sid], mass) for sid, mass in acc.items()]
+    """Leaf masses merged by interned final state, in first-leaf order; each
+    mass is the correctly rounded value of its exact sum."""
+    den = 1 << tree._scale
+    return [(tree.table.states[sid], n / den) for sid, n in tree._finals]
 
 
 def tree_to_json(tree: OutcomeTree) -> dict:

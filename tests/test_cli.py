@@ -3,10 +3,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import catlab.cli
+import catlab.protocols
 from catlab.cli import main
+
+SCENARIOS = Path(catlab.cli.__file__).with_name("scenarios")
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +156,61 @@ def test_run_rejects_zero_trials(capsys):
     )
     assert code == 1
     assert "at least one trial" in err
+
+
+def test_run_checks_trials_before_exact_work(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("enumerated before --trials was checked")
+
+    monkeypatch.setattr(catlab.cli, "enumerate_protocol", unreachable)
+    code, out, err = run_cli(
+        capsys,
+        "run", "--scenario", "resurrection", "resurrect10",
+        "--initial", "dead", "--trials", "0",
+    )
+    assert code == 1
+    assert out == ""
+    assert "at least one trial" in err
+
+
+@pytest.mark.parametrize("mode", [("--exact",), ("--trials", "100")])
+def test_run_builds_no_tree_nodes(capsys, monkeypatch, mode):
+    def no_nodes(*args):
+        raise AssertionError("an OutcomeNode was built")
+
+    monkeypatch.setattr(catlab.protocols, "OutcomeNode", no_nodes)
+    code, doc, _ = run_json(
+        capsys,
+        "run", "--scenario", "resurrection", "resurrect3", "--initial", "rho_cat", *mode,
+    )
+    assert code == 0
+    assert doc["result"]["mode"] == ("exact" if mode == ("--exact",) else "sample")
+
+
+ROUND = "[{measure: pm}, {measure: basis}, {stop_if: alive}]"
+
+
+@pytest.mark.parametrize("k", [1, 3, 10, 21])
+def test_run_exact_resurrection_counts(capsys, tmp_path, k):
+    # 21 rounds unroll to 63 of the 64 allowed steps; the tree would have
+    # 3*2^22 - 5 nodes, so only the propagation can answer
+    f = tmp_path / "rounds.scn"
+    f.write_text(
+        (SCENARIOS / "resurrection.scn").read_text(encoding="utf-8")
+        + f"  rounds:\n    - repeat: {{count: {k}, body: {ROUND}}}\n",
+        encoding="utf-8",
+    )
+    code, doc, _ = run_json(
+        capsys, "run", "--scenario", str(f), "rounds", "--initial", "dead", "--exact",
+    )
+    assert code == 0
+    result = doc["result"]
+    assert result["nodes"] == 3 * 2 ** (k + 1) - 5
+    assert result["leaves"] == 3 * 2**k - 2
+    assert result["pruned_mass"] == 0.0
+    table = {row["state"]: row["probability"] for row in result["table"]}
+    assert abs(table["alive"] - (1 - 2.0**-k)) <= 1e-12
+    assert abs(table["dead"] - 2.0**-k) <= 1e-12
 
 
 def test_run_byte_identical(capsys):

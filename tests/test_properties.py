@@ -2,6 +2,7 @@
 
 import math
 from bisect import bisect_right
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -179,31 +180,68 @@ def random_lab(rng, dim, n_groups):
 
 
 def propagate(lab, steps, rho):
-    """Distribution of the last outcome label, by propagating the density
-    matrix through every step (None: the protocol measured nothing)."""
-    last = {None: 1.0}
+    """Distribution of the last outcome label at the end of every branch,
+    by propagating one unnormalised density matrix per last label through
+    every step; a ``stop_if`` sets its label's matrix aside (None: nothing
+    measured yet)."""
+    live = {None: rho}
+    stopped = {}
     for step in steps:
         if isinstance(step, UnitaryStep):
             u = lab.unitaries[step.unitary].mat
-            rho = u @ rho @ u.conj().T
+            live = {last: u @ r @ u.conj().T for last, r in live.items()}
+        elif isinstance(step, StopIfStep):
+            if step.outcome in live:
+                stopped[step.outcome] = stopped.get(step.outcome, 0) + live.pop(step.outcome)
         else:
-            outcomes = lab.measurements[step.measurement].outcomes
-            last = {label: float(np.real(np.trace(op.mat @ rho))) for label, op in outcomes}
-            rho = sum(op.mat @ rho @ op.mat for _, op in outcomes)
-    return last
-
-
-def mass_by_last_label(tree):
+            total = sum(live.values(), np.zeros_like(rho))
+            live = {
+                label: op.mat @ total @ op.mat
+                for label, op in lab.measurements[step.measurement].outcomes
+            }
     out = {}
-    stack = [(tree.root, None)]
-    while stack:
-        node, last = stack.pop()
-        last = node.label or last  # unitary edges keep the last outcome
-        if node.is_leaf:
-            out[last] = out.get(last, 0.0) + node.cumulative
-        else:
-            stack.extend((child, last) for child in node.children)
+    for part in (live, stopped):
+        for last, r in part.items():
+            out[last] = out.get(last, 0.0) + float(np.real(np.trace(r)))
     return out
+
+
+def exact_walk(tree, steps):
+    """Exact sums over the materialised tree, walked depth first with
+    ``fractions.Fraction``: leaf masses by state id in first-leaf order, by
+    last label, the pruned mass (the paths that end in a pruned row), and
+    the node and leaf counts."""
+    by_sid, by_label, pruned = {}, {}, Fraction(0)
+    nodes = leaves = 0
+    # (node, exact path product, index of the step after the node, last label)
+    stack = [(tree.root, Fraction(1), 0, None)]
+    while stack:
+        node, mass, i, last = stack.pop()
+        nodes += 1
+        while i < len(steps) and isinstance(steps[i], StopIfStep) and last != steps[i].outcome:
+            i += 1
+        if i < len(steps) and not isinstance(steps[i], StopIfStep):
+            step = steps[i]
+            name = step.measurement if isinstance(step, MeasureStep) else step.unitary
+            pruned += sum(
+                (mass * Fraction(p) for _, p, nid in tree.table.rows(name, node.sid) if nid is None),
+                Fraction(0),
+            )
+        if node.is_leaf:
+            leaves += 1
+            by_sid[node.sid] = by_sid.get(node.sid, 0) + mass
+            by_label[last] = by_label.get(last, 0) + mass
+        for child in reversed(node.children):
+            stack.append((child, mass * Fraction(child.probability), i + 1, child.label or last))
+    return by_sid, by_label, pruned, nodes, leaves
+
+
+STEP_KINDS = {
+    "m": MeasureStep("m"),
+    "u": UnitaryStep("u"),
+    "stop0": StopIfStep("g0"),
+    "stop1": StopIfStep("g1"),
+}
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,25 +250,31 @@ def mass_by_last_label(tree):
     st.integers(2, 4),
     st.data(),
     st.booleans(),
-    st.lists(st.booleans(), min_size=1, max_size=8),
+    st.lists(st.sampled_from(sorted(STEP_KINDS)), min_size=1, max_size=8),
 )
-def test_tree_agrees_with_propagation_and_sampling(seed, dim, data, mixed, measures):
+def test_tree_agrees_with_propagation_and_sampling(seed, dim, data, mixed, kinds):
     rng = np.random.default_rng(seed)
     lab, target = random_lab(rng, dim, data.draw(st.integers(2, dim)))
     initial = rand_density(rng, lab.space) if mixed else rand_state(rng, lab.space)
     rho = initial.mat if mixed else pure_density(initial).mat
-    protocol = ProtocolSpec(
-        tuple(MeasureStep("m") if m else UnitaryStep("u") for m in measures)
-    )
+    protocol = ProtocolSpec(tuple(STEP_KINDS[k] for k in kinds))
     tree = enumerate_protocol(protocol, lab, initial)
     agg = aggregate_leaves(tree)
 
-    by_label = mass_by_last_label(tree)
+    # the propagation's answers are the correctly rounded exact path sums
+    by_sid, by_label, pruned, nodes, leaves = exact_walk(tree, protocol.steps)
+    states = tree.table.states
+    assert len(agg) == len(by_sid)
+    for (st_, p), (sid, m) in zip(agg, by_sid.items()):
+        assert st_ is states[sid] and p == float(m)
+    assert tree.pruned_mass == float(pruned)
+    matched = sum((m for sid, m in by_sid.items() if states_match(states[sid], target)), Fraction(0))
+    assert leaf_mass(tree, target) == float(matched)
+    assert (tree.n_nodes(), tree.n_leaves()) == (nodes, leaves) == (nodes, len(tree.leaves()))
+
     for label, p in propagate(lab, protocol.steps, rho).items():
-        assert abs(by_label.get(label, 0.0) - p) <= 1e-12 + tree.pruned_mass
+        assert abs(float(by_label.get(label, 0)) - p) <= 1e-12 + tree.pruned_mass
     assert abs(sum(p for _, p in agg) + tree.pruned_mass - 1.0) < 1e-12
-    matched = sum(p for st_, p in agg if states_match(st_, target))
-    assert abs(leaf_mass(tree, target) - matched) < 1e-12
 
     n = 2000
     mc = run_monte_carlo(protocol, lab, initial, n, seed)

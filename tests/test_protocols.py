@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import catlab.protocols
 from catlab import (
     CatlabError,
     DepthCeiling,
@@ -13,6 +14,7 @@ from catlab import (
     ProtocolSpec,
     RepeatStep,
     StopIfStep,
+    Transitions,
     UnitaryStep,
     aggregate_leaves,
     basis_state,
@@ -164,6 +166,27 @@ def test_pruned_mass_accounts_for_tiny_branches():
     )
     assert tree.pruned_mass > 0
     assert abs(sum(l.cumulative for l in tree.leaves()) + tree.pruned_mass - 1) < 1e-12
+
+
+def test_node_with_every_row_pruned_is_a_leaf(monkeypatch):
+    # A complete measurement always keeps a row, so prune every "basis" row
+    # in the table: each pm child then ends as a leaf, as in the tree.
+    class PruneBasis(Transitions):
+        def rows(self, name, sid):
+            return tuple(
+                (label, p, None if name == "basis" else nid)
+                for label, p, nid in super().rows(name, sid)
+            )
+
+    monkeypatch.setattr(catlab.protocols, "Transitions", PruneBasis)
+    sc = resurrection()
+    tree = enumerate_protocol(sc.protocols["resurrect1"], sc.lab, sc.states["dead"])
+    leaves = tree.leaves()
+    assert (tree.n_nodes(), tree.n_leaves(), len(leaves)) == (3, 2, 2)
+    agg = aggregate_leaves(tree)
+    assert [st for st, _ in agg] == [tree.table.states[leaf.sid] for leaf in leaves]
+    assert [p for _, p in agg] == [leaf.cumulative for leaf in leaves]
+    assert abs(tree.pruned_mass - 1.0) < 1e-15
 
 
 def test_tree_json_shape():
