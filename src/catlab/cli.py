@@ -26,7 +26,7 @@ from typing import Mapping
 
 from . import __version__
 from .errors import CatlabError
-from .lab import DEFAULT_MAX_DEPTH, nogo_verdict, state_key, verdict_to_json
+from .lab import DEFAULT_MAX_DEPTH, nogo_verdict, verdict_to_json
 from .protocols import (
     aggregate_leaves,
     discriminate,
@@ -168,11 +168,11 @@ def cmd_run(scenario: Scenario, args: argparse.Namespace):
 
     params["trials"] = trials
     mc = run_monte_carlo(protocol, scenario.lab, initial, trials, args.seed)
-    exact_by_key = {state_key(st): p for st, p in exact}
+    exact_p = dict(exact)  # keyed by the lab table's state objects
     histogram = []
     rows = [["state", "exact_p", "empirical_freq", "n"]]
     for st, count, freq in mc.rows():
-        p = exact_by_key.get(state_key(st), 0.0)
+        p = exact_p.get(st, 0.0)
         histogram.append(
             {
                 "state": format_state(st),

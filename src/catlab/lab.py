@@ -12,6 +12,7 @@ target out at every depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -61,7 +62,8 @@ def _canonical_key(amps: np.ndarray) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class Laboratory:
-    """Declared operations plus forbidden transitions, all on one space."""
+    """Declared operations plus forbidden transitions, all on one space; it
+    also carries a mutable row cache, its ``transitions`` table."""
 
     space: HilbertSpace
     measurements: Mapping[str, ProjectiveMeasurement] = field(default_factory=dict)
@@ -80,6 +82,8 @@ class Laboratory:
                 raise DimensionMismatch(f"unitary {name!r} on another space")
             if u.kind != "unitary":
                 raise CatlabError(f"operator {name!r} is not unitary")
+            if name in self.measurements:
+                raise CatlabError(f"operation name {name!r} already in use")
         for frm, to in self.forbidden:
             if frm.space != self.space or to.space != self.space:
                 raise DimensionMismatch("forbidden pair on another space")
@@ -90,11 +94,15 @@ class Laboratory:
 
     def with_measurement(self, name: str, m: ProjectiveMeasurement) -> "Laboratory":
         """A copy of this lab with one more allowed measurement appended."""
-        if name in self.measurements or name in self.unitaries:
+        if name in self.measurements:
             raise CatlabError(f"operation name {name!r} already in use")
-        meas = dict(self.measurements)
-        meas[name] = m
+        meas = {**self.measurements, name: m}
         return Laboratory(self.space, meas, self.unitaries, self.forbidden)
+
+    @cached_property
+    def transitions(self) -> "Transitions":
+        """The lab's one ``Transitions`` table, created on first use."""
+        return Transitions(self)
 
 
 @dataclass(frozen=True)
@@ -135,12 +143,13 @@ class Transitions:
     the first state interned under a key represents that key from then on
     (``states[id]``, with ``keys[id]`` its key).  ``rows`` memoises, per
     (operation, id), the outcome rows ``(label, probability, next id)``.
-    The steering search, the outcome tree and Monte Carlo each build one
-    table per call and reach states only through it.
+    The search, the tree and Monte Carlo share ``lab.transitions``: a key's
+    representative is the first state interned in the lab's lifetime.
     """
 
     def __init__(self, lab: Laboratory) -> None:
-        self.lab = lab
+        # the operation maps, not the lab: no lab <-> table reference cycle
+        self.measurements, self.unitaries = lab.measurements, lab.unitaries
         self.states: list[State] = []
         self.keys: list[tuple] = []
         self._ids: dict[tuple, int] = {}
@@ -173,14 +182,14 @@ class Transitions:
         hit = self._rows.get((name, sid))
         if hit is None:
             state = self.states[sid]
-            if name in self.lab.unitaries:
-                post = apply_unitary(self.lab.unitaries[name], state)
+            if name in self.unitaries:
+                post = apply_unitary(self.unitaries[name], state)
                 hit = (("", 1.0, self.intern(post)),)
             else:
                 hit = tuple(
                     (r.label, r.probability,
                      None if r.post_state is None else self.intern(r.post_state))
-                    for r in outcome_distribution(self.lab.measurements[name], state)
+                    for r in outcome_distribution(self.measurements[name], state)
                 )
             self._rows[(name, sid)] = hit
         return hit
@@ -228,15 +237,15 @@ def _search(
 
     Deterministic: operations expand in declaration order and outcomes in
     outcome order.  Each state is the first one interned under its key in
-    this search's own ``Transitions`` table, and the witness ends on that
-    representative.  Revisited ids keep their highest-probability path
+    ``lab.transitions`` during the lab's lifetime, and the witness ends on
+    that representative.  Revisited ids keep their highest-probability path
     (position in the frontier is fixed by first arrival).
     """
     if max_depth < 0:
         raise CatlabError(f"search depth must be >= 0, got {max_depth}")
     if start.space != lab.space or target.space != lab.space:
         raise DimensionMismatch("states live outside the laboratory space")
-    table = Transitions(lab)
+    table = lab.transitions
     root = table.intern(start)
     if states_match(table.states[root], target):
         return SteeringPath((), 1.0, table.states[root]), False

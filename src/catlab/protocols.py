@@ -231,7 +231,7 @@ def enumerate_protocol(
 ) -> OutcomeTree:
     """Exact outcome distribution of a protocol from an initial state.
 
-    The unrolled protocol is stepped forward over one ``Transitions`` table.
+    The unrolled protocol is stepped forward over ``lab.transitions``.
     The tree's nodes fall into cells, one per (state id, last outcome
     label), and each cell keeps its exact mass, its number of nodes and
     its first path (the row indices from the root of its first node in
@@ -247,7 +247,7 @@ def enumerate_protocol(
         raise DimensionMismatch("initial state lives outside the laboratory space")
     steps = protocol.unrolled()
     _resolve_steps(steps, lab)
-    table = Transitions(lab)
+    table = lab.transitions
     start = table.intern(initial)
     # (sid, last label) -> [mass * 2**scale, node count, first path]
     cells: dict[tuple[int, str | None], list] = {(start, None): [1, 1, ()]}
@@ -255,7 +255,6 @@ def enumerate_protocol(
     nodes, leaves = 1, 0  # the root is a node
     # (first path, sid, mass * 2**at, at) of every leaf cell
     ended: list[tuple[tuple[int, ...], int, int, int]] = []
-    dyadic_rows: dict[tuple[str, int], tuple] = {}
     for step in steps:
         if isinstance(step, StopIfStep):
             kept = {}
@@ -268,14 +267,10 @@ def enumerate_protocol(
             cells = kept
             continue
         name = step.measurement if isinstance(step, MeasureStep) else step.unitary
-        expanded = []
-        for key in cells:
-            rows = dyadic_rows.get((name, key[0]))
-            if rows is None:
-                rows = dyadic_rows[(name, key[0])] = tuple(
-                    (label, *_dyadic(p), nid) for label, p, nid in table.rows(name, key[0])
-                )
-            expanded.append(rows)
+        expanded = [
+            [(label, *_dyadic(p), nid) for label, p, nid in table.rows(name, sid)]
+            for sid, _ in cells
+        ]
         # one denominator per step: the largest one among its rows
         shift = max((k for rows in expanded for _, _, k, _ in rows), default=0)
         pruned <<= shift
@@ -382,8 +377,9 @@ def run_monte_carlo(
     per trial, and column ``c`` of that row feeds the trial's ``c``-th
     measurement, so the histogram depends only on the seed and ``n``.  A
     block advances one protocol step at a time over the ids of its live
-    trials in one ``Transitions`` table; a trial leaves the live set when a
-    ``stop_if`` step matches its last outcome.
+    trials in ``lab.transitions``, so bins hold the state objects of exact
+    runs; a trial leaves the live set when a ``stop_if`` step matches its
+    last outcome.
     """
     if n < 0:
         raise CatlabError("trial count must be >= 0")
@@ -391,7 +387,7 @@ def run_monte_carlo(
         raise DimensionMismatch("initial state lives outside the laboratory space")
     steps = protocol.unrolled()
     _resolve_steps(steps, lab)
-    table = Transitions(lab)
+    table = lab.transitions
     start = table.intern(initial)
 
     # Outcome labels as small ints; -1 means no measurement yet.  A stop_if

@@ -109,3 +109,17 @@ def test_no_unused_imports_in_tests(module):
 @pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
 def test_no_unused_imports_in_scripts(script):
     assert _unused_imports(SCRIPTS / script) == []
+
+
+def test_one_transition_table_per_lab():
+    # Only Laboratory.transitions builds a table.  A table built per call
+    # would recompute the lab's rows and could pick other representatives.
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Transitions":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert len(calls) == 1 and calls[0].startswith("lab.py:"), calls

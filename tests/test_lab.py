@@ -73,6 +73,18 @@ def test_with_measurement_collision():
         extended.with_measurement("pm", m)
 
 
+def test_measurement_and_unitary_may_not_share_a_name():
+    # With one name for both, the search applied the unitary while a measure
+    # step and a replay read the measurement; a lab's table caches rows per
+    # name, so the clash would last as long as the lab.
+    basis = cat_lab().measurements["basis"]
+    flip = Operator(CAT, np.array([[0, 1], [1, 0]]), "unitary")
+    with pytest.raises(CatlabError, match="operation name 'x' already in use"):
+        Laboratory(CAT, {"x": basis}, {"x": flip})
+    with pytest.raises(CatlabError, match="operation name 'x' already in use"):
+        Laboratory(CAT, {"basis": basis}, {"x": flip}).with_measurement("x", basis)
+
+
 def test_operations_order():
     lab = load_scenario("photon")[0].lab
     assert list(lab.measurements) == ["zbasis", "xbasis"]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-import catlab.protocols
+import catlab.lab
 from catlab import (
     CatlabError,
     DepthCeiling,
@@ -14,17 +14,20 @@ from catlab import (
     ProtocolSpec,
     RepeatStep,
     StopIfStep,
-    Transitions,
     UnitaryStep,
     aggregate_leaves,
+    apply_unitary,
     basis_state,
     chi_square_test,
     discriminate,
     enumerate_protocol,
     exact_distribution,
+    find_steering_path,
     leaf_mass,
     load_scenario,
+    make_state,
     run_monte_carlo,
+    state_key,
     total_variation,
     tree_to_json,
 )
@@ -170,16 +173,13 @@ def test_pruned_mass_accounts_for_tiny_branches():
 
 def test_node_with_every_row_pruned_is_a_leaf(monkeypatch):
     # A complete measurement always keeps a row, so prune every "basis" row
-    # in the table: each pm child then ends as a leaf, as in the tree.
-    class PruneBasis(Transitions):
-        def rows(self, name, sid):
-            return tuple(
-                (label, p, None if name == "basis" else nid)
-                for label, p, nid in super().rows(name, sid)
-            )
-
-    monkeypatch.setattr(catlab.protocols, "Transitions", PruneBasis)
+    # in the lab's table: each pm child then ends as a leaf, as in the tree.
     sc = resurrection()
+    table = sc.lab.transitions
+    rows = table.rows
+    monkeypatch.setattr(table, "rows", lambda name, sid: tuple(
+        (label, p, None if name == "basis" else nid) for label, p, nid in rows(name, sid)
+    ))
     tree = enumerate_protocol(sc.protocols["resurrect1"], sc.lab, sc.states["dead"])
     leaves = tree.leaves()
     assert (tree.n_nodes(), tree.n_leaves(), len(leaves)) == (3, 2, 2)
@@ -266,6 +266,55 @@ def test_trials_validation():
         run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"], -1, 1)
     empty = run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"], 0, 1)
     assert empty.n == 0 and empty.bins == {}
+
+
+# ---------------------------------------------------------------------------
+# one transition table per laboratory
+
+
+def test_runs_on_a_lab_share_its_rows(monkeypatch):
+    calls = []
+    real = catlab.lab.outcome_distribution
+    monkeypatch.setattr(
+        catlab.lab, "outcome_distribution", lambda m, x: calls.append(1) or real(m, x)
+    )
+    sc = resurrection()
+    protocol, dead, alive = sc.protocols["resurrect3"], sc.states["dead"], sc.states["alive"]
+    enumerate_protocol(protocol, sc.lab, dead)
+    assert calls
+    # every row a trial can take was computed by the exact run
+    before = len(calls)
+    run_monte_carlo(protocol, sc.lab, dead, 4096, 1)
+    assert len(calls) == before
+    for run in (
+        lambda: enumerate_protocol(protocol, sc.lab, dead),
+        lambda: run_monte_carlo(protocol, sc.lab, dead, 4096, 2),
+        lambda: find_steering_path(sc.lab, dead, alive),
+    ):
+        run()
+        before = len(calls)
+        run()
+        assert len(calls) == before
+
+
+def test_first_state_interned_on_a_lab_represents_its_key():
+    ph = load_scenario("photon")[0]
+    a = make_state(ph.space, [0.6, 0.8])
+    table = ph.lab.transitions
+    rep = table.states[table.intern(a)]
+    # b lies in a's 1e-6 grid cell, and it is interned after a
+    b = make_state(ph.space, a.amps + [1e-9, 0.0])
+    assert state_key(b) == state_key(a)
+    there_and_back = ProtocolSpec((UnitaryStep("rotate45"), UnitaryStep("rotate45_inv")))
+    tree = enumerate_protocol(there_and_back, ph.lab, b)
+    [(state, mass)] = aggregate_leaves(tree)
+    assert state is rep and mass == 1.0
+    [(state, count, _)] = run_monte_carlo(there_and_back, ph.lab, b, 10, 1).rows()
+    assert state is rep and count == 10
+    start = apply_unitary(ph.unitaries["rotate45"], b)
+    path = find_steering_path(ph.lab, start, b)
+    assert path.steps == (("rotate45_inv", ""),)
+    assert path.final_state is rep
 
 
 # ---------------------------------------------------------------------------
