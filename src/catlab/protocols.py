@@ -4,15 +4,15 @@ A protocol is a list of steps: apply a named measurement, apply a named
 unitary, repeat a block, or stop the current branch when the last outcome
 label matched.  A protocol's exact outcome distribution is propagated
 forward over (state, last label) cells, and its outcome tree is built only
-when read.  Protocols also run as seeded Monte Carlo trials, and two
-state-preparation sources can be compared through one measurement.
+when read.  A seeded Monte Carlo histogram is drawn as trial counts over
+the same cells, and two state-preparation sources can be compared through
+one measurement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -24,7 +24,8 @@ from .qstate import State, StateVector, format_state, states_match
 from .rng import RandomStream
 
 MAX_UNROLLED_STEPS = 64
-TRIALS_PER_BLOCK = 4096  # fixed partition unit; stream id = block index
+MAX_TRIALS = (1 << 63) - 1  # numpy draws counts as 64-bit integers
+SPLIT_GRID = float(1 << 40)  # a split snaps probabilities to multiples of 1/SPLIT_GRID
 CHI2_MIN_EXPECTED = 5.0
 
 
@@ -370,114 +371,75 @@ def run_monte_carlo(
     n: int,
     seed: int,
 ) -> MonteCarloResult:
-    """Run ``n`` independent seeded trials of a protocol.
+    """Draw the histogram of ``n`` independent seeded trials of a protocol.
 
-    Trials are partitioned into fixed blocks of ``TRIALS_PER_BLOCK``; block
-    ``j`` draws from stream ``(seed, j)``, one row of ``stride`` uniforms
-    per trial, and column ``c`` of that row feeds the trial's ``c``-th
-    measurement, so the histogram depends only on the seed and ``n``.  A
-    block advances one protocol step at a time over the ids of its live
-    trials in ``lab.transitions``, so bins hold the state objects of exact
-    runs; a trial leaves the live set when a ``stop_if`` step matches its
-    last outcome.
+    The histogram is drawn as counts, not trial by trial.  Trial counts sit
+    in cells, one per (id in ``lab.transitions``, last outcome label), like
+    the masses of ``enumerate_protocol``, starting with all ``n`` in the
+    initial state's cell.  A measure step splits each cell's count over the
+    kept rows of its state by one multinomial draw (``_split``) from stream
+    ``(seed, 0)``.  The split renormalises over the kept rows, so it differs
+    from the exact distribution by less than ``PRUNE_TOL`` per pruned row,
+    the mass ``enumerate_protocol`` reports as pruned; and it snaps each
+    probability to a 2**-40 grid first, so that two representatives of one
+    key, whose probabilities may differ in the last bits, split alike.  A
+    unitary step moves each count to its row's next id, and a ``stop_if``
+    step moves the cells whose last label matches to the final states.
+    Cells are split in order of first arrival, not in id order, so the
+    bins depend on the protocol, the initial state, the seed and ``n``, and
+    not on what the table held before, unless a row probability lies
+    within its last bits of a rounding boundary of the grid.  The cost
+    grows with steps times cells, not with ``n``.  Bins hold the table's
+    state objects.
     """
     if n < 0:
         raise CatlabError("trial count must be >= 0")
+    if n > MAX_TRIALS:
+        raise CatlabError(f"trial count must be <= {MAX_TRIALS}")
     if initial.space != lab.space:
         raise DimensionMismatch("initial state lives outside the laboratory space")
     steps = protocol.unrolled()
     _resolve_steps(steps, lab)
     table = lab.transitions
-    start = table.intern(initial)
-
-    # Outcome labels as small ints; -1 means no measurement yet.  A stop_if
-    # label that no row carries gets an id too, and simply never matches.
-    label_ids: dict[str, int] = {}
-    # (measurement, id) -> (next ids, cumulative probs, label ids) of the
-    # kept rows, padded to one entry per outcome: +inf after the last
-    # cumulative probability and copies of the last kept row, so that a
-    # draw past the last cumulative probability clamps to the last kept row.
-    samplers: dict[tuple[str, int], tuple[list[int], list[float], list[int]]] = {}
-
-    def sampler(name: str, sid: int):
-        tab = samplers.get((name, sid))
-        if tab is None:
-            rows = table.rows(name, sid)
-            kept = [row for row in rows if row[2] is not None]
+    stream = RandomStream(seed)
+    # (sid, last label) -> trial count, in order of first arrival
+    cells: dict[tuple[int, str | None], int] = {}
+    if n:
+        cells[(table.intern(initial), None)] = n
+    finals: dict[int, int] = {}
+    for step in steps:
+        if isinstance(step, StopIfStep):
+            for key in [key for key in cells if key[1] == step.outcome]:
+                finals[key[0]] = finals.get(key[0], 0) + cells.pop(key)
+            continue
+        nxt: dict[tuple[int, str | None], int] = {}
+        for (sid, last), count in cells.items():
+            if isinstance(step, UnitaryStep):
+                [(_, _, nid)] = table.rows(step.unitary, sid)
+                nxt[(nid, last)] = nxt.get((nid, last), 0) + count
+                continue
+            kept = [row for row in table.rows(step.measurement, sid) if row[2] is not None]
             if not kept:
                 raise CatlabError("ran out of probability mass mid-trial")
-            pad = len(rows) - len(kept)
-            nids = [nid for _, _, nid in kept]
-            labels = [label_ids.setdefault(label, len(label_ids)) for label, _, _ in kept]
-            tab = (
-                nids + nids[-1:] * pad,
-                list(accumulate(p for _, p, _ in kept)) + [math.inf] * pad,
-                labels + labels[-1:] * pad,
-            )
-            samplers[(name, sid)] = tab
-        return tab
-
-    # The protocol is straight-line, so every live trial is at the same
-    # step and has used the same number of draws: a measure step's column.
-    plan: list[tuple[type, str | int, int]] = []
-    stride = 0
-    for step in steps:
-        if isinstance(step, MeasureStep):
-            plan.append((MeasureStep, step.measurement, stride))
-            stride += 1
-        elif isinstance(step, UnitaryStep):
-            plan.append((UnitaryStep, step.unitary, 0))
-        else:
-            plan.append((StopIfStep, label_ids.setdefault(step.outcome, len(label_ids)), 0))
-    stride = max(stride, 1)
-
-    bins: dict[int, int] = {}
-    for block_index, done in enumerate(range(0, n, TRIALS_PER_BLOCK)):
-        block_n = min(TRIALS_PER_BLOCK, n - done)
-        u = RandomStream(seed, block_index).uniforms(block_n * stride)
-        u = u.reshape(block_n, stride)
-        live = np.arange(block_n)
-        sid = np.full(block_n, start)
-        last = np.full(block_n, -1)
-        finals = []
-        for kind, arg, col in plan:
-            if kind is StopIfStep:
-                hit = last == arg
-                if hit.any():
-                    finals.append(sid[hit])
-                    keep = ~hit
-                    live, sid, last = live[keep], sid[keep], last[keep]
-                    if not live.size:
-                        break
-                continue
-            # the distinct live ids in ascending order, and each trial's
-            # index among them; ids are dense, so counting replaces the sort
-            # of np.unique, which maps numpy's sort kernels (about 0.6 MB)
-            present = np.bincount(sid) > 0
-            ids = np.flatnonzero(present)
-            inv = (np.cumsum(present) - 1)[sid]
-            if kind is UnitaryStep:
-                nxt = np.array([table.rows(arg, s)[0][2] for s in ids.tolist()])
-                sid = nxt[inv]
-                continue
-            nxt, cum, lab_id = map(np.array, zip(*(sampler(arg, s) for s in ids.tolist())))
-            # bisect_right: the number of cumulative probabilities <= u,
-            # counted one column at a time (a row-wise sum is far slower)
-            x = u[live, col]
-            idx = np.zeros(live.size, dtype=np.intp)
-            for c in range(cum.shape[1]):
-                idx += cum[:, c][inv] <= x
-            idx = np.minimum(idx, cum.shape[1] - 1)
-            sid = nxt[inv, idx]
-            last = lab_id[inv, idx]
-        finals.append(sid)
-        del u  # free this block's draws before the next block draws its own
-        counts = np.bincount(np.concatenate(finals))
-        for s in np.flatnonzero(counts).tolist():
-            bins[s] = bins.get(s, 0) + int(counts[s])
+            for (label, _, nid), c in zip(kept, _split(count, [p for _, p, _ in kept], stream)):
+                if c:
+                    nxt[(nid, label)] = nxt.get((nid, label), 0) + c
+        cells = nxt
+    for (sid, _), count in cells.items():
+        finals[sid] = finals.get(sid, 0) + count
     return MonteCarloResult(
-        n, seed, {table.keys[s]: (table.states[s], c) for s, c in bins.items()}
+        n, seed, {table.keys[s]: (table.states[s], c) for s, c in finals.items()}
     )
+
+
+def _split(n: int, probs: Sequence[float], stream: RandomStream) -> list[int]:
+    """Counts of ``n`` draws over outcomes of probabilities ``probs``, by
+    one multinomial draw.  Each probability is first snapped to an integer
+    weight over ``SPLIT_GRID`` and the weights are renormalised; a
+    probability of at least ``PRUNE_TOL`` (about 1.1 / SPLIT_GRID) keeps a
+    weight of at least 1."""
+    w = np.rint(np.multiply(probs, SPLIT_GRID))
+    return stream.multinomial(n, w / w.sum()).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -547,16 +509,6 @@ def exact_distribution(m: ProjectiveMeasurement, x: State) -> dict[str, float]:
     return {rec.label: rec.probability for rec in outcome_distribution(m, x)}
 
 
-def _sample_counts(
-    probs: Sequence[float], n: int, stream: RandomStream
-) -> np.ndarray:
-    cum = np.cumsum(np.asarray(probs, dtype=np.float64))
-    u = stream.uniforms(n)
-    idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, len(cum) - 1)
-    return np.bincount(idx, minlength=len(cum))
-
-
 def _chi2_sf(x: float, df: int) -> float:
     """Upper tail P(X > x) of a chi-square variable with integer ``df`` >= 1.
 
@@ -622,25 +574,24 @@ def discriminate(
 ) -> DiscriminationReport:
     """Compare two sources through one measurement, exactly and by sampling.
 
-    Exact Born distributions give the total variation distance; ``n``
-    seeded draws per source (streams 0 and 1 under ``seed``) give the
-    empirical frequencies and the chi-square p-value of B against A.
+    Exact Born distributions give the total variation distance; one split
+    of ``n`` trials per source (``_split``, on streams 0 and 1 under
+    ``seed``) gives the empirical frequencies and the chi-square p-value
+    of B against A.
     """
     if n < 1:
         raise CatlabError("discrimination needs at least one trial")
+    if n > MAX_TRIALS:
+        raise CatlabError(f"trial count must be <= {MAX_TRIALS}")
     dist_a = exact_distribution(m, source_a)
     dist_b = exact_distribution(m, source_b)
     labels = m.labels
     tv = total_variation(dist_a, dist_b)
-    pa = [dist_a[l] for l in labels]
-    pb = [dist_b[l] for l in labels]
-    counts_a = _sample_counts(pa, n, RandomStream(seed, 0))
-    counts_b = _sample_counts(pb, n, RandomStream(seed, 1))
-    freq_a = {l: int(counts_a[i]) / n for i, l in enumerate(labels)}
-    freq_b = {l: int(counts_b[i]) / n for i, l in enumerate(labels)}
-    stat, df, p = chi_square_test(
-        {l: int(counts_b[i]) for i, l in enumerate(labels)}, dist_a, n
-    )
+    counts_a = dict(zip(labels, _split(n, [dist_a[l] for l in labels], RandomStream(seed, 0))))
+    counts_b = dict(zip(labels, _split(n, [dist_b[l] for l in labels], RandomStream(seed, 1))))
+    freq_a = {l: c / n for l, c in counts_a.items()}
+    freq_b = {l: c / n for l, c in counts_b.items()}
+    stat, df, p = chi_square_test(counts_b, dist_a, n)
     return DiscriminationReport(
         measurement=name,
         labels=labels,

@@ -1,8 +1,10 @@
 """Seeded counter-based random streams.
 
 A stream is addressed by the pair ``(seed, stream)``; distinct ids give
-statistically independent sequences.  Monte Carlo block *j* draws from
-stream *j*, so a histogram depends only on the seed and the trial count.
+statistically independent sequences.  The package draws only multinomial
+counts: Monte Carlo splits its trial counts on stream 0, and
+``discriminate`` samples its two sources on streams 0 and 1, so a
+histogram depends only on the seed and the trial count.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ _MASK64 = (1 << 64) - 1
 
 
 class RandomStream:
-    """Uniform [0, 1) draws from a 64-bit seeded counter-based generator."""
+    """Multinomial draws from a 64-bit seeded counter-based generator."""
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed) & _MASK64
@@ -21,10 +23,11 @@ class RandomStream:
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """The stream's next n draws; splitting a block into several calls
-        does not change the values."""
-        return self._gen.random(int(n))
+    def multinomial(self, n: int, pvals) -> np.ndarray:
+        """Counts of ``n`` draws over outcomes of probabilities ``pvals``,
+        by numpy's conditional-binomial generator: one binomial draw per
+        outcome but the last, which takes the remainder."""
+        return self._gen.multinomial(n, pvals)
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream={self.stream})"

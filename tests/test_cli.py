@@ -269,6 +269,32 @@ def test_discriminate_csv(capsys):
     assert {line.split(",")[0] for line in lines[1:]} == {"A", "B"}
 
 
+BIG_TRIALS = (
+    ("run", "--scenario", "resurrection", "--initial", "dead", "resurrect10"),
+    ("discriminate", "--scenario", "cat", "cat_plus", "cat_minus", "plusminus"),
+)
+
+
+@pytest.mark.parametrize("argv", BIG_TRIALS, ids=["run", "discriminate"])
+def test_trial_count_past_int64_is_an_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--trials", str(1 << 63))
+    assert (code, out) == (1, "")
+    assert err == "catlab: error: trial count must be <= 9223372036854775807\n"
+
+
+@pytest.mark.parametrize("argv", BIG_TRIALS, ids=["run", "discriminate"])
+def test_largest_trial_count_runs(capsys, argv):
+    n = (1 << 63) - 1
+    code, doc, _ = run_json(capsys, *argv, "--trials", str(n))
+    assert code == 0
+    result = doc["result"]
+    if argv[0] == "run":
+        assert sum(row["count"] for row in result["histogram"]) == n
+    else:
+        for source in ("freq_a", "freq_b"):
+            assert abs(sum(o[source] for o in result["outcomes"]) - 1.0) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 

@@ -52,8 +52,8 @@ REMOVED = {
     catlab.cli: ("resolve_seed",),
     catlab.lab: ("DEFAULT_MIN_PROB",),
     catlab.measure: ("records_to_json", "sample_outcome"),
-    catlab.protocols: ("merge_histograms", "total_reach_probability"),
-    catlab.RandomStream: ("derive", "uniform"),
+    catlab.protocols: ("merge_histograms", "total_reach_probability", "TRIALS_PER_BLOCK"),
+    catlab.RandomStream: ("derive", "uniform", "uniforms"),
     catlab.StateVector: ("amplitude",),
     catlab.DensityMatrix: ("probability",),
     catlab.Laboratory: ("operations",),

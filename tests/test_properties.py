@@ -1,26 +1,26 @@
 """Randomized invariants."""
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from catlab import (
     Laboratory,
     MeasureStep,
     ProtocolSpec,
-    RandomStream,
     StopIfStep,
     Transitions,
     UnitaryStep,
     aggregate_leaves,
     apply_unitary,
+    chi_square_test,
     enumerate_protocol,
     find_steering_path,
     leaf_mass,
+    load_scenario,
     run_monte_carlo,
     make_state,
     make_measurement,
@@ -36,7 +36,7 @@ from catlab import (
     Operator,
 )
 from catlab.lab import MIN_PROB
-from catlab.protocols import TRIALS_PER_BLOCK
+from catlab.protocols import MAX_TRIALS
 from catlab.qstate import MATCH_TOL, StateVector, canonical_amps
 
 from helpers import rand_density, rand_state, rand_unitary, space_of_dim
@@ -287,37 +287,20 @@ def test_tree_agrees_with_propagation_and_sampling(seed, dim, data, mixed, kinds
 
 
 # ---------------------------------------------------------------------------
-# block-stepped Monte Carlo against a per-trial walk
+# Monte Carlo histograms drawn as counts
 
 
-def per_trial_counts(protocol, lab, initial, n, seed):
-    """Monte Carlo one trial at a time over a ``Transitions`` table: trial
-    t of block j reads row t of stream (seed, j), one uniform per
-    measurement, and picks the kept row by ``bisect_right`` over the
-    cumulative probabilities, clamped to the last kept row."""
-    steps = protocol.unrolled()
-    stride = max(sum(isinstance(s, MeasureStep) for s in steps), 1)
-    table = Transitions(lab)
-    start = table.intern(initial)
-    counts = {}
-    for j, done in enumerate(range(0, n, TRIALS_PER_BLOCK)):
-        block_n = min(TRIALS_PER_BLOCK, n - done)
-        u = RandomStream(seed, j).uniforms(block_n * stride)
-        for t in range(block_n):
-            sid, last, draws = start, None, iter(u[t * stride:(t + 1) * stride])
-            for step in steps:
-                if isinstance(step, StopIfStep):
-                    if last == step.outcome:
-                        break
-                elif isinstance(step, UnitaryStep):
-                    sid = table.rows(step.unitary, sid)[0][2]
-                else:
-                    kept = [r for r in table.rows(step.measurement, sid) if r[2] is not None]
-                    idx = bisect_right(list(accumulate(p for _, p, _ in kept)), next(draws))
-                    last, _, sid = kept[min(idx, len(kept) - 1)]
-            key = table.keys[sid]
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+def codes_protocol(codes, n_groups):
+    return ProtocolSpec(tuple(
+        MeasureStep("m") if c == "m" else UnitaryStep("u") if c == "u"
+        else StopIfStep(f"g{c % n_groups}")
+        for c in codes
+    ))
+
+
+def mc_counts(protocol, lab, initial, n, seed):
+    mc = run_monte_carlo(protocol, lab, initial, n, seed)
+    return {key: c for key, (_, c) in mc.bins.items()}
 
 
 step_codes = st.one_of(st.just("m"), st.just("u"), st.integers(0, 3))
@@ -330,34 +313,111 @@ step_codes = st.one_of(st.just("m"), st.just("u"), st.integers(0, 3))
     st.integers(2, 4),
     st.booleans(),
     st.lists(step_codes, min_size=1, max_size=8),
-    st.sampled_from([0, 1, 4095, 4096, 4097, 3 * 4096 + 5]),
+    st.sampled_from([0, 1, 2, 4097, 10**6, 10**15, MAX_TRIALS]),
 )
-@example(7, 3, 3, False, ["m", 0, "m", "u", "m", 1, "m"], 3 * 4096 + 5)
-@example(7, 4, 2, True, [1, "u", "m", "m", 0, "u", "m"], 4097)
-def test_monte_carlo_matches_per_trial_walk(seed, dim, groups, mixed, codes, n):
+@example(7, 3, 3, False, ["m", 0, "m", "u", "m", 1, "m"], 4097)
+@example(7, 4, 2, True, [1, "u", "m", "m", 0, "u", "m"], 0)
+def test_monte_carlo_bins_sum_to_n(seed, dim, groups, mixed, codes, n):
     rng = np.random.default_rng(seed)
     n_groups = min(groups, dim)
     lab, _ = random_lab(rng, dim, n_groups)
     initial = rand_density(rng, lab.space) if mixed else rand_state(rng, lab.space)
-    protocol = ProtocolSpec(tuple(
-        MeasureStep("m") if c == "m" else UnitaryStep("u") if c == "u"
-        else StopIfStep(f"g{c % n_groups}")
-        for c in codes
-    ))
-    mc = run_monte_carlo(protocol, lab, initial, n, seed)
-    assert {key: c for key, (_, c) in mc.bins.items()} == per_trial_counts(
-        protocol, lab, initial, n, seed
-    )
+    counts = mc_counts(codes_protocol(codes, n_groups), lab, initial, n, seed)
+    assert sum(counts.values()) == n
+    assert all(c > 0 for c in counts.values())
+
+
+@SETTINGS
+@given(seeds, dims, st.sampled_from([1, 4097, 10**15, MAX_TRIALS]))
+def test_row_of_probability_one_takes_every_count(seed, dim, n):
+    # g0 is the rank-one projector on the target: measuring the target
+    # gives g0 with probability 1 and every other row is pruned
+    lab, target = random_lab(np.random.default_rng(seed), dim, dim)
+    protocol = ProtocolSpec((MeasureStep("m"),) * 3 + (StopIfStep("g0"),))
+    assert mc_counts(protocol, lab, target, n, seed) == {state_key(target): n}
+
+
+# (lab seed, Monte Carlo seed), fixed before any result was seen
+CHI2_CASES = [(lab_seed, 1000 + lab_seed) for lab_seed in range(24)]
+CHI2_ALPHA = 1e-3  # family-wise, split over the cases (Bonferroni)
+
+
+@pytest.mark.parametrize("lab_seed, mc_seed", CHI2_CASES)
+def test_monte_carlo_chi_square_against_exact(lab_seed, mc_seed):
+    rng = np.random.default_rng(lab_seed)
+    dim = int(rng.integers(2, 5))
+    n_groups = int(rng.integers(2, dim + 1))
+    lab, _ = random_lab(rng, dim, n_groups)
+    initial = rand_density(rng, lab.space) if lab_seed % 2 else rand_state(rng, lab.space)
+    codes = [["m", "u", 0, 1, 2, 3][i] for i in rng.integers(0, 6, size=int(rng.integers(2, 9)))]
+    protocol = codes_protocol(codes, n_groups)
+    n = 20_000
+    tree = enumerate_protocol(protocol, lab, initial)
+    exact = {state_key(st_): p for st_, p in aggregate_leaves(tree)}
+    counts = mc_counts(protocol, lab, initial, n, mc_seed)
+    assert set(counts) <= set(exact) and sum(counts.values()) == n
+    _, _, p_value = chi_square_test(counts, exact, n)
+    assert p_value > CHI2_ALPHA / len(CHI2_CASES)
+
+
+def fill_table(lab, runs):
+    """Run each (protocol, initial) exactly and by sampling on ``lab``."""
+    for protocol, initial in runs:
+        enumerate_protocol(protocol, lab, initial)
+        run_monte_carlo(protocol, lab, initial, 1000, 0)
+
+
+def test_monte_carlo_ignores_table_history_resurrection():
+    fresh, filled = (load_scenario("resurrection")[0] for _ in range(2))
+    fill_table(filled.lab, [
+        (filled.protocols["resurrect10"], filled.initial(name))
+        for name in ("rho_cat", "alive", "dead")
+    ])
+
+    def sample(sc):
+        return mc_counts(sc.protocols["resurrect3"], sc.lab, sc.states["dead"], 20_000, 5)
+
+    def basis_rows_on_minus(sc):
+        table = sc.lab.transitions
+        [_, (_, _, minus)] = table.rows("pm", table.intern(sc.states["dead"]))
+        return [p for _, p, _ in table.rows("basis", minus)]
+
+    assert sample(fresh) == sample(filled)
+    # the two labs' representatives of the `-` key give the basis rows in
+    # swapped last bits
+    assert basis_rows_on_minus(fresh) == basis_rows_on_minus(filled)[::-1]
+    assert basis_rows_on_minus(fresh) != basis_rows_on_minus(filled)
+
+
+@pytest.mark.parametrize("lab_seed", range(12))
+def test_monte_carlo_ignores_table_history(lab_seed):
+    def build():
+        rng = np.random.default_rng(lab_seed)
+        lab, target = random_lab(rng, 2 + lab_seed % 3, 2)
+        return lab, target, rand_state(rng, lab.space), rand_density(rng, lab.space)
+
+    fresh, target, psi, rho = build()
+    filled = build()[0]
+    # meet the states that the protocol's second `m` splits in reverse, so
+    # that on this table their ids run against their order of arrival
+    for rec in reversed(outcome_distribution(filled.measurements["m"], psi)):
+        if rec.post_state is not None:
+            filled.transitions.intern(apply_unitary(filled.unitaries["u"], rec.post_state))
+    fill_table(filled, [
+        (codes_protocol(["u", "m", "m", 1, "u", "m"], 2), target),
+        (codes_protocol(["m", "u", "m", "u", "m"], 2), rho),
+    ])
+    protocol = codes_protocol(["m", "u", "m", 0, "m", "u", "m"], 2)
+    n = 20_000
+    assert mc_counts(protocol, fresh, psi, n, lab_seed) == \
+        mc_counts(protocol, filled, psi, n, lab_seed)
 
 
 def test_stop_if_before_any_measurement_never_fires():
     lab, psi = random_lab(np.random.default_rng(5), 3, 3)
     protocol = ProtocolSpec((StopIfStep("g0"), UnitaryStep("u"), StopIfStep("g1")))
-    n = TRIALS_PER_BLOCK + 1
-    mc = run_monte_carlo(protocol, lab, psi, n, 9)
     moved = state_key(apply_unitary(lab.unitaries["u"], psi))
-    assert {key: c for key, (_, c) in mc.bins.items()} == {moved: n}
-    assert per_trial_counts(protocol, lab, psi, n, 9) == {moved: n}
+    assert mc_counts(protocol, lab, psi, 4097, 9) == {moved: 4097}
 
 
 # ---------------------------------------------------------------------------

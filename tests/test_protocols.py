@@ -243,7 +243,7 @@ def test_monte_carlo_mixture_initial():
 
 
 def test_monte_carlo_skips_pruned_outcomes():
-    # all mass on one outcome: every trial must land there, even for u ~ 1
+    # all mass on one outcome, the other rows pruned: every trial lands there
     sc = load_scenario("cat")[0]
     n = 3 * 4096 + 5
     mc = run_monte_carlo(sc.protocols["observe"], sc.lab, sc.states["alive"], n, 11)
@@ -258,6 +258,15 @@ def test_monte_carlo_rows_consistent():
     assert sum(c for _, c, _ in rows) == 8192
     for _, count, freq in rows:
         assert freq == count / 8192
+
+
+def test_monte_carlo_cost_does_not_grow_with_n():
+    sc = resurrection()
+    n = 10**15
+    mc = run_monte_carlo(sc.protocols["resurrect10"], sc.lab, sc.states["dead"], n, 7)
+    assert sum(c for _, c in mc.bins.values()) == n
+    p = 1.0 - 2.0**-10
+    assert abs(mc.frequency(sc.states["alive"]) - p) < 6 * math.sqrt(p * (1 - p) / n)
 
 
 def test_trials_validation():
