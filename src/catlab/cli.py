@@ -28,6 +28,7 @@ from . import __version__
 from .errors import CatlabError
 from .lab import DEFAULT_MAX_DEPTH, nogo_verdict, verdict_to_json
 from .protocols import (
+    MAX_TRIALS,
     aggregate_leaves,
     discriminate,
     enumerate_protocol,
@@ -145,6 +146,8 @@ def cmd_run(scenario: Scenario, args: argparse.Namespace):
     trials = DEFAULT_TRIALS if args.trials is None else args.trials
     if not args.exact and trials < 1:
         raise CatlabError("need at least one trial (or use --exact)")
+    if not args.exact and trials > MAX_TRIALS:
+        raise CatlabError(f"trial count must be <= {MAX_TRIALS}")
     protocol = _named(scenario, "protocol", scenario.protocols, args.protocol)
     initial = scenario.initial(args.initial)
     tree = enumerate_protocol(protocol, scenario.lab, initial)

@@ -142,9 +142,11 @@ class Transitions:
     ``intern`` gives each state a dense integer id under its ``state_key``;
     the first state interned under a key represents that key from then on
     (``states[id]``, with ``keys[id]`` its key).  ``rows`` memoises, per
-    (operation, id), the outcome rows ``(label, probability, next id)``.
-    The search, the tree and Monte Carlo share ``lab.transitions``: a key's
-    representative is the first state interned in the lab's lifetime.
+    (operation, id), the outcome rows ``(label, probability, next id)``,
+    read off ``born_rows``, which every table whose lab holds the operation
+    shares.  The search, the tree and Monte Carlo share ``lab.transitions``:
+    a key's representative is the first state interned in the lab's
+    lifetime.
     """
 
     def __init__(self, lab: Laboratory) -> None:
@@ -156,18 +158,14 @@ class Transitions:
         self._rows: dict[tuple[str, int], tuple[tuple[str, float, int | None], ...]] = {}
 
     def intern(self, x: State) -> int:
-        """The id of ``x`` with its phase canonicalised.  A vector is keyed
-        on its canonical amplitudes, and the canonical ``StateVector`` is
-        built only for a new key."""
-        if isinstance(x, StateVector):
-            amps = canonical_amps(x.amps)
-            key = _canonical_key(amps)
-        else:
-            key = state_key(x)
+        """The id of ``x`` with its phase canonicalised."""
+        return self._intern_keyed(*_canonical(x))
+
+    def _intern_keyed(self, x: State, key: tuple) -> int:
+        """The id of the canonical state ``x``, whose ``state_key`` is
+        ``key``; ``x`` represents the key if the key is new."""
         sid = self._ids.get(key)
         if sid is None:
-            if isinstance(x, StateVector) and amps is not x.amps:
-                x = StateVector(x.space, amps)
             sid = self._ids[key] = len(self.states)
             self.states.append(x)
             self.keys.append(key)
@@ -181,18 +179,47 @@ class Transitions:
         """
         hit = self._rows.get((name, sid))
         if hit is None:
-            state = self.states[sid]
-            if name in self.unitaries:
-                post = apply_unitary(self.unitaries[name], state)
-                hit = (("", 1.0, self.intern(post)),)
-            else:
-                hit = tuple(
-                    (r.label, r.probability,
-                     None if r.post_state is None else self.intern(r.post_state))
-                    for r in outcome_distribution(self.measurements[name], state)
-                )
-            self._rows[(name, sid)] = hit
+            op = self.unitaries[name] if name in self.unitaries else self.measurements[name]
+            hit = self._rows[(name, sid)] = tuple(
+                (label, p, None if key is None else self._intern_keyed(post, key))
+                for label, p, post, key in born_rows(op, self.states[sid])
+            )
         return hit
+
+
+def _canonical(x: State) -> tuple[State, tuple]:
+    """``x`` with its phase canonicalised, and its ``state_key``."""
+    if isinstance(x, StateVector):
+        amps = canonical_amps(x.amps)
+        key = _canonical_key(amps)
+        return (x if amps is x.amps else StateVector(x.space, amps)), key
+    return x, state_key(x)
+
+
+def born_rows(
+    op: ProjectiveMeasurement | Operator, x: State
+) -> tuple[tuple[str, float, State | None, tuple | None], ...]:
+    """Rows ``(label, probability, post state, key)`` of measurement or
+    unitary ``op`` on ``x``: the post state canonical and ``key`` its
+    ``state_key``, both None below ``PRUNE_TOL``.
+
+    Memoised in ``op.born_rows`` by the exact bits of ``x``, so every lab
+    that holds ``op`` (an extended lab holds its base lab's operations)
+    computes a row once, and a hit gives the bits a recomputation would.
+    """
+    # d amplitudes or d * d entries, d >= 2: a vector and a matrix never share bits
+    bits = x.amps.tobytes() if isinstance(x, StateVector) else x.mat.tobytes()
+    hit = op.born_rows.get(bits)
+    if hit is None:
+        if isinstance(op, Operator):
+            records = [("", 1.0, apply_unitary(op, x))]
+        else:
+            records = [(r.label, r.probability, r.post_state) for r in outcome_distribution(op, x)]
+        hit = op.born_rows[bits] = tuple(
+            (label, p, None, None) if post is None else (label, p, *_canonical(post))
+            for label, p, post in records
+        )
+    return hit
 
 
 def invariant_subspace(lab: Laboratory, start: StateVector) -> np.ndarray | None:
@@ -319,6 +346,8 @@ def nogo_verdict(
     ``NEW_DIRECTION``, or a target too close to V, gives no certificate,
     and the depth-bounded search decides as without the closure.
     """
+    if max_depth < 0:
+        raise CatlabError(f"search depth must be >= 0, got {max_depth}")
     if candidate.kind != "projector":
         raise CatlabError("the no-go candidate must be a projector")
     if candidate.space != lab.space:
@@ -338,8 +367,6 @@ def nogo_verdict(
     while adjoined in lab.measurements or adjoined in lab.unitaries:
         adjoined += "'"
     extended = lab.with_measurement(adjoined, m)
-    if max_depth < 0:
-        raise CatlabError(f"search depth must be >= 0, got {max_depth}")
     basis = invariant_subspace(extended, d_state)
     if basis is not None:
         off = l_state.amps - basis @ (basis.conj().T @ l_state.amps)

@@ -10,7 +10,7 @@ projection postulate: vectors go to ``P|psi>/||..||``, matrices to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ class ProjectiveMeasurement:
 
     space: HilbertSpace
     outcomes: tuple[tuple[str, Operator], ...]
+    born_rows: dict = field(default_factory=dict, init=False, repr=False)  # see lab.born_rows
 
     def __post_init__(self) -> None:
         outcomes = tuple((str(l), op) for l, op in self.outcomes)

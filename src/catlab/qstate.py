@@ -2,7 +2,11 @@
 
 Every type here is an immutable value: constructors validate their input,
 freeze the underlying numpy buffers and never mutate afterwards, so instances
-can be shared freely between threads and reused as dictionary payloads.
+can be shared freely between threads and reused as dictionary payloads.  The
+one exception is a memo: an ``Operator`` (like a ``ProjectiveMeasurement``)
+carries ``born_rows``, which ``lab.Transitions`` fills with the operation's
+outcome rows keyed by the exact bits of an input state.  An entry is a pure
+function of those bits, so two threads that race on one store the same value.
 
 Numeric conventions used throughout the package:
 
@@ -15,7 +19,7 @@ Numeric conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence, Union
 
 import numpy as np
@@ -176,6 +180,7 @@ class Operator:
     space: HilbertSpace
     mat: np.ndarray
     kind: OperatorKind
+    born_rows: dict = field(default_factory=dict, init=False, repr=False)  # see lab.born_rows
 
     def __post_init__(self) -> None:
         d = self.space.dim

@@ -1,5 +1,7 @@
 """The five shipped scenarios, as loaded from their ``.scn`` files."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,16 @@ from catlab import (
     CatlabError,
     RepeatStep,
     UnknownScenario,
+    aggregate_leaves,
     enumerate_protocol,
+    format_state,
     load_scenario,
+    nogo_verdict,
     partial_trace,
     pure_density,
     run_monte_carlo,
     superposition_projector,
+    verdict_to_json,
 )
 
 
@@ -148,3 +154,53 @@ def test_spaces():
     composite = load_scenario("composite")[0].space
     assert composite.factors is not None
     assert composite.factors[0].labels == ("undecayed", "decayed")
+
+
+# ---------------------------------------------------------------------------
+# no report depends on what ran before it
+
+
+def verdict_keys(sc):
+    """Every no-go check a shipped scenario admits: each forbidden pair
+    against each declared measurement outcome as the candidate."""
+    return [
+        (pair, name, label)
+        for pair in range(len(sc.lab.forbidden))
+        for name, m in sc.measurements.items()
+        for label in m.labels
+    ]
+
+
+def verdict_bytes(sc, key):
+    pair, name, label = key
+    frm, to = sc.lab.forbidden[pair]
+    v = nogo_verdict(sc.lab, sc.measurements[name].projector(label), to, frm,
+                     name=name, outcome_label=label)
+    return json.dumps(verdict_to_json(v), sort_keys=True)
+
+
+def exact_tables(sc):
+    return {
+        (protocol, initial): [
+            (format_state(state), repr(mass))
+            for state, mass in aggregate_leaves(
+                enumerate_protocol(sc.protocols[protocol], sc.lab, sc.initial(initial))
+            )
+        ]
+        for protocol in sc.protocols
+        for initial in [*sc.states, *sc.mixtures]
+    }
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_reports_do_not_depend_on_history(name):
+    keys = verdict_keys(load_scenario(name)[0])
+    alone = {key: verdict_bytes(load_scenario(name)[0], key) for key in keys}
+    tables = exact_tables(load_scenario(name)[0])
+    for order in (keys, keys[::-1]):
+        sc = load_scenario(name)[0]
+        # the first pass runs each verdict after those before it, the
+        # second after all the others
+        for _ in range(2):
+            assert {key: verdict_bytes(sc, key) for key in order} == alone
+        assert exact_tables(sc) == tables

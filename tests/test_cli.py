@@ -276,7 +276,12 @@ BIG_TRIALS = (
 
 
 @pytest.mark.parametrize("argv", BIG_TRIALS, ids=["run", "discriminate"])
-def test_trial_count_past_int64_is_an_input_error(capsys, argv):
+def test_trial_count_past_int64_is_an_input_error(capsys, monkeypatch, argv):
+    # the count is rejected before the exact run that `run` joins its bins to
+    def not_called(*_):
+        raise AssertionError("enumerate_protocol ran before the count was checked")
+
+    monkeypatch.setattr(catlab.cli, "enumerate_protocol", not_called)
     code, out, err = run_cli(capsys, *argv, "--trials", str(1 << 63))
     assert (code, out) == (1, "")
     assert err == "catlab: error: trial count must be <= 9223372036854775807\n"

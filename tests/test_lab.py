@@ -1,7 +1,13 @@
 """Laboratories, steering search and the no-go verdict."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import catlab.lab
 
 from catlab import (
     CatlabError,
@@ -19,16 +25,18 @@ from catlab import (
     measurement_from_states,
     nogo_verdict,
     projector_from_state,
+    pure_density,
     replay_path,
     state_key,
     states_match,
     superposition_projector,
     verdict_to_json,
 )
-from catlab.lab import MIN_PROB
-from catlab.measure import COMPLEMENT_LABEL
+from catlab.lab import MIN_PROB, born_rows
+from catlab.measure import COMPLEMENT_LABEL, ProjectiveMeasurement
+from catlab.qstate import DensityMatrix, StateVector
 
-from helpers import rand_unitary, space_of_dim
+from helpers import rand_density, rand_state, rand_unitary, space_of_dim
 
 CAT = HilbertSpace(("alive", "dead"), name="cat")
 
@@ -391,6 +399,16 @@ def test_negative_depth_rejected():
         nogo_verdict(lab, candidate(0.5), alive, dead, max_depth=-1)
 
 
+def test_negative_depth_fails_before_the_measurement_is_built(monkeypatch):
+    def not_called(*_):
+        raise AssertionError("make_measurement ran before the depth was checked")
+
+    monkeypatch.setattr(catlab.lab, "make_measurement", not_called)
+    with pytest.raises(CatlabError, match="depth"):
+        nogo_verdict(cat_lab(), candidate(0.5), basis_state(CAT, "alive"),
+                     basis_state(CAT, "dead"), max_depth=-1)
+
+
 def test_find_steering_path_absent():
     lab = cat_lab()  # only the diagonal basis: dead stays dead
     path = find_steering_path(lab, basis_state(CAT, "dead"), basis_state(CAT, "alive"))
@@ -446,3 +464,111 @@ def test_verdict_json_shape():
         {"operation": "P", "outcome": "S"},
         {"operation": "basis", "outcome": "alive"},
     ]
+
+
+# ---------------------------------------------------------------------------
+# the Born-row memo
+
+
+def memo_lab(seed: int, dim: int):
+    """A random-basis measurement ``m`` and a random unitary ``u`` on
+    ``dim`` levels, with ``b -> a`` forbidden; returns (lab, a random
+    rank-one candidate, a, b).  A verdict on it searches."""
+    rng = np.random.default_rng(seed)
+    space = space_of_dim(dim)
+    basis = rand_unitary(rng, dim)
+    m = measurement_from_states(
+        [make_state(space, col) for col in basis.T], [f"o{i}" for i in range(dim)]
+    )
+    a, b = basis_state(space, "a"), basis_state(space, "b")
+    lab = Laboratory(
+        space, {"m": m}, {"u": Operator(space, rand_unitary(rng, dim), "unitary")}, ((b, a),)
+    )
+    return lab, projector_from_state(rand_state(rng, space)), a, b
+
+
+def fresh_copy(op):
+    """The same operation with an empty memo."""
+    if isinstance(op, ProjectiveMeasurement):
+        return ProjectiveMeasurement(op.space, op.outcomes)
+    return Operator(op.space, op.mat, op.kind)
+
+
+def entries(x):
+    return x.mat if isinstance(x, DensityMatrix) else x.amps
+
+
+def base_operations(lab):
+    return [*lab.measurements.values(), *lab.unitaries.values()]
+
+
+def assert_rows_equal(rows, want):
+    assert len(rows) == len(want)
+    for (label, p, post, key), (w_label, w_p, w_post, w_key) in zip(rows, want):
+        assert (label, p, key) == (w_label, w_p, w_key)
+        assert (post is None) == (w_post is None)
+        if post is not None:
+            assert np.array_equal(entries(post), entries(w_post))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.booleans())
+def test_memo_hit_is_bitwise_a_fresh_computation(seed, dim, mixed):
+    lab = memo_lab(seed, dim)[0]
+    rng = np.random.default_rng(seed + 1)
+    x = rand_density(rng, lab.space) if mixed else rand_state(rng, lab.space)
+    # the same bits in another object, and other bits in x's grid cell:
+    # the memo keys on bits, not on identity or on the state key
+    same = type(x)(x.space, entries(x).copy())
+    near = type(x)(x.space, entries(x) * (1 + 2.0**-40))
+    for op in base_operations(lab):
+        first = born_rows(op, x)
+        assert born_rows(op, same) is first
+        for y in (x, near):
+            assert_rows_equal(born_rows(op, y), born_rows(fresh_copy(op), y))
+
+
+def test_memo_keys_vectors_and_matrices_apart():
+    lab = memo_lab(4, 2)[0]
+    psi = rand_state(np.random.default_rng(4), lab.space)
+    m = lab.measurements["m"]
+    vector_rows, matrix_rows = born_rows(m, psi), born_rows(m, pure_density(psi))
+    assert len(m.born_rows) == 2
+    assert isinstance(vector_rows[0][2], StateVector)
+    assert isinstance(matrix_rows[0][2], DensityMatrix)
+
+
+def test_repeated_verdict_computes_only_the_candidate_rows(monkeypatch):
+    lab, cand, a, b = memo_lab(7, 3)
+    calls = []
+    real_distribution, real_unitary = catlab.lab.outcome_distribution, catlab.lab.apply_unitary
+    monkeypatch.setattr(catlab.lab, "outcome_distribution",
+                        lambda m, x: calls.append(m) or real_distribution(m, x))
+    monkeypatch.setattr(catlab.lab, "apply_unitary",
+                        lambda u, x: calls.append(u) or real_unitary(u, x))
+    first = nogo_verdict(lab, cand, a, b, name="c")
+    assert first.certificate is None  # the verdict searched
+    base = base_operations(lab)
+    assert all(any(op is call for call in calls) for op in base)
+    sizes = [len(op.born_rows) for op in base]
+    calls.clear()
+    second = nogo_verdict(lab, cand, a, b, name="c")
+    assert verdict_to_json(second) == verdict_to_json(first)
+    assert calls and not any(call is op for call in calls for op in base)
+    assert len({id(call) for call in calls}) == 1  # the new candidate measurement
+    assert [len(op.born_rows) for op in base] == sizes
+
+
+def test_candidate_rows_die_with_the_candidate(monkeypatch):
+    lab, cand, a, b = memo_lab(7, 3)
+    made = []
+    real = catlab.lab.make_measurement
+    monkeypatch.setattr(catlab.lab, "make_measurement",
+                        lambda space, outcomes: made.append(real(space, outcomes)) or made[-1])
+    nogo_verdict(lab, cand, a, b, name="c")
+    [measurement] = made
+    assert measurement.born_rows  # the search measured with it
+    ref = weakref.ref(measurement)
+    del made[:], measurement
+    gc.collect()
+    assert ref() is None
