@@ -158,8 +158,17 @@ class Transitions:
         self._rows: dict[tuple[str, int], tuple[tuple[str, float, int | None], ...]] = {}
 
     def intern(self, x: State) -> int:
-        """The id of ``x`` with its phase canonicalised."""
-        return self._intern_keyed(*_canonical(x))
+        """The id of ``x`` with its phase canonicalised.  A vector is keyed
+        on its canonical amplitudes, and the canonical ``StateVector`` is
+        built only for a new key."""
+        if not isinstance(x, StateVector):
+            return self._intern_keyed(x, state_key(x))
+        amps = canonical_amps(x.amps)
+        key = _canonical_key(amps)
+        sid = self._ids.get(key)
+        if sid is None:
+            sid = self._intern_keyed(x if amps is x.amps else StateVector(x.space, amps), key)
+        return sid
 
     def _intern_keyed(self, x: State, key: tuple) -> int:
         """The id of the canonical state ``x``, whose ``state_key`` is
