@@ -81,6 +81,14 @@ def test_with_measurement_collision():
         extended.with_measurement("pm", m)
 
 
+def test_adjoined_names_accumulate():
+    lab = cat_lab()
+    m = make_measurement(CAT, [("S", candidate(0.5))])
+    once = lab.with_measurement("c", m)
+    assert (lab.adjoined, once.adjoined) == (frozenset(), {"c"})
+    assert once.with_measurement("c2", m).adjoined == {"c", "c2"}
+
+
 def test_measurement_and_unitary_may_not_share_a_name():
     # With one name for both, the search applied the unitary while a measure
     # step and a replay read the measurement; a lab's table caches rows per
@@ -538,25 +546,47 @@ def test_memo_keys_vectors_and_matrices_apart():
     assert isinstance(matrix_rows[0][2], DensityMatrix)
 
 
-def test_repeated_verdict_computes_only_the_candidate_rows(monkeypatch):
+def test_repeated_verdict_recomputes_only_rows_through_the_candidate(monkeypatch):
     lab, cand, a, b = memo_lab(7, 3)
-    calls = []
+    calls, extended = [], []
     real_distribution, real_unitary = catlab.lab.outcome_distribution, catlab.lab.apply_unitary
     monkeypatch.setattr(catlab.lab, "outcome_distribution",
-                        lambda m, x: calls.append(m) or real_distribution(m, x))
+                        lambda m, x: calls.append((m, entries(x).tobytes())) or real_distribution(m, x))
     monkeypatch.setattr(catlab.lab, "apply_unitary",
-                        lambda u, x: calls.append(u) or real_unitary(u, x))
+                        lambda u, x: calls.append((u, entries(x).tobytes())) or real_unitary(u, x))
+    real_with = Laboratory.with_measurement
+    monkeypatch.setattr(Laboratory, "with_measurement",
+                        lambda self, *args: extended.append(real_with(self, *args)) or extended[-1])
     first = nogo_verdict(lab, cand, a, b, name="c")
     assert first.certificate is None  # the verdict searched
     base = base_operations(lab)
-    assert all(any(op is call for call in calls) for op in base)
+    table = extended[-1].transitions
+    derived = {entries(table.states[i]).tobytes() for i in table._derived}
+    first_base = [(op, bits) for op, bits in calls if any(op is b_op for b_op in base)]
+    # rows on the start state do not depend on the candidate: they are kept
+    assert all(any(op is b_op and bits not in derived for op, bits in first_base) for b_op in base)
+    assert any(bits in derived for _, bits in first_base)  # the search went past the candidate
     sizes = [len(op.born_rows) for op in base]
     calls.clear()
     second = nogo_verdict(lab, cand, a, b, name="c")
     assert verdict_to_json(second) == verdict_to_json(first)
-    assert calls and not any(call is op for call in calls for op in base)
-    assert len({id(call) for call in calls}) == 1  # the new candidate measurement
+    second_base = [(op, bits) for op, bits in calls if any(op is b_op for b_op in base)]
+    assert sorted(bits for _, bits in second_base) == sorted(
+        bits for _, bits in first_base if bits in derived
+    )
     assert [len(op.born_rows) for op in base] == sizes
+
+
+def test_a_sweep_of_distinct_candidates_leaves_the_base_memos_alone():
+    sc = load_scenario("cat")[0]
+    alive, dead = sc.states["alive"], sc.states["dead"]
+    base = base_operations(sc.lab)
+    nogo_verdict(sc.lab, candidate(0.5), alive, dead)
+    memos = [list(op.born_rows) for op in base]
+    for i in range(1, 20):
+        v = nogo_verdict(sc.lab, candidate(i / 20.0), alive, dead)
+        assert v.violated and len(v.witness.steps) == 2
+    assert [list(op.born_rows) for op in base] == memos
 
 
 def test_candidate_rows_die_with_the_candidate(monkeypatch):
@@ -567,7 +597,7 @@ def test_candidate_rows_die_with_the_candidate(monkeypatch):
                         lambda space, outcomes: made.append(real(space, outcomes)) or made[-1])
     nogo_verdict(lab, cand, a, b, name="c")
     [measurement] = made
-    assert measurement.born_rows  # the search measured with it
+    assert not measurement.born_rows  # its rows stayed in the verdict's table
     ref = weakref.ref(measurement)
     del made[:], measurement
     gc.collect()
