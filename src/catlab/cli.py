@@ -43,6 +43,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_VIOLATION = 2
 DEFAULT_TRIALS = 10000
+MAX_SEED = (1 << 64) - 1  # RandomStream keys its generator with 64 bits
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--seed",
             type=int,
             default=0,
-            help="RNG seed (default 0)",
+            help=f"RNG seed, 0..{MAX_SEED} (default 0)",
         )
         if fmt:
             p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -218,6 +219,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        if not 0 <= args.seed <= MAX_SEED:
+            raise CatlabError(f"seed must be between 0 and {MAX_SEED}")
         scenario, sha = load_scenario(args.scenario)
         if args.command == "check":
             params, result, rows, code = cmd_check(scenario, args)

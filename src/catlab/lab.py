@@ -11,9 +11,8 @@ target out at every depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -60,39 +59,44 @@ def _canonical_key(amps: np.ndarray) -> tuple:
     return ("v",) + tuple(int(v) for v in np.round(flat / GRID))
 
 
-@dataclass(frozen=True, eq=False)
 class Laboratory:
     """Declared operations plus forbidden transitions, all on one space; it
-    also carries a mutable row cache, its ``transitions`` table."""
+    also carries a mutable row cache, its ``transitions`` table.  Compares
+    by identity."""
 
-    space: HilbertSpace
-    measurements: Mapping[str, ProjectiveMeasurement] = field(default_factory=dict)
-    unitaries: Mapping[str, Operator] = field(default_factory=dict)
-    forbidden: tuple[tuple[StateVector, StateVector], ...] = ()
-    # the measurements that with_measurement added (see Transitions)
-    adjoined: frozenset[str] = field(default=frozenset(), init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "measurements", dict(self.measurements))
-        object.__setattr__(self, "unitaries", dict(self.unitaries))
-        object.__setattr__(self, "forbidden", tuple(self.forbidden))
-        for name, m in self.measurements.items():
-            if m.space != self.space:
+    def __init__(
+        self,
+        space: HilbertSpace,
+        measurements: Mapping[str, ProjectiveMeasurement] | None = None,
+        unitaries: Mapping[str, Operator] | None = None,
+        forbidden: Iterable[tuple[StateVector, StateVector]] = (),
+    ) -> None:
+        measurements = dict(measurements or {})
+        unitaries = dict(unitaries or {})
+        forbidden = tuple(forbidden)
+        for name, m in measurements.items():
+            if m.space != space:
                 raise DimensionMismatch(f"measurement {name!r} on another space")
-        for name, u in self.unitaries.items():
-            if u.space != self.space:
+        for name, u in unitaries.items():
+            if u.space != space:
                 raise DimensionMismatch(f"unitary {name!r} on another space")
             if u.kind != "unitary":
                 raise CatlabError(f"operator {name!r} is not unitary")
-            if name in self.measurements:
+            if name in measurements:
                 raise CatlabError(f"operation name {name!r} already in use")
-        for frm, to in self.forbidden:
-            if frm.space != self.space or to.space != self.space:
+        for frm, to in forbidden:
+            if frm.space != space or to.space != space:
                 raise DimensionMismatch("forbidden pair on another space")
             if abs(overlap(frm, to)) > ORTHO_TOL:
                 raise CatlabError(
                     "forbidden pair must be distinct orthogonal states"
                 )
+        self.space = space
+        self.measurements: dict[str, ProjectiveMeasurement] = measurements
+        self.unitaries: dict[str, Operator] = unitaries
+        self.forbidden: tuple[tuple[StateVector, StateVector], ...] = forbidden
+        # the measurements that with_measurement added (see Transitions)
+        self.adjoined: frozenset[str] = frozenset()
 
     def with_measurement(self, name: str, m: ProjectiveMeasurement) -> "Laboratory":
         """A copy of this lab with one more allowed measurement appended.
@@ -106,7 +110,7 @@ class Laboratory:
             raise CatlabError(f"operation name {name!r} already in use")
         meas = {**self.measurements, name: m}
         extended = Laboratory(self.space, meas, self.unitaries, self.forbidden)
-        object.__setattr__(extended, "adjoined", self.adjoined | {name})
+        extended.adjoined = self.adjoined | {name}
         return extended
 
     @cached_property
@@ -115,22 +119,33 @@ class Laboratory:
         return Transitions(self)
 
 
-@dataclass(frozen=True)
 class SteeringPath:
     """A successful chain of operations; unitary steps carry an empty label."""
 
-    steps: tuple[tuple[str, str], ...]
-    probability: float
-    final_state: StateVector
+    def __init__(
+        self, steps: tuple[tuple[str, str], ...], probability: float, final_state: StateVector
+    ) -> None:
+        self.steps = steps
+        self.probability = probability
+        self.final_state = final_state
 
 
-@dataclass(frozen=True)
 class NoGoVerdict:
-    operator_name: str
-    violated: bool
-    witness: SteeringPath | None
-    bound_reached: bool
-    certificate: int | None  # dim of the invariant subspace that rules l out
+    """The outcome of ``nogo_verdict`` for one candidate."""
+
+    def __init__(
+        self,
+        operator_name: str,
+        violated: bool,
+        witness: SteeringPath | None,
+        bound_reached: bool,
+        certificate: int | None,
+    ) -> None:
+        self.operator_name = operator_name
+        self.violated = violated
+        self.witness = witness
+        self.bound_reached = bound_reached
+        self.certificate = certificate  # dim of the invariant subspace that rules l out
 
 
 def check_conditions(lab: Laboratory, l_state: StateVector, d_state: StateVector) -> bool:

@@ -10,7 +10,6 @@ projection postulate: vectors go to ``P|psi>/||..||``, matrices to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,17 +30,14 @@ COMPLETE_TOL = 1e-10
 COMPLEMENT_LABEL = "⊥"
 
 
-@dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement:
-    """Labelled orthogonal projectors summing to the identity."""
+    """Labelled orthogonal projectors summing to the identity; compares by
+    identity."""
 
-    space: HilbertSpace
-    outcomes: tuple[tuple[str, Operator], ...]
-    born_rows: dict = field(default_factory=dict, init=False, repr=False)  # see lab.born_rows
-
-    def __post_init__(self) -> None:
-        outcomes = tuple((str(l), op) for l, op in self.outcomes)
-        object.__setattr__(self, "outcomes", outcomes)
+    def __init__(
+        self, space: HilbertSpace, outcomes: Sequence[tuple[str, Operator]]
+    ) -> None:
+        outcomes = tuple((str(l), op) for l, op in outcomes)
         if not outcomes:
             raise CatlabError("a measurement needs at least one outcome")
         labels = [l for l, _ in outcomes]
@@ -49,9 +45,9 @@ class ProjectiveMeasurement:
             raise CatlabError("outcome labels must be unique")
         if any(not l for l in labels):
             raise CatlabError("outcome labels must be non-empty")
-        d = self.space.dim
+        d = space.dim
         for label, op in outcomes:
-            if op.space != self.space:
+            if op.space != space:
                 raise DimensionMismatch(f"outcome {label!r} lives on another space")
             if op.kind != "projector":
                 raise CatlabError(f"outcome {label!r} is not a projector")
@@ -65,6 +61,9 @@ class ProjectiveMeasurement:
         total = sum(mats)
         if float(np.max(np.abs(total - np.eye(d)))) > COMPLETE_TOL:
             raise CatlabError("projectors do not resolve the identity")
+        self.space = space
+        self.outcomes: tuple[tuple[str, Operator], ...] = outcomes
+        self.born_rows: dict = {}  # see lab.born_rows
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -130,13 +129,15 @@ def measurement_from_states(
     return make_measurement(space, outcomes)
 
 
-@dataclass(frozen=True)
 class OutcomeRecord:
     """One row of a Born distribution: label, probability, collapsed state."""
 
-    label: str
-    probability: float
-    post_state: State | None
+    __slots__ = ("label", "probability", "post_state")
+
+    def __init__(self, label: str, probability: float, post_state: State | None) -> None:
+        self.label = label
+        self.probability = probability
+        self.post_state = post_state
 
 
 def outcome_distribution(m: ProjectiveMeasurement, x: State) -> list[OutcomeRecord]:

@@ -12,8 +12,7 @@ one measurement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -33,43 +32,68 @@ CHI2_MIN_EXPECTED = 5.0
 # protocol programs
 
 
-@dataclass(frozen=True)
-class MeasureStep:
-    measurement: str
+class _Value:
+    """A record that compares and hashes by its type and its slot fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, self._fields()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
 
 
-@dataclass(frozen=True)
-class UnitaryStep:
-    unitary: str
+class MeasureStep(_Value):
+    __slots__ = ("measurement",)
+
+    def __init__(self, measurement: str) -> None:
+        self.measurement = measurement
 
 
-@dataclass(frozen=True)
-class StopIfStep:
+class UnitaryStep(_Value):
+    __slots__ = ("unitary",)
+
+    def __init__(self, unitary: str) -> None:
+        self.unitary = unitary
+
+
+class StopIfStep(_Value):
     """Halt the branch when the last outcome label equals ``outcome``."""
 
-    outcome: str
+    __slots__ = ("outcome",)
+
+    def __init__(self, outcome: str) -> None:
+        self.outcome = outcome
 
 
-@dataclass(frozen=True)
-class RepeatStep:
-    body: tuple["Step", ...]
-    count: int
+class RepeatStep(_Value):
+    __slots__ = ("body", "count")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "body", tuple(self.body))
-        if self.count < 0:
+    def __init__(self, body: Iterable["Step"], count: int) -> None:
+        body = tuple(body)
+        if count < 0:
             raise CatlabError("repeat count must be >= 0")
+        self.body: tuple[Step, ...] = body
+        self.count = count
 
 
 Step = Union[MeasureStep, UnitaryStep, StopIfStep, RepeatStep]
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
-    steps: tuple[Step, ...]
+class ProtocolSpec(_Value):
+    __slots__ = ("steps",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __init__(self, steps: Iterable[Step]) -> None:
+        self.steps: tuple[Step, ...] = tuple(steps)
 
     def unrolled(self) -> tuple[Step, ...]:
         """Flatten repeats; raises ``DepthCeiling`` past MAX_UNROLLED_STEPS."""
@@ -114,7 +138,6 @@ def _resolve_steps(steps: Sequence[Step], lab: Laboratory) -> None:
 # exact enumeration
 
 
-@dataclass(slots=True)
 class OutcomeNode:
     """One branch point of the exact outcome tree.
 
@@ -125,13 +148,25 @@ class OutcomeNode:
     is ``tree.table.states[node.sid]``.
     """
 
-    operation: str | None
-    label: str | None
-    probability: float
-    cumulative: float
-    sid: int
-    children: list["OutcomeNode"] = field(default_factory=list)
-    stopped: bool = False
+    __slots__ = ("operation", "label", "probability", "cumulative", "sid", "children", "stopped")
+
+    def __init__(
+        self,
+        operation: str | None,
+        label: str | None,
+        probability: float,
+        cumulative: float,
+        sid: int,
+        children: list["OutcomeNode"] | None = None,
+        stopped: bool = False,
+    ) -> None:
+        self.operation = operation
+        self.label = label
+        self.probability = probability
+        self.cumulative = cumulative
+        self.sid = sid
+        self.children: list[OutcomeNode] = [] if children is None else children
+        self.stopped = stopped
 
     @property
     def is_leaf(self) -> bool:
@@ -343,13 +378,13 @@ def tree_to_json(tree: OutcomeTree) -> dict:
 # Monte Carlo
 
 
-@dataclass
 class MonteCarloResult:
     """Histogram of final states over ``n`` seeded trials."""
 
-    n: int
-    seed: int
-    bins: dict[tuple, tuple[State, int]]
+    def __init__(self, n: int, seed: int, bins: dict[tuple, tuple[State, int]]) -> None:
+        self.n = n
+        self.seed = seed
+        self.bins = bins
 
     def rows(self) -> list[tuple[State, int, float]]:
         """(state, count, frequency) sorted by dedup key for stable output."""
@@ -446,7 +481,6 @@ def _split(n: int, probs: Sequence[float], stream: RandomStream) -> list[int]:
 # discrimination
 
 
-@dataclass(frozen=True)
 class DiscriminationReport:
     """Exact and sampled comparison of two sources through one measurement.
 
@@ -455,18 +489,33 @@ class DiscriminationReport:
     statistically distinguishable by this measurement.
     """
 
-    measurement: str
-    labels: tuple[str, ...]
-    dist_a: Mapping[str, float]
-    dist_b: Mapping[str, float]
-    total_variation: float
-    n_trials: int
-    seed: int
-    freq_a: Mapping[str, float]
-    freq_b: Mapping[str, float]
-    chi_square: float
-    chi_square_df: int
-    p_value: float
+    def __init__(
+        self,
+        measurement: str,
+        labels: tuple[str, ...],
+        dist_a: Mapping[str, float],
+        dist_b: Mapping[str, float],
+        total_variation: float,
+        n_trials: int,
+        seed: int,
+        freq_a: Mapping[str, float],
+        freq_b: Mapping[str, float],
+        chi_square: float,
+        chi_square_df: int,
+        p_value: float,
+    ) -> None:
+        self.measurement = measurement
+        self.labels = labels
+        self.dist_a = dist_a
+        self.dist_b = dist_b
+        self.total_variation = total_variation
+        self.n_trials = n_trials
+        self.seed = seed
+        self.freq_a = freq_a
+        self.freq_b = freq_b
+        self.chi_square = chi_square
+        self.chi_square_df = chi_square_df
+        self.p_value = p_value
 
     def to_json(self) -> dict:
         return {

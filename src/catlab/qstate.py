@@ -1,12 +1,14 @@
 """States, density matrices and operators on small labelled Hilbert spaces.
 
-Every type here is an immutable value: constructors validate their input,
-freeze the underlying numpy buffers and never mutate afterwards, so instances
-can be shared freely between threads and reused as dictionary payloads.  The
-one exception is a memo: an ``Operator`` (like a ``ProjectiveMeasurement``)
-carries ``born_rows``, which ``lab.Transitions`` fills with the operation's
-outcome rows keyed by the exact bits of an input state.  An entry is a pure
-function of those bits, so two threads that race on one store the same value.
+Constructors validate their input and make the underlying numpy buffers
+read-only, and no attribute is reassigned after construction, so instances
+can be shared freely between threads and reused as dictionary payloads.
+The types are plain classes, so that rule is kept by the code, not enforced:
+assigning an attribute raises no error.  The one mutable part is a memo: an
+``Operator`` (like a ``ProjectiveMeasurement``) carries ``born_rows``, which
+``lab.Transitions`` fills with the operation's outcome rows keyed by the
+exact bits of an input state.  An entry is a pure function of those bits,
+so two threads that race on one store the same value.
 
 Numeric conventions used throughout the package:
 
@@ -19,7 +21,6 @@ Numeric conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence, Union
 
 import numpy as np
@@ -48,21 +49,21 @@ OperatorKind = Literal["projector", "unitary"]
 # spaces
 
 
-@dataclass(frozen=True)
 class HilbertSpace:
     """An ordered, labelled basis.  Dimension 2..16.
 
     ``factors`` carries the tensor factorisation when the space was built by
     :func:`tensor_space`; it is what makes :func:`partial_trace` possible.
+    Spaces compare and hash by labels, name and factors.
     """
 
-    labels: tuple[str, ...]
-    name: str | None = None
-    factors: tuple["HilbertSpace", ...] | None = None
-
-    def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
+    def __init__(
+        self,
+        labels: Iterable[str],
+        name: str | None = None,
+        factors: Iterable["HilbertSpace"] | None = None,
+    ) -> None:
+        labels = tuple(labels)
         if len(labels) < 2:
             raise CatlabError("a space needs at least two basis labels")
         if len(labels) > DIM_CEILING:
@@ -74,13 +75,28 @@ class HilbertSpace:
                 raise CatlabError("basis labels must be non-empty strings")
         if len(set(labels)) != len(labels):
             raise CatlabError("basis labels must be unique within a space")
-        if self.factors is not None:
-            object.__setattr__(self, "factors", tuple(self.factors))
+        if factors is not None:
+            factors = tuple(factors)
             prod = 1
-            for f in self.factors:
+            for f in factors:
                 prod *= f.dim
             if prod != len(labels):
                 raise DimensionMismatch("factor dimensions do not multiply to dim")
+        self.labels: tuple[str, ...] = labels
+        self.name = name
+        self.factors: tuple[HilbertSpace, ...] | None = factors
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not HilbertSpace:
+            return NotImplemented
+        return (self.labels, self.name, self.factors) == (
+            other.labels, other.name, other.factors
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.name, self.factors))
 
     @property
     def dim(self) -> int:
@@ -128,34 +144,28 @@ def _frozen_array(data, shape: tuple[int, ...], what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
 class StateVector:
-    """A unit vector over a labelled basis."""
+    """A unit vector over a labelled basis; compares by identity."""
 
-    space: HilbertSpace
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _frozen_array(self.amps, (self.space.dim,), "state vector")
+    def __init__(self, space: HilbertSpace, amps) -> None:
+        arr = _frozen_array(amps, (space.dim,), "state vector")
         norm2 = float(np.real(np.vdot(arr, arr)))
         if abs(norm2 - 1.0) > NORM_TOL:
             raise CatlabError(f"state vector norm^2 = {norm2!r}, expected 1")
-        object.__setattr__(self, "amps", arr)
+        self.space = space
+        self.amps: np.ndarray = arr
 
     def __repr__(self) -> str:
         return f"StateVector({format_state(self)})"
 
 
-@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A trace-one positive-semidefinite Hermitian matrix over a basis."""
+    """A trace-one positive-semidefinite Hermitian matrix over a basis;
+    compares by identity."""
 
-    space: HilbertSpace
-    mat: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = self.space.dim
-        arr = _frozen_array(self.mat, (d, d), "density matrix")
+    def __init__(self, space: HilbertSpace, mat) -> None:
+        d = space.dim
+        arr = _frozen_array(mat, (d, d), "density matrix")
         if float(np.max(np.abs(arr - arr.conj().T))) > HERM_TOL:
             raise CatlabError("density matrix is not Hermitian")
         tr = complex(np.trace(arr))
@@ -163,7 +173,8 @@ class DensityMatrix:
             raise CatlabError(f"density matrix trace = {tr!r}, expected 1")
         if np.linalg.eigvalsh(arr)[0] < PSD_FLOOR:
             raise CatlabError("density matrix has a negative eigenvalue")
-        object.__setattr__(self, "mat", arr)
+        self.space = space
+        self.mat: np.ndarray = arr
 
     def __repr__(self) -> str:
         diag = ", ".join(f"{v.real:.6g}" for v in self.mat.diagonal())
@@ -173,29 +184,27 @@ class DensityMatrix:
 State = Union[StateVector, DensityMatrix]
 
 
-@dataclass(frozen=True, eq=False)
 class Operator:
-    """A matrix tagged with the contract it must satisfy."""
+    """A matrix tagged with the contract it must satisfy; compares by
+    identity."""
 
-    space: HilbertSpace
-    mat: np.ndarray
-    kind: OperatorKind
-    born_rows: dict = field(default_factory=dict, init=False, repr=False)  # see lab.born_rows
-
-    def __post_init__(self) -> None:
-        d = self.space.dim
-        arr = _frozen_array(self.mat, (d, d), "operator")
-        if self.kind == "projector":
+    def __init__(self, space: HilbertSpace, mat, kind: OperatorKind) -> None:
+        d = space.dim
+        arr = _frozen_array(mat, (d, d), "operator")
+        if kind == "projector":
             if float(np.max(np.abs(arr - arr.conj().T))) > HERM_TOL:
                 raise CatlabError("projector is not Hermitian")
             if float(np.max(np.abs(arr @ arr - arr))) > HERM_TOL:
                 raise CatlabError("projector is not idempotent")
-        elif self.kind == "unitary":
+        elif kind == "unitary":
             if float(np.max(np.abs(arr.conj().T @ arr - np.eye(d)))) > HERM_TOL:
                 raise CatlabError("matrix is not unitary")
         else:
-            raise CatlabError(f"unknown operator kind {self.kind!r}")
-        object.__setattr__(self, "mat", arr)
+            raise CatlabError(f"unknown operator kind {kind!r}")
+        self.space = space
+        self.mat: np.ndarray = arr
+        self.kind = kind
+        self.born_rows: dict = {}  # see lab.born_rows
 
 
 # ---------------------------------------------------------------------------

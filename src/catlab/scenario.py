@@ -49,7 +49,6 @@ import functools
 import hashlib
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterator, Mapping, NoReturn
 
@@ -108,25 +107,29 @@ _TOP_KEYS = (
 # object model
 
 
-@dataclass(frozen=True, eq=False)
 class Scenario:
-    """A laboratory bundled with every named object declared around it."""
+    """A laboratory bundled with every named object declared around it;
+    compares by identity."""
 
-    name: str
-    space: HilbertSpace
-    states: Mapping[str, StateVector]
-    mixtures: Mapping[str, DensityMatrix]
-    measurements: Mapping[str, ProjectiveMeasurement]
-    unitaries: Mapping[str, Operator]
-    lab: Laboratory
-    protocols: Mapping[str, ProtocolSpec] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", dict(self.states))
-        object.__setattr__(self, "mixtures", dict(self.mixtures))
-        object.__setattr__(self, "measurements", dict(self.measurements))
-        object.__setattr__(self, "unitaries", dict(self.unitaries))
-        object.__setattr__(self, "protocols", dict(self.protocols))
+    def __init__(
+        self,
+        name: str,
+        space: HilbertSpace,
+        states: Mapping[str, StateVector],
+        mixtures: Mapping[str, DensityMatrix],
+        measurements: Mapping[str, ProjectiveMeasurement],
+        unitaries: Mapping[str, Operator],
+        lab: Laboratory,
+        protocols: Mapping[str, ProtocolSpec] | None = None,
+    ) -> None:
+        self.name = name
+        self.space = space
+        self.states: dict[str, StateVector] = dict(states)
+        self.mixtures: dict[str, DensityMatrix] = dict(mixtures)
+        self.measurements: dict[str, ProjectiveMeasurement] = dict(measurements)
+        self.unitaries: dict[str, Operator] = dict(unitaries)
+        self.lab = lab
+        self.protocols: dict[str, ProtocolSpec] = dict(protocols or {})
         clash = set(self.states) & set(self.mixtures)
         if clash:
             raise CatlabError(f"names declared as both state and mixture: {clash}")
@@ -492,4 +495,8 @@ def load_scenario(spec: str) -> tuple[Scenario, str]:
             f"{spec!r} is neither a file nor a shipped scenario name "
             f"(shipped: {', '.join(SCENARIO_NAMES)})"
         )
-    return parse_scenario_text(data.decode("utf-8"), label), scenario_sha256(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{label}: not valid UTF-8 at byte {err.start}") from err
+    return parse_scenario_text(text, label), scenario_sha256(data)

@@ -149,6 +149,23 @@ def test_scenario_name_clash_rejected():
         )
 
 
+def test_scenario_keyword_construction():
+    from catlab import Scenario
+
+    sc = load_scenario("cat")[0]
+    kept = Scenario(
+        name="copy",
+        space=sc.space,
+        states=sc.states,
+        mixtures=sc.mixtures,
+        measurements=sc.measurements,
+        unitaries=sc.unitaries,
+        lab=sc.lab,
+    )
+    assert (kept.name, kept.protocols) == ("copy", {})
+    assert kept.states == sc.states and kept.states is not sc.states
+
+
 def test_spaces():
     assert load_scenario("cat")[0].space.labels == ("alive", "dead")
     composite = load_scenario("composite")[0].space

@@ -330,6 +330,35 @@ def test_default_seed_zero(capsys):
     assert doc["seed"] == 0
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--scenario", "cat", "observe", "--initial", "cat_plus", "--trials", "100"),
+        ("discriminate", "--scenario", "cat", "cat_plus", "cat_minus", "plusminus"),
+        ("check", "--scenario", "cat", "plusminus", "--from", "dead", "--to", "alive"),
+    ],
+    ids=["run", "discriminate", "check"],
+)
+def test_seed_outside_64_bits_is_an_input_error(capsys, argv, seed):
+    # RandomStream keeps a seed's low 64 bits: such a seed would run as
+    # another one while the report recorded it as given
+    code, out, err = run_cli(capsys, *argv, "--seed", str(seed))
+    assert (code, out) == (1, "")
+    assert err == "catlab: error: seed must be between 0 and 18446744073709551615\n"
+
+
+def test_largest_seed_runs(capsys):
+    seed = (1 << 64) - 1
+    code, doc, _ = run_json(
+        capsys,
+        "run", "--scenario", "cat", "observe", "--initial", "cat_plus",
+        "--trials", "100", "--seed", str(seed),
+    )
+    assert code == 0
+    assert doc["seed"] == seed
+
+
 def test_env_seed_ignored(capsys, monkeypatch):
     argv = (
         "run", "--scenario", "cat", "observe", "--initial", "cat_plus",
@@ -393,6 +422,17 @@ def test_usage_error_is_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_non_utf8_scenario_file_is_an_input_error(capsys, tmp_path):
+    f = tmp_path / "bad.scn"
+    f.write_bytes(b"name: t\xff\n")
+    code, out, err = run_cli(
+        capsys,
+        "check", "--scenario", str(f), "plusminus", "--from", "dead", "--to", "alive",
+    )
+    assert (code, out) == (1, "")
+    assert err == f"catlab: error: {f}: not valid UTF-8 at byte 7\n"
+
+
 def test_custom_scenario_file(capsys, tmp_path):
     f = tmp_path / "tiny.scn"
     f.write_text(
@@ -439,6 +479,16 @@ def test_console_script():
 def test_import_does_not_load_scipy():
     subprocess.run(
         [sys.executable, "-c", "import catlab, sys; assert 'scipy' not in sys.modules"],
+        check=True,
+    )
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # catlab's records are plain classes: generating dataclass methods took
+    # most of catlab's own import time, paid by every cold command
+    subprocess.run(
+        [sys.executable, "-c",
+         "import catlab.cli, sys; assert 'dataclasses' not in sys.modules"],
         check=True,
     )
 

@@ -14,6 +14,7 @@ from catlab import (
     DimensionMismatch,
     HilbertSpace,
     Laboratory,
+    NoGoVerdict,
     Operator,
     PreconditionFailed,
     basis_state,
@@ -472,6 +473,19 @@ def test_verdict_json_shape():
         {"operation": "P", "outcome": "S"},
         {"operation": "basis", "outcome": "alive"},
     ]
+
+
+def test_verdict_keyword_construction():
+    v = NoGoVerdict(
+        operator_name="P", violated=False, witness=None, bound_reached=False, certificate=1
+    )
+    assert verdict_to_json(v) == {
+        "operator": "P",
+        "violated": False,
+        "bound_reached": False,
+        "certificate": {"invariant_dim": 1},
+        "witness": None,
+    }
 
 
 # ---------------------------------------------------------------------------

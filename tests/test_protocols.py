@@ -10,6 +10,7 @@ from catlab import (
     CatlabError,
     DepthCeiling,
     DisallowedOperation,
+    DiscriminationReport,
     MeasureStep,
     ProtocolSpec,
     RepeatStep,
@@ -69,6 +70,24 @@ def test_unroll_ceiling_counts_copies():
         spec.unrolled()
     flat = ProtocolSpec((RepeatStep((MeasureStep("pm"), StopIfStep("a")), 32),)).unrolled()
     assert len(flat) == 64
+
+
+def test_steps_compare_by_type_and_fields():
+    body = (MeasureStep("a"), StopIfStep("x"))
+    steps = [MeasureStep("a"), UnitaryStep("a"), StopIfStep("a"), RepeatStep(body, 2)]
+    twins = [MeasureStep("a"), UnitaryStep("a"), StopIfStep("a"), RepeatStep(list(body), 2)]
+    for step, twin in zip(steps, twins):
+        assert step is not twin
+        assert step == twin and hash(step) == hash(twin)
+    assert MeasureStep("a") != UnitaryStep("a")
+    assert MeasureStep("a") != StopIfStep("a")
+    assert MeasureStep("a") != MeasureStep("b")
+    assert RepeatStep(body, 2) != RepeatStep(body, 3)
+    assert RepeatStep(body, 2) != RepeatStep(body[:1], 2)
+    assert len(set(steps + twins)) == 4
+    assert ProtocolSpec(steps) == ProtocolSpec(twins)
+    assert hash(ProtocolSpec(steps)) == hash(ProtocolSpec(twins))
+    assert ProtocolSpec(steps) != ProtocolSpec(steps[:3])
 
 
 def test_repeat_zero_is_empty():
@@ -443,3 +462,26 @@ def test_chi2_sf_matches_scipy():
         assert keep.any()
         rel = np.abs(got[keep] - ref[keep]) / ref[keep]
         assert rel.max() <= 1e-12, (df, float(rel.max()))
+
+
+def test_discrimination_report_keyword_construction():
+    report = DiscriminationReport(
+        measurement="m",
+        labels=("a", "b"),
+        dist_a={"a": 1.0, "b": 0.0},
+        dist_b={"a": 0.5, "b": 0.5},
+        total_variation=0.5,
+        n_trials=4,
+        seed=9,
+        freq_a={"a": 1.0, "b": 0.0},
+        freq_b={"a": 0.25, "b": 0.75},
+        chi_square=math.inf,
+        chi_square_df=0,
+        p_value=0.0,
+    )
+    doc = report.to_json()
+    assert (doc["measurement"], doc["n_trials"], doc["seed"]) == ("m", 4, 9)
+    assert doc["outcomes"][1] == {
+        "label": "b", "exact_a": 0.0, "exact_b": 0.5, "freq_a": 0.0, "freq_b": 0.75,
+    }
+    assert doc["chi_square"] == {"statistic": math.inf, "df": 0, "p_value": 0.0}

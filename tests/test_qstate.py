@@ -54,6 +54,23 @@ def test_space_validation():
         HilbertSpace(tuple(f"x{i}" for i in range(17)))
 
 
+def test_spaces_compare_and_hash_by_value():
+    same = HilbertSpace(["alive", "dead"], name="cat")
+    assert same is not CAT
+    assert same == CAT and hash(same) == hash(CAT)
+    assert HilbertSpace(("alive", "dead")) != CAT  # no name
+    assert HilbertSpace(("alive", "dead"), name="box") != CAT
+    assert HilbertSpace(("dead", "alive"), name="cat") != CAT
+    assert CAT != ("alive", "dead")
+    prod = tensor_space(DEV, CAT)
+    rebuilt = HilbertSpace(labels=prod.labels, name=prod.name, factors=list(prod.factors))
+    assert rebuilt == prod and hash(rebuilt) == hash(prod)
+    assert HilbertSpace(prod.labels, name=prod.name) != prod  # no factors
+    other = HilbertSpace(prod.labels, name=prod.name, factors=(space_of_dim(2), CAT))
+    assert other != prod
+    assert len({CAT, same, DEV, prod, rebuilt}) == 3
+
+
 def test_tensor_space_labels_and_factors():
     prod = tensor_space(DEV, CAT)
     assert prod.dim == 4

@@ -292,6 +292,15 @@ protocols:
         )
 
 
+def test_two_parses_give_equal_protocols():
+    text = shipped_scenario_path("resurrection").read_text(encoding="utf-8")
+    first, second = parse(text), parse(text)
+    assert first.protocols and first.protocols == second.protocols
+    for name, spec in first.protocols.items():
+        assert spec is not second.protocols[name]
+        assert hash(spec) == hash(second.protocols[name])
+
+
 def test_stop_if_resolves_complement_label():
     sc = parse(
         MINIMAL
