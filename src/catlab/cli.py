@@ -36,7 +36,7 @@ from .protocols import (
     tree_to_json,
 )
 from .qstate import format_state
-from .scenario import Scenario, load_scenario
+from .scenario import SCENARIO_NAMES, Scenario, load_scenario
 
 FORMAT_VERSION = 1
 EXIT_OK = 0
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--scenario",
             required=True,
-            help="scenario file path or shipped name (cat, composite, photon, stone-bread, resurrection)",
+            help=f"scenario file path or shipped name ({', '.join(SCENARIO_NAMES)})",
         )
         p.add_argument(
             "--seed",
@@ -116,9 +116,9 @@ def _named(scenario: Scenario, kind: str, table: Mapping, name: str):
 
 
 def cmd_check(scenario: Scenario, args: argparse.Namespace):
-    name, _, label = args.candidate.partition(":")
+    name, colon, label = args.candidate.partition(":")
     m = _named(scenario, "measurement", scenario.measurements, name)
-    if not label:
+    if not colon:
         label = m.labels[0]
     candidate = m.projector(label)
     verdict = nogo_verdict(

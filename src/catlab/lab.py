@@ -40,6 +40,7 @@ GRID = 1e-6  # amplitude grid for dedup keys
 DEFAULT_MAX_DEPTH = 8
 MIN_PROB = 1e-12  # branches below this probability are not followed
 NEW_DIRECTION = 1e-6  # closure directions (and target residuals) above this count
+MEMO_ROWS = 256  # an operation's born_rows memo is cleared when it holds this many
 
 
 def state_key(x: State) -> tuple:
@@ -95,23 +96,17 @@ class Laboratory:
         self.measurements: dict[str, ProjectiveMeasurement] = measurements
         self.unitaries: dict[str, Operator] = unitaries
         self.forbidden: tuple[tuple[StateVector, StateVector], ...] = forbidden
-        # the measurements that with_measurement added (see Transitions)
-        self.adjoined: frozenset[str] = frozenset()
 
     def with_measurement(self, name: str, m: ProjectiveMeasurement) -> "Laboratory":
         """A copy of this lab with one more allowed measurement appended.
 
-        The copy's table keeps the rows of ``m``, and every row on a state
-        first reached through ``m``, to itself: they stay out of the
-        operations' ``born_rows`` memos, so a sweep of candidates on one lab
-        leaves those memos only the rows that do not depend on a candidate.
+        The copy has its own table but holds this lab's operation objects,
+        so it shares their ``born_rows`` memos.
         """
         if name in self.measurements:
             raise CatlabError(f"operation name {name!r} already in use")
         meas = {**self.measurements, name: m}
-        extended = Laboratory(self.space, meas, self.unitaries, self.forbidden)
-        extended.adjoined = self.adjoined | {name}
-        return extended
+        return Laboratory(self.space, meas, self.unitaries, self.forbidden)
 
     @cached_property
     def transitions(self) -> "Transitions":
@@ -170,28 +165,30 @@ class Transitions:
     (operation, id), the outcome rows ``(label, probability, next id)``,
     read off ``born_rows``.  The search, the tree and Monte Carlo share
     ``lab.transitions``: a key's representative is the first state
-    interned in the lab's lifetime.
-
-    A state first reached through an adjoined measurement (see
-    ``Laboratory.with_measurement``) is derived, and so is every state
-    first reached from a derived one.  Rows on derived states, and the
-    adjoined measurements' own rows, are computed for this table alone and
-    not kept in the operations' memos.
+    interned in the lab's lifetime.  A table keeps its rows for its own
+    lifetime, also after an operation's memo is cleared.
     """
 
     def __init__(self, lab: Laboratory) -> None:
         # the operation maps, not the lab: no lab <-> table reference cycle
         self.measurements, self.unitaries = lab.measurements, lab.unitaries
-        self.adjoined = lab.adjoined
         self.states: list[State] = []
         self.keys: list[tuple] = []
         self._ids: dict[tuple, int] = {}
         self._rows: dict[tuple[str, int], tuple[tuple[str, float, int | None], ...]] = {}
-        self._derived: set[int] = set()
 
     def intern(self, x: State) -> int:
-        """The id of ``x`` with its phase canonicalised."""
-        return self._intern_keyed(*_canonical(x))
+        """The id of ``x`` with its phase canonicalised.  A vector is keyed
+        on its canonical amplitudes, and the canonical ``StateVector`` is
+        built only for a new key."""
+        if not isinstance(x, StateVector):
+            return self._intern_keyed(x, state_key(x))
+        amps = canonical_amps(x.amps)
+        key = _canonical_key(amps)
+        sid = self._ids.get(key)
+        if sid is None:
+            sid = self._intern_keyed(x if amps is x.amps else StateVector(x.space, amps), key)
+        return sid
 
     def _intern_keyed(self, x: State, key: tuple) -> int:
         """The id of the canonical state ``x``, whose ``state_key`` is
@@ -212,14 +209,10 @@ class Transitions:
         hit = self._rows.get((name, sid))
         if hit is None:
             op = self.unitaries[name] if name in self.unitaries else self.measurements[name]
-            derived = name in self.adjoined or sid in self._derived
-            first_new = len(self.states)
             hit = self._rows[(name, sid)] = tuple(
                 (label, p, None if key is None else self._intern_keyed(post, key))
-                for label, p, post, key in born_rows(op, self.states[sid], keep=not derived)
+                for label, p, post, key in born_rows(op, self.states[sid])
             )
-            if derived:
-                self._derived.update(range(first_new, len(self.states)))
         return hit
 
 
@@ -233,7 +226,7 @@ def _canonical(x: State) -> tuple[State, tuple]:
 
 
 def born_rows(
-    op: ProjectiveMeasurement | Operator, x: State, *, keep: bool = True
+    op: ProjectiveMeasurement | Operator, x: State
 ) -> tuple[tuple[str, float, State | None, tuple | None], ...]:
     """Rows ``(label, probability, post state, key)`` of measurement or
     unitary ``op`` on ``x``: the post state canonical and ``key`` its
@@ -241,8 +234,9 @@ def born_rows(
 
     Memoised in ``op.born_rows`` by the exact bits of ``x``, so every lab
     that holds ``op`` (an extended lab holds its base lab's operations)
-    computes a row once, and a hit gives the bits a recomputation would.
-    With ``keep=False`` a computed row is not stored.
+    shares its rows, and a hit gives the bits a recomputation would.  The
+    memo is cleared once it holds ``MEMO_ROWS`` entries, so a sweep of
+    distinct candidates on one lab keeps it bounded.
     """
     # d amplitudes or d * d entries, d >= 2: a vector and a matrix never share bits
     bits = x.amps.tobytes() if isinstance(x, StateVector) else x.mat.tobytes()
@@ -256,8 +250,9 @@ def born_rows(
             (label, p, None, None) if post is None else (label, p, *_canonical(post))
             for label, p, post in records
         )
-        if keep:
-            op.born_rows[bits] = hit
+        if len(op.born_rows) >= MEMO_ROWS:
+            op.born_rows.clear()
+        op.born_rows[bits] = hit
     return hit
 
 

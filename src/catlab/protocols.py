@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CatlabError, DepthCeiling, DimensionMismatch, DisallowedOperation
 from .lab import Laboratory, Transitions
-from .measure import ProjectiveMeasurement, outcome_distribution
+from .measure import COMPLEMENT_LABEL, ProjectiveMeasurement, outcome_distribution
 from .qstate import State, StateVector, format_state, states_match
 from .rng import RandomStream
 
@@ -591,10 +591,9 @@ def chi_square_test(
     """
     exp: dict[str, float] = {}
     obs: dict[str, int] = {}
-    catch = "⊥"
     for label, p in expected.items():
         e = n * p
-        target = label if e >= CHI2_MIN_EXPECTED else catch
+        target = label if e >= CHI2_MIN_EXPECTED else COMPLEMENT_LABEL
         exp[target] = exp.get(target, 0.0) + e
         obs[target] = obs.get(target, 0) + int(counts.get(label, 0))
     stat = 0.0

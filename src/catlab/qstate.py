@@ -7,8 +7,10 @@ The types are plain classes, so that rule is kept by the code, not enforced:
 assigning an attribute raises no error.  The one mutable part is a memo: an
 ``Operator`` (like a ``ProjectiveMeasurement``) carries ``born_rows``, which
 ``lab.Transitions`` fills with the operation's outcome rows keyed by the
-exact bits of an input state.  An entry is a pure function of those bits,
-so two threads that race on one store the same value.
+exact bits of an input state, and clears once it holds ``lab.MEMO_ROWS``
+entries.  An entry is a pure function of those bits, so two threads that
+race on one store the same value, and a clear that races a store only
+loses entries: it never returns a wrong row.
 
 Numeric conventions used throughout the package:
 

@@ -399,6 +399,8 @@ def test_unknown_names(capsys):
          f"no measurement named 'missing' {in_cat}"),
         (("check", "--scenario", "cat", "plusminus:nope", "--from", "dead", "--to", "alive"),
          "no outcome labelled 'nope'"),
+        (("check", "--scenario", "cat", "plusminus:", "--from", "dead", "--to", "alive"),
+         "no outcome labelled ''"),
         (("check", "--scenario", "cat", "plusminus", "--from", "missing", "--to", "alive"),
          f"no state named 'missing' {in_cat}"),
         (("check", "--scenario", "cat", "plusminus", "--from", "dead", "--to", "missing"),

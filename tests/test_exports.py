@@ -1,6 +1,7 @@
 """The package's public name list, and the imports of its modules, tests and scripts."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import catlab.qstate
 SRC = Path(catlab.__file__).parent
 TESTS = Path(__file__).parent
 SCRIPTS = TESTS.parent / "scripts"
+PERFBENCH = TESTS.parent / "perfbench"
 
 REMOVED = {
     catlab: (
@@ -109,6 +111,31 @@ def test_no_unused_imports_in_tests(module):
 @pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
 def test_no_unused_imports_in_scripts(script):
     assert _unused_imports(SCRIPTS / script) == []
+
+
+def _catlab_imports(path: Path) -> list[tuple[str, str | None]]:
+    """(module, name) for each ``from catlab... import name`` in ``path``,
+    and (module, None) for each ``import catlab...``, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "catlab":
+            found += [(node.module, a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(a.name, None) for a in node.names if a.name.split(".")[0] == "catlab"]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted([*PERFBENCH.glob("*.py"), *SCRIPTS.glob("*.py")]),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_benchmark_and_script_imports_resolve(path):
+    # The benchmark and the scripts import catlab by name; a deletion that
+    # breaks them should fail here, not only in a benchmark run.
+    for module, name in _catlab_imports(path):
+        owner = importlib.import_module(module)
+        assert name is None or hasattr(owner, name), (module, name)
 
 
 def test_one_transition_table_per_lab():

@@ -78,16 +78,9 @@ def test_with_measurement_collision():
     )
     extended = lab.with_measurement("pm", m)
     assert list(extended.measurements) == ["basis", "pm"]
+    assert not hasattr(extended, "adjoined")
     with pytest.raises(CatlabError):
         extended.with_measurement("pm", m)
-
-
-def test_adjoined_names_accumulate():
-    lab = cat_lab()
-    m = make_measurement(CAT, [("S", candidate(0.5))])
-    once = lab.with_measurement("c", m)
-    assert (lab.adjoined, once.adjoined) == (frozenset(), {"c"})
-    assert once.with_measurement("c2", m).adjoined == {"c", "c2"}
 
 
 def test_measurement_and_unitary_may_not_share_a_name():
@@ -560,47 +553,61 @@ def test_memo_keys_vectors_and_matrices_apart():
     assert isinstance(matrix_rows[0][2], DensityMatrix)
 
 
-def test_repeated_verdict_recomputes_only_rows_through_the_candidate(monkeypatch):
+def test_repeated_verdict_computes_rows_only_for_the_new_candidate(monkeypatch):
     lab, cand, a, b = memo_lab(7, 3)
-    calls, extended = [], []
+    calls, made = [], []
     real_distribution, real_unitary = catlab.lab.outcome_distribution, catlab.lab.apply_unitary
+    real_make = catlab.lab.make_measurement
     monkeypatch.setattr(catlab.lab, "outcome_distribution",
-                        lambda m, x: calls.append((m, entries(x).tobytes())) or real_distribution(m, x))
+                        lambda m, x: calls.append(m) or real_distribution(m, x))
     monkeypatch.setattr(catlab.lab, "apply_unitary",
-                        lambda u, x: calls.append((u, entries(x).tobytes())) or real_unitary(u, x))
-    real_with = Laboratory.with_measurement
-    monkeypatch.setattr(Laboratory, "with_measurement",
-                        lambda self, *args: extended.append(real_with(self, *args)) or extended[-1])
-    first = nogo_verdict(lab, cand, a, b, name="c")
+                        lambda u, x: calls.append(u) or real_unitary(u, x))
+    monkeypatch.setattr(catlab.lab, "make_measurement",
+                        lambda space, outcomes: made.append(real_make(space, outcomes)) or made[-1])
+    # at depth 6 the search meets 101 states, so no memo reaches MEMO_ROWS
+    first = nogo_verdict(lab, cand, a, b, name="c", max_depth=6)
     assert first.certificate is None  # the verdict searched
     base = base_operations(lab)
-    table = extended[-1].transitions
-    derived = {entries(table.states[i]).tobytes() for i in table._derived}
-    first_base = [(op, bits) for op, bits in calls if any(op is b_op for b_op in base)]
-    # rows on the start state do not depend on the candidate: they are kept
-    assert all(any(op is b_op and bits not in derived for op, bits in first_base) for b_op in base)
-    assert any(bits in derived for _, bits in first_base)  # the search went past the candidate
+    assert {id(op) for op in calls} > {id(op) for op in base}
     sizes = [len(op.born_rows) for op in base]
+    assert max(sizes) < catlab.lab.MEMO_ROWS
     calls.clear()
-    second = nogo_verdict(lab, cand, a, b, name="c")
+    second = nogo_verdict(lab, cand, a, b, name="c", max_depth=6)
     assert verdict_to_json(second) == verdict_to_json(first)
-    second_base = [(op, bits) for op, bits in calls if any(op is b_op for b_op in base)]
-    assert sorted(bits for _, bits in second_base) == sorted(
-        bits for _, bits in first_base if bits in derived
-    )
+    # each verdict builds its own candidate measurement, with an empty memo;
+    # every base row, also past the candidate, is a memo hit
+    assert calls and all(op is made[-1] for op in calls)
     assert [len(op.born_rows) for op in base] == sizes
 
 
-def test_a_sweep_of_distinct_candidates_leaves_the_base_memos_alone():
+def test_a_sweep_of_distinct_candidates_stays_under_the_memo_cap(monkeypatch):
+    monkeypatch.setattr(catlab.lab, "MEMO_ROWS", 4)
     sc = load_scenario("cat")[0]
     alive, dead = sc.states["alive"], sc.states["dead"]
     base = base_operations(sc.lab)
-    nogo_verdict(sc.lab, candidate(0.5), alive, dead)
-    memos = [list(op.born_rows) for op in base]
+    sizes = []
     for i in range(1, 20):
         v = nogo_verdict(sc.lab, candidate(i / 20.0), alive, dead)
         assert v.violated and len(v.witness.steps) == 2
-    assert [list(op.born_rows) for op in base] == memos
+        fresh = load_scenario("cat")[0]
+        alone = nogo_verdict(fresh.lab, candidate(i / 20.0), fresh.states["alive"], fresh.states["dead"])
+        assert verdict_to_json(v) == verdict_to_json(alone)
+        sizes.append(max(len(op.born_rows) for op in base))
+    assert max(sizes) <= 4
+    assert sizes != sorted(sizes)  # a memo was cleared
+
+
+def test_interning_a_known_key_builds_no_vector(monkeypatch):
+    table = cat_lab().transitions
+    alive = basis_state(CAT, "alive")
+    rotated = make_state(CAT, [1j, 0])  # alive up to a phase: canonicalising builds a new vector
+    sid = table.intern(alive)
+    built = []
+    real = StateVector.__init__
+    monkeypatch.setattr(StateVector, "__init__",
+                        lambda self, *args: built.append(args) or real(self, *args))
+    assert table.intern(rotated) == sid
+    assert built == []
 
 
 def test_candidate_rows_die_with_the_candidate(monkeypatch):
@@ -611,7 +618,6 @@ def test_candidate_rows_die_with_the_candidate(monkeypatch):
                         lambda space, outcomes: made.append(real(space, outcomes)) or made[-1])
     nogo_verdict(lab, cand, a, b, name="c")
     [measurement] = made
-    assert not measurement.born_rows  # its rows stayed in the verdict's table
     ref = weakref.ref(measurement)
     del made[:], measurement
     gc.collect()
