@@ -40,7 +40,8 @@ GRID = 1e-6  # amplitude grid for dedup keys
 DEFAULT_MAX_DEPTH = 8
 MIN_PROB = 1e-12  # branches below this probability are not followed
 NEW_DIRECTION = 1e-6  # closure directions (and target residuals) above this count
-MEMO_ROWS = 256  # an operation's born_rows memo is cleared when it holds this many
+MEMO_ROWS = 1024  # the born_rows memo is cleared when it holds this many entries
+_ROWS: dict[tuple, tuple] = {}  # the born_rows memo
 
 
 def state_key(x: State) -> tuple:
@@ -49,7 +50,7 @@ def state_key(x: State) -> tuple:
         return _canonical_key(canonical_amps(x.amps))
     flat = x.mat.reshape(-1)
     grid = np.round(np.concatenate([flat.real, flat.imag]) / GRID)
-    return ("m",) + tuple(int(v) for v in grid)
+    return ("m",) + tuple(grid.astype(np.int64).tolist())
 
 
 def _canonical_key(amps: np.ndarray) -> tuple:
@@ -57,7 +58,7 @@ def _canonical_key(amps: np.ndarray) -> tuple:
     flat = np.empty(2 * amps.size)
     flat[0::2] = amps.real
     flat[1::2] = amps.imag
-    return ("v",) + tuple(int(v) for v in np.round(flat / GRID))
+    return ("v",) + tuple(np.round(flat / GRID).astype(np.int64).tolist())
 
 
 class Laboratory:
@@ -100,8 +101,9 @@ class Laboratory:
     def with_measurement(self, name: str, m: ProjectiveMeasurement) -> "Laboratory":
         """A copy of this lab with one more allowed measurement appended.
 
-        The copy has its own table but holds this lab's operation objects,
-        so it shares their ``born_rows`` memos.
+        The copy has its own table.  Rows come from the one ``born_rows``
+        memo, keyed by an operation's value, so the copy reads this lab's
+        rows, and a later copy with an equal measurement reads this one's.
         """
         if name in self.measurements:
             raise CatlabError(f"operation name {name!r} already in use")
@@ -163,15 +165,17 @@ class Transitions:
     the first state interned under a key represents that key from then on
     (``states[id]``, with ``keys[id]`` its key).  ``rows`` memoises, per
     (operation, id), the outcome rows ``(label, probability, next id)``,
-    read off ``born_rows``.  The search, the tree and Monte Carlo share
+    read off ``born_rows``, with each operation's memo key computed once
+    per table.  The search, the tree and Monte Carlo share
     ``lab.transitions``: a key's representative is the first state
     interned in the lab's lifetime.  A table keeps its rows for its own
-    lifetime, also after an operation's memo is cleared.
+    lifetime, also after the ``born_rows`` memo is cleared.
     """
 
     def __init__(self, lab: Laboratory) -> None:
-        # the operation maps, not the lab: no lab <-> table reference cycle
-        self.measurements, self.unitaries = lab.measurements, lab.unitaries
+        # the operations, not the lab: no lab <-> table reference cycle
+        ops = {**lab.measurements, **lab.unitaries}
+        self._ops = {name: (op, _operation_key(op)) for name, op in ops.items()}
         self.states: list[State] = []
         self.keys: list[tuple] = []
         self._ids: dict[tuple, int] = {}
@@ -208,10 +212,10 @@ class Transitions:
         """
         hit = self._rows.get((name, sid))
         if hit is None:
-            op = self.unitaries[name] if name in self.unitaries else self.measurements[name]
+            op, op_key = self._ops[name]
             hit = self._rows[(name, sid)] = tuple(
                 (label, p, None if key is None else self._intern_keyed(post, key))
-                for label, p, post, key in born_rows(op, self.states[sid])
+                for label, p, post, key in _born_rows(op, op_key, self.states[sid])
             )
         return hit
 
@@ -225,6 +229,15 @@ def _canonical(x: State) -> tuple[State, tuple]:
     return x, state_key(x)
 
 
+def _operation_key(op: ProjectiveMeasurement | Operator) -> tuple:
+    """The value of ``op`` that ``born_rows`` keys its memo on: its type,
+    space and kind or outcome labels, and the exact bytes of its matrices."""
+    if isinstance(op, Operator):
+        return (Operator, op.space, op.kind, op.mat.tobytes())
+    outcomes = tuple((label, p.mat.tobytes()) for label, p in op.outcomes)
+    return (ProjectiveMeasurement, op.space, outcomes)
+
+
 def born_rows(
     op: ProjectiveMeasurement | Operator, x: State
 ) -> tuple[tuple[str, float, State | None, tuple | None], ...]:
@@ -232,15 +245,23 @@ def born_rows(
     unitary ``op`` on ``x``: the post state canonical and ``key`` its
     ``state_key``, both None below ``PRUNE_TOL``.
 
-    Memoised in ``op.born_rows`` by the exact bits of ``x``, so every lab
-    that holds ``op`` (an extended lab holds its base lab's operations)
-    shares its rows, and a hit gives the bits a recomputation would.  The
-    memo is cleared once it holds ``MEMO_ROWS`` entries, so a sweep of
-    distinct candidates on one lab keeps it bounded.
+    Memoised in one memo for the process, keyed by the value of ``op`` and
+    the exact bits of ``x``, so every lab that holds ``op`` or an operation
+    equal to it bit for bit, such as a rebuilt no-go candidate, shares its
+    rows.  An entry is a pure function of its key, so a hit gives the bits
+    a recomputation would, two threads racing on one entry store the same
+    value, and a clear that races a store only loses entries.  The memo is
+    cleared once it holds ``MEMO_ROWS`` entries, so a sweep of distinct
+    candidates keeps it bounded.
     """
+    return _born_rows(op, _operation_key(op), x)
+
+
+def _born_rows(op: ProjectiveMeasurement | Operator, op_key: tuple, x: State) -> tuple:
+    """``born_rows(op, x)``, with ``op_key`` the ``_operation_key`` of ``op``."""
     # d amplitudes or d * d entries, d >= 2: a vector and a matrix never share bits
-    bits = x.amps.tobytes() if isinstance(x, StateVector) else x.mat.tobytes()
-    hit = op.born_rows.get(bits)
+    key = (op_key, x.amps.tobytes() if isinstance(x, StateVector) else x.mat.tobytes())
+    hit = _ROWS.get(key)
     if hit is None:
         if isinstance(op, Operator):
             records = [("", 1.0, apply_unitary(op, x))]
@@ -250,9 +271,9 @@ def born_rows(
             (label, p, None, None) if post is None else (label, p, *_canonical(post))
             for label, p, post in records
         )
-        if len(op.born_rows) >= MEMO_ROWS:
-            op.born_rows.clear()
-        op.born_rows[bits] = hit
+        if len(_ROWS) >= MEMO_ROWS:
+            _ROWS.clear()
+        _ROWS[key] = hit
     return hit
 
 

@@ -63,7 +63,6 @@ class ProjectiveMeasurement:
             raise CatlabError("projectors do not resolve the identity")
         self.space = space
         self.outcomes: tuple[tuple[str, Operator], ...] = outcomes
-        self.born_rows: dict = {}  # see lab.born_rows
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -4,13 +4,8 @@ Constructors validate their input and make the underlying numpy buffers
 read-only, and no attribute is reassigned after construction, so instances
 can be shared freely between threads and reused as dictionary payloads.
 The types are plain classes, so that rule is kept by the code, not enforced:
-assigning an attribute raises no error.  The one mutable part is a memo: an
-``Operator`` (like a ``ProjectiveMeasurement``) carries ``born_rows``, which
-``lab.Transitions`` fills with the operation's outcome rows keyed by the
-exact bits of an input state, and clears once it holds ``lab.MEMO_ROWS``
-entries.  An entry is a pure function of those bits, so two threads that
-race on one store the same value, and a clear that races a store only
-loses entries: it never returns a wrong row.
+assigning an attribute raises no error.  No record has a mutable part: the
+Born rows of an operation are memoised by value in ``lab.born_rows``.
 
 Numeric conventions used throughout the package:
 
@@ -206,7 +201,6 @@ class Operator:
         self.space = space
         self.mat: np.ndarray = arr
         self.kind = kind
-        self.born_rows: dict = {}  # see lab.born_rows
 
 
 # ---------------------------------------------------------------------------

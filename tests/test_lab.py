@@ -1,5 +1,6 @@
 """Laboratories, steering search and the no-go verdict."""
 
+import contextlib
 import gc
 import weakref
 
@@ -33,7 +34,7 @@ from catlab import (
     superposition_projector,
     verdict_to_json,
 )
-from catlab.lab import MIN_PROB, born_rows
+from catlab.lab import DEFAULT_MAX_DEPTH, MIN_PROB, born_rows
 from catlab.measure import COMPLEMENT_LABEL, ProjectiveMeasurement
 from catlab.qstate import DensityMatrix, StateVector
 
@@ -503,10 +504,21 @@ def memo_lab(seed: int, dim: int):
 
 
 def fresh_copy(op):
-    """The same operation with an empty memo."""
+    """An equal operation in a new object."""
     if isinstance(op, ProjectiveMeasurement):
         return ProjectiveMeasurement(op.space, op.outcomes)
     return Operator(op.space, op.mat, op.kind)
+
+
+@contextlib.contextmanager
+def empty_memo():
+    """Swap in an empty ``born_rows`` memo, and restore the old one after."""
+    saved = catlab.lab._ROWS
+    catlab.lab._ROWS = {}
+    try:
+        yield catlab.lab._ROWS
+    finally:
+        catlab.lab._ROWS = saved
 
 
 def entries(x):
@@ -539,62 +551,89 @@ def test_memo_hit_is_bitwise_a_fresh_computation(seed, dim, mixed):
     for op in base_operations(lab):
         first = born_rows(op, x)
         assert born_rows(op, same) is first
+        assert born_rows(fresh_copy(op), same) is first  # keyed on the value of op
         for y in (x, near):
-            assert_rows_equal(born_rows(op, y), born_rows(fresh_copy(op), y))
+            rows = born_rows(op, y)
+            with empty_memo():
+                assert_rows_equal(rows, born_rows(op, y))
 
 
 def test_memo_keys_vectors_and_matrices_apart():
     lab = memo_lab(4, 2)[0]
     psi = rand_state(np.random.default_rng(4), lab.space)
     m = lab.measurements["m"]
-    vector_rows, matrix_rows = born_rows(m, psi), born_rows(m, pure_density(psi))
-    assert len(m.born_rows) == 2
+    with empty_memo() as memo:
+        vector_rows, matrix_rows = born_rows(m, psi), born_rows(m, pure_density(psi))
+        assert len(memo) == 2
     assert isinstance(vector_rows[0][2], StateVector)
     assert isinstance(matrix_rows[0][2], DensityMatrix)
 
 
-def test_repeated_verdict_computes_rows_only_for_the_new_candidate(monkeypatch):
+def test_memo_keys_labels_and_spaces_apart():
+    lab = memo_lab(5, 3)[0]
+    m, u = lab.measurements["m"], lab.unitaries["u"]
+    psi = rand_state(np.random.default_rng(5), lab.space)
+    # the same matrices under other outcome labels, or on an equal-sized space
+    relabelled = ProjectiveMeasurement(m.space, [(label + "'", p) for label, p in m.outcomes])
+    other = HilbertSpace(m.space.labels, name="other")
+    moved = ProjectiveMeasurement(
+        other, [(label, Operator(other, p.mat, "projector")) for label, p in m.outcomes]
+    )
+    moved_u = Operator(other, u.mat, "unitary")
+    moved_psi = StateVector(other, psi.amps)
+    with empty_memo() as memo:
+        rows = born_rows(m, psi)
+        u_rows = born_rows(u, psi)
+        assert born_rows(fresh_copy(m), psi) is rows and len(memo) == 2
+        relabelled_rows = born_rows(relabelled, psi)
+        assert [r[0] for r in relabelled_rows] == [r[0] + "'" for r in rows]
+        for rows_there in (born_rows(moved, moved_psi), born_rows(moved_u, moved_psi)):
+            assert all(post.space is other for _, _, post, _ in rows_there if post is not None)
+        assert len(memo) == 5
+    assert u_rows[0][2].space is lab.space
+
+
+@pytest.mark.parametrize("max_depth", [6, DEFAULT_MAX_DEPTH])
+def test_a_repeated_verdict_computes_no_row(monkeypatch, max_depth):
     lab, cand, a, b = memo_lab(7, 3)
-    calls, made = [], []
+    memo, calls = {}, []
+    monkeypatch.setattr(catlab.lab, "_ROWS", memo)
     real_distribution, real_unitary = catlab.lab.outcome_distribution, catlab.lab.apply_unitary
-    real_make = catlab.lab.make_measurement
     monkeypatch.setattr(catlab.lab, "outcome_distribution",
                         lambda m, x: calls.append(m) or real_distribution(m, x))
     monkeypatch.setattr(catlab.lab, "apply_unitary",
                         lambda u, x: calls.append(u) or real_unitary(u, x))
-    monkeypatch.setattr(catlab.lab, "make_measurement",
-                        lambda space, outcomes: made.append(real_make(space, outcomes)) or made[-1])
-    # at depth 6 the search meets 101 states, so no memo reaches MEMO_ROWS
-    first = nogo_verdict(lab, cand, a, b, name="c", max_depth=6)
+    first = nogo_verdict(lab, cand, a, b, name="c", max_depth=max_depth)
     assert first.certificate is None  # the verdict searched
-    base = base_operations(lab)
-    assert {id(op) for op in calls} > {id(op) for op in base}
-    sizes = [len(op.born_rows) for op in base]
-    assert max(sizes) < catlab.lab.MEMO_ROWS
+    # at the default depth the search meets 837 (operation, state) pairs:
+    # all of them fit in the memo, so nothing is cleared
+    assert len(calls) == len(memo) < catlab.lab.MEMO_ROWS
+    size = len(memo)
     calls.clear()
-    second = nogo_verdict(lab, cand, a, b, name="c", max_depth=6)
-    assert verdict_to_json(second) == verdict_to_json(first)
-    # each verdict builds its own candidate measurement, with an empty memo;
-    # every base row, also past the candidate, is a memo hit
-    assert calls and all(op is made[-1] for op in calls)
-    assert [len(op.born_rows) for op in base] == sizes
+    # the same candidate, and an equal one rebuilt from its bits
+    rebuilt = Operator(cand.space, cand.mat.copy(), "projector")
+    for again in (cand, rebuilt):
+        assert verdict_to_json(nogo_verdict(lab, again, a, b, name="c", max_depth=max_depth)) \
+            == verdict_to_json(first)
+    assert calls == [] and len(memo) == size
 
 
 def test_a_sweep_of_distinct_candidates_stays_under_the_memo_cap(monkeypatch):
     monkeypatch.setattr(catlab.lab, "MEMO_ROWS", 4)
+    monkeypatch.setattr(catlab.lab, "_ROWS", {})
     sc = load_scenario("cat")[0]
     alive, dead = sc.states["alive"], sc.states["dead"]
-    base = base_operations(sc.lab)
     sizes = []
     for i in range(1, 20):
         v = nogo_verdict(sc.lab, candidate(i / 20.0), alive, dead)
         assert v.violated and len(v.witness.steps) == 2
+        sizes.append(len(catlab.lab._ROWS))
         fresh = load_scenario("cat")[0]
-        alone = nogo_verdict(fresh.lab, candidate(i / 20.0), fresh.states["alive"], fresh.states["dead"])
+        with empty_memo():
+            alone = nogo_verdict(fresh.lab, candidate(i / 20.0), fresh.states["alive"], fresh.states["dead"])
         assert verdict_to_json(v) == verdict_to_json(alone)
-        sizes.append(max(len(op.born_rows) for op in base))
     assert max(sizes) <= 4
-    assert sizes != sorted(sizes)  # a memo was cleared
+    assert sizes != sorted(sizes)  # the memo was cleared
 
 
 def test_interning_a_known_key_builds_no_vector(monkeypatch):

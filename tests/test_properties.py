@@ -35,9 +35,9 @@ from catlab import (
     tensor_space,
     Operator,
 )
-from catlab.lab import MIN_PROB
+from catlab.lab import GRID, MIN_PROB
 from catlab.protocols import MAX_TRIALS
-from catlab.qstate import MATCH_TOL, StateVector, canonical_amps
+from catlab.qstate import MATCH_TOL, DensityMatrix, StateVector, canonical_amps
 
 from helpers import rand_density, rand_state, rand_unitary, space_of_dim
 
@@ -77,6 +77,40 @@ def test_canonical_phase_invariance(psi, theta):
     assert np.allclose(canonical_amps(a.amps), a.amps, atol=1e-12)
     lead = a.amps[np.argmax(np.abs(a.amps) > 1e-12)]
     assert abs(lead.imag) < 1e-12 and lead.real > 0
+
+
+def per_element_state_key(x):
+    """``state_key`` as first written, one ``int()`` per grid entry."""
+    if isinstance(x, StateVector):
+        amps = canonical_amps(x.amps)
+        flat = np.empty(2 * amps.size)
+        flat[0::2] = amps.real
+        flat[1::2] = amps.imag
+        return ("v",) + tuple(int(v) for v in np.round(flat / GRID))
+    flat = x.mat.reshape(-1)
+    return ("m",) + tuple(int(v) for v in np.round(np.concatenate([flat.real, flat.imag]) / GRID))
+
+
+near_zero = st.floats(-0.49 * GRID, 0.49 * GRID)
+
+
+@SETTINGS
+@given(seeds, dims, st.lists(st.tuples(near_zero, near_zero), min_size=1, max_size=5))
+@example(0, 3, [(-1e-7, -4e-7), (-0.0, 2e-7)])
+def test_state_keys_equal_the_per_element_formula(seed, dim, small):
+    rng = np.random.default_rng(seed)
+    space = space_of_dim(dim)
+    raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    # a real positive lead keeps the phase, so a small negative entry rounds to -0
+    raw[0] = 1.0 + abs(raw[0])
+    for i, (re, im) in enumerate(small[: dim - 1], start=1):
+        raw[i] = complex(re, im)
+    psi = make_state(space, raw)
+    mixed = DensityMatrix(space, 0.5 * pure_density(psi).mat + 0.5 * np.eye(dim) / dim)
+    for x in (psi, pure_density(psi), mixed):
+        key = state_key(x)
+        assert key == per_element_state_key(x)
+        assert all(type(v) is int for v in key[1:])
 
 
 @SETTINGS

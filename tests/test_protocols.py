@@ -301,6 +301,7 @@ def test_trials_validation():
 
 
 def test_runs_on_a_lab_share_its_rows(monkeypatch):
+    monkeypatch.setattr(catlab.lab, "_ROWS", {})  # no rows from earlier tests
     calls = []
     real = catlab.lab.outcome_distribution
     monkeypatch.setattr(
