@@ -46,19 +46,23 @@ _ROWS: dict[tuple, tuple] = {}  # the born_rows memo
 
 def state_key(x: State) -> tuple:
     """Hashable dedup key: canonical phase, then a 1e-6 amplitude grid."""
+    return _canonical(x)[1]
+
+
+def _canonical(x: State) -> tuple[State, tuple]:
+    """``x`` with its phase canonicalised, and its ``state_key``: the one
+    place that does either.  A new ``StateVector`` is built only when
+    ``canonical_amps`` changed the bits of ``x``, so a vector already in
+    canonical phase is its own representative and is not validated again."""
     if isinstance(x, StateVector):
-        return _canonical_key(canonical_amps(x.amps))
+        amps = canonical_amps(x.amps)
+        if amps.tobytes() != x.amps.tobytes():
+            x = StateVector(x.space, amps)
+        grid = np.round(amps.view(np.float64) / GRID)  # re, im interleaved
+        return x, ("v",) + tuple(grid.astype(np.int64).tolist())
     flat = x.mat.reshape(-1)
     grid = np.round(np.concatenate([flat.real, flat.imag]) / GRID)
-    return ("m",) + tuple(grid.astype(np.int64).tolist())
-
-
-def _canonical_key(amps: np.ndarray) -> tuple:
-    """``state_key`` of a vector from its ``canonical_amps``."""
-    flat = np.empty(2 * amps.size)
-    flat[0::2] = amps.real
-    flat[1::2] = amps.imag
-    return ("v",) + tuple(np.round(flat / GRID).astype(np.int64).tolist())
+    return x, ("m",) + tuple(grid.astype(np.int64).tolist())
 
 
 class Laboratory:
@@ -162,8 +166,9 @@ class Transitions:
     """The interned transition table of one laboratory.
 
     ``intern`` gives each state a dense integer id under its ``state_key``;
-    the first state interned under a key represents that key from then on
-    (``states[id]``, with ``keys[id]`` its key).  ``rows`` memoises, per
+    the first state interned under a key, phase-fixed by ``_canonical`` (a
+    vector in canonical phase is kept as it is), represents that key from
+    then on (``states[id]``, with ``keys[id]`` its key).  ``rows`` memoises, per
     (operation, id), the outcome rows ``(label, probability, next id)``,
     read off ``born_rows``, with each operation's memo key computed once
     per table.  The search, the tree and Monte Carlo share
@@ -182,17 +187,8 @@ class Transitions:
         self._rows: dict[tuple[str, int], tuple[tuple[str, float, int | None], ...]] = {}
 
     def intern(self, x: State) -> int:
-        """The id of ``x`` with its phase canonicalised.  A vector is keyed
-        on its canonical amplitudes, and the canonical ``StateVector`` is
-        built only for a new key."""
-        if not isinstance(x, StateVector):
-            return self._intern_keyed(x, state_key(x))
-        amps = canonical_amps(x.amps)
-        key = _canonical_key(amps)
-        sid = self._ids.get(key)
-        if sid is None:
-            sid = self._intern_keyed(x if amps is x.amps else StateVector(x.space, amps), key)
-        return sid
+        """The id of ``x`` with its phase canonicalised by ``_canonical``."""
+        return self._intern_keyed(*_canonical(x))
 
     def _intern_keyed(self, x: State, key: tuple) -> int:
         """The id of the canonical state ``x``, whose ``state_key`` is
@@ -218,15 +214,6 @@ class Transitions:
                 for label, p, post, key in _born_rows(op, op_key, self.states[sid])
             )
         return hit
-
-
-def _canonical(x: State) -> tuple[State, tuple]:
-    """``x`` with its phase canonicalised, and its ``state_key``."""
-    if isinstance(x, StateVector):
-        amps = canonical_amps(x.amps)
-        key = _canonical_key(amps)
-        return (x if amps is x.amps else StateVector(x.space, amps)), key
-    return x, state_key(x)
 
 
 def _operation_key(op: ProjectiveMeasurement | Operator) -> tuple:

@@ -35,7 +35,7 @@ from catlab import (
     tensor_space,
     Operator,
 )
-from catlab.lab import GRID, MIN_PROB
+from catlab.lab import GRID, MIN_PROB, _canonical
 from catlab.protocols import MAX_TRIALS
 from catlab.qstate import MATCH_TOL, DensityMatrix, StateVector, canonical_amps
 
@@ -77,6 +77,28 @@ def test_canonical_phase_invariance(psi, theta):
     assert np.allclose(canonical_amps(a.amps), a.amps, atol=1e-12)
     lead = a.amps[np.argmax(np.abs(a.amps) > 1e-12)]
     assert abs(lead.imag) < 1e-12 and lead.real > 0
+
+
+@SETTINGS
+@given(state_vectors(), st.sampled_from(["canonical", "rotated", "negative zero"]),
+       st.floats(0, 2 * np.pi), st.lists(st.booleans(), min_size=6, max_size=6))
+def test_canonical_gives_the_bits_of_canonical_amps(psi, form, theta, zeros):
+    amps = canonical_amps(psi.amps)
+    if form == "rotated":
+        amps = amps * np.exp(1j * theta)
+    elif form == "negative zero":
+        # exact zeros with the sign bit set, as a collapse can leave them
+        mask = np.array(zeros[: amps.size])
+        mask[np.argmax(np.abs(amps))] = False
+        amps = np.where(mask, 0, amps)
+        parts = amps.view(np.float64)
+        parts[parts == 0] = -0.0
+    x = make_state(psi.space, amps)
+    canonical, key = _canonical(x)
+    assert canonical.amps.tobytes() == canonical_amps(x.amps).tobytes()
+    assert state_key(x) == key
+    if canonical is not x:
+        assert canonical.amps.tobytes() != x.amps.tobytes()
 
 
 def per_element_state_key(x):
