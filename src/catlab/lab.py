@@ -21,6 +21,7 @@ from .measure import (
     COMPLEMENT_LABEL,
     ORTHO_TOL,
     ProjectiveMeasurement,
+    complement,
     make_measurement,
     outcome_distribution,
 )
@@ -402,8 +403,7 @@ def nogo_verdict(
     if outcome_label == COMPLEMENT_LABEL:
         # make_measurement would label the complement ⊥ as well: prime it,
         # as the operation name is primed below
-        rest = np.eye(lab.space.dim) - candidate.mat
-        outcomes.append((COMPLEMENT_LABEL + "'", Operator(lab.space, rest, "projector")))
+        outcomes.append((COMPLEMENT_LABEL + "'", complement(lab.space, candidate.mat)))
     m = make_measurement(lab.space, outcomes)
     adjoined = name
     while adjoined in lab.measurements or adjoined in lab.unitaries:

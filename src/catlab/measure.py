@@ -3,8 +3,8 @@
 A measurement is a list of labelled, mutually orthogonal projectors that
 resolve the identity.  Incomplete projector lists are completed with a
 catch-all outcome labelled ``"⊥"`` at construction.  Collapse follows the
-projection postulate: vectors go to ``P|psi>/||..||``, matrices to
-``P rho P / tr(P rho)``.
+projection postulate: vectors go to ``P|psi>`` over its own norm, matrices
+to ``P rho P`` over its own trace.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def make_measurement(
 ) -> ProjectiveMeasurement:
     """Build a measurement, appending a complement outcome when needed.
 
-    The appended outcome is ``I - sum(P_i)`` labelled ``"⊥"``; if the given
-    projectors are not mutually orthogonal that complement fails its own
+    The appended outcome is ``complement(space, sum(P_i))``, labelled "⊥";
+    if the given projectors are not mutually orthogonal it fails its own
     projector check, which surfaces the problem immediately.
     """
     outcomes = [(str(l), op) for l, op in outcomes]
@@ -91,14 +91,27 @@ def make_measurement(
         if op.space != space:
             raise DimensionMismatch(f"outcome {label!r} lives on another space")
         total = total + op.mat
-    defect = np.eye(d) - total
-    if float(np.max(np.abs(defect))) > COMPLETE_TOL:
+    if float(np.max(np.abs(np.eye(d) - total))) > COMPLETE_TOL:
         if any(l == COMPLEMENT_LABEL for l, _ in outcomes):
             raise CatlabError(
                 f"cannot auto-complete: label {COMPLEMENT_LABEL!r} already used"
             )
-        outcomes.append((COMPLEMENT_LABEL, Operator(space, defect, "projector")))
+        outcomes.append((COMPLEMENT_LABEL, complement(space, total)))
     return ProjectiveMeasurement(space, tuple(outcomes))
+
+
+def complement(space: HilbertSpace, total: np.ndarray) -> Operator:
+    """The projector ``C = I - total`` that completes projectors summing to
+    ``total``.  A diagonal entry that cancels (0 <= C_ii < 1e-3) is recomputed
+    to full relative accuracy as the small root of the projector identity
+    C_ii - C_ii^2 = s_i, where s_i is the sum of |C_ij|^2 over j != i."""
+    c = np.eye(space.dim) - total
+    diag = c.diagonal().real
+    for i in np.flatnonzero((diag >= 0) & (diag < 1e-3)):
+        s = float(np.vdot(c[i], c[i]).real) - diag[i] ** 2
+        if s < 0.25:  # else no projector has this row: leave it to the checks
+            c[i, i] = 2 * s / (1 + math.sqrt(1 - 4 * s))
+    return Operator(space, c, "projector")
 
 
 def measurement_from_states(
@@ -143,7 +156,8 @@ def outcome_distribution(m: ProjectiveMeasurement, x: State) -> list[OutcomeReco
     """Born probabilities and post-measurement states for every outcome.
 
     Probabilities are clamped into [0, 1]; outcomes below ``PRUNE_TOL``
-    keep their row but carry ``post_state=None``.
+    keep their row but carry ``post_state=None``.  A post state is divided
+    by its own norm or trace, so rounding in ``p`` cannot denormalise it.
     """
     if x.space != m.space:
         raise DimensionMismatch("state and measurement live on different spaces")
@@ -155,7 +169,7 @@ def outcome_distribution(m: ProjectiveMeasurement, x: State) -> list[OutcomeReco
             p = min(1.0, max(0.0, p))
             post = None
             if p >= PRUNE_TOL:
-                post = StateVector(m.space, proj / math.sqrt(p))
+                post = StateVector(m.space, proj / math.sqrt(np.vdot(proj, proj).real))
             records.append(OutcomeRecord(label, p, post))
     else:
         for label, op in m.outcomes:
@@ -163,6 +177,7 @@ def outcome_distribution(m: ProjectiveMeasurement, x: State) -> list[OutcomeReco
             p = min(1.0, max(0.0, p))
             post = None
             if p >= PRUNE_TOL:
-                post = DensityMatrix(m.space, (op.mat @ x.mat @ op.mat) / p)
+                collapsed = op.mat @ x.mat @ op.mat
+                post = DensityMatrix(m.space, collapsed / np.trace(collapsed).real)
             records.append(OutcomeRecord(label, p, post))
     return records

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from catlab import (
+    CatlabError,
     Laboratory,
     MeasureStep,
     ProtocolSpec,
+    SteeringPath,
     StopIfStep,
     Transitions,
     UnitaryStep,
@@ -18,24 +20,29 @@ from catlab import (
     apply_unitary,
     chi_square_test,
     enumerate_protocol,
+    exact_distribution,
     find_steering_path,
     leaf_mass,
     load_scenario,
     run_monte_carlo,
     make_state,
     make_measurement,
+    make_mixture,
     nogo_verdict,
     outcome_distribution,
     overlap,
     partial_trace,
     projector_from_state,
     pure_density,
+    replay_path,
     state_key,
     states_match,
+    superposition_projector,
     tensor_space,
     Operator,
 )
 from catlab.lab import GRID, MIN_PROB, _canonical
+from catlab.measure import PRUNE_TOL
 from catlab.protocols import MAX_TRIALS
 from catlab.qstate import MATCH_TOL, DensityMatrix, StateVector, canonical_amps
 
@@ -542,22 +549,98 @@ def chains_reach(lab, start, target, depth):
 
 @settings(max_examples=40, deadline=None)
 @given(seeds, st.integers(2, 4), st.integers(2, 4), st.sampled_from([None, "candidate", "unitary"]))
-@example(881, 4, 3, None)  # the steering search raises on this lab
+@example(881, 4, 3, None)  # deep collapses divided by sqrt(p) tripped the norm check here
 def test_certificate_agrees_with_every_chain(seed, dim, groups, leak):
     rng = np.random.default_rng(seed)
     lab, cand, alive, dead = alive_lab(rng, dim, min(groups, dim), leak)
     v = nogo_verdict(lab, cand, alive, dead, max_depth=6, name="c", outcome_label="S")
     extended = lab.with_measurement("c", make_measurement(lab.space, [("S", cand)]))
     reached = chains_reach(extended, dead, alive, 6)
+    path = find_steering_path(extended, dead, alive, max_depth=6)
+    assert (path is not None) == reached == v.violated
     if v.certificate is not None:
         assert not reached
         assert not v.violated and not v.bound_reached
         assert 1 <= v.certificate < dim
-    else:
-        # the steering search is asked only here: in the labs that keep
-        # alive invariant, its deep collapses can trip the state vector
-        # norm check (the open collapse-normalisation defect)
-        path = find_steering_path(extended, dead, alive, max_depth=6)
-        assert (path is not None) == reached == v.violated
     # and the generated labs are all decided, one way or the other
     assert (v.certificate is not None) == (leak is None) != reached
+
+
+# ---------------------------------------------------------------------------
+# faint superpositions and the Born gap
+
+
+@SETTINGS
+@given(st.floats(-15, -6))
+@example(-9.0)
+@example(math.log10(3e-11))
+@example(-12.0)
+def test_faint_cat_candidates_never_raise(log_a2):
+    """A candidate a|alive> + b|dead> with a^2 far below 1/2 is a valid
+    input: the verdict returns, and any witness has the closed-form
+    probability a^2 b^2 (to within the match tolerance of its last state)."""
+    sc = load_scenario("cat")[0]
+    a2 = 10.0**log_a2
+    cand = superposition_projector(sc.space, math.sqrt(a2), math.sqrt(1 - a2))
+    v = nogo_verdict(sc.lab, cand, sc.states["alive"], sc.states["dead"])
+    if a2 >= 1.1 * MIN_PROB:
+        assert v.violated
+    if v.witness is not None:
+        assert abs(v.witness.probability - a2 * (1 - a2)) <= 1e-6 * a2 * (1 - a2)
+
+
+@SETTINGS
+@given(seeds, st.sampled_from(["cat", "composite", "alive_lab"]),
+       st.floats(-12, math.log10(0.5)), st.floats(0, 1))
+@example(0, "cat", math.log10(0.5), 0.0)  # plusminus: gap 1/2 and p = 1/4, the bound is tight
+def test_a_born_gap_forces_a_forbidden_transition(seed, where, log_a2, turn):
+    """The paper's corollary in numbers.  For psi = a|l> + b|d>, its
+    dephased mixture rho, and any outcome projector P, the Born gap
+    gap = |<psi|P|psi> - tr(P rho)| = 2 |Re(a* b <l|P|d>)| bounds the
+    forbidden path d -> P -> (rank-one outcome onto l) from below: its
+    probability p = |<l|P|d>|^2 is at least gap^2 / (4 |a|^2 |b|^2).  The
+    gap comes from ``exact_distribution``, p from ``replay_path``, and a
+    gap above 1e-6 makes P a violating no-go candidate."""
+    rng = np.random.default_rng(seed)
+    if where == "alive_lab":
+        lab, _, alive, dead = alive_lab(rng, int(rng.integers(2, 5)), 2, None)
+        onto_alive, declared = ("m", "g0"), []
+    else:
+        sc = load_scenario(where)[0]
+        lab = sc.lab
+        l, d, onto_alive, candidate = {
+            "cat": ("alive", "dead", ("basis", "alive"), "plusminus"),
+            "composite": ("ua", "dd", ("collective", "undecayed⊗alive"), "sch_plus"),
+        }[where]
+        alive, dead, declared = sc.states[l], sc.states[d], [sc.measurements[candidate]]
+    a2 = 10.0**log_a2
+    psi = make_state(lab.space, math.sqrt(a2) * np.exp(2j * np.pi * turn) * alive.amps
+                     + math.sqrt(1 - a2) * dead.amps)
+    wa = abs(overlap(alive, psi)) ** 2
+    rho = make_mixture([(wa, alive), (1 - wa, dead)])
+    # a random measurement: some columns of a random unitary, grouped into
+    # up to three outcomes, completed by make_measurement
+    dim = lab.space.dim
+    basis = rand_unitary(rng, dim)
+    groups: dict[int, list[int]] = {}
+    for col in range(int(rng.integers(1, dim + 1))):
+        groups.setdefault(int(rng.integers(0, 3)), []).append(col)
+    random_m = make_measurement(lab.space, [
+        (f"o{g}", Operator(lab.space, basis[:, cols] @ basis[:, cols].conj().T, "projector"))
+        for g, cols in groups.items()
+    ])
+    for m in [random_m, *declared]:
+        pure, mixed = exact_distribution(m, psi), exact_distribution(m, rho)
+        extended = lab.with_measurement("probe", m)
+        for label, proj in m.outcomes:
+            gap = abs(pure[label] - mixed[label])
+            path = SteeringPath((("probe", label), onto_alive), 0.0, alive)
+            try:
+                p, final = replay_path(extended, dead, path)
+                assert states_match(final, alive)
+            except CatlabError:  # a step below PRUNE_TOL: so is the whole path
+                p = PRUNE_TOL
+            # gap <= 2 |a| |b| sqrt(p), with slack for the rounding in gap
+            assert gap <= 2 * math.sqrt(wa * (1 - wa) * p) + 1e-14
+            if gap > 1e-6:
+                assert nogo_verdict(lab, proj, alive, dead, name="probe").violated
