@@ -106,11 +106,11 @@ def complement(space: HilbertSpace, total: np.ndarray) -> Operator:
     to full relative accuracy as the small root of the projector identity
     C_ii - C_ii^2 = s_i, where s_i is the sum of |C_ij|^2 over j != i."""
     c = np.eye(space.dim) - total
-    diag = c.diagonal().real
-    for i in np.flatnonzero((diag >= 0) & (diag < 1e-3)):
-        s = float(np.vdot(c[i], c[i]).real) - diag[i] ** 2
-        if s < 0.25:  # else no projector has this row: leave it to the checks
-            c[i, i] = 2 * s / (1 + math.sqrt(1 - 4 * s))
+    for i, cii in enumerate(c.diagonal().real.tolist()):
+        if 0 <= cii < 1e-3:
+            s = float(np.vdot(c[i], c[i]).real) - cii * cii
+            if s < 0.25:  # else no projector has this row: leave it to the checks
+                c[i, i] = 2 * s / (1 + math.sqrt(1 - 4 * s))
     return Operator(space, c, "projector")
 
 
