@@ -104,8 +104,7 @@ def test_canonical_gives_the_bits_of_canonical_amps(psi, form, theta, zeros):
     canonical, key = _canonical(x)
     assert canonical.amps.tobytes() == canonical_amps(x.amps).tobytes()
     assert state_key(x) == key
-    if canonical is not x:
-        assert canonical.amps.tobytes() != x.amps.tobytes()
+    assert (canonical is x) == (canonical.amps.tobytes() == x.amps.tobytes())
 
 
 def per_element_state_key(x):
