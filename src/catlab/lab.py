@@ -31,7 +31,6 @@ from .qstate import (
     State,
     StateVector,
     apply_unitary,
-    canonical_amps,
     overlap,
     state_to_json,
     states_match,
@@ -46,24 +45,13 @@ _ROWS: dict[tuple, tuple] = {}  # the born_rows memo
 
 
 def state_key(x: State) -> tuple:
-    """Hashable dedup key: canonical phase, then a 1e-6 amplitude grid."""
-    return _canonical(x)[1]
-
-
-def _canonical(x: State) -> tuple[State, tuple]:
-    """``x`` with its phase canonicalised, and its ``state_key``: the one
-    place that does either.  A new ``StateVector`` is built only when
-    ``canonical_amps`` changed the bits of ``x``, so a vector already in
-    canonical phase is its own representative and is not validated again."""
+    """Hashable dedup key: a 1e-6 grid read off a vector's amplitudes, in
+    canonical phase since the vector was built, or off a matrix's entries."""
     if isinstance(x, StateVector):
-        amps = canonical_amps(x.amps)
-        if amps.tobytes() != x.amps.tobytes():
-            x = StateVector(x.space, amps)
-        grid = np.round(amps.view(np.float64) / GRID)  # re, im interleaved
-        return x, ("v",) + tuple(grid.astype(np.int64).tolist())
-    flat = x.mat.reshape(-1)
-    grid = np.round(np.concatenate([flat.real, flat.imag]) / GRID)
-    return x, ("m",) + tuple(grid.astype(np.int64).tolist())
+        tag, flat = "v", x.amps.view(np.float64)  # re, im interleaved
+    else:
+        tag, flat = "m", np.concatenate([x.mat.real.ravel(), x.mat.imag.ravel()])
+    return (tag,) + tuple(np.round(flat / GRID).astype(np.int64).tolist())
 
 
 class Laboratory:
@@ -167,9 +155,8 @@ class Transitions:
     """The interned transition table of one laboratory.
 
     ``intern`` gives each state a dense integer id under its ``state_key``;
-    the first state interned under a key, phase-fixed by ``_canonical`` (a
-    vector in canonical phase is kept as it is), represents that key from
-    then on (``states[id]``, with ``keys[id]`` its key).  ``rows`` memoises, per
+    the first state interned under a key represents it from then on, as it
+    is (``states[id]``, with ``keys[id]`` its key).  ``rows`` memoises, per
     (operation, id), the outcome rows ``(label, probability, next id)``,
     read off ``born_rows``, with each operation's memo key computed once
     per table.  The search, the tree and Monte Carlo share
@@ -188,12 +175,12 @@ class Transitions:
         self._rows: dict[tuple[str, int], tuple[tuple[str, float, int | None], ...]] = {}
 
     def intern(self, x: State) -> int:
-        """The id of ``x`` with its phase canonicalised by ``_canonical``."""
-        return self._intern_keyed(*_canonical(x))
+        """The id of ``x``, which represents its key if the key is new."""
+        return self._intern_keyed(x, state_key(x))
 
     def _intern_keyed(self, x: State, key: tuple) -> int:
-        """The id of the canonical state ``x``, whose ``state_key`` is
-        ``key``; ``x`` represents the key if the key is new."""
+        """The id of ``x``, whose ``state_key`` is ``key``; ``x`` represents
+        the key if the key is new."""
         sid = self._ids.get(key)
         if sid is None:
             sid = self._ids[key] = len(self.states)
@@ -230,8 +217,8 @@ def born_rows(
     op: ProjectiveMeasurement | Operator, x: State
 ) -> tuple[tuple[str, float, State | None, tuple | None], ...]:
     """Rows ``(label, probability, post state, key)`` of measurement or
-    unitary ``op`` on ``x``: the post state canonical and ``key`` its
-    ``state_key``, both None below ``PRUNE_TOL``.
+    unitary ``op`` on ``x``: ``key`` is the post state's ``state_key``,
+    and both are None below ``PRUNE_TOL``.
 
     Memoised in one memo for the process, keyed by the value of ``op`` and
     the exact bits of ``x``, so every lab that holds ``op`` or an operation
@@ -256,7 +243,7 @@ def _born_rows(op: ProjectiveMeasurement | Operator, op_key: tuple, x: State) ->
         else:
             records = [(r.label, r.probability, r.post_state) for r in outcome_distribution(op, x)]
         hit = tuple(
-            (label, p, None, None) if post is None else (label, p, *_canonical(post))
+            (label, p, None, None) if post is None else (label, p, post, state_key(post))
             for label, p, post in records
         )
         if len(_ROWS) >= MEMO_ROWS:

@@ -12,7 +12,7 @@ Numeric conventions used throughout the package:
 * vectors are unit norm within ``NORM_TOL``;
 * matrices are Hermitian / idempotent / unitary within elementwise 1e-10;
 * density matrices may dip to ``PSD_FLOOR`` below zero in their spectrum;
-* amplitudes below ``ZERO_AMP`` count as zero when fixing the global phase.
+* vectors are in canonical phase from construction (``canonical_amps``).
 """
 
 from __future__ import annotations
@@ -142,10 +142,12 @@ def _frozen_array(data, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 
 class StateVector:
-    """A unit vector over a labelled basis; compares by identity."""
+    """A unit vector over a labelled basis; ``amps`` is ``canonical_amps``
+    of the given amplitudes.  Compares by identity."""
 
     def __init__(self, space: HilbertSpace, amps) -> None:
-        arr = _frozen_array(amps, (space.dim,), "state vector")
+        arr = canonical_amps(_frozen_array(amps, (space.dim,), "state vector"))
+        arr.setflags(write=False)
         norm2 = float(np.real(np.vdot(arr, arr)))
         if abs(norm2 - 1.0) > NORM_TOL:
             raise CatlabError(f"state vector norm^2 = {norm2!r}, expected 1")
@@ -208,7 +210,7 @@ class Operator:
 
 
 def make_state(space: HilbertSpace, raw_amps: Sequence[complex]) -> StateVector:
-    """Normalise raw amplitudes into a state, preserving relative phases.
+    """Normalise raw amplitudes into a state, keeping relative phases only.
 
     Raises ``ZeroVector`` when the input has (numerically) no length and
     ``DimensionMismatch`` when the length disagrees with the space.
@@ -222,8 +224,8 @@ def make_state(space: HilbertSpace, raw_amps: Sequence[complex]) -> StateVector:
     if norm2 < 1e-20:
         raise ZeroVector("cannot normalise an all-zero amplitude list")
     # skip the division when already normalised: amplitudes written
-    # normalised in a .scn file load bit for bit as written, and report
-    # bytes depend on those doubles
+    # normalised and in canonical phase in a .scn file load bit for bit as
+    # written, and report bytes depend on those doubles
     if abs(norm2 - 1.0) > 1e-15:
         arr = arr / math.sqrt(norm2)
     return StateVector(space, arr)
@@ -343,15 +345,15 @@ def states_match(x: State, target: StateVector) -> bool:
 
 def canonical_amps(amps: np.ndarray) -> np.ndarray:
     """Fix the global phase: the first amplitude above ``ZERO_AMP`` becomes
-    real positive.  Returns a new raw array, or ``amps`` itself when no
-    amplitude is above ``ZERO_AMP``."""
+    real positive and no part is -0.0, so a second pass keeps the bits.
+    Returns a new array, or ``amps`` itself if none is above ``ZERO_AMP``."""
     idx = int(np.argmax(np.abs(amps) > ZERO_AMP))
     a0 = amps[idx]
     r = abs(a0)
     if r <= ZERO_AMP:  # degenerate; a valid state always has one
         return amps
-    phase = a0 / r
-    out = amps * np.conj(phase)
+    phase = complex(a0.real / r, a0.imag / r)  # numpy's a0 / r can miss 1.0
+    out = amps * phase.conjugate() + 0.0  # -0.0 + 0.0 is 0.0
     out[idx] = r  # exact zero imaginary part on the anchor entry
     return out
 

@@ -52,7 +52,7 @@ REMOVED = {
     ),
     catlab.errors: ("NotInSpan",),
     catlab.cli: ("resolve_seed",),
-    catlab.lab: ("DEFAULT_MIN_PROB",),
+    catlab.lab: ("DEFAULT_MIN_PROB", "_canonical"),
     catlab.measure: ("records_to_json", "sample_outcome"),
     catlab.protocols: ("merge_histograms", "total_reach_probability", "TRIALS_PER_BLOCK"),
     catlab.RandomStream: ("derive", "uniform", "uniforms"),
@@ -150,3 +150,17 @@ def test_one_transition_table_per_lab():
                 if name == "Transitions":
                     calls.append(f"{path.name}:{node.lineno}")
     assert len(calls) == 1 and calls[0].startswith("lab.py:"), calls
+
+
+def test_only_qstate_fixes_the_phase():
+    # A vector fixes its phase when it is built; a second module that
+    # called canonical_amps would decide the phase twice.
+    users = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == "canonical_amps")
+        or (isinstance(node, ast.Attribute) and node.attr == "canonical_amps")
+        or (isinstance(node, ast.alias) and node.name == "canonical_amps")
+    )
+    assert set(users) == {"qstate.py"}, users

@@ -636,22 +636,22 @@ def test_a_sweep_of_distinct_candidates_stays_under_the_memo_cap(monkeypatch):
     assert sizes != sorted(sizes)  # the memo was cleared
 
 
-def test_interning_builds_a_vector_only_for_a_rotated_phase(monkeypatch):
+def test_interning_builds_no_vector(monkeypatch):
     table, fresh = cat_lab().transitions, cat_lab().transitions
     alive = basis_state(CAT, "alive")
-    rotated = make_state(CAT, [1j, 0])  # alive up to a phase: canonicalising builds a new vector
+    rotated = make_state(CAT, [1j, 0])  # alive up to a global phase
     built = []
     real = StateVector.__init__
     monkeypatch.setattr(StateVector, "__init__",
                         lambda self, *args: built.append(args) or real(self, *args))
-    sid = table.intern(alive)  # canonical phase, new key
-    assert table.intern(alive) == sid  # canonical phase, key already held
-    assert table.states[sid] is alive
-    assert built == []
+    sid = table.intern(alive)
     assert table.intern(rotated) == sid
-    assert len(built) == 1
-    assert fresh.states[fresh.intern(rotated)].amps.tobytes() == alive.amps.tobytes()
-    assert len(built) == 2
+    assert table.states[sid] is alive
+    rid = fresh.intern(rotated)
+    assert fresh.intern(alive) == rid
+    assert fresh.states[rid] is rotated
+    assert built == []
+    assert rotated.amps.tobytes() == alive.amps.tobytes()
 
 
 def test_candidate_rows_die_with_the_candidate(monkeypatch):
