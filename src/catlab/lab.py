@@ -390,7 +390,8 @@ def nogo_verdict(
     if outcome_label == COMPLEMENT_LABEL:
         # make_measurement would label the complement ⊥ as well: prime it,
         # as the operation name is primed below
-        outcomes.append((COMPLEMENT_LABEL + "'", complement(lab.space, candidate.mat)))
+        rest = np.eye(lab.space.dim) - candidate.mat
+        outcomes.append((COMPLEMENT_LABEL + "'", complement(lab.space, rest)))
     m = make_measurement(lab.space, outcomes)
     adjoined = name
     while adjoined in lab.measurements or adjoined in lab.unitaries:

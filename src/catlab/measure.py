@@ -80,8 +80,8 @@ def make_measurement(
 ) -> ProjectiveMeasurement:
     """Build a measurement, appending a complement outcome when needed.
 
-    The appended outcome is ``complement(space, sum(P_i))``, labelled "⊥";
-    if the given projectors are not mutually orthogonal it fails its own
+    The appended outcome is ``complement(space, I - sum(P_i))``, labelled
+    "⊥"; if the given projectors are not mutually orthogonal it fails its own
     projector check, which surfaces the problem immediately.
     """
     outcomes = [(str(l), op) for l, op in outcomes]
@@ -91,21 +91,22 @@ def make_measurement(
         if op.space != space:
             raise DimensionMismatch(f"outcome {label!r} lives on another space")
         total = total + op.mat
-    if float(np.max(np.abs(np.eye(d) - total))) > COMPLETE_TOL:
+    rest = np.eye(d) - total
+    if float(np.max(np.abs(rest))) > COMPLETE_TOL:
         if any(l == COMPLEMENT_LABEL for l, _ in outcomes):
             raise CatlabError(
                 f"cannot auto-complete: label {COMPLEMENT_LABEL!r} already used"
             )
-        outcomes.append((COMPLEMENT_LABEL, complement(space, total)))
+        outcomes.append((COMPLEMENT_LABEL, complement(space, rest)))
     return ProjectiveMeasurement(space, tuple(outcomes))
 
 
-def complement(space: HilbertSpace, total: np.ndarray) -> Operator:
-    """The projector ``C = I - total`` that completes projectors summing to
-    ``total``.  A diagonal entry that cancels (0 <= C_ii < 1e-3) is recomputed
-    to full relative accuracy as the small root of the projector identity
-    C_ii - C_ii^2 = s_i, where s_i is the sum of |C_ij|^2 over j != i."""
-    c = np.eye(space.dim) - total
+def complement(space: HilbertSpace, c: np.ndarray) -> Operator:
+    """The projector ``C`` that completes projectors summing to ``total``,
+    built from ``c = I - total``, which it changes in place.  A diagonal
+    entry that cancels (0 <= C_ii < 1e-3) is recomputed to full relative
+    accuracy as the small root of the projector identity C_ii - C_ii^2 =
+    s_i, where s_i is the sum of |C_ij|^2 over j != i."""
     for i, cii in enumerate(c.diagonal().real.tolist()):
         if 0 <= cii < 1e-3:
             s = float(np.vdot(c[i], c[i]).real) - cii * cii
