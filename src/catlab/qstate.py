@@ -353,7 +353,7 @@ def canonical_amps(amps: np.ndarray) -> np.ndarray:
     if r <= ZERO_AMP:  # degenerate; a valid state always has one
         return amps
     phase = complex(a0.real / r, a0.imag / r)  # numpy's a0 / r can miss 1.0
-    out = amps * phase.conjugate() + 0.0  # -0.0 + 0.0 is 0.0
+    out = amps * phase.conjugate() + 0.0  # + 0.0 turns -0.0 parts into 0.0
     out[idx] = r  # exact zero imaginary part on the anchor entry
     return out
 

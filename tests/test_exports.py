@@ -155,12 +155,12 @@ def test_one_transition_table_per_lab():
 def test_only_qstate_fixes_the_phase():
     # A vector fixes its phase when it is built; a second module that
     # called canonical_amps would decide the phase twice.
-    users = sorted(
+    users = {
         path.name
         for path in SRC.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if (isinstance(node, ast.Name) and node.id == "canonical_amps")
         or (isinstance(node, ast.Attribute) and node.attr == "canonical_amps")
         or (isinstance(node, ast.alias) and node.name == "canonical_amps")
-    )
-    assert set(users) == {"qstate.py"}, users
+    }
+    assert users == {"qstate.py"}, users
