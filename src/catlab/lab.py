@@ -11,7 +11,6 @@ target out at every depth.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -55,9 +54,18 @@ def state_key(x: State) -> tuple:
 
 
 class Laboratory:
-    """Declared operations plus forbidden transitions, all on one space; it
-    also carries a mutable row cache, its ``transitions`` table.  Compares
-    by identity."""
+    """Declared operations plus forbidden transitions, all on one space, and
+    the lab's interned transition table, which the search, the tree and
+    Monte Carlo share.  Compares by identity.
+
+    ``intern`` gives each state a dense integer id under its ``state_key``;
+    the first state interned under a key represents it from then on, as it
+    is (``states[id]``, with ``keys[id]`` its key).  ``rows`` memoises, per
+    (operation, id), the outcome rows ``(label, probability, next id)``,
+    read off ``born_rows``, with each operation's memo key computed once
+    per lab.  A lab keeps its rows for its own lifetime, also after the
+    ``born_rows`` memo is cleared.
+    """
 
     def __init__(
         self,
@@ -90,23 +98,54 @@ class Laboratory:
         self.measurements: dict[str, ProjectiveMeasurement] = measurements
         self.unitaries: dict[str, Operator] = unitaries
         self.forbidden: tuple[tuple[StateVector, StateVector], ...] = forbidden
+        ops = {**measurements, **unitaries}
+        self._ops = {name: (op, _operation_key(op)) for name, op in ops.items()}
+        self.states: list[State] = []
+        self.keys: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+        self._rows: dict[tuple[str, int], tuple[tuple[str, float, int | None], ...]] = {}
 
     def with_measurement(self, name: str, m: ProjectiveMeasurement) -> "Laboratory":
         """A copy of this lab with one more allowed measurement appended.
 
-        The copy has its own table.  Rows come from the one ``born_rows``
-        memo, keyed by an operation's value, so the copy reads this lab's
-        rows, and a later copy with an equal measurement reads this one's.
+        The copy starts with an empty table.  Rows come from the one
+        ``born_rows`` memo, keyed by an operation's value, so the copy reads
+        this lab's rows, and a later copy with an equal measurement reads
+        this one's.
         """
         if name in self.measurements:
             raise CatlabError(f"operation name {name!r} already in use")
         meas = {**self.measurements, name: m}
         return Laboratory(self.space, meas, self.unitaries, self.forbidden)
 
-    @cached_property
-    def transitions(self) -> "Transitions":
-        """The lab's one ``Transitions`` table, created on first use."""
-        return Transitions(self)
+    def intern(self, x: State) -> int:
+        """The id of ``x``, which represents its key if the key is new."""
+        return self._intern_keyed(x, state_key(x))
+
+    def _intern_keyed(self, x: State, key: tuple) -> int:
+        """The id of ``x``, whose ``state_key`` is ``key``; ``x`` represents
+        the key if the key is new."""
+        sid = self._ids.get(key)
+        if sid is None:
+            sid = self._ids[key] = len(self.states)
+            self.states.append(x)
+            self.keys.append(key)
+        return sid
+
+    def rows(self, name: str, sid: int) -> tuple[tuple[str, float, int | None], ...]:
+        """Outcome rows of operation ``name`` on state ``sid``.
+
+        A measurement gives one row per outcome in outcome order, with next
+        id None below ``PRUNE_TOL``; a unitary gives ``(("", 1.0, id),)``.
+        """
+        hit = self._rows.get((name, sid))
+        if hit is None:
+            op, op_key = self._ops[name]
+            hit = self._rows[(name, sid)] = tuple(
+                (label, p, None if key is None else self._intern_keyed(post, key))
+                for label, p, post, key in _born_rows(op, op_key, self.states[sid])
+            )
+        return hit
 
 
 class SteeringPath:
@@ -149,59 +188,6 @@ def check_conditions(lab: Laboratory, l_state: StateVector, d_state: StateVector
         if states_match(frm, d_state) and states_match(to, l_state):
             return True
     return False
-
-
-class Transitions:
-    """The interned transition table of one laboratory.
-
-    ``intern`` gives each state a dense integer id under its ``state_key``;
-    the first state interned under a key represents it from then on, as it
-    is (``states[id]``, with ``keys[id]`` its key).  ``rows`` memoises, per
-    (operation, id), the outcome rows ``(label, probability, next id)``,
-    read off ``born_rows``, with each operation's memo key computed once
-    per table.  The search, the tree and Monte Carlo share
-    ``lab.transitions``: a key's representative is the first state
-    interned in the lab's lifetime.  A table keeps its rows for its own
-    lifetime, also after the ``born_rows`` memo is cleared.
-    """
-
-    def __init__(self, lab: Laboratory) -> None:
-        # the operations, not the lab: no lab <-> table reference cycle
-        ops = {**lab.measurements, **lab.unitaries}
-        self._ops = {name: (op, _operation_key(op)) for name, op in ops.items()}
-        self.states: list[State] = []
-        self.keys: list[tuple] = []
-        self._ids: dict[tuple, int] = {}
-        self._rows: dict[tuple[str, int], tuple[tuple[str, float, int | None], ...]] = {}
-
-    def intern(self, x: State) -> int:
-        """The id of ``x``, which represents its key if the key is new."""
-        return self._intern_keyed(x, state_key(x))
-
-    def _intern_keyed(self, x: State, key: tuple) -> int:
-        """The id of ``x``, whose ``state_key`` is ``key``; ``x`` represents
-        the key if the key is new."""
-        sid = self._ids.get(key)
-        if sid is None:
-            sid = self._ids[key] = len(self.states)
-            self.states.append(x)
-            self.keys.append(key)
-        return sid
-
-    def rows(self, name: str, sid: int) -> tuple[tuple[str, float, int | None], ...]:
-        """Outcome rows of operation ``name`` on state ``sid``.
-
-        A measurement gives one row per outcome in outcome order, with next
-        id None below ``PRUNE_TOL``; a unitary gives ``(("", 1.0, id),)``.
-        """
-        hit = self._rows.get((name, sid))
-        if hit is None:
-            op, op_key = self._ops[name]
-            hit = self._rows[(name, sid)] = tuple(
-                (label, p, None if key is None else self._intern_keyed(post, key))
-                for label, p, post, key in _born_rows(op, op_key, self.states[sid])
-            )
-        return hit
 
 
 def _operation_key(op: ProjectiveMeasurement | Operator) -> tuple:
@@ -294,7 +280,7 @@ def _search(
 
     Deterministic: operations expand in declaration order and outcomes in
     outcome order.  Each state is the first one interned under its key in
-    ``lab.transitions`` during the lab's lifetime, and the witness ends on
+    ``lab`` during the lab's lifetime, and the witness ends on
     that representative.  Revisited ids keep their highest-probability path
     (position in the frontier is fixed by first arrival).
     """
@@ -302,10 +288,9 @@ def _search(
         raise CatlabError(f"search depth must be >= 0, got {max_depth}")
     if start.space != lab.space or target.space != lab.space:
         raise DimensionMismatch("states live outside the laboratory space")
-    table = lab.transitions
-    root = table.intern(start)
-    if states_match(table.states[root], target):
-        return SteeringPath((), 1.0, table.states[root]), False
+    root = lab.intern(start)
+    if states_match(lab.states[root], target):
+        return SteeringPath((), 1.0, lab.states[root]), False
     visited: dict[int, float] = {root: 1.0}
     frontier: dict[int, tuple[tuple, float]] = {root: ((), 1.0)}
     names = [*lab.measurements, *lab.unitaries]
@@ -313,14 +298,14 @@ def _search(
         next_frontier: dict[int, tuple[tuple, float]] = {}
         for sid, (steps, prob) in frontier.items():
             for name in names:
-                for label, p, nid in table.rows(name, sid):
+                for label, p, nid in lab.rows(name, sid):
                     if nid is None:
                         continue
                     new_prob = prob * p
                     if new_prob < MIN_PROB:
                         continue
                     new_steps = steps + ((name, label),)
-                    post = table.states[nid]
+                    post = lab.states[nid]
                     if states_match(post, target):
                         return SteeringPath(new_steps, new_prob, post), False
                     best = visited.get(nid)

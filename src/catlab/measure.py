@@ -174,11 +174,12 @@ def outcome_distribution(m: ProjectiveMeasurement, x: State) -> list[OutcomeReco
             records.append(OutcomeRecord(label, p, post))
     else:
         for label, op in m.outcomes:
-            p = float(np.real(np.trace(op.mat @ x.mat)))
+            left = op.mat @ x.mat
+            p = float(np.real(np.trace(left)))
             p = min(1.0, max(0.0, p))
             post = None
             if p >= PRUNE_TOL:
-                collapsed = op.mat @ x.mat @ op.mat
+                collapsed = left @ op.mat
                 post = DensityMatrix(m.space, collapsed / np.trace(collapsed).real)
             records.append(OutcomeRecord(label, p, post))
     return records

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .errors import CatlabError, DepthCeiling, DimensionMismatch, DisallowedOperation
-from .lab import Laboratory, Transitions
+from .lab import Laboratory
 from .measure import COMPLEMENT_LABEL, ProjectiveMeasurement, outcome_distribution
 from .qstate import State, StateVector, format_state, states_match
 from .rng import RandomStream
@@ -144,8 +144,8 @@ class OutcomeNode:
     ``operation``/``label`` describe the edge from the parent (both None at
     the root; ``label`` is None for unitary edges).  ``probability`` is the
     branch probability, ``cumulative`` the product along the path.
-    ``sid`` is the id of the node's state in the tree's table: the state
-    is ``tree.table.states[node.sid]``.
+    ``sid`` is the id of the node's state in the tree's lab: the state
+    is ``tree.lab.states[node.sid]``.
     """
 
     __slots__ = ("operation", "label", "probability", "cumulative", "sid", "children", "stopped")
@@ -178,13 +178,13 @@ class OutcomeTree:
 
     The masses, counts and ``pruned_mass`` come from a forward propagation
     (see ``enumerate_protocol``).  The node tree itself is built, by a
-    depth-first walk over the same ``table``, only when ``root`` or
+    depth-first walk over the same ``lab`` rows, only when ``root`` or
     ``leaves()`` is first read.
     """
 
     def __init__(
         self,
-        table: Transitions,
+        lab: Laboratory,
         steps: tuple[Step, ...],
         start: int,
         finals: list[tuple[int, int]],
@@ -193,7 +193,7 @@ class OutcomeTree:
         nodes: int,
         leaves: int,
     ) -> None:
-        self.table = table
+        self.lab = lab
         # (sid, exact leaf mass times 2**scale), in first-leaf order
         self._finals = finals
         self._scale = scale
@@ -211,7 +211,7 @@ class OutcomeTree:
         return self._root
 
     def _build(self) -> OutcomeNode:
-        steps, table = self._steps, self.table
+        steps, lab = self._steps, self.lab
         root = OutcomeNode(None, None, 1.0, 1.0, self._start)
         # (node, step index, last outcome label)
         stack = [(root, 0, None)]
@@ -228,7 +228,7 @@ class OutcomeTree:
                 continue
             name = step.measurement if isinstance(step, MeasureStep) else step.unitary
             cum = node.cumulative
-            for label, p, nid in table.rows(name, node.sid):
+            for label, p, nid in lab.rows(name, node.sid):
                 if nid is None:
                     continue
                 # a unitary row's empty label: the edge has no label and the
@@ -267,7 +267,7 @@ def enumerate_protocol(
 ) -> OutcomeTree:
     """Exact outcome distribution of a protocol from an initial state.
 
-    The unrolled protocol is stepped forward over ``lab.transitions``.
+    The unrolled protocol is stepped forward over the rows of ``lab``.
     The tree's nodes fall into cells, one per (state id, last outcome
     label), and each cell keeps its exact mass, its number of nodes and
     its first path (the row indices from the root of its first node in
@@ -283,8 +283,7 @@ def enumerate_protocol(
         raise DimensionMismatch("initial state lives outside the laboratory space")
     steps = protocol.unrolled()
     _resolve_steps(steps, lab)
-    table = lab.transitions
-    start = table.intern(initial)
+    start = lab.intern(initial)
     # (sid, last label) -> [mass * 2**scale, node count, first path]
     cells: dict[tuple[int, str | None], list] = {(start, None): [1, 1, ()]}
     scale = pruned = 0
@@ -304,7 +303,7 @@ def enumerate_protocol(
             continue
         name = step.measurement if isinstance(step, MeasureStep) else step.unitary
         expanded = [
-            [(label, *_dyadic(p), nid) for label, p, nid in table.rows(name, sid)]
+            [(label, *_dyadic(p), nid) for label, p, nid in lab.rows(name, sid)]
             for sid, _ in cells
         ]
         # one denominator per step: the largest one among its rows
@@ -340,14 +339,14 @@ def enumerate_protocol(
     for _, sid, num, at in sorted(ended):
         finals[sid] = finals.get(sid, 0) + (num << (scale - at))
     return OutcomeTree(
-        table, steps, start, list(finals.items()), scale, pruned, nodes, leaves
+        lab, steps, start, list(finals.items()), scale, pruned, nodes, leaves
     )
 
 
 def leaf_mass(tree: OutcomeTree, target: StateVector) -> float:
     """Total probability of leaves whose state matches ``target``: the
     correctly rounded value of the exact sum."""
-    states = tree.table.states
+    states = tree.lab.states
     num = sum(n for sid, n in tree._finals if states_match(states[sid], target))
     return num / (1 << tree._scale)
 
@@ -356,7 +355,7 @@ def aggregate_leaves(tree: OutcomeTree) -> list[tuple[State, float]]:
     """Leaf masses merged by interned final state, in first-leaf order; each
     mass is the correctly rounded value of its exact sum."""
     den = 1 << tree._scale
-    return [(tree.table.states[sid], n / den) for sid, n in tree._finals]
+    return [(tree.lab.states[sid], n / den) for sid, n in tree._finals]
 
 
 def tree_to_json(tree: OutcomeTree) -> dict:
@@ -366,7 +365,7 @@ def tree_to_json(tree: OutcomeTree) -> dict:
             "label": node.label,
             "probability": node.probability,
             "cumulative": node.cumulative,
-            "state": format_state(tree.table.states[node.sid]),
+            "state": format_state(tree.lab.states[node.sid]),
             "stopped": node.stopped,
             "children": [node_doc(c) for c in node.children],
         }
@@ -409,23 +408,24 @@ def run_monte_carlo(
     """Draw the histogram of ``n`` independent seeded trials of a protocol.
 
     The histogram is drawn as counts, not trial by trial.  Trial counts sit
-    in cells, one per (id in ``lab.transitions``, last outcome label), like
-    the masses of ``enumerate_protocol``, starting with all ``n`` in the
-    initial state's cell.  A measure step splits each cell's count over the
-    kept rows of its state by one multinomial draw (``_split``) from stream
-    ``(seed, 0)``.  The split renormalises over the kept rows, so it differs
-    from the exact distribution by less than ``PRUNE_TOL`` per pruned row,
-    the mass ``enumerate_protocol`` reports as pruned; and it snaps each
-    probability to a 2**-40 grid first, so that two representatives of one
-    key, whose probabilities may differ in the last bits, split alike.  A
-    unitary step moves each count to its row's next id, and a ``stop_if``
-    step moves the cells whose last label matches to the final states.
-    Cells are split in order of first arrival, not in id order, so the
-    bins depend on the protocol, the initial state, the seed and ``n``, and
-    not on what the table held before, unless a row probability lies
-    within its last bits of a rounding boundary of the grid.  The cost
-    grows with steps times cells, not with ``n``.  Bins hold the table's
-    state objects.
+    in cells, one per (state id in ``lab``, last outcome label), like the
+    masses of ``enumerate_protocol``, starting with all ``n`` in the
+    initial state's cell.  A step splits each cell's count over the kept
+    rows of its state by one multinomial draw (``_split``) from stream
+    ``(seed, 0)``; a cell with one kept row, such as every unitary row,
+    passes its whole count on, which draws nothing from the stream.  The
+    split renormalises over the kept rows, so it differs from the exact
+    distribution by less than ``PRUNE_TOL`` per pruned row, the mass
+    ``enumerate_protocol`` reports as pruned; and it snaps each probability
+    to a 2**-40 grid first, so that two representatives of one key, whose
+    probabilities may differ in the last bits, split alike.  A unitary
+    row's empty label keeps the last outcome, and a ``stop_if`` step moves
+    the cells whose last label matches to the final states.  Cells are
+    split in order of first arrival, not in id order, so the bins depend
+    on the protocol, the initial state, the seed and ``n``, and not on what
+    the lab's table held before, unless a row probability lies within its
+    last bits of a rounding boundary of the grid.  The cost grows with
+    steps times cells, not with ``n``.  Bins hold the lab's state objects.
     """
     if n < 0:
         raise CatlabError("trial count must be >= 0")
@@ -435,35 +435,33 @@ def run_monte_carlo(
         raise DimensionMismatch("initial state lives outside the laboratory space")
     steps = protocol.unrolled()
     _resolve_steps(steps, lab)
-    table = lab.transitions
     stream = RandomStream(seed)
     # (sid, last label) -> trial count, in order of first arrival
     cells: dict[tuple[int, str | None], int] = {}
     if n:
-        cells[(table.intern(initial), None)] = n
+        cells[(lab.intern(initial), None)] = n
     finals: dict[int, int] = {}
     for step in steps:
         if isinstance(step, StopIfStep):
             for key in [key for key in cells if key[1] == step.outcome]:
                 finals[key[0]] = finals.get(key[0], 0) + cells.pop(key)
             continue
+        name = step.measurement if isinstance(step, MeasureStep) else step.unitary
         nxt: dict[tuple[int, str | None], int] = {}
         for (sid, last), count in cells.items():
-            if isinstance(step, UnitaryStep):
-                [(_, _, nid)] = table.rows(step.unitary, sid)
-                nxt[(nid, last)] = nxt.get((nid, last), 0) + count
-                continue
-            kept = [row for row in table.rows(step.measurement, sid) if row[2] is not None]
+            kept = [row for row in lab.rows(name, sid) if row[2] is not None]
             if not kept:
                 raise CatlabError("ran out of probability mass mid-trial")
-            for (label, _, nid), c in zip(kept, _split(count, [p for _, p, _ in kept], stream)):
+            counts = [count] if len(kept) == 1 else _split(count, [p for _, p, _ in kept], stream)
+            for (label, _, nid), c in zip(kept, counts):
                 if c:
-                    nxt[(nid, label)] = nxt.get((nid, label), 0) + c
+                    key = (nid, label or last)
+                    nxt[key] = nxt.get(key, 0) + c
         cells = nxt
     for (sid, _), count in cells.items():
         finals[sid] = finals.get(sid, 0) + count
     return MonteCarloResult(
-        n, seed, {table.keys[s]: (table.states[s], c) for s, c in finals.items()}
+        n, seed, {lab.keys[s]: (lab.states[s], c) for s, c in finals.items()}
     )
 
 
@@ -549,8 +547,9 @@ class DiscriminationReport:
 
 
 def total_variation(dist_a: Mapping[str, float], dist_b: Mapping[str, float]) -> float:
-    """Total variation distance between two label distributions."""
-    labels = set(dist_a) | set(dist_b)
+    """Total variation distance between two label distributions, summed in
+    label order so that the result does not depend on string hashing."""
+    labels = dict.fromkeys([*dist_a, *dist_b])
     return 0.5 * sum(abs(dist_a.get(l, 0.0) - dist_b.get(l, 0.0)) for l in labels)
 
 

@@ -132,7 +132,7 @@ class Scenario:
         self.protocols: dict[str, ProtocolSpec] = dict(protocols or {})
         clash = set(self.states) & set(self.mixtures)
         if clash:
-            raise CatlabError(f"names declared as both state and mixture: {clash}")
+            raise CatlabError(f"names declared as both state and mixture: {sorted(clash)}")
 
     def initial(self, name: str) -> State:
         """Resolve a state or mixture name."""

@@ -1,6 +1,7 @@
 """Command line interface, run in-process through main(argv)."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -476,6 +477,36 @@ def test_console_script():
     b = subprocess.run(argv, capture_output=True, text=True, check=True)
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)["seed"] == 13
+
+
+THREE_LEVELS = """\
+space:
+  labels: [a, b, c]
+states:
+  a: [1, 0, 0]
+  b: [0, 1, 0]
+  c: [0, 0, 1]
+  s1: [0.84, 0.5, 0.66]
+  s2: [0.19, 0.65, 0.87]
+measurements:
+  abc:
+    states: {A: a, B: b, C: c}
+"""
+
+
+def test_total_variation_does_not_depend_on_string_hashing(tmp_path):
+    # with three outcomes the order of the float sum shows in the last digit
+    f = tmp_path / "three.scn"
+    f.write_text(THREE_LEVELS, encoding="utf-8")
+    argv = [sys.executable, "-m", "catlab", "discriminate", "--scenario", str(f),
+            "--trials", "1000", "s1", "s2", "abc"]
+    outs = [
+        subprocess.run(argv, capture_output=True, text=True, check=True,
+                       env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("0", "2")
+    ]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["result"]["total_variation"] == 0.4774883270502795
 
 
 def test_import_does_not_load_scipy():

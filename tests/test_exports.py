@@ -35,6 +35,7 @@ REMOVED = {
         "unitary_operator",
         "canonical_state",
         "sample_outcome",
+        "Transitions",
     ),
     catlab.qstate: (
         "density_from_json",
@@ -52,13 +53,13 @@ REMOVED = {
     ),
     catlab.errors: ("NotInSpan",),
     catlab.cli: ("resolve_seed",),
-    catlab.lab: ("DEFAULT_MIN_PROB", "_canonical"),
+    catlab.lab: ("DEFAULT_MIN_PROB", "_canonical", "Transitions"),
     catlab.measure: ("records_to_json", "sample_outcome"),
     catlab.protocols: ("merge_histograms", "total_reach_probability", "TRIALS_PER_BLOCK"),
     catlab.RandomStream: ("derive", "uniform", "uniforms"),
     catlab.StateVector: ("amplitude",),
     catlab.DensityMatrix: ("probability",),
-    catlab.Laboratory: ("operations",),
+    catlab.Laboratory: ("operations", "transitions"),
     catlab.Operator: ("rank",),
     catlab.OutcomeNode: ("state",),
 }
@@ -79,6 +80,10 @@ def test_removed_names_stay_removed():
             assert not hasattr(owner, name), (owner, name)
     for fn in (catlab.nogo_verdict, catlab.find_steering_path):
         assert "min_prob" not in inspect.signature(fn).parameters, fn
+    # a tree reads its lab's table as ``tree.lab``; ``tree.table`` is gone
+    sc = catlab.load_scenario("resurrection")[0]
+    tree = catlab.enumerate_protocol(sc.protocols["resurrect1"], sc.lab, sc.states["dead"])
+    assert tree.lab is sc.lab and not hasattr(tree, "table")
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -136,20 +141,6 @@ def test_benchmark_and_script_imports_resolve(path):
     for module, name in _catlab_imports(path):
         owner = importlib.import_module(module)
         assert name is None or hasattr(owner, name), (module, name)
-
-
-def test_one_transition_table_per_lab():
-    # Only Laboratory.transitions builds a table.  A table built per call
-    # would recompute the lab's rows and could pick other representatives.
-    calls = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "Transitions":
-                    calls.append(f"{path.name}:{node.lineno}")
-    assert len(calls) == 1 and calls[0].startswith("lab.py:"), calls
 
 
 def test_only_qstate_fixes_the_phase():

@@ -72,6 +72,24 @@ def test_lab_validation():
         Laboratory(CAT, {"basis": basis}, {}, (overlapping,))
 
 
+def test_operations_and_states_on_another_space_are_rejected():
+    other = space_of_dim(2)
+    a, b = basis_state(other, "a"), basis_state(other, "b")
+    flip = Operator(other, np.array([[0, 1], [1, 0]], dtype=complex), "unitary")
+    with pytest.raises(DimensionMismatch, match="unitary 'u' on another space"):
+        Laboratory(CAT, {}, {"u": flip})
+    with pytest.raises(DimensionMismatch, match="forbidden pair on another space"):
+        Laboratory(CAT, {}, {}, [(a, b)])
+    lab = cat_lab()
+    alive, dead = basis_state(CAT, "alive"), basis_state(CAT, "dead")
+    with pytest.raises(DimensionMismatch, match="candidate lives outside"):
+        nogo_verdict(lab, projector_from_state(a), alive, dead)
+    with pytest.raises(DimensionMismatch, match="states live outside"):
+        find_steering_path(lab, a, alive)
+    with pytest.raises(DimensionMismatch, match="states live outside"):
+        find_steering_path(lab, dead, b)
+
+
 def test_with_measurement_collision():
     lab = cat_lab()
     m = measurement_from_states(
@@ -412,6 +430,15 @@ def test_negative_depth_fails_before_the_measurement_is_built(monkeypatch):
                      basis_state(CAT, "dead"), max_depth=-1)
 
 
+def test_a_start_on_the_target_needs_no_step():
+    lab = cat_lab()
+    dead = basis_state(CAT, "dead")
+    for depth in (0, DEFAULT_MAX_DEPTH):
+        path = find_steering_path(lab, dead, make_state(CAT, [0, 1j]), max_depth=depth)
+        assert path.steps == () and path.probability == 1.0
+        assert path.final_state is dead is lab.states[lab.intern(dead)]
+
+
 def test_find_steering_path_absent():
     lab = cat_lab()  # only the diagonal basis: dead stays dead
     path = find_steering_path(lab, basis_state(CAT, "dead"), basis_state(CAT, "alive"))
@@ -637,7 +664,7 @@ def test_a_sweep_of_distinct_candidates_stays_under_the_memo_cap(monkeypatch):
 
 
 def test_interning_builds_no_vector(monkeypatch):
-    table, fresh = cat_lab().transitions, cat_lab().transitions
+    table, fresh = cat_lab(), cat_lab()
     alive = basis_state(CAT, "alive")
     rotated = make_state(CAT, [1j, 0])  # alive up to a global phase
     built = []

@@ -99,6 +99,29 @@ def test_label_and_kind_validation():
         make_measurement(CAT, [("only", pa), ("other", pa)])  # not orthogonal
 
 
+def test_measurement_construction_errors():
+    pa = projector_from_state(basis_state(CAT, "alive"))
+    elsewhere = projector_from_state(basis_state(space_of_dim(2), "a"))
+    with pytest.raises(CatlabError, match="at least one outcome"):
+        ProjectiveMeasurement(CAT, ())
+    with pytest.raises(DimensionMismatch, match="outcome 'x' lives on another space"):
+        ProjectiveMeasurement(CAT, (("x", elsewhere),))
+    with pytest.raises(NotOrthogonal, match="projectors 'x' and 'y' overlap"):
+        ProjectiveMeasurement(CAT, (("x", pa), ("y", pa)))
+
+
+def test_measurement_from_states_argument_errors():
+    alive, dead = basis_state(CAT, "alive"), basis_state(CAT, "dead")
+    with pytest.raises(CatlabError, match="at least one state"):
+        measurement_from_states([], [])
+    with pytest.raises(DimensionMismatch, match="one label per state"):
+        measurement_from_states([alive, dead], ["a"])
+    with pytest.raises(DimensionMismatch, match="more states than the dimension"):
+        measurement_from_states([alive, dead, make_state(CAT, [1, 1])], ["a", "d", "p"])
+    with pytest.raises(DimensionMismatch, match="different spaces"):
+        measurement_from_states([alive, basis_state(space_of_dim(2), "b")], ["a", "b"])
+
+
 def test_incomplete_without_complement_rejected():
     pa = projector_from_state(basis_state(CAT, "alive"))
     with pytest.raises(CatlabError):

@@ -14,7 +14,6 @@ from catlab import (
     ProtocolSpec,
     SteeringPath,
     StopIfStep,
-    Transitions,
     UnitaryStep,
     aggregate_leaves,
     apply_unitary,
@@ -79,7 +78,7 @@ def test_canonical_phase_invariance(psi, theta):
     b = StateVector(psi.space, canonical_amps(rotated.amps))
     assert state_key(a) == state_key(b)
     assert states_match(a, b)
-    table = Transitions(Laboratory(psi.space))
+    table = Laboratory(psi.space)
     assert table.keys[table.intern(rotated)] == state_key(rotated)
     assert np.allclose(canonical_amps(a.amps), a.amps, atol=1e-12)
     lead = a.amps[np.argmax(np.abs(a.amps) > 1e-12)]
@@ -290,7 +289,7 @@ def exact_walk(tree, steps):
             step = steps[i]
             name = step.measurement if isinstance(step, MeasureStep) else step.unitary
             pruned += sum(
-                (mass * Fraction(p) for _, p, nid in tree.table.rows(name, node.sid) if nid is None),
+                (mass * Fraction(p) for _, p, nid in tree.lab.rows(name, node.sid) if nid is None),
                 Fraction(0),
             )
         if node.is_leaf:
@@ -329,7 +328,7 @@ def test_tree_agrees_with_propagation_and_sampling(seed, dim, data, mixed, kinds
 
     # the propagation's answers are the correctly rounded exact path sums
     by_sid, by_label, pruned, nodes, leaves = exact_walk(tree, protocol.steps)
-    states = tree.table.states
+    states = tree.lab.states
     assert len(agg) == len(by_sid)
     for (st_, p), (sid, m) in zip(agg, by_sid.items()):
         assert st_ is states[sid] and p == float(m)
@@ -444,7 +443,7 @@ def test_monte_carlo_ignores_table_history_resurrection():
         return mc_counts(sc.protocols["resurrect3"], sc.lab, sc.states["dead"], 20_000, 5)
 
     def basis_rows_on_minus(sc):
-        table = sc.lab.transitions
+        table = sc.lab
         [_, (_, _, minus)] = table.rows("pm", table.intern(sc.states["dead"]))
         return [p for _, p, _ in table.rows("basis", minus)]
 
@@ -468,7 +467,7 @@ def test_monte_carlo_ignores_table_history(lab_seed):
     # that on this table their ids run against their order of arrival
     for rec in reversed(outcome_distribution(filled.measurements["m"], psi)):
         if rec.post_state is not None:
-            filled.transitions.intern(apply_unitary(filled.unitaries["u"], rec.post_state))
+            filled.intern(apply_unitary(filled.unitaries["u"], rec.post_state))
     fill_table(filled, [
         (codes_protocol(["u", "m", "m", 1, "u", "m"], 2), target),
         (codes_protocol(["m", "u", "m", "u", "m"], 2), rho),

@@ -142,7 +142,7 @@ def test_failure_branches_return_to_start():
     tree = enumerate_protocol(sc.protocols["resurrect3"], sc.lab, dead)
     for leaf in tree.leaves():
         if not leaf.stopped:
-            state = tree.table.states[leaf.sid]
+            state = tree.lab.states[leaf.sid]
             assert abs(abs(np.vdot(state.amps, dead.amps)) - 1.0) < 1e-10
 
 
@@ -194,7 +194,7 @@ def test_node_with_every_row_pruned_is_a_leaf(monkeypatch):
     # A complete measurement always keeps a row, so prune every "basis" row
     # in the lab's table: each pm child then ends as a leaf, as in the tree.
     sc = resurrection()
-    table = sc.lab.transitions
+    table = sc.lab
     rows = table.rows
     monkeypatch.setattr(table, "rows", lambda name, sid: tuple(
         (label, p, None if name == "basis" else nid) for label, p, nid in rows(name, sid)
@@ -205,7 +205,7 @@ def test_node_with_every_row_pruned_is_a_leaf(monkeypatch):
     agg = aggregate_leaves(tree)
     assert len(agg) == 2
     for (st, p), leaf in zip(agg, leaves):
-        assert st is tree.table.states[leaf.sid] and p == leaf.cumulative
+        assert st is tree.lab.states[leaf.sid] and p == leaf.cumulative
     assert abs(tree.pruned_mass - 1.0) < 1e-15
 
 
@@ -329,7 +329,7 @@ def test_runs_on_a_lab_share_its_rows(monkeypatch):
 def test_first_state_interned_on_a_lab_represents_its_key():
     ph = load_scenario("photon")[0]
     a = make_state(ph.space, [0.6, 0.8])
-    table = ph.lab.transitions
+    table = ph.lab
     rep = table.states[table.intern(a)]
     # b lies in a's 1e-6 grid cell, and it is interned after a
     b = make_state(ph.space, a.amps + [1e-9, 0.0])

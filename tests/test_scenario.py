@@ -6,6 +6,7 @@ import pytest
 from catlab import (
     CatlabError,
     ParseError,
+    Scenario,
     UnknownScenario,
     ValidationError,
     load_scenario,
@@ -232,6 +233,33 @@ V = ValidationError
          V, "t.scn:11:3: CatlabError: forbidden pair must be distinct orthogonal states"),
         (XYP + "forbidden:\n  - {from: x, to: p}\n",
          V, "t.scn:1:1: CatlabError: forbidden pair must be distinct orthogonal states"),
+        # node shapes and scalar forms
+        (XY + "mixtures: [1, 2]\n",
+         P, "t.scn:7:11: mixtures must be a mapping"),
+        (MINIMAL + "forbidden: {a: b}\n",
+         P, "t.scn:4:12: forbidden must be a sequence"),
+        ("space:\n  labels: [[x], y]\n",
+         P, "t.scn:2:12: basis label must be a scalar"),
+        ("space:\n  labels: ['', y]\n",
+         P, "t.scn:2:12: basis label must be a non-empty string"),
+        (XY + "mixtures:\n  r:\n    - {weight: heavy, state: x}\n",
+         P, "t.scn:9:16: weight: not a number: 'heavy'"),
+        (WITH_M + "protocols:\n  p:\n    - repeat: {count: two, body: []}\n",
+         P, "t.scn:12:23: repeat count: not an integer: 'two'"),
+        # allowed characters that complex() still rejects
+        (MINIMAL + "states:\n  z: [1..2, 0]\n",
+         P, "t.scn:5:7: bad complex literal '1..2'"),
+        (MINIMAL + "states:\n  z: []\n",
+         P, "t.scn:5:6: state 'z' must be a non-empty sequence"),
+        (MINIMAL + "unitaries:\n  u: []\n",
+         P, "t.scn:5:6: unitary 'u' must be a non-empty list of rows"),
+        # names declared twice, and a measurement without outcomes
+        (XY + "mixtures:\n  x:\n    - {weight: 1, state: y}\n",
+         P, "t.scn:8:3: name 'x' already declared as a state"),
+        (WITH_M + "unitaries:\n  m:\n    - [0, 1]\n    - [1, 0]\n",
+         P, "t.scn:11:3: name 'm' already declared as a measurement"),
+        (MINIMAL + "measurements:\n  m:\n    projectors: {}\n",
+         P, "t.scn:6:17: measurement 'm' declares no outcomes"),
     ],
 )
 def test_diagnostics_are_pinned(text, cls, message):
@@ -254,6 +282,14 @@ def test_yaml_syntax_errors_are_located(text, prefix):
         parse(text)
     assert type(exc.value) is ParseError
     assert str(exc.value).startswith(prefix)
+
+
+def test_a_state_and_a_mixture_may_not_share_a_name():
+    sc = parse(XY + "mixtures:\n  r:\n    - {weight: 1, state: x}\n")
+    with pytest.raises(CatlabError) as exc:
+        Scenario(sc.name, sc.space, sc.states, {"y": sc.mixtures["r"], "x": sc.mixtures["r"]},
+                 {}, {}, sc.lab)
+    assert str(exc.value) == "names declared as both state and mixture: ['x', 'y']"
 
 
 def test_measurement_needs_exactly_one_form():
