@@ -62,9 +62,8 @@ class Laboratory:
     the first state interned under a key represents it from then on, as it
     is (``states[id]``, with ``keys[id]`` its key).  ``rows`` memoises, per
     (operation, id), the outcome rows ``(label, probability, next id)``,
-    read off ``born_rows``, with each operation's memo key computed once
-    per lab.  A lab keeps its rows for its own lifetime, also after the
-    ``born_rows`` memo is cleared.
+    read off ``born_rows``.  A lab keeps its rows for its own lifetime,
+    also after the ``born_rows`` memo is cleared.
     """
 
     def __init__(
@@ -98,8 +97,7 @@ class Laboratory:
         self.measurements: dict[str, ProjectiveMeasurement] = measurements
         self.unitaries: dict[str, Operator] = unitaries
         self.forbidden: tuple[tuple[StateVector, StateVector], ...] = forbidden
-        ops = {**measurements, **unitaries}
-        self._ops = {name: (op, _operation_key(op)) for name, op in ops.items()}
+        self._ops = {**measurements, **unitaries}
         self.states: list[State] = []
         self.keys: list[tuple] = []
         self._ids: dict[tuple, int] = {}
@@ -140,10 +138,9 @@ class Laboratory:
         """
         hit = self._rows.get((name, sid))
         if hit is None:
-            op, op_key = self._ops[name]
             hit = self._rows[(name, sid)] = tuple(
                 (label, p, None if key is None else self._intern_keyed(post, key))
-                for label, p, post, key in _born_rows(op, op_key, self.states[sid])
+                for label, p, post, key in born_rows(self._ops[name], self.states[sid])
             )
         return hit
 
@@ -190,15 +187,6 @@ def check_conditions(lab: Laboratory, l_state: StateVector, d_state: StateVector
     return False
 
 
-def _operation_key(op: ProjectiveMeasurement | Operator) -> tuple:
-    """The value of ``op`` that ``born_rows`` keys its memo on: its type,
-    space and kind or outcome labels, and the exact bytes of its matrices."""
-    if isinstance(op, Operator):
-        return (Operator, op.space, op.kind, op.mat.tobytes())
-    outcomes = tuple((label, p.mat.tobytes()) for label, p in op.outcomes)
-    return (ProjectiveMeasurement, op.space, outcomes)
-
-
 def born_rows(
     op: ProjectiveMeasurement | Operator, x: State
 ) -> tuple[tuple[str, float, State | None, tuple | None], ...]:
@@ -206,22 +194,17 @@ def born_rows(
     unitary ``op`` on ``x``: ``key`` is the post state's ``state_key``,
     and both are None below ``PRUNE_TOL``.
 
-    Memoised in one memo for the process, keyed by the value of ``op`` and
-    the exact bits of ``x``, so every lab that holds ``op`` or an operation
-    equal to it bit for bit, such as a rebuilt no-go candidate, shares its
-    rows.  An entry is a pure function of its key, so a hit gives the bits
-    a recomputation would, two threads racing on one entry store the same
-    value, and a clear that races a store only loses entries.  The memo is
-    cleared once it holds ``MEMO_ROWS`` entries, so a sweep of distinct
-    candidates keeps it bounded.
+    Memoised in one memo for the process, keyed by ``op.key``, the value
+    of ``op``, and the exact bits of ``x``, so every lab that holds ``op``
+    or an operation equal to it bit for bit, such as a rebuilt no-go
+    candidate, shares its rows.  An entry is a pure function of its key, so
+    a hit gives the bits a recomputation would, two threads racing on one
+    entry store the same value, and a clear that races a store only loses
+    entries.  The memo is cleared once it holds ``MEMO_ROWS`` entries, so a
+    sweep of distinct candidates keeps it bounded.
     """
-    return _born_rows(op, _operation_key(op), x)
-
-
-def _born_rows(op: ProjectiveMeasurement | Operator, op_key: tuple, x: State) -> tuple:
-    """``born_rows(op, x)``, with ``op_key`` the ``_operation_key`` of ``op``."""
     # d amplitudes or d * d entries, d >= 2: a vector and a matrix never share bits
-    key = (op_key, x.amps.tobytes() if isinstance(x, StateVector) else x.mat.tobytes())
+    key = (op.key, x.amps.tobytes() if isinstance(x, StateVector) else x.mat.tobytes())
     hit = _ROWS.get(key)
     if hit is None:
         if isinstance(op, Operator):

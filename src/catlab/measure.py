@@ -32,7 +32,8 @@ COMPLEMENT_LABEL = "⊥"
 
 class ProjectiveMeasurement:
     """Labelled orthogonal projectors summing to the identity; compares by
-    identity."""
+    identity.  ``key`` is its value, the memo key of ``lab.born_rows``: its
+    type, space, and each outcome's label with that projector's ``key``."""
 
     def __init__(
         self, space: HilbertSpace, outcomes: Sequence[tuple[str, Operator]]
@@ -63,6 +64,7 @@ class ProjectiveMeasurement:
             raise CatlabError("projectors do not resolve the identity")
         self.space = space
         self.outcomes: tuple[tuple[str, Operator], ...] = outcomes
+        self.key = (ProjectiveMeasurement, space, tuple((l, op.key) for l, op in outcomes))
 
     @property
     def labels(self) -> tuple[str, ...]:

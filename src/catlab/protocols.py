@@ -605,8 +605,8 @@ def chi_square_test(
             continue  # empty bin carries no information
         stat += (o - e) ** 2 / e
         df += 1
-    if df <= 0:
-        return stat, max(df, 0), 1.0 if stat == 0.0 else 0.0
+    if df <= 0:  # one bin holds every count: any statistic is rounding
+        return stat, max(df, 0), 1.0
     return stat, df, _chi2_sf(stat, df)
 
 

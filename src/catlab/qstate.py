@@ -4,8 +4,8 @@ Constructors validate their input and make the underlying numpy buffers
 read-only, and no attribute is reassigned after construction, so instances
 can be shared freely between threads and reused as dictionary payloads.
 The types are plain classes, so that rule is kept by the code, not enforced:
-assigning an attribute raises no error.  No record has a mutable part: the
-Born rows of an operation are memoised by value in ``lab.born_rows``.
+assigning an attribute raises no error.  No record has a mutable part: an
+operation's Born rows are memoised in ``lab.born_rows`` under its ``key``.
 
 Numeric conventions used throughout the package:
 
@@ -185,7 +185,8 @@ State = Union[StateVector, DensityMatrix]
 
 class Operator:
     """A matrix tagged with the contract it must satisfy; compares by
-    identity."""
+    identity.  ``key`` is its value, the memo key of ``lab.born_rows``:
+    its type, space, kind and the exact bytes of its matrix."""
 
     def __init__(self, space: HilbertSpace, mat, kind: OperatorKind) -> None:
         d = space.dim
@@ -203,6 +204,7 @@ class Operator:
         self.space = space
         self.mat: np.ndarray = arr
         self.kind = kind
+        self.key = (Operator, space, kind, arr.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,22 @@ def test_discriminate_json(capsys):
     }
 
 
+@pytest.mark.parametrize("scenario,source,measurement", [
+    ("cat", "cat_plus", "plusminus"),
+    ("photon", "x_plus", "xbasis"),
+])
+def test_discriminate_a_source_against_itself(capsys, scenario, source, measurement):
+    code, doc, _ = run_json(
+        capsys,
+        "discriminate", "--scenario", scenario, source, source, measurement,
+        "--trials", "1000",
+    )
+    assert code == 0
+    assert doc["result"]["total_variation"] == 0.0
+    assert doc["result"]["chi_square"]["df"] == 0
+    assert doc["result"]["chi_square"]["p_value"] == 1.0
+
+
 def test_discriminate_csv(capsys):
     code, out, _ = run_cli(
         capsys,

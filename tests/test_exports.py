@@ -53,7 +53,7 @@ REMOVED = {
     ),
     catlab.errors: ("NotInSpan",),
     catlab.cli: ("resolve_seed",),
-    catlab.lab: ("DEFAULT_MIN_PROB", "_canonical", "Transitions"),
+    catlab.lab: ("DEFAULT_MIN_PROB", "_canonical", "Transitions", "_operation_key", "_born_rows"),
     catlab.measure: ("records_to_json", "sample_outcome"),
     catlab.protocols: ("merge_histograms", "total_reach_probability", "TRIALS_PER_BLOCK"),
     catlab.RandomStream: ("derive", "uniform", "uniforms"),

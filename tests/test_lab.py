@@ -18,6 +18,7 @@ from catlab import (
     NoGoVerdict,
     Operator,
     PreconditionFailed,
+    SteeringPath,
     basis_state,
     check_conditions,
     find_steering_path,
@@ -88,6 +89,8 @@ def test_operations_and_states_on_another_space_are_rejected():
         find_steering_path(lab, a, alive)
     with pytest.raises(DimensionMismatch, match="states live outside"):
         find_steering_path(lab, dead, b)
+    with pytest.raises(DimensionMismatch, match="states live outside"):
+        check_conditions(lab, alive, b)
 
 
 def test_with_measurement_collision():
@@ -172,6 +175,9 @@ def test_witness_replays_exactly():
     prob, final = replay_path(extended, dead, v.witness)
     assert abs(prob - v.witness.probability) < 1e-12
     assert states_match(final, v.witness.final_state)
+    unknown = SteeringPath((("Q", "S"),), 1.0, alive)
+    with pytest.raises(CatlabError, match="operation 'Q' not in the laboratory"):
+        replay_path(extended, dead, unknown)
 
 
 def test_degenerate_candidates_conclusive():
@@ -608,6 +614,9 @@ def test_memo_keys_labels_and_spaces_apart():
     )
     moved_u = Operator(other, u.mat, "unitary")
     moved_psi = StateVector(other, psi.amps)
+    assert fresh_copy(m).key == m.key and fresh_copy(u).key == u.key
+    assert m.key not in (relabelled.key, moved.key) and u.key != moved_u.key
+    assert m.key != u.key
     with empty_memo() as memo:
         rows = born_rows(m, psi)
         u_rows = born_rows(u, psi)

@@ -106,6 +106,8 @@ def test_measurement_construction_errors():
         ProjectiveMeasurement(CAT, ())
     with pytest.raises(DimensionMismatch, match="outcome 'x' lives on another space"):
         ProjectiveMeasurement(CAT, (("x", elsewhere),))
+    with pytest.raises(DimensionMismatch, match="outcome 'x' lives on another space"):
+        make_measurement(CAT, [("x", elsewhere)])
     with pytest.raises(NotOrthogonal, match="projectors 'x' and 'y' overlap"):
         ProjectiveMeasurement(CAT, (("x", pa), ("y", pa)))
 

@@ -30,3 +30,22 @@ def test_one_pass_of_each_workload_is_correct(tmp_path, monkeypatch, capsysbinar
     assert tally.attempted > len(gen.cli_matrix(SEED))
     # the benchmark's rule for a correct run: every failure is a known defect
     assert tally.failed == tally.known, tally.failures
+
+
+def test_tracer_targets_resolve_but_the_known_stale_ones(monkeypatch):
+    # Tracer.install skips a target it cannot find, and that layer's metric
+    # then reads 0 with no error: a rename of a traced function fails here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    unresolved = set()
+    for name, modname, attr in tracing.TARGETS:
+        try:
+            home = importlib.import_module(modname)
+        except ImportError:
+            unresolved.add(name)
+            continue
+        owner_name, _, leaf = attr.rpartition(".")
+        owner = getattr(home, owner_name, None) if owner_name else home
+        if owner is None or getattr(owner, leaf, None) is None:
+            unresolved.add(name)
+    assert unresolved == {"qstate.canonical", "jacobi.min_eigenvalue", "rng.uniforms"}

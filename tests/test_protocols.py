@@ -9,8 +9,10 @@ import catlab.lab
 from catlab import (
     CatlabError,
     DepthCeiling,
+    DimensionMismatch,
     DisallowedOperation,
     DiscriminationReport,
+    HilbertSpace,
     MeasureStep,
     ProtocolSpec,
     RepeatStep,
@@ -32,7 +34,7 @@ from catlab import (
     total_variation,
     tree_to_json,
 )
-from catlab.protocols import _chi2_sf
+from catlab.protocols import MAX_TRIALS, _chi2_sf
 
 
 def resurrection():
@@ -90,6 +92,12 @@ def test_steps_compare_by_type_and_fields():
     assert ProtocolSpec(steps) != ProtocolSpec(steps[:3])
 
 
+def test_unroll_rejects_an_unknown_step():
+    spec = ProtocolSpec((RepeatStep((MeasureStep("pm"), "basis"), 2),))
+    with pytest.raises(CatlabError, match="unknown protocol step 'basis'"):
+        spec.unrolled()
+
+
 def test_repeat_zero_is_empty():
     spec = ProtocolSpec((RepeatStep((MeasureStep("pm"),), 0),))
     assert spec.unrolled() == ()
@@ -114,6 +122,16 @@ def test_disallowed_operation():
     spec2 = ProtocolSpec((UnitaryStep("warp"),))
     with pytest.raises(DisallowedOperation):
         enumerate_protocol(spec2, cat.lab, cat.states["dead"])
+
+
+def test_initial_state_on_another_space():
+    sc = resurrection()
+    spec = sc.protocols["resurrect1"]
+    elsewhere = basis_state(HilbertSpace(("x", "y")), "x")
+    with pytest.raises(DimensionMismatch, match="initial state lives outside"):
+        enumerate_protocol(spec, sc.lab, elsewhere)
+    with pytest.raises(DimensionMismatch, match="initial state lives outside"):
+        run_monte_carlo(spec, sc.lab, elsewhere, 10, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +227,17 @@ def test_node_with_every_row_pruned_is_a_leaf(monkeypatch):
     assert abs(tree.pruned_mass - 1.0) < 1e-15
 
 
+def test_monte_carlo_stops_when_every_row_is_pruned(monkeypatch):
+    # as above: a complete measurement always keeps a row, so prune them all
+    sc = resurrection()
+    rows = sc.lab.rows
+    monkeypatch.setattr(sc.lab, "rows", lambda name, sid: tuple(
+        (label, p, None if name == "basis" else nid) for label, p, nid in rows(name, sid)
+    ))
+    with pytest.raises(CatlabError, match="ran out of probability mass mid-trial"):
+        run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"], 10, 1)
+
+
 def test_tree_json_shape():
     sc = resurrection()
     tree = enumerate_protocol(sc.protocols["resurrect1"], sc.lab, sc.states["dead"])
@@ -292,6 +321,9 @@ def test_trials_validation():
     sc = resurrection()
     with pytest.raises(CatlabError):
         run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"], -1, 1)
+    with pytest.raises(CatlabError, match=f"trial count must be <= {MAX_TRIALS}"):
+        run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"],
+                        MAX_TRIALS + 1, 1)
     empty = run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"], 0, 1)
     assert empty.n == 0 and empty.bins == {}
 
@@ -438,6 +470,15 @@ def test_chi_square_merges_rare_bins():
 def test_chi_square_zero_expected_zero_observed_dropped():
     stat, df, p = chi_square_test({"a": 1000, "b": 0}, {"a": 1.0, "b": 0.0}, 1000)
     assert stat == 0.0
+    assert p == 1.0
+
+
+def test_chi_square_one_bin_left_is_no_evidence():
+    # exact_a of "+" for cat_plus through plusminus: the statistic is rounding
+    stat, df, p = chi_square_test(
+        {"+": 1000, "-": 0}, {"+": 0.9999999999999997, "-": 0.0}, 1000
+    )
+    assert 0.0 < stat < 1e-20 and df == 0
     assert p == 1.0
 
 

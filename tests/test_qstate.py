@@ -52,6 +52,8 @@ def test_space_validation():
         HilbertSpace(("a", ""))
     with pytest.raises(DimensionCeiling):
         HilbertSpace(tuple(f"x{i}" for i in range(17)))
+    with pytest.raises(DimensionMismatch, match="do not multiply"):
+        HilbertSpace(("a", "b", "c"), factors=(CAT, DEV))
 
 
 def test_spaces_compare_and_hash_by_value():
@@ -118,6 +120,10 @@ def test_zero_vector_rejected():
 def test_statevector_requires_unit_norm():
     with pytest.raises(CatlabError):
         StateVector(CAT, np.array([0.5, 0.5], dtype=complex))
+    with pytest.raises(DimensionMismatch, match=r"expected shape \(3,\), got \(2,\)"):
+        StateVector(space_of_dim(3), [1, 0])
+    with pytest.raises(CatlabError, match="non-finite entries"):
+        StateVector(CAT, [np.nan, 1])
 
 
 def test_basis_state_one_hot():
@@ -151,6 +157,8 @@ def test_make_mixture_weight_validation():
         make_mixture([(-0.1, alive), (1.1, dead)])
     with pytest.raises(BadWeights):
         make_mixture([])
+    with pytest.raises(DimensionMismatch, match="different spaces"):
+        make_mixture([(0.5, alive), (0.5, basis_state(DEV, "decayed"))])
 
 
 def test_density_validation():
@@ -202,6 +210,10 @@ def test_apply_unitary_flip():
     flip = Operator(CAT, np.array([[0, 1], [1, 0]], dtype=complex), "unitary")
     out = apply_unitary(flip, basis_state(CAT, "alive"))
     assert states_match(out, basis_state(CAT, "dead"))
+    with pytest.raises(CatlabError, match="needs an operator of kind 'unitary'"):
+        apply_unitary(projector_from_state(out), out)
+    with pytest.raises(DimensionMismatch, match="different spaces"):
+        apply_unitary(flip, basis_state(DEV, "decayed"))
 
 
 def test_apply_unitary_on_density():
@@ -268,6 +280,11 @@ def test_partial_trace_by_name_and_errors():
     assert np.allclose(by_name.mat, by_index.mat, atol=1e-15)
     with pytest.raises(CatlabError):
         partial_trace(rho, keep="nope")
+    with pytest.raises(CatlabError, match="factor index 2 out of range"):
+        partial_trace(rho, keep=2)
+    twins = rand_density(np.random.default_rng(6), tensor_space(CAT, CAT))
+    with pytest.raises(CatlabError, match="factor name 'cat' is ambiguous"):
+        partial_trace(twins, keep="cat")
     flat_rho = rand_density(np.random.default_rng(5), CAT)
     with pytest.raises(CatlabError):
         partial_trace(flat_rho, keep=0)
@@ -331,6 +348,8 @@ def test_format_state():
     assert format_state(basis_state(CAT, "alive")) == "alive"
     txt = format_state(make_state(CAT, [1, 1]))
     assert "alive" in txt and "dead" in txt
+    # a zero amplitude is skipped, a complex one printed in parentheses
+    assert format_state(make_state(space_of_dim(3), [0.6, 0, 0.8j])) == "0.6*a + (0+0.8i)*c"
 
 
 def test_state_json_roundtrip_bit_exact():
