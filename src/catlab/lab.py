@@ -39,8 +39,8 @@ GRID = 1e-6  # amplitude grid for dedup keys
 DEFAULT_MAX_DEPTH = 8
 MIN_PROB = 1e-12  # branches below this probability are not followed
 NEW_DIRECTION = 1e-6  # closure directions (and target residuals) above this count
-MEMO_ROWS = 1024  # the born_rows memo is cleared when it holds this many entries
-_ROWS: dict[tuple, tuple] = {}  # the born_rows memo
+MEMO_ROWS = 1024  # the memo is cleared when it holds this many entries
+_ROWS: dict[tuple, object] = {}  # the memo of born_rows and invariant_subspace
 
 
 def state_key(x: State) -> tuple:
@@ -200,8 +200,8 @@ def born_rows(
     candidate, shares its rows.  An entry is a pure function of its key, so
     a hit gives the bits a recomputation would, two threads racing on one
     entry store the same value, and a clear that races a store only loses
-    entries.  The memo is cleared once it holds ``MEMO_ROWS`` entries, so a
-    sweep of distinct candidates keeps it bounded.
+    entries.  The memo, which also holds ``invariant_subspace``'s results, is
+    cleared at ``MEMO_ROWS`` entries, so distinct candidates keep it bounded.
     """
     # d amplitudes or d * d entries, d >= 2: a vector and a matrix never share bits
     key = (op.key, x.amps.tobytes() if isinstance(x, StateVector) else x.mat.tobytes())
@@ -211,14 +211,19 @@ def born_rows(
             records = [("", 1.0, apply_unitary(op, x))]
         else:
             records = [(r.label, r.probability, r.post_state) for r in outcome_distribution(op, x)]
-        hit = tuple(
+        hit = _remember(key, tuple(
             (label, p, None, None) if post is None else (label, p, post, state_key(post))
             for label, p, post in records
-        )
-        if len(_ROWS) >= MEMO_ROWS:
-            _ROWS.clear()
-        _ROWS[key] = hit
+        ))
     return hit
+
+
+def _remember(key: tuple, value):
+    """Store and return ``value`` under ``key``, first clearing a full memo."""
+    if len(_ROWS) >= MEMO_ROWS:
+        _ROWS.clear()
+    _ROWS[key] = value
+    return value
 
 
 def invariant_subspace(lab: Laboratory, start: StateVector) -> np.ndarray | None:
@@ -231,8 +236,14 @@ def invariant_subspace(lab: Laboratory, start: StateVector) -> np.ndarray | None
     singular vectors of the remainder as new directions, until none
     appears.  A singular value at most ``d * eps`` is rounding and is
     dropped; one above ``NEW_DIRECTION`` is a new direction; one in between
-    gives None.
+    gives None.  Memoised, None too, like ``born_rows``: keyed by each
+    operation's ``key`` in declaration order and the bits of ``start``.
+    Hits share the basis, so it is read-only.
     """
+    key = ("V", *(op.key for op in lab._ops.values()), start.amps.tobytes())
+    hit = _ROWS.get(key, key)  # the key marks a miss, since None is a result
+    if hit is not key:
+        return hit
     d = lab.space.dim
     ops = np.array(
         [op.mat for m in lab.measurements.values() for _, op in m.outcomes]
@@ -246,10 +257,11 @@ def invariant_subspace(lab: Laboratory, start: StateVector) -> np.ndarray | None
             block = block - basis @ (basis.conj().T @ block)
         u, s, _ = np.linalg.svd(block, full_matrices=False)
         if ((s > noise) & (s <= NEW_DIRECTION)).any():
-            return None
+            return _remember(key, None)
         newest = u[:, s > NEW_DIRECTION]
         basis = np.concatenate([basis, newest], axis=1)
-    return basis
+    basis.setflags(write=False)
+    return _remember(key, basis)
 
 
 def _search(
@@ -335,14 +347,14 @@ def nogo_verdict(
     declared operations) from a depth cut.
 
     Before searching, the no-go argument is tried in its linear-algebra
-    form: V = ``invariant_subspace(extended lab, d)`` holds every state
-    reachable from d, at any depth, because each projector and unitary maps
-    V into itself.  If l has a squared residual above ``NEW_DIRECTION`` off
-    V, no reachable state can match it, and the verdict is a conclusive "no"
-    with ``certificate = dim V`` and no search.  Closure directions weaker
-    than ``d * eps`` are treated as rounding; a direction between that and
-    ``NEW_DIRECTION``, or a target too close to V, gives no certificate,
-    and the depth-bounded search decides as without the closure.
+    form: V = ``invariant_subspace(extended lab, d)``, memoised by value,
+    holds every state reachable from d, at any depth, because each
+    projector and unitary maps V into itself.  If l has a squared residual
+    above ``NEW_DIRECTION`` off V, no reachable state can match it, and the
+    verdict is a conclusive "no" with ``certificate = dim V`` and no
+    search.  Closure directions weaker than ``d * eps`` are rounding; a
+    direction between that and ``NEW_DIRECTION``, or a target too close to
+    V, gives no certificate, and the depth-bounded search decides alone.
     """
     if max_depth < 0:
         raise CatlabError(f"search depth must be >= 0, got {max_depth}")

@@ -161,6 +161,7 @@ def outcome_distribution(m: ProjectiveMeasurement, x: State) -> list[OutcomeReco
     Probabilities are clamped into [0, 1]; outcomes below ``PRUNE_TOL``
     keep their row but carry ``post_state=None``.  A post state is divided
     by its own norm or trace, so rounding in ``p`` cannot denormalise it.
+    A vector's ``p`` below 1e-3 is ``||P psi||^2``, which no phase moves.
     """
     if x.space != m.space:
         raise DimensionMismatch("state and measurement live on different spaces")
@@ -168,11 +169,12 @@ def outcome_distribution(m: ProjectiveMeasurement, x: State) -> list[OutcomeReco
     if isinstance(x, StateVector):
         for label, op in m.outcomes:
             proj = op.mat @ x.amps
+            norm2 = float(np.vdot(proj, proj).real)
             p = float(np.real(np.vdot(x.amps, proj)))
-            p = min(1.0, max(0.0, p))
+            p = min(1.0, max(0.0, norm2 if p < 1e-3 else p))
             post = None
             if p >= PRUNE_TOL:
-                post = StateVector(m.space, proj / math.sqrt(np.vdot(proj, proj).real))
+                post = StateVector(m.space, proj / math.sqrt(norm2))
             records.append(OutcomeRecord(label, p, post))
     else:
         for label, op in m.outcomes:
@@ -182,6 +184,7 @@ def outcome_distribution(m: ProjectiveMeasurement, x: State) -> list[OutcomeReco
             post = None
             if p >= PRUNE_TOL:
                 collapsed = left @ op.mat
+                collapsed = (collapsed + collapsed.conj().T) / 2  # rounding / p stays Hermitian
                 post = DensityMatrix(m.space, collapsed / np.trace(collapsed).real)
             records.append(OutcomeRecord(label, p, post))
     return records

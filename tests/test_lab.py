@@ -35,7 +35,7 @@ from catlab import (
     superposition_projector,
     verdict_to_json,
 )
-from catlab.lab import DEFAULT_MAX_DEPTH, MIN_PROB, born_rows
+from catlab.lab import DEFAULT_MAX_DEPTH, MIN_PROB, born_rows, invariant_subspace
 from catlab.measure import COMPLEMENT_LABEL, ProjectiveMeasurement
 from catlab.qstate import DensityMatrix, StateVector
 
@@ -632,44 +632,144 @@ def test_memo_keys_labels_and_spaces_apart():
 @pytest.mark.parametrize("max_depth", [6, DEFAULT_MAX_DEPTH])
 def test_a_repeated_verdict_computes_no_row(monkeypatch, max_depth):
     lab, cand, a, b = memo_lab(7, 3)
-    memo, calls = {}, []
+    memo, calls, closures = {}, [], []
     monkeypatch.setattr(catlab.lab, "_ROWS", memo)
     real_distribution, real_unitary = catlab.lab.outcome_distribution, catlab.lab.apply_unitary
     monkeypatch.setattr(catlab.lab, "outcome_distribution",
                         lambda m, x: calls.append(m) or real_distribution(m, x))
     monkeypatch.setattr(catlab.lab, "apply_unitary",
                         lambda u, x: calls.append(u) or real_unitary(u, x))
+    real_svd = catlab.lab.np.linalg.svd
+    monkeypatch.setattr(catlab.lab.np.linalg, "svd",
+                        lambda *args, **kw: closures.append(args) or real_svd(*args, **kw))
     first = nogo_verdict(lab, cand, a, b, name="c", max_depth=max_depth)
-    assert first.certificate is None  # the verdict searched
+    assert first.certificate is None and closures  # the closure ran, then the search
     # at the default depth the search meets 837 (operation, state) pairs:
-    # all of them fit in the memo, so nothing is cleared
-    assert len(calls) == len(memo) < catlab.lab.MEMO_ROWS
+    # all of them fit in the memo beside the one certificate entry, so
+    # nothing is cleared
+    assert len(memo) == len(calls) + 1 < catlab.lab.MEMO_ROWS
     size = len(memo)
     calls.clear()
+    closures.clear()
     # the same candidate, and an equal one rebuilt from its bits
     rebuilt = Operator(cand.space, cand.mat.copy(), "projector")
     for again in (cand, rebuilt):
         assert verdict_to_json(nogo_verdict(lab, again, a, b, name="c", max_depth=max_depth)) \
             == verdict_to_json(first)
-    assert calls == [] and len(memo) == size
+    assert calls == [] and closures == [] and len(memo) == size
+
+
+class CountingMemo(dict):
+    """A memo that counts its clears and its largest size."""
+
+    def __init__(self):
+        super().__init__()
+        self.clears = self.largest = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.largest = max(self.largest, len(self))
 
 
 def test_a_sweep_of_distinct_candidates_stays_under_the_memo_cap(monkeypatch):
     monkeypatch.setattr(catlab.lab, "MEMO_ROWS", 4)
-    monkeypatch.setattr(catlab.lab, "_ROWS", {})
+    memo = CountingMemo()
+    monkeypatch.setattr(catlab.lab, "_ROWS", memo)
     sc = load_scenario("cat")[0]
     alive, dead = sc.states["alive"], sc.states["dead"]
-    sizes = []
     for i in range(1, 20):
         v = nogo_verdict(sc.lab, candidate(i / 20.0), alive, dead)
         assert v.violated and len(v.witness.steps) == 2
-        sizes.append(len(catlab.lab._ROWS))
         fresh = load_scenario("cat")[0]
         with empty_memo():
             alone = nogo_verdict(fresh.lab, candidate(i / 20.0), fresh.states["alive"], fresh.states["dead"])
         assert verdict_to_json(v) == verdict_to_json(alone)
-    assert max(sizes) <= 4
-    assert sizes != sorted(sizes)  # the memo was cleared
+    # never above the cap, also within a verdict, and cleared along the way
+    assert memo.largest <= 4
+    assert memo.clears > 0
+
+
+# ---------------------------------------------------------------------------
+# the certificate in the same memo
+
+
+def tilted_lab(seed: int, dim: int, tilt: float):
+    """A lab measuring in the basis exp(i tilt H), for a random Hermitian H,
+    and the start |a>.  At tilt 1e-8 the closure meets directions of about
+    1e-8, between rounding and ``NEW_DIRECTION``, so it gives None; at tilt 1
+    it gives a basis."""
+    rng = np.random.default_rng(seed)
+    space = space_of_dim(dim)
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    w, v = np.linalg.eigh(z + z.conj().T)
+    basis = (v * np.exp(1j * tilt * w)) @ v.conj().T
+    m = measurement_from_states(
+        [make_state(space, col) for col in basis.T], [f"o{i}" for i in range(dim)]
+    )
+    return Laboratory(space, {"m": m}), basis_state(space, "a")
+
+
+def assert_same_closure(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def fresh_closure(lab, start):
+    with empty_memo():
+        return invariant_subspace(lab, start)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.sampled_from([1e-8, 1.0]))
+def test_a_certificate_hit_is_bitwise_a_fresh_closure(seed, dim, tilt):
+    lab, start = tilted_lab(seed, dim, tilt)
+    # an equal lab and an equal start in new objects, and a start with
+    # other bits in the same grid cell
+    twin = Laboratory(lab.space, {"m": fresh_copy(lab.measurements["m"])})
+    same = StateVector(start.space, start.amps.copy())
+    near = StateVector(start.space, start.amps * (1 + 2.0**-40))
+    with empty_memo() as memo:
+        first = invariant_subspace(lab, start)
+        assert (first is None) == (tilt < 1)
+        assert len(memo) == 1  # a None is remembered too
+        assert invariant_subspace(twin, same) is first  # keyed on values, not objects
+        invariant_subspace(lab, near)
+        near_hit = invariant_subspace(twin, near)
+        assert len(memo) == 2
+    assert_same_closure(first, fresh_closure(lab, start))
+    assert_same_closure(near_hit, fresh_closure(lab, near))
+
+
+def test_certificates_key_on_the_start_and_the_operation_order():
+    lab, cand, a, b = memo_lab(7, 3)
+    m = make_measurement(lab.space, [("S", cand)])
+    extended = lab.with_measurement("c", m)
+    reordered = Laboratory(lab.space, {"c": m, "m": lab.measurements["m"]}, lab.unitaries)
+    renamed = Laboratory(lab.space, {"x": lab.measurements["m"], "y": m}, {"z": lab.unitaries["u"]})
+    cases = [(extended, a), (extended, b), (reordered, a)]
+    with empty_memo() as memo:
+        got = [invariant_subspace(l, x) for l, x in cases]
+        assert len(memo) == 3
+        # V does not depend on the operations' names
+        assert invariant_subspace(renamed, a) is got[0] and len(memo) == 3
+    assert got[0].tobytes() != got[2].tobytes()  # the order changes the bits
+    for basis, (l, x) in zip(got, cases):
+        assert_same_closure(basis, fresh_closure(l, x))
+
+
+def test_a_certificate_basis_is_read_only():
+    lab, _, a, _ = memo_lab(7, 3)
+    with empty_memo():
+        basis = invariant_subspace(lab, a)
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 0
+        assert invariant_subspace(lab, a) is basis
 
 
 def test_interning_builds_no_vector(monkeypatch):

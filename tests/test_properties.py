@@ -591,6 +591,63 @@ def test_faint_cat_candidates_never_raise(log_a2):
         assert abs(v.witness.probability - a2 * (1 - a2)) <= 1e-6 * a2 * (1 - a2)
 
 
+def faint_amps(rng: np.random.Generator, q: np.ndarray, p: float) -> np.ndarray:
+    """sqrt(p) q_0 + sqrt(1 - p) w, for a random unit w orthogonal to the
+    first column q_0 of the unitary ``q``."""
+    c = rng.normal(size=q.shape[1] - 1) + 1j * rng.normal(size=q.shape[1] - 1)
+    return math.sqrt(p) * q[:, 0] + math.sqrt(1 - p) * (q[:, 1:] @ c) / np.linalg.norm(c)
+
+
+def onto_first_column(space, q: np.ndarray):
+    """The measurement {|q_0><q_0|, its complement}."""
+    v = q[:, 0]
+    return make_measurement(space, [("v", Operator(space, np.outer(v, v.conj()), "projector"))])
+
+
+# a part drawn at PRUNE_TOL itself may round below it and lose its post state
+faint_logs = st.floats(math.log10(1.01 * PRUNE_TOL), -6)
+
+
+@SETTINGS
+@given(seeds, st.integers(2, 5), faint_logs, faint_logs, st.floats(0.1, 0.9))
+def test_a_faint_outcome_on_a_mixture_is_the_mix_of_its_parts(seed, dim, log_p1, log_p2, w):
+    """A mixture of two states that each put a faint weight on one
+    direction v, measured onto v.  The collapse P rho P / p is a valid
+    density matrix although its rounding is amplified by 1/p, and it is the
+    mix of the parts' vector post states, each weighted by its share of p."""
+    rng = np.random.default_rng(seed)
+    space = space_of_dim(dim)
+    q = rand_unitary(rng, dim)
+    m = onto_first_column(space, q)
+    parts = [make_state(space, faint_amps(rng, q, 10.0**lp)) for lp in (log_p1, log_p2)]
+    rec = outcome_distribution(m, make_mixture([(w, parts[0]), (1 - w, parts[1])]))[0]
+    part_recs = [outcome_distribution(m, x)[0] for x in parts]
+    p = w * part_recs[0].probability + (1 - w) * part_recs[1].probability
+    eps = np.finfo(np.float64).eps
+    assert abs(rec.probability - p) <= dim * eps
+    if rec.post_state is not None:  # else rounding put tr(P rho) below PRUNE_TOL
+        mix = sum(wt * r.probability * np.outer(r.post_state.amps, r.post_state.amps.conj())
+                  for wt, r in zip((w, 1 - w), part_recs)) / p
+        assert float(np.max(np.abs(rec.post_state.mat - mix))) <= dim * eps / p
+
+
+@SETTINGS
+@given(seeds, st.integers(2, 5), st.floats(-12, -6))
+def test_a_faint_born_probability_ignores_the_global_phase(seed, dim, log_p):
+    """p = ||P psi||^2 below 1e-3: the same state written at six global
+    phases gets the same faint probability to 1e-9 relative.  The inner
+    product <psi|P psi> moved by up to 1e-4 relative here."""
+    rng = np.random.default_rng(seed)
+    space = space_of_dim(dim)
+    q = rand_unitary(rng, dim)
+    m = onto_first_column(space, q)
+    p = 10.0**log_p
+    amps = faint_amps(rng, q, p)
+    probs = [outcome_distribution(m, make_state(space, amps * np.exp(2j * np.pi * k / 6)))[0].probability
+             for k in range(6)]
+    assert max(probs) - min(probs) <= 1e-9 * p
+
+
 @SETTINGS
 @given(seeds, st.sampled_from(["cat", "composite", "alive_lab"]),
        st.floats(-12, math.log10(0.5)), st.floats(0, 1))
