@@ -201,7 +201,7 @@ def born_rows(
     a hit gives the bits a recomputation would, two threads racing on one
     entry store the same value, and a clear that races a store only loses
     entries.  The memo, which also holds ``invariant_subspace``'s results, is
-    cleared at ``MEMO_ROWS`` entries, so distinct candidates keep it bounded.
+    cleared at ``MEMO_ROWS`` entries, so a sweep of candidates stays bounded.
     """
     # d amplitudes or d * d entries, d >= 2: a vector and a matrix never share bits
     key = (op.key, x.amps.tobytes() if isinstance(x, StateVector) else x.mat.tobytes())

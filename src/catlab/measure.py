@@ -161,7 +161,7 @@ def outcome_distribution(m: ProjectiveMeasurement, x: State) -> list[OutcomeReco
     Probabilities are clamped into [0, 1]; outcomes below ``PRUNE_TOL``
     keep their row but carry ``post_state=None``.  A post state is divided
     by its own norm or trace, so rounding in ``p`` cannot denormalise it.
-    A vector's ``p`` below 1e-3 is ``||P psi||^2``, which no phase moves.
+    A vector's ``p`` below 1e-3 is ``||P psi||^2``, blind to the global phase.
     """
     if x.space != m.space:
         raise DimensionMismatch("state and measurement live on different spaces")
@@ -184,7 +184,7 @@ def outcome_distribution(m: ProjectiveMeasurement, x: State) -> list[OutcomeReco
             post = None
             if p >= PRUNE_TOL:
                 collapsed = left @ op.mat
-                collapsed = (collapsed + collapsed.conj().T) / 2  # rounding / p stays Hermitian
+                collapsed = (collapsed + collapsed.conj().T) / 2  # its rounding over a small p stays Hermitian
                 post = DensityMatrix(m.space, collapsed / np.trace(collapsed).real)
             records.append(OutcomeRecord(label, p, post))
     return records

@@ -636,7 +636,7 @@ def test_a_faint_outcome_on_a_mixture_is_the_mix_of_its_parts(seed, dim, log_p1,
 def test_a_faint_born_probability_ignores_the_global_phase(seed, dim, log_p):
     """p = ||P psi||^2 below 1e-3: the same state written at six global
     phases gets the same faint probability to 1e-9 relative.  The inner
-    product <psi|P psi> moved by up to 1e-4 relative here."""
+    product <psi|P psi> moved by up to 4.6e-5 relative on 2000 such states."""
     rng = np.random.default_rng(seed)
     space = space_of_dim(dim)
     q = rand_unitary(rng, dim)
