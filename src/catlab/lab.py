@@ -21,7 +21,6 @@ from .measure import (
     ORTHO_TOL,
     ProjectiveMeasurement,
     complement,
-    make_measurement,
     outcome_distribution,
 )
 from .qstate import (
@@ -37,7 +36,6 @@ from .qstate import (
 
 GRID = 1e-6  # amplitude grid for dedup keys
 DEFAULT_MAX_DEPTH = 8
-MIN_PROB = 1e-12  # branches below this probability are not followed
 NEW_DIRECTION = 1e-6  # closure directions (and target residuals) above this count
 MEMO_ROWS = 1024  # the memo is cleared when it holds this many entries
 _ROWS: dict[tuple, object] = {}  # the memo of born_rows and invariant_subspace
@@ -275,9 +273,10 @@ def _search(
 
     Deterministic: operations expand in declaration order and outcomes in
     outcome order.  Each state is the first one interned under its key in
-    ``lab`` during the lab's lifetime, and the witness ends on
-    that representative.  Revisited ids keep their highest-probability path
-    (position in the frontier is fixed by first arrival).
+    ``lab`` during the lab's lifetime, and the witness ends on that
+    representative.  Revisited ids keep their highest-probability path
+    (position in the frontier is fixed by first arrival).  A path is
+    followed however faint it is; only a row with no next id is dropped.
     """
     if max_depth < 0:
         raise CatlabError(f"search depth must be >= 0, got {max_depth}")
@@ -297,8 +296,6 @@ def _search(
                     if nid is None:
                         continue
                     new_prob = prob * p
-                    if new_prob < MIN_PROB:
-                        continue
                     new_steps = steps + ((name, label),)
                     post = lab.states[nid]
                     if states_match(post, target):
@@ -321,8 +318,8 @@ def find_steering_path(
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> SteeringPath | None:
     """Minimal-depth chain of allowed operations steering start onto target,
-    or None when no such chain exists within the depth bound.  Raises
-    ``CatlabError`` for a negative ``max_depth``."""
+    or None when none exists within the depth bound; no probability floor
+    applies.  Raises ``CatlabError`` for a negative ``max_depth``."""
     path, _ = _search(lab, start, target, max_depth)
     return path
 
@@ -338,7 +335,8 @@ def nogo_verdict(
     outcome_label: str = "S",
 ) -> NoGoVerdict:
     """Adjoin {candidate, complement} to the lab and hunt for a steering
-    path that realises the forbidden d->l transition.
+    path that realises the forbidden d->l transition.  The complement
+    I - P is labelled ⊥, primed when ``outcome_label`` is ⊥ (zero if P = I).
 
     Raises ``PreconditionFailed`` unless the pair is orthogonal and d->l is
     declared forbidden, and ``CatlabError`` for a negative ``max_depth``.
@@ -366,13 +364,9 @@ def nogo_verdict(
         raise PreconditionFailed(
             "need orthogonal states with the d->l transition declared forbidden"
         )
-    outcomes = [(outcome_label, candidate)]
-    if outcome_label == COMPLEMENT_LABEL:
-        # make_measurement would label the complement ⊥ as well: prime it,
-        # as the operation name is primed below
-        rest = np.eye(lab.space.dim) - candidate.mat
-        outcomes.append((COMPLEMENT_LABEL + "'", complement(lab.space, rest)))
-    m = make_measurement(lab.space, outcomes)
+    rest = complement(lab.space, np.eye(lab.space.dim) - candidate.mat)
+    rest_label = COMPLEMENT_LABEL + "'" * (outcome_label == COMPLEMENT_LABEL)
+    m = ProjectiveMeasurement(lab.space, [(outcome_label, candidate), (rest_label, rest)])
     adjoined = name
     while adjoined in lab.measurements or adjoined in lab.unitaries:
         adjoined += "'"

@@ -185,6 +185,9 @@ def outcome_distribution(m: ProjectiveMeasurement, x: State) -> list[OutcomeReco
             if p >= PRUNE_TOL:
                 collapsed = left @ op.mat
                 collapsed = (collapsed + collapsed.conj().T) / 2  # its rounding over a small p stays Hermitian
+                if p < 1e-3:  # and its zero eigenvalues, amplified by 1/p, stay >= 0
+                    w, v = np.linalg.eigh(collapsed)
+                    collapsed = (v * np.maximum(w, 0.0)) @ v.conj().T
                 post = DensityMatrix(m.space, collapsed / np.trace(collapsed).real)
             records.append(OutcomeRecord(label, p, post))
     return records

@@ -53,7 +53,9 @@ REMOVED = {
     ),
     catlab.errors: ("NotInSpan",),
     catlab.cli: ("resolve_seed",),
-    catlab.lab: ("DEFAULT_MIN_PROB", "_canonical", "Transitions", "_operation_key", "_born_rows"),
+    catlab.lab: (
+        "DEFAULT_MIN_PROB", "MIN_PROB", "_canonical", "Transitions", "_operation_key", "_born_rows",
+    ),
     catlab.measure: ("records_to_json", "sample_outcome"),
     catlab.protocols: ("merge_histograms", "total_reach_probability", "TRIALS_PER_BLOCK"),
     catlab.RandomStream: ("derive", "uniform", "uniforms"),
@@ -155,3 +157,18 @@ def test_only_qstate_fixes_the_phase():
         or (isinstance(node, ast.alias) and node.name == "canonical_amps")
     }
     assert users == {"qstate.py"}, users
+
+
+def test_only_measure_cuts_rows():
+    # outcome_distribution decides which rows carry no post state; the
+    # search, the tree and Monte Carlo follow its None, so a second module
+    # that compared against PRUNE_TOL would keep a cut of its own.
+    users = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == "PRUNE_TOL")
+        or (isinstance(node, ast.Attribute) and node.attr == "PRUNE_TOL")
+        or (isinstance(node, ast.alias) and node.name == "PRUNE_TOL")
+    }
+    assert users == {"measure.py"}, users

@@ -35,8 +35,8 @@ from catlab import (
     superposition_projector,
     verdict_to_json,
 )
-from catlab.lab import DEFAULT_MAX_DEPTH, MIN_PROB, born_rows, invariant_subspace
-from catlab.measure import COMPLEMENT_LABEL, ProjectiveMeasurement
+from catlab.lab import DEFAULT_MAX_DEPTH, born_rows, invariant_subspace
+from catlab.measure import COMPLEMENT_LABEL, PRUNE_TOL, ProjectiveMeasurement
 from catlab.qstate import DensityMatrix, StateVector
 
 from helpers import rand_density, rand_state, rand_unitary, space_of_dim
@@ -428,9 +428,9 @@ def test_negative_depth_rejected():
 
 def test_negative_depth_fails_before_the_measurement_is_built(monkeypatch):
     def not_called(*_):
-        raise AssertionError("make_measurement ran before the depth was checked")
+        raise AssertionError("ProjectiveMeasurement ran before the depth was checked")
 
-    monkeypatch.setattr(catlab.lab, "make_measurement", not_called)
+    monkeypatch.setattr(catlab.lab, "ProjectiveMeasurement", not_called)
     with pytest.raises(CatlabError, match="depth"):
         nogo_verdict(cat_lab(), candidate(0.5), basis_state(CAT, "alive"),
                      basis_state(CAT, "dead"), max_depth=-1)
@@ -468,9 +468,12 @@ def weak_lab(eps: float) -> Laboratory:
     return Laboratory(space, {"A": a, "B": b, "basis": basis})
 
 
-@pytest.mark.parametrize("eps, found", [(1e-5, True), (1e-6, False), (1e-7, False)])
-def test_search_cut_off_is_fixed(eps, found):
-    assert MIN_PROB == 1e-12
+@pytest.mark.parametrize(
+    "eps, found", [(1e-5, True), (1e-6, True), (1e-7, True), (1e-13, False)]
+)
+def test_search_follows_every_kept_row(eps, found):
+    # no floor on a path's probability: only a row below PRUNE_TOL is cut
+    assert (eps >= PRUNE_TOL) == found
     lab = weak_lab(eps)
     dead, alive = basis_state(lab.space, "dead"), basis_state(lab.space, "alive")
     path = find_steering_path(lab, dead, alive)
@@ -793,8 +796,8 @@ def test_interning_builds_no_vector(monkeypatch):
 def test_candidate_rows_die_with_the_candidate(monkeypatch):
     lab, cand, a, b = memo_lab(7, 3)
     made = []
-    real = catlab.lab.make_measurement
-    monkeypatch.setattr(catlab.lab, "make_measurement",
+    real = catlab.lab.ProjectiveMeasurement
+    monkeypatch.setattr(catlab.lab, "ProjectiveMeasurement",
                         lambda space, outcomes: made.append(real(space, outcomes)) or made[-1])
     nogo_verdict(lab, cand, a, b, name="c")
     [measurement] = made

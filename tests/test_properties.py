@@ -40,10 +40,10 @@ from catlab import (
     tensor_space,
     Operator,
 )
-from catlab.lab import GRID, MIN_PROB
+from catlab.lab import GRID
 from catlab.measure import PRUNE_TOL
 from catlab.protocols import MAX_TRIALS
-from catlab.qstate import MATCH_TOL, DensityMatrix, StateVector, canonical_amps
+from catlab.qstate import MATCH_TOL, PSD_FLOOR, DensityMatrix, StateVector, canonical_amps
 
 from helpers import rand_density, rand_state, rand_unitary, space_of_dim
 
@@ -532,18 +532,20 @@ def alive_lab(rng, dim, n_groups, leak):
 
 def chains_reach(lab, start, target, depth):
     """Does some chain of at most ``depth`` operations of ``lab`` carry
-    ``start`` onto ``target`` with probability at least ``MIN_PROB``?  Every
-    chain is followed at once as an unnormalised vector, whose squared norm
-    is the chain's probability, so nothing is renormalised or merged."""
+    ``start`` onto ``target`` with every step's probability at least
+    ``PRUNE_TOL``?  Every chain is followed at once as an unnormalised
+    vector, whose squared norm is the chain's probability, so nothing is
+    renormalised or merged."""
     ops = np.array(
         [op.mat for m in lab.measurements.values() for _, op in m.outcomes]
         + [u.mat for u in lab.unitaries.values()]
     )
-    vs = start.amps[None, :]
+    vs, prob = start.amps[None, :], np.ones(1)
     for _ in range(depth):
         vs = np.einsum("kij,nj->nki", ops, vs).reshape(-1, lab.space.dim)
-        prob = np.einsum("ni,ni->n", vs.conj(), vs).real
-        vs, prob = vs[prob >= MIN_PROB], prob[prob >= MIN_PROB]
+        parent_prob, prob = np.repeat(prob, len(ops)), np.einsum("ni,ni->n", vs.conj(), vs).real
+        kept = prob >= PRUNE_TOL * parent_prob
+        vs, prob = vs[kept], prob[kept]
         if (np.abs(vs @ target.amps.conj()) ** 2 > (1.0 - MATCH_TOL) * prob).any():
             return True
     return False
@@ -585,17 +587,22 @@ def test_faint_cat_candidates_never_raise(log_a2):
     a2 = 10.0**log_a2
     cand = superposition_projector(sc.space, math.sqrt(a2), math.sqrt(1 - a2))
     v = nogo_verdict(sc.lab, cand, sc.states["alive"], sc.states["dead"])
-    if a2 >= 1.1 * MIN_PROB:
+    if a2 >= 1.1 * PRUNE_TOL:
         assert v.violated
     if v.witness is not None:
         assert abs(v.witness.probability - a2 * (1 - a2)) <= 1e-6 * a2 * (1 - a2)
 
 
+def unit_in(rng: np.random.Generator, cols: np.ndarray) -> np.ndarray:
+    """A random unit vector in the span of the orthonormal columns ``cols``."""
+    c = rng.normal(size=cols.shape[1]) + 1j * rng.normal(size=cols.shape[1])
+    return (cols @ c) / np.linalg.norm(c)
+
+
 def faint_amps(rng: np.random.Generator, q: np.ndarray, p: float) -> np.ndarray:
     """sqrt(p) q_0 + sqrt(1 - p) w, for a random unit w orthogonal to the
     first column q_0 of the unitary ``q``."""
-    c = rng.normal(size=q.shape[1] - 1) + 1j * rng.normal(size=q.shape[1] - 1)
-    return math.sqrt(p) * q[:, 0] + math.sqrt(1 - p) * (q[:, 1:] @ c) / np.linalg.norm(c)
+    return math.sqrt(p) * q[:, 0] + math.sqrt(1 - p) * unit_in(rng, q[:, 1:])
 
 
 def onto_first_column(space, q: np.ndarray):
@@ -629,6 +636,34 @@ def test_a_faint_outcome_on_a_mixture_is_the_mix_of_its_parts(seed, dim, log_p1,
         mix = sum(wt * r.probability * np.outer(r.post_state.amps, r.post_state.amps.conj())
                   for wt, r in zip((w, 1 - w), part_recs)) / p
         assert float(np.max(np.abs(rec.post_state.mat - mix))) <= dim * eps / p
+
+
+dims_and_ranks = st.integers(2, 5).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1)))
+
+
+@SETTINGS
+@given(seeds, dims_and_ranks, st.floats(-12, -6), st.floats(-12, -6), st.floats(0.1, 0.9))
+@example(0, (5, 3), -8.0, -8.0, 0.5)  # raised "negative eigenvalue" before the clip
+def test_a_faint_outcome_of_any_rank_on_a_mixture_is_a_state(seed, dim_rank, log_p1, log_p2, w):
+    """A mixture of two states that each put a faint weight on a random
+    direction of a rank-r subspace, measured onto that subspace.  The
+    collapse has rank at most 2, and the rounding in its other eigenvalues
+    is amplified by 1/p; it is still a valid density matrix."""
+    dim, rank = dim_rank
+    rng = np.random.default_rng(seed)
+    space = space_of_dim(dim)
+    q = rand_unitary(rng, dim)
+    inside, outside = q[:, :rank], q[:, rank:]
+    m = make_measurement(space, [("v", Operator(space, inside @ inside.conj().T, "projector"))])
+    parts = [
+        make_state(space, math.sqrt(p) * unit_in(rng, inside)
+                   + math.sqrt(1 - p) * unit_in(rng, outside))
+        for p in (10.0**log_p1, 10.0**log_p2)
+    ]
+    post = outcome_distribution(m, make_mixture([(w, parts[0]), (1 - w, parts[1])]))[0].post_state
+    if post is not None:  # else tr(P rho) rounded below PRUNE_TOL
+        assert abs(np.trace(post.mat) - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(post.mat)[0] >= PSD_FLOOR
 
 
 @SETTINGS
