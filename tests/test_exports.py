@@ -145,17 +145,22 @@ def test_benchmark_and_script_imports_resolve(path):
         assert name is None or hasattr(owner, name), (module, name)
 
 
-def test_only_qstate_fixes_the_phase():
-    # A vector fixes its phase when it is built; a second module that
-    # called canonical_amps would decide the phase twice.
-    users = {
+def _modules_using(name: str) -> set[str]:
+    """The catlab modules whose code, not counting docstrings, names ``name``."""
+    return {
         path.name
         for path in SRC.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if (isinstance(node, ast.Name) and node.id == "canonical_amps")
-        or (isinstance(node, ast.Attribute) and node.attr == "canonical_amps")
-        or (isinstance(node, ast.alias) and node.name == "canonical_amps")
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
     }
+
+
+def test_only_qstate_fixes_the_phase():
+    # A vector fixes its phase when it is built; a second module that
+    # called canonical_amps would decide the phase twice.
+    users = _modules_using("canonical_amps")
     assert users == {"qstate.py"}, users
 
 
@@ -163,12 +168,5 @@ def test_only_measure_cuts_rows():
     # outcome_distribution decides which rows carry no post state; the
     # search, the tree and Monte Carlo follow its None, so a second module
     # that compared against PRUNE_TOL would keep a cut of its own.
-    users = {
-        path.name
-        for path in SRC.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if (isinstance(node, ast.Name) and node.id == "PRUNE_TOL")
-        or (isinstance(node, ast.Attribute) and node.attr == "PRUNE_TOL")
-        or (isinstance(node, ast.alias) and node.name == "PRUNE_TOL")
-    }
+    users = _modules_using("PRUNE_TOL")
     assert users == {"measure.py"}, users
