@@ -231,7 +231,7 @@ def main(argv=None) -> int:
         else:
             params, result, rows, code = cmd_enumerate(scenario, args)
     except CatlabError as err:
-        print(f"catlab: error: {err}", file=sys.stderr)
+        _note(f"catlab: error: {err}")
         return EXIT_INPUT_ERROR
 
     try:
@@ -253,12 +253,26 @@ def main(argv=None) -> int:
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe early (``catlab ... | head``).  The
-        # report was computed, so keep its exit code; point stdout at
-        # devnull so the flush at interpreter shutdown does not raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-    print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
+        # report was computed, so keep its exit code.
+        _to_devnull(sys.stdout)
+    _note(f"elapsed {time.perf_counter() - started:.3f}s")
     return code
+
+
+def _note(line: str) -> None:
+    """Print a line to stderr.  A closed stderr loses the line, not the
+    exit code."""
+    try:
+        print(line, file=sys.stderr)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+
+
+def _to_devnull(stream) -> None:
+    """Point a stream whose reader has gone at devnull, so that the flush at
+    interpreter shutdown does not raise again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
 
 
 if __name__ == "__main__":

@@ -277,7 +277,9 @@ def enumerate_protocol(
     the exact sum.  Live cells stay in order of their first path, so the
     first insertion into a cell is its first path, and final states come in
     first-leaf order.  Branches with probability below ``PRUNE_TOL`` are
-    dropped; their mass is accounted in ``tree.pruned_mass``.
+    dropped; their mass is accounted in ``tree.pruned_mass``.  Each
+    (operation, state id) pair's rows are converted to dyadic form once per
+    run, however many cells and steps meet the pair.
     """
     if initial.space != lab.space:
         raise DimensionMismatch("initial state lives outside the laboratory space")
@@ -290,6 +292,8 @@ def enumerate_protocol(
     nodes, leaves = 1, 0  # the root is a node
     # (first path, sid, mass * 2**at, at) of every leaf cell
     ended: list[tuple[tuple[int, ...], int, int, int]] = []
+    # (name, sid) -> its rows as (label, n, k, next id), p == n / 2**k
+    dyadic: dict[tuple[str, int], list[tuple[str, int, int, int | None]]] = {}
     for step in steps:
         if isinstance(step, StopIfStep):
             kept = {}
@@ -302,10 +306,14 @@ def enumerate_protocol(
             cells = kept
             continue
         name = step.measurement if isinstance(step, MeasureStep) else step.unitary
-        expanded = [
-            [(label, *_dyadic(p), nid) for label, p, nid in lab.rows(name, sid)]
-            for sid, _ in cells
-        ]
+        expanded = []
+        for sid, _ in cells:
+            rows = dyadic.get((name, sid))
+            if rows is None:
+                rows = dyadic[(name, sid)] = [
+                    (label, *_dyadic(p), nid) for label, p, nid in lab.rows(name, sid)
+                ]
+            expanded.append(rows)
         # one denominator per step: the largest one among its rows
         shift = max((k for rows in expanded for _, _, k, _ in rows), default=0)
         pruned <<= shift
@@ -411,14 +419,14 @@ def run_monte_carlo(
     in cells, one per (state id in ``lab``, last outcome label), like the
     masses of ``enumerate_protocol``, starting with all ``n`` in the
     initial state's cell.  A step splits each cell's count over the kept
-    rows of its state by one multinomial draw (``_split``) from stream
-    ``(seed, 0)``; a cell with one kept row, such as every unitary row,
-    passes its whole count on, which draws nothing from the stream.  The
-    split renormalises over the kept rows, so it differs from the exact
-    distribution by less than ``PRUNE_TOL`` per pruned row, the mass
-    ``enumerate_protocol`` reports as pruned; and it snaps each probability
-    to a 2**-40 grid first, so that two representatives of one key, whose
-    probabilities may differ in the last bits, split alike.  A unitary
+    rows of its state by one multinomial draw from stream ``(seed, 0)``; a
+    cell with one kept row, such as every unitary row, passes its whole
+    count on, which draws nothing from the stream.  The draw's
+    probabilities are ``_weights`` of the kept rows, computed once per
+    (operation, state id) pair in a run, so a cell that meets a pair again
+    only draws.  They renormalise over the kept rows, so a split differs
+    from the exact distribution by less than ``PRUNE_TOL`` per pruned row,
+    the mass ``enumerate_protocol`` reports as pruned.  A unitary
     row's empty label keeps the last outcome, and a ``stop_if`` step moves
     the cells whose last label matches to the final states.  Cells are
     split in order of first arrival, not in id order, so the bins depend
@@ -441,6 +449,8 @@ def run_monte_carlo(
     if n:
         cells[(lab.intern(initial), None)] = n
     finals: dict[int, int] = {}
+    # (name, sid) -> (kept rows, their weights, or None for a single row)
+    prepared: dict[tuple[str, int], tuple[list, np.ndarray | None]] = {}
     for step in steps:
         if isinstance(step, StopIfStep):
             for key in [key for key in cells if key[1] == step.outcome]:
@@ -449,10 +459,15 @@ def run_monte_carlo(
         name = step.measurement if isinstance(step, MeasureStep) else step.unitary
         nxt: dict[tuple[int, str | None], int] = {}
         for (sid, last), count in cells.items():
-            kept = [row for row in lab.rows(name, sid) if row[2] is not None]
-            if not kept:
-                raise CatlabError("ran out of probability mass mid-trial")
-            counts = [count] if len(kept) == 1 else _split(count, [p for _, p, _ in kept], stream)
+            hit = prepared.get((name, sid))
+            if hit is None:
+                kept = [row for row in lab.rows(name, sid) if row[2] is not None]
+                if not kept:
+                    raise CatlabError("ran out of probability mass mid-trial")
+                weights = None if len(kept) == 1 else _weights([p for _, p, _ in kept])
+                hit = prepared[(name, sid)] = (kept, weights)
+            kept, weights = hit
+            counts = [count] if weights is None else stream.multinomial(count, weights).tolist()
             for (label, _, nid), c in zip(kept, counts):
                 if c:
                     key = (nid, label or last)
@@ -465,14 +480,16 @@ def run_monte_carlo(
     )
 
 
-def _split(n: int, probs: Sequence[float], stream: RandomStream) -> list[int]:
-    """Counts of ``n`` draws over outcomes of probabilities ``probs``, by
-    one multinomial draw.  Each probability is first snapped to an integer
-    weight over ``SPLIT_GRID`` and the weights are renormalised; a
-    probability of at least ``PRUNE_TOL`` (about 1.1 / SPLIT_GRID) keeps a
-    weight of at least 1."""
+def _weights(probs: Sequence[float]) -> np.ndarray:
+    """The multinomial probabilities that sampling draws for outcomes of
+    probabilities ``probs``.  Each probability is snapped to an integer
+    weight over ``SPLIT_GRID`` and the weights are renormalised, so that
+    two representatives of one key, whose probabilities may differ in the
+    last bits, draw alike.  A probability of at least ``PRUNE_TOL`` (about
+    1.1 / SPLIT_GRID) keeps a weight of at least 1; below about
+    0.5 / SPLIT_GRID it gets weight 0 and draws no trial."""
     w = np.rint(np.multiply(probs, SPLIT_GRID))
-    return stream.multinomial(n, w / w.sum()).tolist()
+    return w / w.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +638,10 @@ def discriminate(
 ) -> DiscriminationReport:
     """Compare two sources through one measurement, exactly and by sampling.
 
-    Exact Born distributions give the total variation distance; one split
-    of ``n`` trials per source (``_split``, on streams 0 and 1 under
-    ``seed``) gives the empirical frequencies and the chi-square p-value
-    of B against A.
+    Exact Born distributions give the total variation distance; one
+    multinomial draw of ``n`` trials per source over its ``_weights``, on
+    streams 0 and 1 under ``seed``, gives the empirical frequencies and the
+    chi-square p-value of B against A.
     """
     if n < 1:
         raise CatlabError("discrimination needs at least one trial")
@@ -634,8 +651,12 @@ def discriminate(
     dist_b = exact_distribution(m, source_b)
     labels = m.labels
     tv = total_variation(dist_a, dist_b)
-    counts_a = dict(zip(labels, _split(n, [dist_a[l] for l in labels], RandomStream(seed, 0))))
-    counts_b = dict(zip(labels, _split(n, [dist_b[l] for l in labels], RandomStream(seed, 1))))
+
+    def sample(dist: Mapping[str, float], stream: int) -> dict[str, int]:
+        weights = _weights([dist[l] for l in labels])
+        return dict(zip(labels, RandomStream(seed, stream).multinomial(n, weights).tolist()))
+
+    counts_a, counts_b = sample(dist_a, 0), sample(dist_b, 1)
     freq_a = {l: c / n for l, c in counts_a.items()}
     freq_b = {l: c / n for l, c in counts_b.items()}
     stat, df, p = chi_square_test(counts_b, dist_a, n)

@@ -561,3 +561,22 @@ def test_reader_closing_early_keeps_exit_code(argv):
     err = proc.stderr.read().decode()
     assert proc.wait() == 0
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("check", "--scenario", "cat", "plusminus", "--from", "dead", "--to", "alive"), 2),
+        (("run", "--scenario", "resurrection", "--initial", "dead", "resurrect3"), 0),
+        (("run", "--scenario", "no-such-scenario", "--initial", "dead", "resurrect3"), 1),
+    ],
+    ids=["check", "run", "error"],
+)
+def test_closed_stderr_keeps_exit_code(argv, code):
+    argv = [sys.executable, "-m", "catlab", *argv]
+    normal = subprocess.run(argv, capture_output=True)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stderr.close()  # like `catlab ... 2>&1 | head -1` exiting before stderr is written
+    out = proc.stdout.read()
+    assert proc.wait() == normal.returncode == code
+    assert out == normal.stdout

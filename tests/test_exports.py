@@ -57,7 +57,7 @@ REMOVED = {
         "DEFAULT_MIN_PROB", "MIN_PROB", "_canonical", "Transitions", "_operation_key", "_born_rows",
     ),
     catlab.measure: ("records_to_json", "sample_outcome"),
-    catlab.protocols: ("merge_histograms", "total_reach_probability", "TRIALS_PER_BLOCK"),
+    catlab.protocols: ("merge_histograms", "total_reach_probability", "TRIALS_PER_BLOCK", "_split"),
     catlab.RandomStream: ("derive", "uniform", "uniforms"),
     catlab.StateVector: ("amplitude",),
     catlab.DensityMatrix: ("probability",),

@@ -39,6 +39,7 @@ from catlab import (
     superposition_projector,
     tensor_space,
     Operator,
+    RandomStream,
 )
 from catlab.lab import GRID
 from catlab.measure import PRUNE_TOL
@@ -390,6 +391,61 @@ def test_monte_carlo_bins_sum_to_n(seed, dim, groups, mixed, codes, n):
     counts = mc_counts(codes_protocol(codes, n_groups), lab, initial, n, seed)
     assert sum(counts.values()) == n
     assert all(c > 0 for c in counts.values())
+
+
+def mc_every_step(protocol, lab, initial, n, seed):
+    """Monte Carlo counts by final state key, with the split weights of
+    every cell re-derived on every step: the kept rows' probabilities
+    snapped to a 2**-40 grid and renormalised, then one multinomial draw."""
+    stream = RandomStream(seed)
+    cells = {(lab.intern(initial), None): n} if n else {}
+    finals = {}
+    for step in protocol.unrolled():
+        if isinstance(step, StopIfStep):
+            for key in [key for key in cells if key[1] == step.outcome]:
+                finals[key[0]] = finals.get(key[0], 0) + cells.pop(key)
+            continue
+        name = step.measurement if isinstance(step, MeasureStep) else step.unitary
+        nxt = {}
+        for (sid, last), count in cells.items():
+            kept = [row for row in lab.rows(name, sid) if row[2] is not None]
+            counts = [count]
+            if len(kept) > 1:
+                w = np.rint(np.multiply([p for _, p, _ in kept], float(1 << 40)))
+                counts = stream.multinomial(count, w / w.sum()).tolist()
+            for (label, _, nid), c in zip(kept, counts):
+                if c:
+                    nxt[(nid, label or last)] = nxt.get((nid, label or last), 0) + c
+        cells = nxt
+    for (sid, _), count in cells.items():
+        finals[sid] = finals.get(sid, 0) + count
+    return [(lab.keys[sid], c) for sid, c in finals.items()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seeds,
+    st.integers(2, 4),
+    st.integers(2, 4),
+    st.booleans(),
+    st.lists(step_codes, min_size=1, max_size=12),
+    st.sampled_from([0, 1, 4097, MAX_TRIALS]),
+)
+@example(7, 3, 3, False, ["m", "m", 0, "u", "m", "m", 1, "m"], 4097)
+def test_monte_carlo_draws_as_if_weights_were_derived_every_step(
+    seed, dim, groups, mixed, codes, n
+):
+    # a run computes each (operation, state) pair's weights once; the draws
+    # must be those of a loop that computes them for every cell and step
+    rng = np.random.default_rng(seed)
+    n_groups = min(groups, dim)
+    lab, _ = random_lab(rng, dim, n_groups)
+    initial = rand_density(rng, lab.space) if mixed else rand_state(rng, lab.space)
+    protocol = codes_protocol(codes, n_groups)
+    mc = run_monte_carlo(protocol, lab, initial, n, seed)
+    assert [(key, c) for key, (_, c) in mc.bins.items()] == mc_every_step(
+        protocol, lab, initial, n, seed
+    )
 
 
 @SETTINGS

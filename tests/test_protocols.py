@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import catlab.lab
+import catlab.protocols
 from catlab import (
     CatlabError,
     DepthCeiling,
@@ -348,6 +349,27 @@ def test_runs_on_a_lab_share_its_rows(monkeypatch):
         before = len(calls)
         run()
         assert len(calls) == before
+
+
+@pytest.mark.parametrize("initial, pairs, rows", [("dead", 3, 6), ("rho_cat", 4, 8)])
+def test_a_run_prepares_each_pair_once(monkeypatch, initial, pairs, rows):
+    # resurrect10 meets 3 (operation, state) pairs with two kept rows from
+    # dead and 4 from rho_cat, and 6 and 8 rows in all, over its 20 steps
+    calls = {"weights": 0, "dyadic": 0}
+
+    def counted(name, real):
+        return lambda *a: calls.__setitem__(name, calls[name] + 1) or real(*a)
+
+    monkeypatch.setattr(
+        catlab.protocols, "_weights", counted("weights", catlab.protocols._weights)
+    )
+    monkeypatch.setattr(catlab.protocols, "_dyadic", counted("dyadic", catlab.protocols._dyadic))
+    sc = resurrection()
+    protocol, start = sc.protocols["resurrect10"], sc.initial(initial)
+    for run in range(1, 3):  # nothing is kept from one run to the next
+        run_monte_carlo(protocol, sc.lab, start, 10**6, run)
+        enumerate_protocol(protocol, sc.lab, start)
+        assert calls == {"weights": run * pairs, "dyadic": run * rows}
 
 
 def test_first_state_interned_on_a_lab_represents_its_key():
