@@ -34,7 +34,6 @@ from .qstate import (
     states_match,
 )
 
-GRID = 1e-6  # amplitude grid for dedup keys
 DEFAULT_MAX_DEPTH = 8
 NEW_DIRECTION = 1e-6  # closure directions (and target residuals) above this count
 MEMO_ROWS = 1024  # the memo is cleared when it holds this many entries
@@ -42,13 +41,8 @@ _ROWS: dict[tuple, object] = {}  # the memo of born_rows and invariant_subspace
 
 
 def state_key(x: State) -> tuple:
-    """Hashable dedup key: a 1e-6 grid read off a vector's amplitudes, in
-    canonical phase since the vector was built, or off a matrix's entries."""
-    if isinstance(x, StateVector):
-        tag, flat = "v", x.amps.view(np.float64)  # re, im interleaved
-    else:
-        tag, flat = "m", np.concatenate([x.mat.real.ravel(), x.mat.imag.ravel()])
-    return (tag,) + tuple(np.round(flat / GRID).astype(np.int64).tolist())
+    """Hashable dedup key of ``x``: ``x.key``, built with ``x``."""
+    return x.key
 
 
 class Laboratory:
@@ -56,12 +50,11 @@ class Laboratory:
     the lab's interned transition table, which the search, the tree and
     Monte Carlo share.  Compares by identity.
 
-    ``intern`` gives each state a dense integer id under its ``state_key``;
-    the first state interned under a key represents it from then on, as it
-    is (``states[id]``, with ``keys[id]`` its key).  ``rows`` memoises, per
-    (operation, id), the outcome rows ``(label, probability, next id)``,
-    read off ``born_rows``.  A lab keeps its rows for its own lifetime,
-    also after the ``born_rows`` memo is cleared.
+    ``intern`` gives each state a dense integer id under its ``key``; the
+    first state interned under a key represents it from then on, as it is
+    (``states[id]``).  ``rows`` memoises, per (operation, id), the outcome
+    rows ``(label, probability, next id)``, read off ``born_rows``.  A lab
+    keeps its rows for its own lifetime, also after the memo is cleared.
     """
 
     def __init__(
@@ -97,7 +90,6 @@ class Laboratory:
         self.forbidden: tuple[tuple[StateVector, StateVector], ...] = forbidden
         self._ops = {**measurements, **unitaries}
         self.states: list[State] = []
-        self.keys: list[tuple] = []
         self._ids: dict[tuple, int] = {}
         self._rows: dict[tuple[str, int], tuple[tuple[str, float, int | None], ...]] = {}
 
@@ -116,16 +108,10 @@ class Laboratory:
 
     def intern(self, x: State) -> int:
         """The id of ``x``, which represents its key if the key is new."""
-        return self._intern_keyed(x, state_key(x))
-
-    def _intern_keyed(self, x: State, key: tuple) -> int:
-        """The id of ``x``, whose ``state_key`` is ``key``; ``x`` represents
-        the key if the key is new."""
-        sid = self._ids.get(key)
+        sid = self._ids.get(x.key)
         if sid is None:
-            sid = self._ids[key] = len(self.states)
+            sid = self._ids[x.key] = len(self.states)
             self.states.append(x)
-            self.keys.append(key)
         return sid
 
     def rows(self, name: str, sid: int) -> tuple[tuple[str, float, int | None], ...]:
@@ -137,8 +123,8 @@ class Laboratory:
         hit = self._rows.get((name, sid))
         if hit is None:
             hit = self._rows[(name, sid)] = tuple(
-                (label, p, None if key is None else self._intern_keyed(post, key))
-                for label, p, post, key in born_rows(self._ops[name], self.states[sid])
+                (label, p, None if post is None else self.intern(post))
+                for label, p, post in born_rows(self._ops[name], self.states[sid])
             )
         return hit
 
@@ -187,10 +173,9 @@ def check_conditions(lab: Laboratory, l_state: StateVector, d_state: StateVector
 
 def born_rows(
     op: ProjectiveMeasurement | Operator, x: State
-) -> tuple[tuple[str, float, State | None, tuple | None], ...]:
-    """Rows ``(label, probability, post state, key)`` of measurement or
-    unitary ``op`` on ``x``: ``key`` is the post state's ``state_key``,
-    and both are None below ``PRUNE_TOL``.
+) -> tuple[tuple[str, float, State | None], ...]:
+    """Rows ``(label, probability, post state)`` of measurement or unitary
+    ``op`` on ``x``; the post state is None below ``PRUNE_TOL``.
 
     Memoised in one memo for the process, keyed by ``op.key``, the value
     of ``op``, and the exact bits of ``x``, so every lab that holds ``op``
@@ -206,13 +191,10 @@ def born_rows(
     hit = _ROWS.get(key)
     if hit is None:
         if isinstance(op, Operator):
-            records = [("", 1.0, apply_unitary(op, x))]
+            rows = (("", 1.0, apply_unitary(op, x)),)
         else:
-            records = [(r.label, r.probability, r.post_state) for r in outcome_distribution(op, x)]
-        hit = _remember(key, tuple(
-            (label, p, None, None) if post is None else (label, p, post, state_key(post))
-            for label, p, post in records
-        ))
+            rows = tuple((r.label, r.probability, r.post_state) for r in outcome_distribution(op, x))
+        hit = _remember(key, rows)
     return hit
 
 

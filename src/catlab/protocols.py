@@ -476,7 +476,7 @@ def run_monte_carlo(
     for (sid, _), count in cells.items():
         finals[sid] = finals.get(sid, 0) + count
     return MonteCarloResult(
-        n, seed, {lab.keys[s]: (lab.states[s], c) for s, c in finals.items()}
+        n, seed, {lab.states[s].key: (lab.states[s], c) for s, c in finals.items()}
     )
 
 

@@ -12,7 +12,8 @@ Numeric conventions used throughout the package:
 * vectors are unit norm within ``NORM_TOL``;
 * matrices are Hermitian / idempotent / unitary within elementwise 1e-10;
 * density matrices may dip to ``PSD_FLOOR`` below zero in their spectrum;
-* vectors are in canonical phase from construction (``canonical_amps``).
+* vectors are in canonical phase from construction (``canonical_amps``);
+* a state's dedup ``key`` is its entries on the ``GRID``, read at construction.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ NORM_TOL = 1e-10
 HERM_TOL = 1e-10
 PSD_FLOOR = -1e-9
 ZERO_AMP = 1e-12
+GRID = 1e-6  # amplitude grid of state keys
 MATCH_TOL = 1e-9  # squared-overlap slack when deciding two states are the same
 TENSOR_SEP = "⊗"  # the circled-times sign used in product labels
 
@@ -141,9 +143,15 @@ def _frozen_array(data, shape: tuple[int, ...], what: str) -> np.ndarray:
     return arr
 
 
+def _grid_key(tag: str, flat: np.ndarray) -> tuple:
+    """``tag`` and ``flat`` on the ``GRID``, as Python ints."""
+    return (tag, *np.rint(flat / GRID).astype(np.int64).tolist())
+
+
 class StateVector:
     """A unit vector over a labelled basis; ``amps`` is ``canonical_amps``
-    of the given amplitudes.  Compares by identity."""
+    of the given amplitudes, ``key`` "v" and their interleaved re, im parts
+    on the ``GRID``.  Compares by identity."""
 
     def __init__(self, space: HilbertSpace, amps) -> None:
         arr = canonical_amps(_frozen_array(amps, (space.dim,), "state vector"))
@@ -153,6 +161,7 @@ class StateVector:
             raise CatlabError(f"state vector norm^2 = {norm2!r}, expected 1")
         self.space = space
         self.amps: np.ndarray = arr
+        self.key = _grid_key("v", arr.view(np.float64))
 
     def __repr__(self) -> str:
         return f"StateVector({format_state(self)})"
@@ -160,7 +169,8 @@ class StateVector:
 
 class DensityMatrix:
     """A trace-one positive-semidefinite Hermitian matrix over a basis;
-    compares by identity."""
+    ``key`` is "m" and its entries' real, then imaginary parts on the
+    ``GRID``.  Compares by identity."""
 
     def __init__(self, space: HilbertSpace, mat) -> None:
         d = space.dim
@@ -174,6 +184,7 @@ class DensityMatrix:
             raise CatlabError("density matrix has a negative eigenvalue")
         self.space = space
         self.mat: np.ndarray = arr
+        self.key = _grid_key("m", np.concatenate([arr.real.ravel(), arr.imag.ravel()]))
 
     def __repr__(self) -> str:
         diag = ", ".join(f"{v.real:.6g}" for v in self.mat.diagonal())
@@ -214,7 +225,7 @@ class Operator:
 def make_state(space: HilbertSpace, raw_amps: Sequence[complex]) -> StateVector:
     """Normalise raw amplitudes into a state, keeping relative phases only.
 
-    Raises ``ZeroVector`` when the input has (numerically) no length and
+    Raises ``ZeroVector`` when every amplitude is zero and
     ``DimensionMismatch`` when the length disagrees with the space.
     """
     arr = np.asarray(list(raw_amps), dtype=np.complex128)
@@ -224,7 +235,13 @@ def make_state(space: HilbertSpace, raw_amps: Sequence[complex]) -> StateVector:
         )
     norm2 = float(np.real(np.vdot(arr, arr)))
     if norm2 < 1e-20:
-        raise ZeroVector("cannot normalise an all-zero amplitude list")
+        # scale tiny amplitudes up first, so that |a|^2 cannot underflow; the
+        # division is real, since a complex one overflows at subnormal scale
+        top = float(np.max(np.abs(arr)))
+        if top == 0.0:
+            raise ZeroVector("cannot normalise an all-zero amplitude list")
+        arr = (arr.view(np.float64) / top).view(np.complex128)
+        norm2 = float(np.real(np.vdot(arr, arr)))
     # skip the division when already normalised: amplitudes written
     # normalised and in canonical phase in a .scn file load bit for bit as
     # written, and report bytes depend on those doubles

@@ -478,9 +478,9 @@ def load_scenario(spec: str) -> tuple[Scenario, str]:
     """Resolve a path or shipped name; returns the scenario and its hash.
 
     An existing file wins over a shipped name, so local experiments can
-    shadow the bundled labs.
+    shadow the bundled labs; a directory does not.
     """
-    if os.path.exists(spec):
+    if os.path.isfile(spec):
         try:
             with open(spec, "rb") as fh:
                 data = fh.read()

@@ -55,13 +55,14 @@ REMOVED = {
     catlab.cli: ("resolve_seed",),
     catlab.lab: (
         "DEFAULT_MIN_PROB", "MIN_PROB", "_canonical", "Transitions", "_operation_key", "_born_rows",
+        "GRID",
     ),
     catlab.measure: ("records_to_json", "sample_outcome"),
     catlab.protocols: ("merge_histograms", "total_reach_probability", "TRIALS_PER_BLOCK", "_split"),
     catlab.RandomStream: ("derive", "uniform", "uniforms"),
     catlab.StateVector: ("amplitude",),
     catlab.DensityMatrix: ("probability",),
-    catlab.Laboratory: ("operations", "transitions"),
+    catlab.Laboratory: ("operations", "transitions", "_intern_keyed"),
     catlab.Operator: ("rank",),
     catlab.OutcomeNode: ("state",),
 }
@@ -86,6 +87,9 @@ def test_removed_names_stay_removed():
     sc = catlab.load_scenario("resurrection")[0]
     tree = catlab.enumerate_protocol(sc.protocols["resurrect1"], sc.lab, sc.states["dead"])
     assert tree.lab is sc.lab and not hasattr(tree, "table")
+    # ``keys`` was set per lab, so the class cannot show it gone; a state
+    # carries its own ``key``
+    assert not hasattr(sc.lab, "keys")
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -161,6 +165,13 @@ def test_only_qstate_fixes_the_phase():
     # A vector fixes its phase when it is built; a second module that
     # called canonical_amps would decide the phase twice.
     users = _modules_using("canonical_amps")
+    assert users == {"qstate.py"}, users
+
+
+def test_only_qstate_reads_the_grid():
+    # A state builds its key when it is built; a second module that read
+    # GRID would key states a second way.
+    users = _modules_using("GRID")
     assert users == {"qstate.py"}, users
 
 

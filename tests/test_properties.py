@@ -41,10 +41,9 @@ from catlab import (
     Operator,
     RandomStream,
 )
-from catlab.lab import GRID
 from catlab.measure import PRUNE_TOL
 from catlab.protocols import MAX_TRIALS
-from catlab.qstate import MATCH_TOL, PSD_FLOOR, DensityMatrix, StateVector, canonical_amps
+from catlab.qstate import GRID, MATCH_TOL, PSD_FLOOR, DensityMatrix, StateVector, canonical_amps
 
 from helpers import rand_density, rand_state, rand_unitary, space_of_dim
 
@@ -80,7 +79,7 @@ def test_canonical_phase_invariance(psi, theta):
     assert state_key(a) == state_key(b)
     assert states_match(a, b)
     table = Laboratory(psi.space)
-    assert table.keys[table.intern(rotated)] == state_key(rotated)
+    assert table.states[table.intern(rotated)].key == state_key(rotated)
     assert np.allclose(canonical_amps(a.amps), a.amps, atol=1e-12)
     lead = a.amps[np.argmax(np.abs(a.amps) > 1e-12)]
     assert abs(lead.imag) < 1e-12 and lead.real > 0
@@ -142,6 +141,7 @@ def test_state_keys_equal_the_per_element_formula(seed, dim, small):
     for x in (psi, pure_density(psi), mixed):
         key = state_key(x)
         assert key == per_element_state_key(x)
+        assert x.key == key
         assert all(type(v) is int for v in key[1:])
 
 
@@ -419,7 +419,7 @@ def mc_every_step(protocol, lab, initial, n, seed):
         cells = nxt
     for (sid, _), count in cells.items():
         finals[sid] = finals.get(sid, 0) + count
-    return [(lab.keys[sid], c) for sid, c in finals.items()]
+    return [(lab.states[sid].key, c) for sid, c in finals.items()]
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 
 import catlab.lab
 import catlab.protocols
+import catlab.qstate
 from catlab import (
     CatlabError,
     DepthCeiling,
@@ -370,6 +371,23 @@ def test_a_run_prepares_each_pair_once(monkeypatch, initial, pairs, rows):
         run_monte_carlo(protocol, sc.lab, start, 10**6, run)
         enumerate_protocol(protocol, sc.lab, start)
         assert calls == {"weights": run * pairs, "dyadic": run * rows}
+
+
+@pytest.mark.parametrize("initial", ["dead", "rho_cat"])
+def test_a_second_run_computes_no_state_key(monkeypatch, initial):
+    # a state builds its key once, so a run on a warm lab keys nothing:
+    # the start state and every post state already carry theirs
+    calls = []
+    real = catlab.qstate._grid_key
+    monkeypatch.setattr(catlab.qstate, "_grid_key", lambda *a: calls.append(a) or real(*a))
+    sc = resurrection()
+    protocol, start = sc.protocols["resurrect10"], sc.initial(initial)
+    enumerate_protocol(protocol, sc.lab, start)
+    run_monte_carlo(protocol, sc.lab, start, 10**6, 1)
+    del calls[:]
+    enumerate_protocol(protocol, sc.lab, start)
+    run_monte_carlo(protocol, sc.lab, start, 10**6, 2)
+    assert calls == []
 
 
 def test_first_state_interned_on_a_lab_represents_its_key():

@@ -114,7 +114,21 @@ def test_zero_vector_rejected():
     with pytest.raises(ZeroVector):
         make_state(CAT, [0, 0])
     with pytest.raises(ZeroVector):
-        make_state(CAT, [1e-11, 0])
+        make_state(CAT, [0.0, -0.0j])
+
+
+@pytest.mark.parametrize(
+    "tiny, plain",
+    [
+        ([3e-11, 4e-11], [3, 4]),
+        ([1e-200, 0], [1, 0]),
+        ([1e-11, 0], [1, 0]),
+        ([5e-324, 5e-324j], [1, 1j]),  # subnormal, where a complex division overflows
+    ],
+)
+def test_tiny_amplitudes_are_a_state(tiny, plain):
+    # |a|^2 below 1e-20 is no reason to reject a list with a nonzero entry
+    assert make_state(CAT, tiny).amps.tobytes() == make_state(CAT, plain).amps.tobytes()
 
 
 def test_statevector_requires_unit_norm():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import catlab.scenario
 from catlab import (
     CatlabError,
     ParseError,
@@ -67,6 +68,12 @@ def test_wrong_amplitude_count():
 def test_zero_state_rejected():
     with pytest.raises(ValidationError, match="ZeroVector"):
         parse(MINIMAL + "states:\n  s: [0, 0]\n")
+
+
+def test_tiny_amplitudes_load():
+    sc = parse(MINIMAL + "states:\n  s: [3e-11, 4e-11]\n  t: [1e-200, 0]\n")
+    for name, plain in (("s", [3, 4]), ("t", [1, 0])):
+        assert sc.states[name].amps.tobytes() == make_state(sc.space, plain).amps.tobytes()
 
 
 def test_factor_space():
@@ -428,5 +435,25 @@ def test_parse_scenario_from_path(tmp_path):
     sc, _ = load_scenario(str(f))
     assert sc.name == "t"  # explicit name beats the file stem
     assert tuple(sc.lab.unitaries) == ("flip",)
-    with pytest.raises(ParseError):
-        load_scenario(str(tmp_path))  # exists but cannot be read as a file
+    with pytest.raises(UnknownScenario, match="neither a file nor a shipped"):
+        load_scenario(str(tmp_path))  # a directory is not a scenario file
+
+
+def test_a_directory_does_not_shadow_a_shipped_scenario(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cat").mkdir()
+    sc, sha = load_scenario("cat")
+    assert sc.name == "cat"
+    assert sha == scenario_sha256(shipped_scenario_path("cat").read_bytes())
+
+
+def test_an_unreadable_file_is_a_parse_error(tmp_path, monkeypatch):
+    f = tmp_path / "lab.scn"
+    f.write_text(LAB_BASE, encoding="utf-8")
+
+    def denied(path, mode):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(catlab.scenario, "open", denied, raising=False)
+    with pytest.raises(ParseError, match="Permission denied"):
+        load_scenario(str(f))
