@@ -138,7 +138,10 @@ def test_state_keys_equal_the_per_element_formula(seed, dim, small):
         raw[i] = complex(re, im)
     psi = make_state(space, raw)
     mixed = DensityMatrix(space, 0.5 * pure_density(psi).mat + 0.5 * np.eye(dim) / dim)
-    for x in (psi, pure_density(psi), mixed):
+    # entries exactly half a grid step off it (4.5 and 0.5 steps): the key rounds half to even
+    ties = np.eye(dim, dtype=complex) / dim
+    ties[0, 1], ties[1, 0] = 4.5e-6 + 5e-7j, 4.5e-6 - 5e-7j
+    for x in (psi, pure_density(psi), mixed, DensityMatrix(space, ties)):
         key = state_key(x)
         assert key == per_element_state_key(x)
         assert x.key == key
