@@ -2,11 +2,12 @@
 
 A protocol is a list of steps: apply a named measurement, apply a named
 unitary, repeat a block, or stop the current branch when the last outcome
-label matched.  A protocol's exact outcome distribution is propagated
-forward over (state, last label) cells, and its outcome tree is built only
-when read.  A seeded Monte Carlo histogram is drawn as trial counts over
-the same cells, and two state-preparation sources can be compared through
-one measurement.
+label matched.  Each run resolves a protocol once into a program of
+(operation name, stop labels) pairs, which every walker reads.  The exact
+outcome distribution is propagated forward over (state, last label) cells,
+and the outcome tree is built only when read.  A seeded Monte Carlo
+histogram is drawn as trial counts over the same cells, and two
+state-preparation sources can be compared through one measurement.
 """
 
 from __future__ import annotations
@@ -122,16 +123,24 @@ def _unroll(steps: Sequence[Step], out: list[Step]) -> None:
             )
 
 
-def _resolve_steps(steps: Sequence[Step], lab: Laboratory) -> None:
-    for step in steps:
-        if isinstance(step, MeasureStep) and step.measurement not in lab.measurements:
-            raise DisallowedOperation(
-                f"measurement {step.measurement!r} is not allowed in this laboratory"
-            )
-        if isinstance(step, UnitaryStep) and step.unitary not in lab.unitaries:
-            raise DisallowedOperation(
-                f"unitary {step.unitary!r} is not allowed in this laboratory"
-            )
+def _program(protocol: ProtocolSpec, lab: Laboratory) -> list[tuple[str, tuple[str, ...]]]:
+    """The unrolled protocol as (operation name, stop labels) pairs: each
+    ``stop_if`` adds its label to the operation before it, and one before
+    the first operation, which nothing can match, is dropped."""
+    program: list[tuple[str, tuple[str, ...]]] = []
+    for step in protocol.unrolled():
+        if isinstance(step, StopIfStep):
+            if program:
+                program[-1] = (program[-1][0], program[-1][1] + (step.outcome,))
+            continue
+        if isinstance(step, MeasureStep):
+            kind, name, allowed = "measurement", step.measurement, lab.measurements
+        else:
+            kind, name, allowed = "unitary", step.unitary, lab.unitaries
+        if name not in allowed:
+            raise DisallowedOperation(f"{kind} {name!r} is not allowed in this laboratory")
+        program.append((name, ()))
+    return program
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +187,14 @@ class OutcomeTree:
 
     The masses, counts and ``pruned_mass`` come from a forward propagation
     (see ``enumerate_protocol``).  The node tree itself is built, by a
-    depth-first walk over the same ``lab`` rows, only when ``root`` or
-    ``leaves()`` is first read.
+    depth-first walk of the same program over the same ``lab`` rows, only
+    when ``root`` or ``leaves()`` is first read.
     """
 
     def __init__(
         self,
         lab: Laboratory,
-        steps: tuple[Step, ...],
+        program: list[tuple[str, tuple[str, ...]]],
         start: int,
         finals: list[tuple[int, int]],
         scale: int,
@@ -198,7 +207,7 @@ class OutcomeTree:
         self._finals = finals
         self._scale = scale
         self.pruned_mass = pruned / (1 << scale)
-        self._steps = steps
+        self._program = program
         self._start = start
         self._nodes = nodes
         self._leaves = leaves
@@ -211,31 +220,24 @@ class OutcomeTree:
         return self._root
 
     def _build(self) -> OutcomeNode:
-        steps, lab = self._steps, self.lab
+        program, lab = self._program, self.lab
         root = OutcomeNode(None, None, 1.0, 1.0, self._start)
-        # (node, step index, last outcome label)
-        stack = [(root, 0, None)]
+        # (node, program index, last outcome label)
+        stack = [(root, 0, None)] if program else []
         while stack:
             node, i, last = stack.pop()
-            if i >= len(steps):
-                continue
-            step = steps[i]
-            if isinstance(step, StopIfStep):
-                if last is not None and last == step.outcome:
-                    node.stopped = True
-                else:
-                    stack.append((node, i + 1, last))
-                continue
-            name = step.measurement if isinstance(step, MeasureStep) else step.unitary
+            name, stops = program[i]
             cum = node.cumulative
             for label, p, nid in lab.rows(name, node.sid):
                 if nid is None:
                     continue
                 # a unitary row's empty label: the edge has no label and the
                 # last outcome stays the one before
-                child = OutcomeNode(name, label or None, p, cum * p, nid)
+                now = label or last
+                child = OutcomeNode(name, label or None, p, cum * p, nid, stopped=now in stops)
                 node.children.append(child)
-                stack.append((child, i + 1, label or last))
+                if not child.stopped and i + 1 < len(program):
+                    stack.append((child, i + 1, now))
         return root
 
     def leaves(self) -> list[OutcomeNode]:
@@ -262,20 +264,26 @@ def _dyadic(p: float) -> tuple[int, int]:
     return n, d.bit_length() - 1
 
 
+# the last label of an ended cell: its nodes are leaves, which no step expands
+_ENDED = object()
+
+
 def enumerate_protocol(
     protocol: ProtocolSpec, lab: Laboratory, initial: State
 ) -> OutcomeTree:
     """Exact outcome distribution of a protocol from an initial state.
 
-    The unrolled protocol is stepped forward over the rows of ``lab``.
+    The protocol's program is stepped forward over the rows of ``lab``.
     The tree's nodes fall into cells, one per (state id, last outcome
-    label), and each cell keeps its exact mass, its number of nodes and
-    its first path (the row indices from the root of its first node in
-    depth-first order).  A mass is an integer over a power of two: row
-    probabilities are floats, hence dyadic, so products and sums over paths
-    stay exact, and each reported mass is the correctly rounded value of
-    the exact sum.  Live cells stay in order of their first path, so the
-    first insertion into a cell is its first path, and final states come in
+    label), and each cell keeps its exact mass and its number of nodes.  A
+    mass is an integer over a power of two: row probabilities are floats,
+    hence dyadic, so products and sums over paths stay exact, and each
+    reported mass is the correctly rounded value of the exact sum.  A node
+    that a ``stop_if`` halts or that has no kept row is a leaf, kept in the
+    cell (state id, ``_ENDED``) that later steps pass on unexpanded.  A step
+    visits cells in order and each cell's rows in row order; since every
+    node of a cell has the same subtree, and a leaf none, cells stay in
+    depth-first order of their first nodes, and final states come in
     first-leaf order.  Branches with probability below ``PRUNE_TOL`` are
     dropped; their mass is accounted in ``tree.pruned_mass``.  Each
     (operation, state id) pair's rows are converted to dyadic form once per
@@ -283,44 +291,32 @@ def enumerate_protocol(
     """
     if initial.space != lab.space:
         raise DimensionMismatch("initial state lives outside the laboratory space")
-    steps = protocol.unrolled()
-    _resolve_steps(steps, lab)
+    program = _program(protocol, lab)
     start = lab.intern(initial)
-    # (sid, last label) -> [mass * 2**scale, node count, first path]
-    cells: dict[tuple[int, str | None], list] = {(start, None): [1, 1, ()]}
+    # (sid, last label or _ENDED) -> [mass * 2**scale, node count]
+    cells: dict[tuple[int, object], list[int]] = {(start, None): [1, 1]}
     scale = pruned = 0
-    nodes, leaves = 1, 0  # the root is a node
-    # (first path, sid, mass * 2**at, at) of every leaf cell
-    ended: list[tuple[tuple[int, ...], int, int, int]] = []
+    nodes = 1  # the root is a node
     # (name, sid) -> its rows as (label, n, k, next id), p == n / 2**k
     dyadic: dict[tuple[str, int], list[tuple[str, int, int, int | None]]] = {}
-    for step in steps:
-        if isinstance(step, StopIfStep):
-            kept = {}
-            for key, cell in cells.items():
-                if key[1] is not None and key[1] == step.outcome:
-                    ended.append((cell[2], key[0], cell[0], scale))
-                    leaves += cell[1]
-                else:
-                    kept[key] = cell
-            cells = kept
-            continue
-        name = step.measurement if isinstance(step, MeasureStep) else step.unitary
+    for name, stops in program:
         expanded = []
-        for sid, _ in cells:
-            rows = dyadic.get((name, sid))
-            if rows is None:
-                rows = dyadic[(name, sid)] = [
-                    (label, *_dyadic(p), nid) for label, p, nid in lab.rows(name, sid)
-                ]
+        for sid, last in cells:
+            rows = ()
+            if last is not _ENDED:
+                rows = dyadic.get((name, sid))
+                if rows is None:
+                    rows = dyadic[(name, sid)] = [
+                        (label, *_dyadic(p), nid) for label, p, nid in lab.rows(name, sid)
+                    ]
             expanded.append(rows)
         # one denominator per step: the largest one among its rows
         shift = max((k for rows in expanded for _, _, k, _ in rows), default=0)
         pruned <<= shift
-        nxt: dict[tuple[int, str | None], list] = {}
-        for ((sid, last), (num, count, path)), rows in zip(cells.items(), expanded):
+        nxt: dict[tuple[int, object], list[int]] = {}
+        for ((sid, last), (num, count)), rows in zip(cells.items(), expanded):
             branched = False
-            for r, (label, n, k, nid) in enumerate(rows):
+            for label, n, k, nid in rows:
                 mass = num * n << (shift - k)
                 if nid is None:
                     pruned += mass
@@ -328,26 +324,23 @@ def enumerate_protocol(
                 branched = True
                 nodes += count
                 # a unitary row's empty label keeps the last outcome
-                cell = nxt.get((nid, label or last))
-                if cell is None:
-                    nxt[(nid, label or last)] = [mass, count, path + (r,)]
-                else:
-                    cell[0] += mass
-                    cell[1] += count
+                now = label or last
+                cell = nxt.setdefault((nid, _ENDED if now in stops else now), [0, 0])
+                cell[0] += mass
+                cell[1] += count
             if not branched:
-                ended.append((path, sid, num, scale))
-                leaves += count
+                cell = nxt.setdefault((sid, _ENDED), [0, 0])
+                cell[0] += num << shift
+                cell[1] += count
         scale += shift
         cells = nxt
-    for (sid, _), (num, count, path) in cells.items():
-        ended.append((path, sid, num, scale))
-        leaves += count
-    # first paths are distinct, so sorting orders leaves depth-first
     finals: dict[int, int] = {}
-    for _, sid, num, at in sorted(ended):
-        finals[sid] = finals.get(sid, 0) + (num << (scale - at))
+    leaves = 0
+    for (sid, _), (num, count) in cells.items():
+        finals[sid] = finals.get(sid, 0) + num
+        leaves += count
     return OutcomeTree(
-        lab, steps, start, list(finals.items()), scale, pruned, nodes, leaves
+        lab, program, start, list(finals.items()), scale, pruned, nodes, leaves
     )
 
 
@@ -427,8 +420,9 @@ def run_monte_carlo(
     only draws.  They renormalise over the kept rows, so a split differs
     from the exact distribution by less than ``PRUNE_TOL`` per pruned row,
     the mass ``enumerate_protocol`` reports as pruned.  A unitary
-    row's empty label keeps the last outcome, and a ``stop_if`` step moves
-    the cells whose last label matches to the final states.  Cells are
+    row's empty label keeps the last outcome.  After each operation's split,
+    the cells whose last label is one of its stop labels move to the final
+    states, in the order the ``stop_if`` steps were written.  Cells are
     split in order of first arrival, not in id order, so the bins depend
     on the protocol, the initial state, the seed and ``n``, and not on what
     the lab's table held before, unless a row probability lies within its
@@ -441,8 +435,7 @@ def run_monte_carlo(
         raise CatlabError(f"trial count must be <= {MAX_TRIALS}")
     if initial.space != lab.space:
         raise DimensionMismatch("initial state lives outside the laboratory space")
-    steps = protocol.unrolled()
-    _resolve_steps(steps, lab)
+    program = _program(protocol, lab)
     stream = RandomStream(seed)
     # (sid, last label) -> trial count, in order of first arrival
     cells: dict[tuple[int, str | None], int] = {}
@@ -451,12 +444,7 @@ def run_monte_carlo(
     finals: dict[int, int] = {}
     # (name, sid) -> (kept rows, their weights, or None for a single row)
     prepared: dict[tuple[str, int], tuple[list, np.ndarray | None]] = {}
-    for step in steps:
-        if isinstance(step, StopIfStep):
-            for key in [key for key in cells if key[1] == step.outcome]:
-                finals[key[0]] = finals.get(key[0], 0) + cells.pop(key)
-            continue
-        name = step.measurement if isinstance(step, MeasureStep) else step.unitary
+    for name, stops in program:
         nxt: dict[tuple[int, str | None], int] = {}
         for (sid, last), count in cells.items():
             hit = prepared.get((name, sid))
@@ -472,6 +460,9 @@ def run_monte_carlo(
                 if c:
                     key = (nid, label or last)
                     nxt[key] = nxt.get(key, 0) + c
+        for stop in stops:
+            for key in [key for key in nxt if key[1] == stop]:
+                finals[key[0]] = finals.get(key[0], 0) + nxt.pop(key)
         cells = nxt
     for (sid, _), count in cells.items():
         finals[sid] = finals.get(sid, 0) + count

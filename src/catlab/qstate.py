@@ -234,10 +234,12 @@ def make_state(space: HilbertSpace, raw_amps: Sequence[complex]) -> StateVector:
             f"{arr.shape[0] if arr.ndim == 1 else arr.shape} amplitudes for dim {space.dim}"
         )
     norm2 = float(np.real(np.vdot(arr, arr)))
-    if norm2 < 1e-20:
-        # scale tiny amplitudes up first, so that |a|^2 cannot underflow; the
-        # division is real, since a complex one overflows at subnormal scale
-        top = float(np.max(np.abs(arr)))
+    if not 1e-20 <= norm2 < math.inf and np.isfinite(arr).all():
+        # scale tiny or huge finite amplitudes by their largest real or
+        # imaginary part first, so that |a|^2 can neither underflow nor
+        # overflow (a modulus can overflow on its own); the division is
+        # real, since a complex one overflows at subnormal scale
+        top = float(np.max(np.abs(arr.view(np.float64))))
         if top == 0.0:
             raise ZeroVector("cannot normalise an all-zero amplitude list")
         arr = (arr.view(np.float64) / top).view(np.complex128)

@@ -58,7 +58,10 @@ REMOVED = {
         "GRID",
     ),
     catlab.measure: ("records_to_json", "sample_outcome"),
-    catlab.protocols: ("merge_histograms", "total_reach_probability", "TRIALS_PER_BLOCK", "_split"),
+    catlab.protocols: (
+        "merge_histograms", "total_reach_probability", "TRIALS_PER_BLOCK", "_split",
+        "_resolve_steps",
+    ),
     catlab.RandomStream: ("derive", "uniform", "uniforms"),
     catlab.StateVector: ("amplitude",),
     catlab.DensityMatrix: ("probability",),
@@ -173,6 +176,20 @@ def test_only_qstate_reads_the_grid():
     # GRID would key states a second way.
     users = _modules_using("GRID")
     assert users == {"qstate.py"}, users
+
+
+def test_only_the_program_builders_read_stop_if():
+    # A run resolves its protocol into a program once; a walker that met
+    # StopIfStep itself would decide a second time what a stop means.
+    users = {
+        f"{path.stem}.{func.name}"
+        for path in SRC.glob("*.py")
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and node.id == "StopIfStep"
+    }
+    assert users == {"protocols._unroll", "protocols._program", "scenario._parse_steps"}, users
 
 
 def test_only_measure_cuts_rows():

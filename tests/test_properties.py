@@ -435,6 +435,7 @@ def mc_every_step(protocol, lab, initial, n, seed):
     st.sampled_from([0, 1, 4097, MAX_TRIALS]),
 )
 @example(7, 3, 3, False, ["m", "m", 0, "u", "m", "m", 1, "m"], 4097)
+@example(0, 2, 2, False, ["m", 1, 0], 4097)
 def test_monte_carlo_draws_as_if_weights_were_derived_every_step(
     seed, dim, groups, mixed, codes, n
 ):

@@ -15,7 +15,9 @@ from catlab import (
     DisallowedOperation,
     DiscriminationReport,
     HilbertSpace,
+    Laboratory,
     MeasureStep,
+    Operator,
     ProtocolSpec,
     RepeatStep,
     StopIfStep,
@@ -30,13 +32,15 @@ from catlab import (
     find_steering_path,
     leaf_mass,
     load_scenario,
+    make_measurement,
     make_state,
+    projector_from_state,
     run_monte_carlo,
     state_key,
     total_variation,
     tree_to_json,
 )
-from catlab.protocols import MAX_TRIALS, _chi2_sf
+from catlab.protocols import MAX_TRIALS, _chi2_sf, _program
 
 
 def resurrection():
@@ -124,6 +128,29 @@ def test_disallowed_operation():
     spec2 = ProtocolSpec((UnitaryStep("warp"),))
     with pytest.raises(DisallowedOperation):
         enumerate_protocol(spec2, cat.lab, cat.states["dead"])
+
+
+def test_program_folds_each_stop_if_into_the_operation_before_it():
+    space = HilbertSpace(("a", "b"))
+    lab = Laboratory(
+        space,
+        {"m": make_measurement(space, [
+            ("g0", projector_from_state(basis_state(space, "a"))),
+            ("g1", projector_from_state(basis_state(space, "b"))),
+        ])},
+        {"u": Operator(space, np.array([[0, 1], [1, 0]]), "unitary")},
+    )
+    steps = (StopIfStep("g0"), MeasureStep("m"), StopIfStep("g1"), StopIfStep("g0"),
+             UnitaryStep("u"), MeasureStep("m"))
+    # the leading stop_if can match nothing: no outcome has been seen yet
+    assert _program(ProtocolSpec(steps), lab) == [("m", ("g1", "g0")), ("u", ()), ("m", ())]
+    # the first disallowed operation in step order names itself
+    with pytest.raises(DisallowedOperation, match="^unitary 'v' is not allowed in this laboratory$"):
+        _program(ProtocolSpec(steps + (UnitaryStep("v"), MeasureStep("n"))), lab)
+    with pytest.raises(
+        DisallowedOperation, match="^measurement 'n' is not allowed in this laboratory$"
+    ):
+        _program(ProtocolSpec(steps + (MeasureStep("n"), UnitaryStep("v"))), lab)
 
 
 def test_initial_state_on_another_space():

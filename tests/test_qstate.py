@@ -131,6 +131,20 @@ def test_tiny_amplitudes_are_a_state(tiny, plain):
     assert make_state(CAT, tiny).amps.tobytes() == make_state(CAT, plain).amps.tobytes()
 
 
+@pytest.mark.parametrize(
+    "huge, plain",
+    [
+        ([1e200, 1e200], [1, 1]),
+        ([1e155, 0], [1, 0]),
+        ([3e154, 4e154], [3, 4]),
+        ([1e308, 1e308j], [1, 1j]),  # where a complex modulus overflows too
+    ],
+)
+def test_huge_amplitudes_are_a_state(huge, plain):
+    # |a|^2 overflowing to inf is no reason to reject a finite list
+    assert make_state(CAT, huge).amps.tobytes() == make_state(CAT, plain).amps.tobytes()
+
+
 def test_statevector_requires_unit_norm():
     with pytest.raises(CatlabError):
         StateVector(CAT, np.array([0.5, 0.5], dtype=complex))

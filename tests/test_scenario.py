@@ -76,6 +76,12 @@ def test_tiny_amplitudes_load():
         assert sc.states[name].amps.tobytes() == make_state(sc.space, plain).amps.tobytes()
 
 
+def test_huge_amplitudes_load():
+    sc = parse(MINIMAL + "states:\n  s: [3e154, 4e154]\n  t: [1e200, 1e200]\n")
+    for name, plain in (("s", [3, 4]), ("t", [1, 1])):
+        assert sc.states[name].amps.tobytes() == make_state(sc.space, plain).amps.tobytes()
+
+
 def test_factor_space():
     sc = parse(
         """\
