@@ -235,11 +235,12 @@ def make_state(space: HilbertSpace, raw_amps: Sequence[complex]) -> StateVector:
         )
     norm2 = float(np.real(np.vdot(arr, arr)))
     if not 1e-20 <= norm2 < math.inf and np.isfinite(arr).all():
-        # scale tiny or huge finite amplitudes by their largest real or
-        # imaginary part first, so that |a|^2 can neither underflow nor
-        # overflow (a modulus can overflow on its own); the division is
-        # real, since a complex one overflows at subnormal scale
-        top = float(np.max(np.abs(arr.view(np.float64))))
+        # scale tiny or huge finite amplitudes by their largest magnitude
+        # first, so that |a|^2 can neither underflow nor overflow; huge ones
+        # by their largest re or im part, as a modulus can overflow on its
+        # own.  The division is real, since a complex one overflows at
+        # subnormal scale
+        top = float(np.max(np.abs(arr if norm2 < 1.0 else arr.view(np.float64))))
         if top == 0.0:
             raise ZeroVector("cannot normalise an all-zero amplitude list")
         arr = (arr.view(np.float64) / top).view(np.complex128)
