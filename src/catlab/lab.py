@@ -18,6 +18,7 @@ import numpy as np
 from .errors import CatlabError, DimensionMismatch, PreconditionFailed
 from .measure import (
     COMPLEMENT_LABEL,
+    EPS,
     ORTHO_TOL,
     ProjectiveMeasurement,
     complement,
@@ -118,7 +119,8 @@ class Laboratory:
         """Outcome rows of operation ``name`` on state ``sid``.
 
         A measurement gives one row per outcome in outcome order, with next
-        id None below ``PRUNE_TOL``; a unitary gives ``(("", 1.0, id),)``.
+        id None below ``(d * EPS)**2`` on a vector and ``PRUNE_TOL`` on a
+        density matrix; a unitary gives ``(("", 1.0, id),)``.
         """
         hit = self._rows.get((name, sid))
         if hit is None:
@@ -174,8 +176,11 @@ def check_conditions(lab: Laboratory, l_state: StateVector, d_state: StateVector
 def born_rows(
     op: ProjectiveMeasurement | Operator, x: State
 ) -> tuple[tuple[str, float, State | None], ...]:
-    """Rows ``(label, probability, post state)`` of measurement or unitary
-    ``op`` on ``x``; the post state is None below ``PRUNE_TOL``.
+    """Rows ``(label, probability, post state)`` of ``op`` on ``x``: those of
+    ``outcome_distribution`` for a measurement, with no post state below
+    ``(d * EPS)**2`` on a vector, or ``(("", 1.0, U x),)`` for a unitary.  No
+    other catlab function calls ``outcome_distribution`` or
+    ``apply_unitary``, so every reader of rows reads this memo.
 
     Memoised in one memo for the process, keyed by ``op.key``, the value
     of ``op``, and the exact bits of ``x``, so every lab that holds ``op``
@@ -193,7 +198,7 @@ def born_rows(
         if isinstance(op, Operator):
             rows = (("", 1.0, apply_unitary(op, x)),)
         else:
-            rows = tuple((r.label, r.probability, r.post_state) for r in outcome_distribution(op, x))
+            rows = outcome_distribution(op, x)
         hit = _remember(key, rows)
     return hit
 
@@ -229,7 +234,7 @@ def invariant_subspace(lab: Laboratory, start: StateVector) -> np.ndarray | None
         [op.mat for m in lab.measurements.values() for _, op in m.outcomes]
         + [u.mat for u in lab.unitaries.values()]
     )
-    noise = d * np.finfo(np.float64).eps
+    noise = d * EPS
     basis = newest = start.amps.reshape(d, 1)
     while newest.shape[1] and basis.shape[1] < d:
         block = (ops @ newest).transpose(1, 0, 2).reshape(d, -1)
@@ -378,22 +383,19 @@ def replay_path(lab: Laboratory, start: State, path: SteeringPath) -> tuple[floa
     """Re-run a steering path step by step; returns (probability, final state).
 
     Used to audit witnesses: the product of the replayed branch
-    probabilities must reproduce ``path.probability``.
+    probabilities must reproduce ``path.probability``.  Each step names an
+    operation of ``lab`` and one of its ``born_rows`` with a post state.
     """
     state: State = start
     prob = 1.0
     for name, label in path.steps:
-        if name in lab.measurements:
-            records = outcome_distribution(lab.measurements[name], state)
-            rec = next((r for r in records if r.label == label), None)
-            if rec is None or rec.post_state is None:
-                raise CatlabError(f"cannot replay step ({name!r}, {label!r})")
-            prob *= rec.probability
-            state = rec.post_state
-        elif name in lab.unitaries:
-            state = apply_unitary(lab.unitaries[name], state)
-        else:
+        if name not in lab._ops:
             raise CatlabError(f"operation {name!r} not in the laboratory")
+        row = next((r for r in born_rows(lab._ops[name], state) if r[0] == label), None)
+        if row is None or row[2] is None:
+            raise CatlabError(f"cannot replay step ({name!r}, {label!r})")
+        prob *= row[1]
+        state = row[2]
     return prob, state
 
 

@@ -24,7 +24,8 @@ from .qstate import (
     projector_from_state,
 )
 
-PRUNE_TOL = 1e-12  # outcomes below this probability carry no post state
+EPS = float(np.finfo(np.float64).eps)  # a vector row below (d * EPS)**2 is rounding
+PRUNE_TOL = 1e-12  # a density row below this probability carries no post state
 ORTHO_TOL = 1e-9  # overlap allowed between outcome-defining states
 COMPLETE_TOL = 1e-10
 COMPLEMENT_LABEL = "⊥"
@@ -144,38 +145,34 @@ def measurement_from_states(
     return make_measurement(space, outcomes)
 
 
-class OutcomeRecord:
-    """One row of a Born distribution: label, probability, collapsed state."""
+def outcome_distribution(
+    m: ProjectiveMeasurement, x: State
+) -> tuple[tuple[str, float, State | None], ...]:
+    """Rows ``(label, probability, post state)``, one per outcome of ``m``
+    on ``x``, in outcome order.
 
-    __slots__ = ("label", "probability", "post_state")
-
-    def __init__(self, label: str, probability: float, post_state: State | None) -> None:
-        self.label = label
-        self.probability = probability
-        self.post_state = post_state
-
-
-def outcome_distribution(m: ProjectiveMeasurement, x: State) -> list[OutcomeRecord]:
-    """Born probabilities and post-measurement states for every outcome.
-
-    Probabilities are clamped into [0, 1]; outcomes below ``PRUNE_TOL``
-    keep their row but carry ``post_state=None``.  A post state is divided
-    by its own norm or trace, so rounding in ``p`` cannot denormalise it.
-    A vector's ``p`` below 1e-3 is ``||P psi||^2``, blind to the global phase.
+    Probabilities are clamped into [0, 1].  A vector's row carries no post
+    state when ``||P psi||^2 < (d * EPS)^2``, the rounding floor that
+    ``lab.invariant_subspace`` also drops; a density matrix's row, whose
+    ``p`` has an absolute error of about ``EPS``, carries none below
+    ``PRUNE_TOL``.  A post state is divided by its own norm or trace, so
+    rounding in ``p`` cannot denormalise it.  A vector's ``p`` below 1e-3 is
+    ``||P psi||^2``, blind to the global phase.
     """
     if x.space != m.space:
         raise DimensionMismatch("state and measurement live on different spaces")
-    records: list[OutcomeRecord] = []
+    rows = []
     if isinstance(x, StateVector):
+        cut = (m.space.dim * EPS) ** 2
         for label, op in m.outcomes:
             proj = op.mat @ x.amps
             norm2 = float(np.vdot(proj, proj).real)
             p = float(np.real(np.vdot(x.amps, proj)))
             p = min(1.0, max(0.0, norm2 if p < 1e-3 else p))
             post = None
-            if p >= PRUNE_TOL:
+            if p >= cut:
                 post = StateVector(m.space, proj / math.sqrt(norm2))
-            records.append(OutcomeRecord(label, p, post))
+            rows.append((label, p, post))
     else:
         for label, op in m.outcomes:
             left = op.mat @ x.mat
@@ -189,5 +186,5 @@ def outcome_distribution(m: ProjectiveMeasurement, x: State) -> list[OutcomeReco
                     w, v = np.linalg.eigh(collapsed)
                     collapsed = (v * np.maximum(w, 0.0)) @ v.conj().T
                 post = DensityMatrix(m.space, collapsed / np.trace(collapsed).real)
-            records.append(OutcomeRecord(label, p, post))
-    return records
+            rows.append((label, p, post))
+    return tuple(rows)

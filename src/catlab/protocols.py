@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from .errors import CatlabError, DepthCeiling, DimensionMismatch, DisallowedOperation
-from .lab import Laboratory
-from .measure import COMPLEMENT_LABEL, ProjectiveMeasurement, outcome_distribution
+from .lab import Laboratory, born_rows
+from .measure import COMPLEMENT_LABEL, ProjectiveMeasurement
 from .qstate import State, StateVector, format_state, states_match
 from .rng import RandomStream
 
@@ -284,8 +284,8 @@ def enumerate_protocol(
     visits cells in order and each cell's rows in row order; since every
     node of a cell has the same subtree, and a leaf none, cells stay in
     depth-first order of their first nodes, and final states come in
-    first-leaf order.  Branches with probability below ``PRUNE_TOL`` are
-    dropped; their mass is accounted in ``tree.pruned_mass``.  Each
+    first-leaf order.  Rows with no post state, on a vector those below
+    ``(d * EPS)**2``, are dropped; their mass is in ``tree.pruned_mass``.  Each
     (operation, state id) pair's rows are converted to dyadic form once per
     run, however many cells and steps meet the pair.
     """
@@ -418,9 +418,10 @@ def run_monte_carlo(
     probabilities are ``_weights`` of the kept rows, computed once per
     (operation, state id) pair in a run, so a cell that meets a pair again
     only draws.  They renormalise over the kept rows, so a split differs
-    from the exact distribution by less than ``PRUNE_TOL`` per pruned row,
-    the mass ``enumerate_protocol`` reports as pruned.  A unitary
-    row's empty label keeps the last outcome.  After each operation's split,
+    from the exact distribution by the mass of the pruned rows, which
+    ``enumerate_protocol`` reports as pruned, and by the snapping of
+    ``_weights``: a kept row below about 0.5 * 2**-40 draws no trial.  A
+    unitary row's empty label keeps the last outcome.  After each split,
     the cells whose last label is one of its stop labels move to the final
     states, in the order the ``stop_if`` steps were written.  Cells are
     split in order of first arrival, not in id order, so the bins depend
@@ -476,9 +477,10 @@ def _weights(probs: Sequence[float]) -> np.ndarray:
     probabilities ``probs``.  Each probability is snapped to an integer
     weight over ``SPLIT_GRID`` and the weights are renormalised, so that
     two representatives of one key, whose probabilities may differ in the
-    last bits, draw alike.  A probability of at least ``PRUNE_TOL`` (about
-    1.1 / SPLIT_GRID) keeps a weight of at least 1; below about
-    0.5 / SPLIT_GRID it gets weight 0 and draws no trial."""
+    last bits, draw alike.  A probability of at least about
+    0.5 / SPLIT_GRID keeps a weight of at least 1.  A kept vector row can be
+    as faint as ``(d * EPS)**2``; below about 0.5 / SPLIT_GRID it gets
+    weight 0 and draws no trial."""
     w = np.rint(np.multiply(probs, SPLIT_GRID))
     return w / w.sum()
 
@@ -562,7 +564,7 @@ def total_variation(dist_a: Mapping[str, float], dist_b: Mapping[str, float]) ->
 
 
 def exact_distribution(m: ProjectiveMeasurement, x: State) -> dict[str, float]:
-    return {rec.label: rec.probability for rec in outcome_distribution(m, x)}
+    return {label: p for label, p, _ in born_rows(m, x)}
 
 
 def _chi2_sf(x: float, df: int) -> float:

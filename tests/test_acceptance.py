@@ -260,11 +260,11 @@ def test_7_invariant_suite():
             p = m.projector(lab).mat
             ok &= bool(np.max(np.abs(p @ p - p)) < 1e-10)
 
-        recs = outcome_distribution(m, psi)
-        ok &= abs(sum(r.probability for r in recs) - 1.0) < 1e-10
-        best = max(recs, key=lambda r: r.probability)
-        again = {r.label: r.probability for r in outcome_distribution(m, best.post_state)}
-        ok &= again[best.label] > 1 - 1e-9
+        rows = outcome_distribution(m, psi)
+        ok &= abs(sum(p for _, p, _ in rows) - 1.0) < 1e-10
+        best, _, post = max(rows, key=lambda row: row[1])
+        again = {label: p for label, p, _ in outcome_distribution(m, post)}
+        ok &= again[best] > 1 - 1e-9
 
         if not ok:
             break

@@ -36,6 +36,7 @@ REMOVED = {
         "canonical_state",
         "sample_outcome",
         "Transitions",
+        "OutcomeRecord",
     ),
     catlab.qstate: (
         "density_from_json",
@@ -57,7 +58,7 @@ REMOVED = {
         "DEFAULT_MIN_PROB", "MIN_PROB", "_canonical", "Transitions", "_operation_key", "_born_rows",
         "GRID",
     ),
-    catlab.measure: ("records_to_json", "sample_outcome"),
+    catlab.measure: ("records_to_json", "sample_outcome", "OutcomeRecord"),
     catlab.protocols: (
         "merge_histograms", "total_reach_probability", "TRIALS_PER_BLOCK", "_split",
         "_resolve_steps",
@@ -178,18 +179,31 @@ def test_only_qstate_reads_the_grid():
     assert users == {"qstate.py"}, users
 
 
-def test_only_the_program_builders_read_stop_if():
-    # A run resolves its protocol into a program once; a walker that met
-    # StopIfStep itself would decide a second time what a stop means.
-    users = {
+def _functions_naming(*names: str) -> set[str]:
+    """The catlab functions, as ``module.function``, whose bodies name one of ``names``."""
+    return {
         f"{path.stem}.{func.name}"
         for path in SRC.glob("*.py")
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(func)
-        if isinstance(node, ast.Name) and node.id == "StopIfStep"
+        if isinstance(node, ast.Name) and node.id in names
     }
+
+
+def test_only_the_program_builders_read_stop_if():
+    # A run resolves its protocol into a program once; a walker that met
+    # StopIfStep itself would decide a second time what a stop means.
+    users = _functions_naming("StopIfStep")
     assert users == {"protocols._unroll", "protocols._program", "scenario._parse_steps"}, users
+
+
+def test_only_born_rows_applies_an_operation():
+    # born_rows turns an (operation, state) pair into rows; a second caller
+    # of the measurement or unitary primitives would decide it a second time
+    # and read past the memo.
+    users = _functions_naming("outcome_distribution", "apply_unitary")
+    assert users == {"lab.born_rows"}, users
 
 
 def test_only_measure_cuts_rows():

@@ -36,8 +36,8 @@ from catlab import (
     verdict_to_json,
 )
 from catlab.lab import DEFAULT_MAX_DEPTH, born_rows, invariant_subspace
-from catlab.measure import COMPLEMENT_LABEL, PRUNE_TOL, ProjectiveMeasurement
-from catlab.qstate import DensityMatrix, StateVector
+from catlab.measure import COMPLEMENT_LABEL, EPS, ProjectiveMeasurement
+from catlab.qstate import MATCH_TOL, DensityMatrix, StateVector
 
 from helpers import rand_density, rand_state, rand_unitary, space_of_dim
 
@@ -417,6 +417,17 @@ def test_find_steering_path_through_unitaries():
     assert states_match(path.final_state, x_plus)
 
 
+def test_a_labelled_unitary_step_does_not_replay():
+    # a unitary has one row, with the empty label, so a step that gives it a
+    # label names no row
+    sc = load_scenario("photon")[0]
+    lab = Laboratory(sc.space, {}, sc.lab.unitaries)
+    z0 = sc.states["z0"]
+    assert replay_path(lab, z0, SteeringPath((("rotate45", ""),), 1.0, z0))[0] == 1.0
+    with pytest.raises(CatlabError, match=r"cannot replay step \('rotate45', 'x'\)"):
+        replay_path(lab, z0, SteeringPath((("rotate45", "x"),), 1.0, z0))
+
+
 def test_negative_depth_rejected():
     lab = cat_lab()
     alive, dead = basis_state(CAT, "alive"), basis_state(CAT, "dead")
@@ -469,18 +480,21 @@ def weak_lab(eps: float) -> Laboratory:
 
 
 @pytest.mark.parametrize(
-    "eps, found", [(1e-5, True), (1e-6, True), (1e-7, True), (1e-13, False)]
+    "eps, found", [(1e-5, True), (1e-6, True), (1e-7, True), (1e-13, True), (1e-31, False)]
 )
 def test_search_follows_every_kept_row(eps, found):
-    # no floor on a path's probability: only a row below PRUNE_TOL is cut
-    assert (eps >= PRUNE_TOL) == found
+    # no floor on a path's probability: only a vector row below the rounding
+    # floor (d * EPS)^2 is cut, here with d = 3
+    assert (eps >= (3 * EPS) ** 2) == found
     lab = weak_lab(eps)
     dead, alive = basis_state(lab.space, "dead"), basis_state(lab.space, "alive")
     path = find_steering_path(lab, dead, alive)
     if not found:
         assert path is None
         return
-    assert len(path.steps) == 3
+    # A then B, then the basis measurement unless B's outcome already
+    # matches alive, as it does once eps is below MATCH_TOL
+    assert len(path.steps) == (3 if eps > MATCH_TOL else 2)
     assert path.probability == pytest.approx(eps**2 * (1 - eps) ** 2, rel=1e-9)
     assert replay_path(lab, dead, path)[0] == pytest.approx(path.probability, rel=1e-12)
 

@@ -19,7 +19,7 @@ from catlab import (
     projector_from_state,
     states_match,
 )
-from catlab.measure import COMPLEMENT_LABEL
+from catlab.measure import COMPLEMENT_LABEL, EPS
 from helpers import rand_density, rand_state, rand_unitary, space_of_dim
 
 CAT = HilbertSpace(("alive", "dead"), name="cat")
@@ -34,12 +34,12 @@ def cat_basis():
 def test_even_split_on_plus_state():
     m = cat_basis()
     plus = make_state(CAT, [1, 1])
-    recs = outcome_distribution(m, plus)
-    assert [r.label for r in recs] == ["alive", "dead"]
-    for rec in recs:
-        assert abs(rec.probability - 0.5) < 1e-12
-    assert states_match(recs[0].post_state, basis_state(CAT, "alive"))
-    assert states_match(recs[1].post_state, basis_state(CAT, "dead"))
+    rows = outcome_distribution(m, plus)
+    assert [label for label, _, _ in rows] == ["alive", "dead"]
+    for _, p, _ in rows:
+        assert abs(p - 0.5) < 1e-12
+    assert states_match(rows[0][2], basis_state(CAT, "alive"))
+    assert states_match(rows[1][2], basis_state(CAT, "dead"))
 
 
 def test_distribution_sums_to_one():
@@ -51,7 +51,7 @@ def test_distribution_sums_to_one():
     )
     for _ in range(20):
         psi = rand_state(rng, space)
-        total = sum(r.probability for r in outcome_distribution(m, psi))
+        total = sum(p for _, p, _ in outcome_distribution(m, psi))
         assert abs(total - 1.0) < 1e-10
 
 
@@ -148,14 +148,14 @@ def test_mixture_distribution_matches_ensemble_average():
     states = [rand_state(rng, space) for _ in range(3)]
     weights = [0.2, 0.3, 0.5]
     rho = make_mixture(list(zip(weights, states)))
-    mixed = {r.label: r.probability for r in outcome_distribution(m, rho)}
+    mixed = {label: p for label, p, _ in outcome_distribution(m, rho)}
     for label in "pqr":
         lifted = sum(
             w
             * next(
-                r.probability
-                for r in outcome_distribution(m, s)
-                if r.label == label
+                p
+                for row_label, p, _ in outcome_distribution(m, s)
+                if row_label == label
             )
             for w, s in zip(weights, states)
         )
@@ -166,13 +166,12 @@ def test_lueders_update_on_mixture():
     rng = np.random.default_rng(13)
     rho = rand_density(rng, CAT)
     m = cat_basis()
-    recs = outcome_distribution(m, rho)
-    for rec in recs:
-        if rec.post_state is None:
+    for label, prob, post in outcome_distribution(m, rho):
+        if post is None:
             continue
-        p = m.projector(rec.label).mat
-        expect = p @ rho.mat @ p / rec.probability
-        assert np.allclose(rec.post_state.mat, expect, atol=1e-12)
+        p = m.projector(label).mat
+        expect = p @ rho.mat @ p / prob
+        assert np.allclose(post.mat, expect, atol=1e-12)
 
 
 def test_repeatability():
@@ -184,20 +183,30 @@ def test_repeatability():
         [make_state(space, u[:, k]) for k in range(4)], list("wxyz")
     )
     psi = rand_state(rng, space)
-    for rec in outcome_distribution(m, psi):
-        if rec.post_state is None:
+    for label, _, post in outcome_distribution(m, psi):
+        if post is None:
             continue
-        again = {r.label: r.probability for r in outcome_distribution(m, rec.post_state)}
-        assert abs(again[rec.label] - 1.0) < 1e-10
+        again = {l: p for l, p, _ in outcome_distribution(m, post)}
+        assert abs(again[label] - 1.0) < 1e-10
 
 
 def test_prune_drops_post_state():
-    tiny = make_state(CAT, [1, 1e-9])
+    # a vector row keeps its post state down to the rounding floor (d * EPS)^2,
+    # a density row down to PRUNE_TOL
     m = cat_basis()
-    recs = {r.label: r for r in outcome_distribution(m, tiny)}
-    assert recs["dead"].probability < 1e-12
-    assert recs["dead"].post_state is None
-    assert recs["alive"].post_state is not None
+    assert 1e-32 < (2 * EPS) ** 2 < 1e-30
+    for amp, kept in ((1e-9, True), (1e-15, True), (1e-16, False)):
+        psi = make_state(CAT, [1, amp])
+        rows = {label: (p, post) for label, p, post in outcome_distribution(m, psi)}
+        assert rows["dead"][0] == pytest.approx(amp**2, rel=1e-12)
+        assert (rows["dead"][1] is not None) == kept
+        assert rows["alive"][1] is not None
+    dead = basis_state(CAT, "dead")
+    for w, kept in ((1e-11, True), (1e-13, False)):
+        rho = make_mixture([(w, dead), (1 - w, basis_state(CAT, "alive"))])
+        rows = {label: (p, post) for label, p, post in outcome_distribution(m, rho)}
+        assert rows["dead"][0] == pytest.approx(w, rel=1e-3)
+        assert (rows["dead"][1] is not None) == kept
 
 
 def test_wrong_space_rejected():

@@ -41,7 +41,7 @@ from catlab import (
     Operator,
     RandomStream,
 )
-from catlab.measure import PRUNE_TOL
+from catlab.measure import EPS, PRUNE_TOL
 from catlab.protocols import MAX_TRIALS
 from catlab.qstate import GRID, MATCH_TOL, PSD_FLOOR, DensityMatrix, StateVector, canonical_amps
 
@@ -170,14 +170,13 @@ def test_unitary_basis_measurement_is_complete(seed, dim):
     m = make_measurement(space, outcomes)
     assert m.labels == tuple(f"o{i}" for i in range(dim))  # already complete
     psi = rand_state(rng, space)
-    recs = outcome_distribution(m, psi)
-    total = sum(r.probability for r in recs)
+    rows = outcome_distribution(m, psi)
+    total = sum(p for _, p, _ in rows)
     assert abs(total - 1.0) < 1e-10
-    assert all(r.probability > -1e-15 for r in recs)
+    assert all(p > -1e-15 for _, p, _ in rows)
     # repeatability: measuring the post state again pins the same outcome
-    best = max(recs, key=lambda r: r.probability)
-    again = outcome_distribution(m, best.post_state)
-    repeat = {r.label: r.probability for r in again}[best.label]
+    best, _, post = max(rows, key=lambda row: row[1])
+    repeat = {label: p for label, p, _ in outcome_distribution(m, post)}[best]
     assert repeat > 1 - 1e-9
 
 
@@ -525,9 +524,9 @@ def test_monte_carlo_ignores_table_history(lab_seed):
     filled = build()[0]
     # meet the states that the protocol's second `m` splits in reverse, so
     # that on this table their ids run against their order of arrival
-    for rec in reversed(outcome_distribution(filled.measurements["m"], psi)):
-        if rec.post_state is not None:
-            filled.intern(apply_unitary(filled.unitaries["u"], rec.post_state))
+    for _, _, post in reversed(outcome_distribution(filled.measurements["m"], psi)):
+        if post is not None:
+            filled.intern(apply_unitary(filled.unitaries["u"], post))
     fill_table(filled, [
         (codes_protocol(["u", "m", "m", 1, "u", "m"], 2), target),
         (codes_protocol(["m", "u", "m", "u", "m"], 2), rho),
@@ -592,10 +591,10 @@ def alive_lab(rng, dim, n_groups, leak):
 
 def chains_reach(lab, start, target, depth):
     """Does some chain of at most ``depth`` operations of ``lab`` carry
-    ``start`` onto ``target`` with every step's probability at least
-    ``PRUNE_TOL``?  Every chain is followed at once as an unnormalised
-    vector, whose squared norm is the chain's probability, so nothing is
-    renormalised or merged."""
+    ``start`` onto ``target`` with every step's probability at least the
+    rounding floor ``(d * EPS)^2``?  Every chain is followed at once as an
+    unnormalised vector, whose squared norm is the chain's probability, so
+    nothing is renormalised or merged."""
     ops = np.array(
         [op.mat for m in lab.measurements.values() for _, op in m.outcomes]
         + [u.mat for u in lab.unitaries.values()]
@@ -604,7 +603,7 @@ def chains_reach(lab, start, target, depth):
     for _ in range(depth):
         vs = np.einsum("kij,nj->nki", ops, vs).reshape(-1, lab.space.dim)
         parent_prob, prob = np.repeat(prob, len(ops)), np.einsum("ni,ni->n", vs.conj(), vs).real
-        kept = prob >= PRUNE_TOL * parent_prob
+        kept = prob >= (lab.space.dim * EPS) ** 2 * parent_prob
         vs, prob = vs[kept], prob[kept]
         if (np.abs(vs @ target.amps.conj()) ** 2 > (1.0 - MATCH_TOL) * prob).any():
             return True
@@ -635,22 +634,22 @@ def test_certificate_agrees_with_every_chain(seed, dim, groups, leak):
 
 
 @SETTINGS
-@given(st.floats(-15, -6))
+@given(st.floats(-30, -6))
 @example(-9.0)
 @example(math.log10(3e-11))
 @example(-12.0)
+@example(-30.0)
 def test_faint_cat_candidates_never_raise(log_a2):
     """A candidate a|alive> + b|dead> with a^2 far below 1/2 is a valid
-    input: the verdict returns, and any witness has the closed-form
-    probability a^2 b^2 (to within the match tolerance of its last state)."""
+    input: the verdict returns a witness, down to a^2 = 1e-30, with the
+    closed-form probability a^2 b^2 (to within the match tolerance of its
+    last state)."""
     sc = load_scenario("cat")[0]
     a2 = 10.0**log_a2
     cand = superposition_projector(sc.space, math.sqrt(a2), math.sqrt(1 - a2))
     v = nogo_verdict(sc.lab, cand, sc.states["alive"], sc.states["dead"])
-    if a2 >= 1.1 * PRUNE_TOL:
-        assert v.violated
-    if v.witness is not None:
-        assert abs(v.witness.probability - a2 * (1 - a2)) <= 1e-6 * a2 * (1 - a2)
+    assert v.violated
+    assert abs(v.witness.probability - a2 * (1 - a2)) <= 1e-6 * a2 * (1 - a2)
 
 
 def unit_in(rng: np.random.Generator, cols: np.ndarray) -> np.ndarray:
@@ -687,15 +686,14 @@ def test_a_faint_outcome_on_a_mixture_is_the_mix_of_its_parts(seed, dim, log_p1,
     q = rand_unitary(rng, dim)
     m = onto_first_column(space, q)
     parts = [make_state(space, faint_amps(rng, q, 10.0**lp)) for lp in (log_p1, log_p2)]
-    rec = outcome_distribution(m, make_mixture([(w, parts[0]), (1 - w, parts[1])]))[0]
-    part_recs = [outcome_distribution(m, x)[0] for x in parts]
-    p = w * part_recs[0].probability + (1 - w) * part_recs[1].probability
-    eps = np.finfo(np.float64).eps
-    assert abs(rec.probability - p) <= dim * eps
-    if rec.post_state is not None:  # else rounding put tr(P rho) below PRUNE_TOL
-        mix = sum(wt * r.probability * np.outer(r.post_state.amps, r.post_state.amps.conj())
-                  for wt, r in zip((w, 1 - w), part_recs)) / p
-        assert float(np.max(np.abs(rec.post_state.mat - mix))) <= dim * eps / p
+    _, p_mix, post = outcome_distribution(m, make_mixture([(w, parts[0]), (1 - w, parts[1])]))[0]
+    part_rows = [outcome_distribution(m, x)[0] for x in parts]
+    p = w * part_rows[0][1] + (1 - w) * part_rows[1][1]
+    assert abs(p_mix - p) <= dim * EPS
+    if post is not None:  # else rounding put tr(P rho) below PRUNE_TOL
+        mix = sum(wt * pp * np.outer(x.amps, x.amps.conj())
+                  for wt, (_, pp, x) in zip((w, 1 - w), part_rows)) / p
+        assert float(np.max(np.abs(post.mat - mix))) <= dim * EPS / p
 
 
 dims_and_ranks = st.integers(2, 5).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1)))
@@ -720,7 +718,7 @@ def test_a_faint_outcome_of_any_rank_on_a_mixture_is_a_state(seed, dim_rank, log
                    + math.sqrt(1 - p) * unit_in(rng, outside))
         for p in (10.0**log_p1, 10.0**log_p2)
     ]
-    post = outcome_distribution(m, make_mixture([(w, parts[0]), (1 - w, parts[1])]))[0].post_state
+    post = outcome_distribution(m, make_mixture([(w, parts[0]), (1 - w, parts[1])]))[0][2]
     if post is not None:  # else tr(P rho) rounded below PRUNE_TOL
         assert abs(np.trace(post.mat) - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(post.mat)[0] >= PSD_FLOOR
@@ -738,7 +736,7 @@ def test_a_faint_born_probability_ignores_the_global_phase(seed, dim, log_p):
     m = onto_first_column(space, q)
     p = 10.0**log_p
     amps = faint_amps(rng, q, p)
-    probs = [outcome_distribution(m, make_state(space, amps * np.exp(2j * np.pi * k / 6)))[0].probability
+    probs = [outcome_distribution(m, make_state(space, amps * np.exp(2j * np.pi * k / 6)))[0][1]
              for k in range(6)]
     assert max(probs) - min(probs) <= 1e-9 * p
 
@@ -792,8 +790,8 @@ def test_a_born_gap_forces_a_forbidden_transition(seed, where, log_a2, turn):
             try:
                 p, final = replay_path(extended, dead, path)
                 assert states_match(final, alive)
-            except CatlabError:  # a step below PRUNE_TOL: so is the whole path
-                p = PRUNE_TOL
+            except CatlabError:  # a vector row below its cut: so is the whole path
+                p = (dim * EPS) ** 2
             # gap <= 2 |a| |b| sqrt(p), with slack for the rounding in gap
             assert gap <= 2 * math.sqrt(wa * (1 - wa) * p) + 1e-14
             if gap > 1e-6:

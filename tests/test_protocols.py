@@ -225,16 +225,21 @@ def test_leaf_mass_and_aggregate_consistent():
 
 
 def test_pruned_mass_accounts_for_tiny_branches():
-    sc = resurrection()
-    eps = 1e-7  # amplitude ~1e-7 gives branch probability ~1e-14 < prune cutoff
-    from catlab import make_state
+    from catlab import make_mixture, make_state
 
-    nearly_dead = make_state(sc.space, [eps, 1])
-    tree = enumerate_protocol(
-        ProtocolSpec((MeasureStep("basis"),)), sc.lab, nearly_dead
-    )
-    assert tree.pruned_mass > 0
-    assert abs(sum(l.cumulative for l in tree.leaves()) + tree.pruned_mass - 1) < 1e-12
+    sc = resurrection()
+    dead, alive = sc.states["dead"], sc.states["alive"]
+    # a vector row of ~1e-32 is below the rounding floor (2 * EPS)^2; a
+    # density row of ~1e-14 is below PRUNE_TOL
+    for nearly_dead, tiny in (
+        (make_state(sc.space, [1e-16, 1]), 1e-32),
+        (make_mixture([(1e-14, alive), (1 - 1e-14, dead)]), 1e-14),
+    ):
+        tree = enumerate_protocol(
+            ProtocolSpec((MeasureStep("basis"),)), sc.lab, nearly_dead
+        )
+        assert tree.pruned_mass == pytest.approx(tiny, rel=1e-3)
+        assert abs(sum(l.cumulative for l in tree.leaves()) + tree.pruned_mass - 1) < 1e-12
 
 
 def test_node_with_every_row_pruned_is_a_leaf(monkeypatch):
