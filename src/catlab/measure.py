@@ -1,10 +1,10 @@
 """Projective measurements: Born-rule statistics and collapse.
 
 A measurement is a list of labelled, mutually orthogonal projectors that
-resolve the identity.  Incomplete projector lists are completed with a
-catch-all outcome labelled ``"⊥"`` at construction.  Collapse follows the
-projection postulate: vectors go to ``P|psi>`` over its own norm, matrices
-to ``P rho P`` over its own trace.
+resolve the identity.  ``ProjectiveMeasurement`` rejects an incomplete
+projector list; ``make_measurement`` completes one with a catch-all outcome
+labelled ``"⊥"``.  Collapse follows the projection postulate: vectors go to
+``P|psi>`` over its own norm, matrices to ``P rho P`` over its own trace.
 """
 
 from __future__ import annotations
@@ -53,14 +53,8 @@ class ProjectiveMeasurement:
                 raise DimensionMismatch(f"outcome {label!r} lives on another space")
             if op.kind != "projector":
                 raise CatlabError(f"outcome {label!r} is not a projector")
-        mats = [op.mat for _, op in outcomes]
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                if float(np.max(np.abs(mats[i] @ mats[j]))) > COMPLETE_TOL:
-                    raise NotOrthogonal(
-                        f"projectors {labels[i]!r} and {labels[j]!r} overlap"
-                    )
-        total = sum(mats)
+        _check_pairs(outcomes)
+        total = sum(op.mat for _, op in outcomes)
         if float(np.max(np.abs(total - np.eye(d)))) > COMPLETE_TOL:
             raise CatlabError("projectors do not resolve the identity")
         self.space = space
@@ -78,14 +72,23 @@ class ProjectiveMeasurement:
         raise CatlabError(f"no outcome labelled {label!r}")
 
 
+def _check_pairs(outcomes: Sequence[tuple[str, Operator]]) -> None:
+    """Raise ``NotOrthogonal`` naming the first two projectors that overlap."""
+    for i, (a, p) in enumerate(outcomes):
+        for b, q in outcomes[i + 1:]:
+            if float(np.max(np.abs(p.mat @ q.mat))) > COMPLETE_TOL:
+                raise NotOrthogonal(f"projectors {a!r} and {b!r} overlap")
+
+
 def make_measurement(
     space: HilbertSpace, outcomes: Sequence[tuple[str, Operator]]
 ) -> ProjectiveMeasurement:
     """Build a measurement, appending a complement outcome when needed.
 
     The appended outcome is ``complement(space, I - sum(P_i))``, labelled
-    "⊥"; if the given projectors are not mutually orthogonal it fails its own
-    projector check, which surfaces the problem immediately.
+    "⊥".  The given projectors are checked pairwise before it is built: the
+    complement of overlapping projectors is no projector, and would fail
+    for that reason instead of naming the pair.
     """
     outcomes = [(str(l), op) for l, op in outcomes]
     d = space.dim
@@ -100,6 +103,7 @@ def make_measurement(
             raise CatlabError(
                 f"cannot auto-complete: label {COMPLEMENT_LABEL!r} already used"
             )
+        _check_pairs(outcomes)
         outcomes.append((COMPLEMENT_LABEL, complement(space, rest)))
     return ProjectiveMeasurement(space, tuple(outcomes))
 

@@ -5,7 +5,7 @@ unitary, repeat a block, or stop the current branch when the last outcome
 label matched.  Each run resolves a protocol once into a program of
 (operation name, stop labels) pairs, which every walker reads.  The exact
 outcome distribution is propagated forward over (state, last label) cells,
-and the outcome tree is built only when read.  A seeded Monte Carlo
+and the outcome tree is walked, not kept, when read.  A seeded Monte Carlo
 histogram is drawn as trial counts over the same cells, and two
 state-preparation sources can be compared through one measurement.
 """
@@ -13,7 +13,7 @@ state-preparation sources can be compared through one measurement.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -148,16 +148,16 @@ def _program(protocol: ProtocolSpec, lab: Laboratory) -> list[tuple[str, tuple[s
 
 
 class OutcomeNode:
-    """One branch point of the exact outcome tree.
+    """One leaf of the exact outcome tree, as ``OutcomeTree.leaves()`` lists it.
 
     ``operation``/``label`` describe the edge from the parent (both None at
     the root; ``label`` is None for unitary edges).  ``probability`` is the
     branch probability, ``cumulative`` the product along the path.
-    ``sid`` is the id of the node's state in the tree's lab: the state
-    is ``tree.lab.states[node.sid]``.
+    ``sid`` is the id of the leaf's state in the tree's lab: the state
+    is ``tree.lab.states[leaf.sid]``.
     """
 
-    __slots__ = ("operation", "label", "probability", "cumulative", "sid", "children", "stopped")
+    __slots__ = ("operation", "label", "probability", "cumulative", "sid", "stopped")
 
     def __init__(
         self,
@@ -166,7 +166,6 @@ class OutcomeNode:
         probability: float,
         cumulative: float,
         sid: int,
-        children: list["OutcomeNode"] | None = None,
         stopped: bool = False,
     ) -> None:
         self.operation = operation
@@ -174,21 +173,16 @@ class OutcomeNode:
         self.probability = probability
         self.cumulative = cumulative
         self.sid = sid
-        self.children: list[OutcomeNode] = [] if children is None else children
         self.stopped = stopped
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 class OutcomeTree:
     """The exact outcome distribution of a protocol from one initial state.
 
     The masses, counts and ``pruned_mass`` come from a forward propagation
-    (see ``enumerate_protocol``).  The node tree itself is built, by a
-    depth-first walk of the same program over the same ``lab`` rows, only
-    when ``root`` or ``leaves()`` is first read.
+    (see ``enumerate_protocol``).  No node is kept: ``leaves()`` and
+    ``tree_to_json`` read the nodes from ``_walk``, a depth-first walk of
+    the same program over the same ``lab`` rows.
     """
 
     def __init__(
@@ -211,45 +205,30 @@ class OutcomeTree:
         self._start = start
         self._nodes = nodes
         self._leaves = leaves
-        self._root: OutcomeNode | None = None
 
-    @property
-    def root(self) -> OutcomeNode:
-        if self._root is None:
-            self._root = self._build()
-        return self._root
-
-    def _build(self) -> OutcomeNode:
-        program, lab = self._program, self.lab
-        root = OutcomeNode(None, None, 1.0, 1.0, self._start)
-        # (node, program index, last outcome label)
-        stack = [(root, 0, None)] if program else []
+    def _walk(self) -> Iterator[tuple]:
+        """Yield each node once, depth first with children in row order, as
+        ``(depth, is leaf, operation, label, probability, cumulative, sid,
+        stopped)``.  A node at depth i branches over the kept rows of the
+        program's i-th operation, unless a ``stop_if`` halted it."""
+        program, rows = self._program, self.lab.rows
+        # a node as _walk yields it, less the leaf flag, then its last outcome label
+        stack = [(0, None, None, 1.0, 1.0, self._start, False, None)]
         while stack:
-            node, i, last = stack.pop()
-            name, stops = program[i]
-            cum = node.cumulative
-            for label, p, nid in lab.rows(name, node.sid):
-                if nid is None:
-                    continue
-                # a unitary row's empty label: the edge has no label and the
-                # last outcome stays the one before
-                now = label or last
-                child = OutcomeNode(name, label or None, p, cum * p, nid, stopped=now in stops)
-                node.children.append(child)
-                if not child.stopped and i + 1 < len(program):
-                    stack.append((child, i + 1, now))
-        return root
+            depth, operation, label, p, cum, sid, stopped, last = stack.pop()
+            kids = []
+            if not stopped and depth < len(program):
+                name, stops = program[depth]
+                for edge, q, nid in rows(name, sid):
+                    if nid is None:
+                        continue
+                    now = edge or last  # a unitary row's empty label keeps the last outcome
+                    kids.append((depth + 1, name, edge or None, q, cum * q, nid, now in stops, now))
+            yield depth, not kids, operation, label, p, cum, sid, stopped
+            stack += reversed(kids)
 
     def leaves(self) -> list[OutcomeNode]:
-        out: list[OutcomeNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(node)
-            else:
-                stack.extend(reversed(node.children))
-        return out
+        return [OutcomeNode(*node) for _, leaf, *node in self._walk() if leaf]
 
     def n_nodes(self) -> int:
         return self._nodes
@@ -360,18 +339,23 @@ def aggregate_leaves(tree: OutcomeTree) -> list[tuple[State, float]]:
 
 
 def tree_to_json(tree: OutcomeTree) -> dict:
-    def node_doc(node: OutcomeNode) -> dict:
-        return {
-            "operation": node.operation,
-            "label": node.label,
-            "probability": node.probability,
-            "cumulative": node.cumulative,
-            "state": format_state(tree.lab.states[node.sid]),
-            "stopped": node.stopped,
-            "children": [node_doc(c) for c in node.children],
+    # path[d] is the last node seen at depth d, so path[0] is the root
+    path: list[dict] = []
+    for depth, _, operation, label, p, cum, sid, stopped in tree._walk():
+        doc = {
+            "operation": operation,
+            "label": label,
+            "probability": p,
+            "cumulative": cum,
+            "state": format_state(tree.lab.states[sid]),
+            "stopped": stopped,
+            "children": [],
         }
-
-    return {"pruned_mass": tree.pruned_mass, "root": node_doc(tree.root)}
+        del path[depth:]
+        if path:
+            path[-1]["children"].append(doc)
+        path.append(doc)
+    return {"pruned_mass": tree.pruned_mass, "root": path[0]}
 
 
 # ---------------------------------------------------------------------------

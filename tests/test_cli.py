@@ -164,18 +164,23 @@ def test_run_rejects_zero_trials(capsys, monkeypatch):
     assert "at least one trial" in err
 
 
-@pytest.mark.parametrize("mode", [("--exact",), ("--trials", "100")])
-def test_run_builds_no_tree_nodes(capsys, monkeypatch, mode):
+@pytest.mark.parametrize(
+    "command, mode", [("run", ("--exact",)), ("run", ("--trials", "100")), ("enumerate", ())]
+)
+def test_run_builds_no_tree_nodes(capsys, monkeypatch, command, mode):
     def no_nodes(*args):
         raise AssertionError("an OutcomeNode was built")
 
     monkeypatch.setattr(catlab.protocols, "OutcomeNode", no_nodes)
     code, doc, _ = run_json(
         capsys,
-        "run", "--scenario", "resurrection", "resurrect3", "--initial", "rho_cat", *mode,
+        command, "--scenario", "resurrection", "resurrect3", "--initial", "rho_cat", *mode,
     )
     assert code == 0
-    assert doc["result"]["mode"] == ("exact" if mode == ("--exact",) else "sample")
+    if command == "enumerate":
+        assert doc["result"]["root"]["children"]
+    else:
+        assert doc["result"]["mode"] == ("exact" if mode == ("--exact",) else "sample")
 
 
 ROUND = "[{measure: pm}, {measure: basis}, {stop_if: alive}]"

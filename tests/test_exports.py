@@ -68,7 +68,8 @@ REMOVED = {
     catlab.DensityMatrix: ("probability",),
     catlab.Laboratory: ("operations", "transitions", "_intern_keyed"),
     catlab.Operator: ("rank",),
-    catlab.OutcomeNode: ("state",),
+    catlab.OutcomeNode: ("state", "children", "is_leaf"),
+    catlab.OutcomeTree: ("root", "_build"),
 }
 
 
@@ -91,6 +92,8 @@ def test_removed_names_stay_removed():
     sc = catlab.load_scenario("resurrection")[0]
     tree = catlab.enumerate_protocol(sc.protocols["resurrect1"], sc.lab, sc.states["dead"])
     assert tree.lab is sc.lab and not hasattr(tree, "table")
+    # a tree keeps no nodes
+    assert not hasattr(tree, "_root")
     # ``keys`` was set per lab, so the class cannot show it gone; a state
     # carries its own ``key``
     assert not hasattr(sc.lab, "keys")
@@ -179,16 +182,35 @@ def test_only_qstate_reads_the_grid():
     assert users == {"qstate.py"}, users
 
 
-def _functions_naming(*names: str) -> set[str]:
-    """The catlab functions, as ``module.function``, whose bodies name one of ``names``."""
+def _functions_with(match) -> set[str]:
+    """The catlab functions, as ``module.function``, whose bodies hold a node
+    that ``match`` accepts."""
     return {
         f"{path.stem}.{func.name}"
         for path in SRC.glob("*.py")
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(func)
-        if isinstance(node, ast.Name) and node.id in names
+        if match(node)
     }
+
+
+def _functions_naming(*names: str) -> set[str]:
+    """The catlab functions, as ``module.function``, whose bodies name one of ``names``."""
+    return _functions_with(lambda node: isinstance(node, ast.Name) and node.id in names)
+
+
+def test_one_tree_walker():
+    # The exact propagation and the Monte Carlo split step a program over
+    # lab.rows by cells; OutcomeTree._walk is the one code that expands tree
+    # nodes.  A second node builder in protocols.py would read rows too.
+    users = {
+        f for f in _functions_with(lambda n: isinstance(n, ast.Attribute) and n.attr == "rows")
+        if f.startswith("protocols.")
+    }
+    assert users == {
+        "protocols.enumerate_protocol", "protocols.run_monte_carlo", "protocols._walk"
+    }, users
 
 
 def test_only_the_program_builders_read_stop_if():

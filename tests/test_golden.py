@@ -2,11 +2,14 @@
 
 Each case runs ``catlab.cli.main`` in process and compares stdout with
 ``tests/golden/<id>.txt`` byte for byte, and the exit code with the
-recorded one.  After an intended report change, rewrite the files with
-``PYTHONPATH=src python tests/test_golden.py`` and explain the diff.
+recorded one.  Reports too large to check in are pinned by the sha256 of
+their stdout instead (``HASHED``).  After an intended report change,
+rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``,
+copy the digests it prints into ``HASHED``, and explain the diff.
 """
 
 import contextlib
+import hashlib
 import io
 import pathlib
 
@@ -75,6 +78,16 @@ CASES = (
      ["enumerate", "--scenario", "photon", "--initial", "x_plus", "through_rotated"], 0),
 )
 
+# (id, argv, sha256 of stdout): the 6139-node resurrect10 trees, 5.5 MB each
+HASHED = (
+    ("enumerate-resurrect10",
+     ["enumerate", "--scenario", "resurrection", "--initial", "dead", "resurrect10"],
+     "66ff14f1d38b240a837aae8f6165e66071a904e46cbf53d42059c3526d22d79e"),
+    ("enumerate-resurrect10-rho",
+     ["enumerate", "--scenario", "resurrection", "--initial", "rho_cat", "resurrect10"],
+     "48db0c790c704e8971d105317b432d0a997b8fe32978796ab56369487967c13b"),
+)
+
 
 def run_case(argv):
     out = io.StringIO()
@@ -91,7 +104,20 @@ def test_golden_stdout(cid, argv, exit_code):
     assert out == expected
 
 
+def digest(out):
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("cid, argv, sha256", HASHED, ids=[c[0] for c in HASHED])
+def test_hashed_stdout(cid, argv, sha256):
+    code, out = run_case(argv)
+    assert code == 0
+    assert digest(out) == sha256
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for cid, argv, _ in CASES:
         (GOLDEN / f"{cid}.txt").write_bytes(run_case(argv)[1].encode("utf-8"))
+    for cid, argv, _ in HASHED:
+        print(cid, digest(run_case(argv)[1]))

@@ -84,6 +84,17 @@ def test_non_orthogonal_states_rejected():
     assert "overlap" in str(err.value)
 
 
+@pytest.mark.parametrize("overlap", [2e-10, 5e-10, 9e-10])
+def test_nearly_orthogonal_outcomes_name_the_pair(overlap):
+    # below the state check's 1e-9, above the projector check's 1e-10: the
+    # incomplete list is checked pairwise before its complement is built
+    x, y = basis_state(CAT, "alive"), make_state(CAT, [overlap, 1])
+    with pytest.raises(NotOrthogonal, match="projectors 'x' and 'y' overlap"):
+        measurement_from_states([x, y], ["x", "y"])
+    with pytest.raises(NotOrthogonal, match="projectors 'x' and 'y' overlap"):
+        make_measurement(CAT, [("x", projector_from_state(x)), ("y", projector_from_state(y))])
+
+
 def test_label_and_kind_validation():
     alive = basis_state(CAT, "alive")
     dead = basis_state(CAT, "dead")

@@ -38,6 +38,7 @@ from catlab import (
     states_match,
     superposition_projector,
     tensor_space,
+    tree_to_json,
     Operator,
     RandomStream,
 )
@@ -274,34 +275,42 @@ def propagate(lab, steps, rho):
     return out
 
 
-def exact_walk(tree, steps):
-    """Exact sums over the materialised tree, walked depth first with
-    ``fractions.Fraction``: leaf masses by state id in first-leaf order, by
-    last label, the pruned mass (the paths that end in a pruned row), and
-    the node and leaf counts."""
+def exact_walk(lab, start, steps):
+    """Exact sums over the outcome tree, walked depth first in
+    ``fractions.Fraction`` over ``lab.rows`` from the state id ``start``,
+    reading the steps themselves and no catlab tree code: leaf masses by
+    state id in first-leaf order, by last label, the pruned mass (the paths
+    that end in a pruned row), the node and leaf counts, and the leaf state
+    ids in depth-first order."""
     by_sid, by_label, pruned = {}, {}, Fraction(0)
-    nodes = leaves = 0
-    # (node, exact path product, index of the step after the node, last label)
-    stack = [(tree.root, Fraction(1), 0, None)]
+    nodes, order = 0, []
+    # (state id, exact path product, index of the step after the node, last label)
+    stack = [(start, Fraction(1), 0, None)]
     while stack:
-        node, mass, i, last = stack.pop()
+        sid, mass, i, last = stack.pop()
         nodes += 1
         while i < len(steps) and isinstance(steps[i], StopIfStep) and last != steps[i].outcome:
             i += 1
+        children = []
         if i < len(steps) and not isinstance(steps[i], StopIfStep):
             step = steps[i]
             name = step.measurement if isinstance(step, MeasureStep) else step.unitary
-            pruned += sum(
-                (mass * Fraction(p) for _, p, nid in tree.lab.rows(name, node.sid) if nid is None),
-                Fraction(0),
-            )
-        if node.is_leaf:
-            leaves += 1
-            by_sid[node.sid] = by_sid.get(node.sid, 0) + mass
+            for label, p, nid in lab.rows(name, sid):
+                if nid is None:
+                    pruned += mass * Fraction(p)
+                else:
+                    children.append((nid, mass * Fraction(p), i + 1, label or last))
+        if not children:
+            order.append(sid)
+            by_sid[sid] = by_sid.get(sid, 0) + mass
             by_label[last] = by_label.get(last, 0) + mass
-        for child in reversed(node.children):
-            stack.append((child, mass * Fraction(child.probability), i + 1, child.label or last))
-    return by_sid, by_label, pruned, nodes, leaves
+        stack.extend(reversed(children))
+    return by_sid, by_label, pruned, nodes, order
+
+
+def json_nodes(doc):
+    """The number of nodes in a ``tree_to_json`` document."""
+    return 1 + sum(json_nodes(c) for c in doc["children"])
 
 
 STEP_KINDS = {
@@ -330,7 +339,8 @@ def test_tree_agrees_with_propagation_and_sampling(seed, dim, data, mixed, kinds
     agg = aggregate_leaves(tree)
 
     # the propagation's answers are the correctly rounded exact path sums
-    by_sid, by_label, pruned, nodes, leaves = exact_walk(tree, protocol.steps)
+    by_sid, by_label, pruned, nodes, order = exact_walk(lab, lab.intern(initial), protocol.steps)
+    leaves = len(order)
     states = tree.lab.states
     assert len(agg) == len(by_sid)
     for (st_, p), (sid, m) in zip(agg, by_sid.items()):
@@ -339,6 +349,8 @@ def test_tree_agrees_with_propagation_and_sampling(seed, dim, data, mixed, kinds
     matched = sum((m for sid, m in by_sid.items() if states_match(states[sid], target)), Fraction(0))
     assert leaf_mass(tree, target) == float(matched)
     assert (tree.n_nodes(), tree.n_leaves()) == (nodes, leaves) == (nodes, len(tree.leaves()))
+    assert json_nodes(tree_to_json(tree)["root"]) == tree.n_nodes()
+    assert [leaf.sid for leaf in tree.leaves()] == order
 
     for label, p in propagate(lab, protocol.steps, rho).items():
         assert abs(float(by_label.get(label, 0)) - p) <= 1e-12 + tree.pruned_mass

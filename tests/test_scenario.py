@@ -235,11 +235,18 @@ V = ValidationError
          V, "t.scn:9:5: BadWeights: weights sum to 1.2, expected 1"),
         (XYP + "measurements:\n  m:\n    states: {a: x, b: p}\n",
          V, "t.scn:10:5: NotOrthogonal: states 'a' and 'b' overlap (|<i|j>| = 0.707)"),
+        # below the states' 1e-9, above the projectors' 1e-10: named before completion
+        (MINIMAL + "states: {x: [1, 0], y: [5e-10, 1]}\n"
+         "measurements:\n  m:\n    states: {x: x, y: y}\n",
+         V, "t.scn:7:5: NotOrthogonal: projectors 'x' and 'y' overlap"),
         (MINIMAL + "measurements:\n  m:\n    projectors:\n      a:\n        - [1, 1]\n        - [0, 0]\n",
          V, "t.scn:8:9: CatlabError: projector is not Hermitian"),
         (MINIMAL + "measurements:\n  m:\n    projectors:\n      a:\n        - [1, 0]\n        - [0, 0]\n"
          "      b:\n        - [1, 0]\n        - [0, 0]\n",
-         V, "t.scn:6:5: CatlabError: projector is not idempotent"),
+         V, "t.scn:6:5: NotOrthogonal: projectors 'a' and 'b' overlap"),
+        (MINIMAL + "measurements:\n  m:\n    projectors:\n      a:\n        - [0.5, 0]\n"
+         "        - [0, 0]\n",
+         V, "t.scn:8:9: CatlabError: projector is not idempotent"),
         (MINIMAL + "unitaries:\n  u:\n    - [1, 1]\n    - [0, 1]\n",
          V, "t.scn:6:5: CatlabError: matrix is not unitary"),
         (XYP + "forbidden:\n  - {from: x, to: p}\nlab:\n  measurements: []\n",
