@@ -84,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="forbidden target state")
     p.add_argument("--depth", type=int, default=DEFAULT_MAX_DEPTH,
                    help="steering search depth bound")
+    p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("run", help="run a protocol exactly or by sampling")
     common(p, fmt=True)
@@ -93,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"Monte Carlo trials (default {DEFAULT_TRIALS})")
     p.add_argument("--exact", action="store_true",
                    help="enumerate instead of sampling")
+    p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("discriminate", help="compare two sources through a measurement")
     common(p, fmt=True)
@@ -100,11 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source_b", help="state or mixture name")
     p.add_argument("measurement", help="declared measurement name")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.set_defaults(handler=cmd_discriminate)
 
     p = sub.add_parser("enumerate", help="dump a protocol's full outcome tree")
     common(p, fmt=False)
     p.add_argument("protocol", help="declared protocol name")
     p.add_argument("--initial", required=True, help="initial state or mixture name")
+    p.set_defaults(handler=cmd_enumerate)
 
     return parser
 
@@ -222,14 +226,7 @@ def main(argv=None) -> int:
         if not 0 <= args.seed <= MAX_SEED:
             raise CatlabError(f"seed must be between 0 and {MAX_SEED}")
         scenario, sha = load_scenario(args.scenario)
-        if args.command == "check":
-            params, result, rows, code = cmd_check(scenario, args)
-        elif args.command == "run":
-            params, result, rows, code = cmd_run(scenario, args)
-        elif args.command == "discriminate":
-            params, result, rows, code = cmd_discriminate(scenario, args)
-        else:
-            params, result, rows, code = cmd_enumerate(scenario, args)
+        params, result, rows, code = args.handler(scenario, args)
     except CatlabError as err:
         _note(f"catlab: error: {err}")
         return EXIT_INPUT_ERROR

@@ -11,7 +11,7 @@ target out at every depth.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -131,33 +131,22 @@ class Laboratory:
         return hit
 
 
-class SteeringPath:
+class SteeringPath(NamedTuple):
     """A successful chain of operations; unitary steps carry an empty label."""
 
-    def __init__(
-        self, steps: tuple[tuple[str, str], ...], probability: float, final_state: StateVector
-    ) -> None:
-        self.steps = steps
-        self.probability = probability
-        self.final_state = final_state
+    steps: tuple[tuple[str, str], ...]
+    probability: float
+    final_state: StateVector
 
 
-class NoGoVerdict:
+class NoGoVerdict(NamedTuple):
     """The outcome of ``nogo_verdict`` for one candidate."""
 
-    def __init__(
-        self,
-        operator_name: str,
-        violated: bool,
-        witness: SteeringPath | None,
-        bound_reached: bool,
-        certificate: int | None,
-    ) -> None:
-        self.operator_name = operator_name
-        self.violated = violated
-        self.witness = witness
-        self.bound_reached = bound_reached
-        self.certificate = certificate  # dim of the invariant subspace that rules l out
+    operator_name: str
+    violated: bool
+    witness: SteeringPath | None
+    bound_reached: bool
+    certificate: int | None  # dim of the invariant subspace that rules l out
 
 
 def check_conditions(lab: Laboratory, l_state: StateVector, d_state: StateVector) -> bool:

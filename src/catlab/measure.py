@@ -88,7 +88,9 @@ def make_measurement(
     The appended outcome is ``complement(space, I - sum(P_i))``, labelled
     "⊥".  The given projectors are checked pairwise before it is built: the
     complement of overlapping projectors is no projector, and would fail
-    for that reason instead of naming the pair.
+    for that reason instead of naming the pair.  Pairs that each pass but
+    whose small overlaps add up to a complement that is no projector raise
+    ``NotOrthogonal`` too, naming no pair.
     """
     outcomes = [(str(l), op) for l, op in outcomes]
     d = space.dim
@@ -104,7 +106,13 @@ def make_measurement(
                 f"cannot auto-complete: label {COMPLEMENT_LABEL!r} already used"
             )
         _check_pairs(outcomes)
-        outcomes.append((COMPLEMENT_LABEL, complement(space, rest)))
+        try:
+            outcomes.append((COMPLEMENT_LABEL, complement(space, rest)))
+        except CatlabError:
+            # every pair passed, but C^2 - C sums the products of all pairs
+            raise NotOrthogonal(
+                f"outcomes are not orthogonal enough to complete with {COMPLEMENT_LABEL!r}"
+            ) from None
     return ProjectiveMeasurement(space, tuple(outcomes))
 
 

@@ -13,7 +13,7 @@ state-preparation sources can be compared through one measurement.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -147,7 +147,7 @@ def _program(protocol: ProtocolSpec, lab: Laboratory) -> list[tuple[str, tuple[s
 # exact enumeration
 
 
-class OutcomeNode:
+class OutcomeNode(NamedTuple):
     """One leaf of the exact outcome tree, as ``OutcomeTree.leaves()`` lists it.
 
     ``operation``/``label`` describe the edge from the parent (both None at
@@ -157,23 +157,12 @@ class OutcomeNode:
     is ``tree.lab.states[leaf.sid]``.
     """
 
-    __slots__ = ("operation", "label", "probability", "cumulative", "sid", "stopped")
-
-    def __init__(
-        self,
-        operation: str | None,
-        label: str | None,
-        probability: float,
-        cumulative: float,
-        sid: int,
-        stopped: bool = False,
-    ) -> None:
-        self.operation = operation
-        self.label = label
-        self.probability = probability
-        self.cumulative = cumulative
-        self.sid = sid
-        self.stopped = stopped
+    operation: str | None
+    label: str | None
+    probability: float
+    cumulative: float
+    sid: int
+    stopped: bool = False
 
 
 class OutcomeTree:
@@ -341,13 +330,17 @@ def aggregate_leaves(tree: OutcomeTree) -> list[tuple[State, float]]:
 def tree_to_json(tree: OutcomeTree) -> dict:
     # path[d] is the last node seen at depth d, so path[0] is the root
     path: list[dict] = []
+    shown: dict[int, str] = {}  # sid -> its formatted state: a tree has few states
     for depth, _, operation, label, p, cum, sid, stopped in tree._walk():
+        state = shown.get(sid)
+        if state is None:
+            state = shown[sid] = format_state(tree.lab.states[sid])
         doc = {
             "operation": operation,
             "label": label,
             "probability": p,
             "cumulative": cum,
-            "state": format_state(tree.lab.states[sid]),
+            "state": state,
             "stopped": stopped,
             "children": [],
         }
@@ -362,13 +355,12 @@ def tree_to_json(tree: OutcomeTree) -> dict:
 # Monte Carlo
 
 
-class MonteCarloResult:
+class MonteCarloResult(NamedTuple):
     """Histogram of final states over ``n`` seeded trials."""
 
-    def __init__(self, n: int, seed: int, bins: dict[tuple, tuple[State, int]]) -> None:
-        self.n = n
-        self.seed = seed
-        self.bins = bins
+    n: int
+    seed: int
+    bins: dict[tuple, tuple[State, int]]
 
     def rows(self) -> list[tuple[State, int, float]]:
         """(state, count, frequency) sorted by dedup key for stable output."""
@@ -473,7 +465,7 @@ def _weights(probs: Sequence[float]) -> np.ndarray:
 # discrimination
 
 
-class DiscriminationReport:
+class DiscriminationReport(NamedTuple):
     """Exact and sampled comparison of two sources through one measurement.
 
     ``p_value`` is a chi-square test of source B's sampled counts against
@@ -481,33 +473,18 @@ class DiscriminationReport:
     statistically distinguishable by this measurement.
     """
 
-    def __init__(
-        self,
-        measurement: str,
-        labels: tuple[str, ...],
-        dist_a: Mapping[str, float],
-        dist_b: Mapping[str, float],
-        total_variation: float,
-        n_trials: int,
-        seed: int,
-        freq_a: Mapping[str, float],
-        freq_b: Mapping[str, float],
-        chi_square: float,
-        chi_square_df: int,
-        p_value: float,
-    ) -> None:
-        self.measurement = measurement
-        self.labels = labels
-        self.dist_a = dist_a
-        self.dist_b = dist_b
-        self.total_variation = total_variation
-        self.n_trials = n_trials
-        self.seed = seed
-        self.freq_a = freq_a
-        self.freq_b = freq_b
-        self.chi_square = chi_square
-        self.chi_square_df = chi_square_df
-        self.p_value = p_value
+    measurement: str
+    labels: tuple[str, ...]
+    dist_a: Mapping[str, float]
+    dist_b: Mapping[str, float]
+    total_variation: float
+    n_trials: int
+    seed: int
+    freq_a: Mapping[str, float]
+    freq_b: Mapping[str, float]
+    chi_square: float
+    chi_square_df: int
+    p_value: float
 
     def to_json(self) -> dict:
         return {
@@ -589,16 +566,16 @@ def chi_square_test(
         target = label if e >= CHI2_MIN_EXPECTED else COMPLEMENT_LABEL
         exp[target] = exp.get(target, 0.0) + e
         obs[target] = obs.get(target, 0) + int(counts.get(label, 0))
+    # an empty bin carries no information, so df counts the others, in any order
+    df = sum(e > 0.0 for e in exp.values()) - 1
     stat = 0.0
-    df = -1
     for label, e in exp.items():
-        o = obs.get(label, 0)
+        o = obs[label]
         if e <= 0.0:
             if o > 0:
                 return math.inf, max(df, 0), 0.0
-            continue  # empty bin carries no information
+            continue
         stat += (o - e) ** 2 / e
-        df += 1
     if df <= 0:  # one bin holds every count: any statistic is rounding
         return stat, max(df, 0), 1.0
     return stat, df, _chi2_sf(stat, df)

@@ -228,6 +228,54 @@ def test_only_born_rows_applies_an_operation():
     assert users == {"lab.born_rows"}, users
 
 
+RECORDS = {
+    "lab.py": {"SteeringPath", "NoGoVerdict"},
+    "protocols.py": {"OutcomeNode", "MonteCarloResult", "DiscriminationReport"},
+}
+
+
+def test_records_are_declared_tuples():
+    # A value record declares its fields; a hand-written constructor would
+    # write each field three times.
+    for module, names in RECORDS.items():
+        classes = {
+            node.name: node
+            for node in ast.parse((SRC / module).read_text(encoding="utf-8")).body
+            if isinstance(node, ast.ClassDef) and node.name in names
+        }
+        assert set(classes) == names, module
+        for name, cls in classes.items():
+            assert [ast.unparse(b) for b in cls.bases] == ["NamedTuple"], name
+            methods = {f.name for f in cls.body if isinstance(f, ast.FunctionDef)}
+            assert not methods & {"__init__", "__new__"}, name
+
+
+def test_records_compare_by_value_and_are_immutable():
+    sc = catlab.load_scenario("resurrection")[0]
+    lab, dead, alive = sc.lab, sc.states["dead"], sc.states["alive"]
+    pm = sc.measurements["pm"]
+    spec = sc.protocols["resurrect3"]
+    verdicts = [
+        catlab.nogo_verdict(lab, pm.projector(pm.labels[0]), alive, dead) for _ in range(2)
+    ]
+    runs = [catlab.run_monte_carlo(spec, lab, dead, 100, 7) for _ in range(2)]
+    trees = [catlab.enumerate_protocol(spec, lab, dead) for _ in range(2)]
+    reports = [catlab.discriminate(dead, alive, pm, 50, 3) for _ in range(2)]
+    pairs = [verdicts, [v.witness for v in verdicts], runs, reports,
+             [t.leaves()[0] for t in trees]]
+    for a, b in pairs:
+        assert a is not b and a == b, type(a).__name__
+        with pytest.raises(AttributeError):  # a field
+            setattr(a, a._fields[0], None)
+        with pytest.raises(AttributeError):  # a new attribute
+            a.note = ""
+    # records holding dicts cannot be hashed; the others can
+    for a, _ in (runs, reports):
+        with pytest.raises(TypeError):
+            hash(a)
+    assert hash(trees[0].leaves()[0]) == hash(trees[1].leaves()[0])
+
+
 def test_only_measure_cuts_rows():
     # outcome_distribution decides which rows carry no post state; the
     # search, the tree and Monte Carlo follow its None, so a second module

@@ -95,6 +95,22 @@ def test_nearly_orthogonal_outcomes_name_the_pair(overlap):
         make_measurement(CAT, [("x", projector_from_state(x)), ("y", projector_from_state(y))])
 
 
+@pytest.mark.parametrize("delta", [3e-10, 5e-10, 7.5e-10])
+def test_overlaps_that_add_up_block_completion(delta):
+    # three Hadamard rows with a skewed first entry: each pair's product
+    # stays under 1e-10, but the complement sums six of them and is no
+    # projector
+    space = space_of_dim(4)
+    rows = [[1 + delta, 1, 1, 1], [1 + delta, -1, 1, -1], [1 + delta, 1, -1, -1]]
+    states = [make_state(space, r) for r in rows]
+    projectors = [(l, projector_from_state(s)) for l, s in zip("xyz", states)]
+    message = "outcomes are not orthogonal enough to complete with '⊥'"
+    with pytest.raises(NotOrthogonal, match=message):
+        measurement_from_states(states, list("xyz"))
+    with pytest.raises(NotOrthogonal, match=message):
+        make_measurement(space, projectors)
+
+
 def test_label_and_kind_validation():
     alive = basis_state(CAT, "alive")
     dead = basis_state(CAT, "dead")

@@ -1,5 +1,6 @@
 """Protocol enumeration, Monte Carlo sampling and discrimination."""
 
+import itertools
 import math
 
 import numpy as np
@@ -272,6 +273,23 @@ def test_tree_json_shape():
     assert {c["operation"] for c in doc["root"]["children"]} == {"pm"}
 
 
+def test_tree_json_formats_each_state_once(monkeypatch):
+    sc = resurrection()
+    tree = enumerate_protocol(sc.protocols["resurrect10"], sc.lab, sc.states["dead"])
+    plain = tree_to_json(tree)
+    shown = []
+
+    def counted(state):
+        shown.append(state)
+        return catlab.qstate.format_state(state)
+
+    monkeypatch.setattr(catlab.protocols, "format_state", counted)
+    assert tree_to_json(tree) == plain
+    # 6139 nodes over 4 states: dead, alive and the two pm outcomes
+    assert tree.n_nodes() == 6139
+    assert len(shown) == len({id(s) for s in shown}) == 4
+
+
 def test_unitary_steps_in_tree():
     ph = load_scenario("photon")[0]
     tree = enumerate_protocol(ph.protocols["through_rotated"], ph.lab, ph.states["x_plus"])
@@ -535,6 +553,20 @@ def test_chi_square_zero_expected_zero_observed_dropped():
     stat, df, p = chi_square_test({"a": 1000, "b": 0}, {"a": 1.0, "b": 0.0}, 1000)
     assert stat == 0.0
     assert p == 1.0
+
+
+@pytest.mark.parametrize(
+    "counts, expected, result",
+    [
+        # an impossible outcome holds counts: df counts both possible bins
+        ({"c": 10, "a": 45, "b": 45}, {"a": 0.5, "b": 0.5, "c": 0.0}, (math.inf, 1, 0.0)),
+        # every term is exact, so the order of the sum cannot show
+        ({"a": 40, "b": 30, "c": 30}, {"a": 0.5, "b": 0.25, "c": 0.25}, (4.0, 2, math.exp(-2.0))),
+    ],
+)
+def test_chi_square_ignores_the_order_of_expected(counts, expected, result):
+    for order in itertools.permutations(expected):
+        assert chi_square_test(counts, {l: expected[l] for l in order}, 100) == result, order
 
 
 def test_chi_square_one_bin_left_is_no_evidence():

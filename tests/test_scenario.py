@@ -239,6 +239,12 @@ V = ValidationError
         (MINIMAL + "states: {x: [1, 0], y: [5e-10, 1]}\n"
          "measurements:\n  m:\n    states: {x: x, y: y}\n",
          V, "t.scn:7:5: NotOrthogonal: projectors 'x' and 'y' overlap"),
+        # each pair passes, but their overlaps add up in the complement
+        ("name: t\nspace:\n  labels: [a, b, c, d]\n"
+         "states:\n  x: [1.0000000005, 1, 1, 1]\n  y: [1.0000000005, -1, 1, -1]\n"
+         "  z: [1.0000000005, 1, -1, -1]\n"
+         "measurements:\n  m:\n    states: {x: x, y: y, z: z}\n",
+         V, "t.scn:10:5: NotOrthogonal: outcomes are not orthogonal enough to complete with '⊥'"),
         (MINIMAL + "measurements:\n  m:\n    projectors:\n      a:\n        - [1, 1]\n        - [0, 0]\n",
          V, "t.scn:8:9: CatlabError: projector is not Hermitian"),
         (MINIMAL + "measurements:\n  m:\n    projectors:\n      a:\n        - [1, 0]\n        - [0, 0]\n"
