@@ -36,6 +36,7 @@ from .protocols import (
     tree_to_json,
 )
 from .qstate import format_state
+from .rng import MAX_SEED
 from .scenario import SCENARIO_NAMES, Scenario, load_scenario
 
 FORMAT_VERSION = 1
@@ -43,7 +44,6 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_VIOLATION = 2
 DEFAULT_TRIALS = 10000
-MAX_SEED = (1 << 64) - 1  # RandomStream keys its generator with 64 bits
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,23 +60,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"catlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p: argparse.ArgumentParser, fmt: bool) -> None:
+    def common(p: argparse.ArgumentParser, sampled: bool) -> None:
         p.add_argument(
             "--scenario",
             required=True,
             help=f"scenario file path or shipped name ({', '.join(SCENARIO_NAMES)})",
         )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=0,
-            help=f"RNG seed, 0..{MAX_SEED} (default 0)",
-        )
-        if fmt:
+        if sampled:
+            p.add_argument(
+                "--seed",
+                type=int,
+                default=0,
+                help=f"RNG seed, 0..{MAX_SEED} (default 0)",
+            )
             p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("check", help="no-go check for a candidate projector")
-    common(p, fmt=False)
+    common(p, sampled=False)
     p.add_argument("candidate", help="declared measurement, NAME or NAME:OUTCOME")
     p.add_argument("--from", dest="source", required=True, metavar="STATE",
                    help="state the forbidden transition starts from")
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("run", help="run a protocol exactly or by sampling")
-    common(p, fmt=True)
+    common(p, sampled=True)
     p.add_argument("protocol", help="declared protocol name")
     p.add_argument("--initial", required=True, help="initial state or mixture name")
     p.add_argument("--trials", type=int, default=None,
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("discriminate", help="compare two sources through a measurement")
-    common(p, fmt=True)
+    common(p, sampled=True)
     p.add_argument("source_a", help="state or mixture name")
     p.add_argument("source_b", help="state or mixture name")
     p.add_argument("measurement", help="declared measurement name")
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_discriminate)
 
     p = sub.add_parser("enumerate", help="dump a protocol's full outcome tree")
-    common(p, fmt=False)
+    common(p, sampled=False)
     p.add_argument("protocol", help="declared protocol name")
     p.add_argument("--initial", required=True, help="initial state or mixture name")
     p.set_defaults(handler=cmd_enumerate)
@@ -221,9 +221,10 @@ def cmd_enumerate(scenario: Scenario, args: argparse.Namespace):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    seed = getattr(args, "seed", 0)
     started = time.perf_counter()
     try:
-        if not 0 <= args.seed <= MAX_SEED:
+        if not 0 <= seed <= MAX_SEED:
             raise CatlabError(f"seed must be between 0 and {MAX_SEED}")
         scenario, sha = load_scenario(args.scenario)
         params, result, rows, code = args.handler(scenario, args)
@@ -232,7 +233,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
 
     try:
-        if getattr(args, "format", "json") == "csv" and rows is not None:
+        if getattr(args, "format", "json") == "csv":
             writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerows(rows)
         else:
@@ -242,7 +243,7 @@ def main(argv=None) -> int:
                 "command": args.command,
                 "scenario": args.scenario,
                 "scenario_sha256": sha,
-                "seed": args.seed,
+                "seed": seed,
                 "params": params,
                 "result": result,
             }

@@ -41,11 +41,6 @@ MEMO_ROWS = 1024  # the memo is cleared when it holds this many entries
 _ROWS: dict[tuple, object] = {}  # the memo of born_rows and invariant_subspace
 
 
-def state_key(x: State) -> tuple:
-    """Hashable dedup key of ``x``: ``x.key``, built with ``x``."""
-    return x.key
-
-
 class Laboratory:
     """Declared operations plus forbidden transitions, all on one space, and
     the lab's interned transition table, which the search, the tree and
@@ -263,11 +258,10 @@ def _search(
         return SteeringPath((), 1.0, lab.states[root]), False
     visited: dict[int, float] = {root: 1.0}
     frontier: dict[int, tuple[tuple, float]] = {root: ((), 1.0)}
-    names = [*lab.measurements, *lab.unitaries]
     for _depth in range(1, max_depth + 1):
         next_frontier: dict[int, tuple[tuple, float]] = {}
         for sid, (steps, prob) in frontier.items():
-            for name in names:
+            for name in lab._ops:
                 for label, p, nid in lab.rows(name, sid):
                     if nid is None:
                         continue
@@ -344,7 +338,7 @@ def nogo_verdict(
     rest_label = COMPLEMENT_LABEL + "'" * (outcome_label == COMPLEMENT_LABEL)
     m = ProjectiveMeasurement(lab.space, [(outcome_label, candidate), (rest_label, rest)])
     adjoined = name
-    while adjoined in lab.measurements or adjoined in lab.unitaries:
+    while adjoined in lab._ops:
         adjoined += "'"
     extended = lab.with_measurement(adjoined, m)
     basis = invariant_subspace(extended, d_state)

@@ -518,10 +518,10 @@ class DiscriminationReport(NamedTuple):
 
 
 def total_variation(dist_a: Mapping[str, float], dist_b: Mapping[str, float]) -> float:
-    """Total variation distance between two label distributions, summed in
-    label order so that the result does not depend on string hashing."""
-    labels = dict.fromkeys([*dist_a, *dist_b])
-    return 0.5 * sum(abs(dist_a.get(l, 0.0) - dist_b.get(l, 0.0)) for l in labels)
+    """Total variation distance between two label distributions, summed
+    exactly so that the result does not depend on label order."""
+    labels = {*dist_a, *dist_b}
+    return 0.5 * math.fsum(abs(dist_a.get(l, 0.0) - dist_b.get(l, 0.0)) for l in labels)
 
 
 def exact_distribution(m: ProjectiveMeasurement, x: State) -> dict[str, float]:
@@ -557,25 +557,23 @@ def chi_square_test(
 
     Labels whose expected count falls below ``CHI2_MIN_EXPECTED`` are merged
     into one catch-all bin (labelled like the measurement complement).
-    Returns (statistic, degrees of freedom, p-value).
+    Returns (statistic, degrees of freedom, p-value).  Sums are exact
+    (``math.fsum``), so the result does not depend on the order of
+    ``expected``.
     """
-    exp: dict[str, float] = {}
+    parts: dict[str, list[float]] = {}
     obs: dict[str, int] = {}
     for label, p in expected.items():
         e = n * p
         target = label if e >= CHI2_MIN_EXPECTED else COMPLEMENT_LABEL
-        exp[target] = exp.get(target, 0.0) + e
+        parts.setdefault(target, []).append(e)
         obs[target] = obs.get(target, 0) + int(counts.get(label, 0))
+    exp = {label: math.fsum(es) for label, es in parts.items()}
     # an empty bin carries no information, so df counts the others, in any order
     df = sum(e > 0.0 for e in exp.values()) - 1
-    stat = 0.0
-    for label, e in exp.items():
-        o = obs[label]
-        if e <= 0.0:
-            if o > 0:
-                return math.inf, max(df, 0), 0.0
-            continue
-        stat += (o - e) ** 2 / e
+    if any(e <= 0.0 and obs[label] > 0 for label, e in exp.items()):
+        return math.inf, max(df, 0), 0.0
+    stat = math.fsum((obs[label] - e) ** 2 / e for label, e in exp.items() if e > 0.0)
     if df <= 0:  # one bin holds every count: any statistic is rounding
         return stat, max(df, 0), 1.0
     return stat, df, _chi2_sf(stat, df)

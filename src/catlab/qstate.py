@@ -187,8 +187,7 @@ class DensityMatrix:
         self.key = _grid_key("m", np.concatenate([arr.real.ravel(), arr.imag.ravel()]))
 
     def __repr__(self) -> str:
-        diag = ", ".join(f"{v.real:.6g}" for v in self.mat.diagonal())
-        return f"DensityMatrix(diag=[{diag}])"
+        return f"DensityMatrix({format_state(self)})"
 
 
 State = Union[StateVector, DensityMatrix]

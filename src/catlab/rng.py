@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+MAX_SEED = (1 << 64) - 1  # the generator is keyed with 64 bits
 
 
 class RandomStream:
     """Multinomial draws from a 64-bit seeded counter-based generator."""
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed) & _MASK64
-        self.stream = int(stream) & _MASK64
+        self.seed = int(seed) & MAX_SEED
+        self.stream = int(stream) & MAX_SEED
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 

@@ -1,5 +1,6 @@
 """Command line interface, run in-process through main(argv)."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -358,9 +359,8 @@ def test_default_seed_zero(capsys):
     [
         ("run", "--scenario", "cat", "observe", "--initial", "cat_plus", "--trials", "100"),
         ("discriminate", "--scenario", "cat", "cat_plus", "cat_minus", "plusminus"),
-        ("check", "--scenario", "cat", "plusminus", "--from", "dead", "--to", "alive"),
     ],
-    ids=["run", "discriminate", "check"],
+    ids=["run", "discriminate"],
 )
 def test_seed_outside_64_bits_is_an_input_error(capsys, argv, seed):
     # RandomStream keeps a seed's low 64 bits: such a seed would run as
@@ -368,6 +368,43 @@ def test_seed_outside_64_bits_is_an_input_error(capsys, argv, seed):
     code, out, err = run_cli(capsys, *argv, "--seed", str(seed))
     assert (code, out) == (1, "")
     assert err == "catlab: error: seed must be between 0 and 18446744073709551615\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--scenario", "cat", "plusminus", "--from", "dead", "--to", "alive"),
+        ("enumerate", "--scenario", "resurrection", "resurrect1", "--initial", "dead"),
+    ],
+    ids=["check", "enumerate"],
+)
+def test_exact_commands_take_no_seed(capsys, argv):
+    # they draw no random number, so a seed is a usage error; the report
+    # still records the seed as 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --seed 1\n")
+    _, doc, _ = run_json(capsys, *argv)
+    assert doc["seed"] == 0
+
+
+def test_each_subcommand_takes_its_own_options():
+    # only the two commands that sample take --seed, and only the two that
+    # write rows take --format
+    parser = catlab.cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: sorted(s for a in p._actions for s in a.option_strings)
+        for name, p in sub.choices.items()
+    }
+    shared = ["--help", "--scenario", "-h"]
+    assert options == {
+        "check": sorted([*shared, "--depth", "--from", "--to"]),
+        "run": sorted([*shared, "--exact", "--format", "--initial", "--seed", "--trials"]),
+        "discriminate": sorted([*shared, "--format", "--seed", "--trials"]),
+        "enumerate": sorted([*shared, "--initial"]),
+    }
 
 
 def test_largest_seed_runs(capsys):
@@ -516,7 +553,7 @@ measurements:
 
 
 def test_total_variation_does_not_depend_on_string_hashing(tmp_path):
-    # with three outcomes the order of the float sum shows in the last digit
+    # with three outcomes a float sum in hashing order would show in the last digit
     f = tmp_path / "three.scn"
     f.write_text(THREE_LEVELS, encoding="utf-8")
     argv = [sys.executable, "-m", "catlab", "discriminate", "--scenario", str(f),

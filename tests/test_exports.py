@@ -37,6 +37,7 @@ REMOVED = {
         "sample_outcome",
         "Transitions",
         "OutcomeRecord",
+        "state_key",
     ),
     catlab.qstate: (
         "density_from_json",
@@ -56,7 +57,7 @@ REMOVED = {
     catlab.cli: ("resolve_seed",),
     catlab.lab: (
         "DEFAULT_MIN_PROB", "MIN_PROB", "_canonical", "Transitions", "_operation_key", "_born_rows",
-        "GRID",
+        "GRID", "state_key",
     ),
     catlab.measure: ("records_to_json", "sample_outcome", "OutcomeRecord"),
     catlab.protocols: (

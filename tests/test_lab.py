@@ -30,7 +30,6 @@ from catlab import (
     projector_from_state,
     pure_density,
     replay_path,
-    state_key,
     states_match,
     superposition_projector,
     verdict_to_json,
@@ -140,16 +139,16 @@ def test_check_conditions():
 def test_state_key_phase_invariant():
     psi = make_state(CAT, [0.6, 0.8j])
     rotated = make_state(CAT, list(np.exp(2.1j) * psi.amps))
-    assert state_key(psi) == state_key(rotated)
-    assert state_key(psi) != state_key(basis_state(CAT, "alive"))
+    assert psi.key == rotated.key
+    assert psi.key != basis_state(CAT, "alive").key
 
 
 def test_state_key_separates_vectors_and_matrices():
     from catlab import pure_density
 
     psi = make_state(CAT, [1, 1])
-    assert state_key(psi)[0] == "v"
-    assert state_key(pure_density(psi))[0] == "m"
+    assert psi.key[0] == "v"
+    assert pure_density(psi).key[0] == "m"
 
 
 # ---------------------------------------------------------------------------

@@ -48,4 +48,6 @@ def test_tracer_targets_resolve_but_the_known_stale_ones(monkeypatch):
         owner = getattr(home, owner_name, None) if owner_name else home
         if owner is None or getattr(owner, leaf, None) is None:
             unresolved.add(name)
-    assert unresolved == {"qstate.canonical", "jacobi.min_eigenvalue", "rng.uniforms"}
+    assert unresolved == {
+        "lab.state_key", "qstate.canonical", "jacobi.min_eigenvalue", "rng.uniforms",
+    }

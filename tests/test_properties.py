@@ -34,7 +34,6 @@ from catlab import (
     projector_from_state,
     pure_density,
     replay_path,
-    state_key,
     states_match,
     superposition_projector,
     tensor_space,
@@ -77,10 +76,10 @@ def test_canonical_phase_invariance(psi, theta):
     rotated = make_state(psi.space, psi.amps * np.exp(1j * theta))
     a = StateVector(psi.space, canonical_amps(psi.amps))
     b = StateVector(psi.space, canonical_amps(rotated.amps))
-    assert state_key(a) == state_key(b)
+    assert a.key == b.key
     assert states_match(a, b)
     table = Laboratory(psi.space)
-    assert table.states[table.intern(rotated)].key == state_key(rotated)
+    assert table.states[table.intern(rotated)].key == rotated.key
     assert np.allclose(canonical_amps(a.amps), a.amps, atol=1e-12)
     lead = a.amps[np.argmax(np.abs(a.amps) > 1e-12)]
     assert abs(lead.imag) < 1e-12 and lead.real > 0
@@ -112,7 +111,7 @@ def test_a_vector_holds_the_bits_of_canonical_amps(psi, form, theta, zeros):
 
 
 def per_element_state_key(x):
-    """``state_key`` as first written, one ``int()`` per grid entry."""
+    """A state's ``key`` as first written, one ``int()`` per grid entry."""
     if isinstance(x, StateVector):
         amps = canonical_amps(x.amps)
         flat = np.empty(2 * amps.size)
@@ -143,10 +142,8 @@ def test_state_keys_equal_the_per_element_formula(seed, dim, small):
     ties = np.eye(dim, dtype=complex) / dim
     ties[0, 1], ties[1, 0] = 4.5e-6 + 5e-7j, 4.5e-6 - 5e-7j
     for x in (psi, pure_density(psi), mixed, DensityMatrix(space, ties)):
-        key = state_key(x)
-        assert key == per_element_state_key(x)
-        assert x.key == key
-        assert all(type(v) is int for v in key[1:])
+        assert x.key == per_element_state_key(x)
+        assert all(type(v) is int for v in x.key[1:])
 
 
 @SETTINGS
@@ -358,7 +355,7 @@ def test_tree_agrees_with_propagation_and_sampling(seed, dim, data, mixed, kinds
 
     n = 2000
     mc = run_monte_carlo(protocol, lab, initial, n, seed)
-    exact = {state_key(st_): p for st_, p in agg}
+    exact = {st_.key: p for st_, p in agg}
     assert set(mc.bins) <= set(exact)
     for key, p in exact.items():
         count = mc.bins[key][1] if key in mc.bins else 0
@@ -470,7 +467,7 @@ def test_row_of_probability_one_takes_every_count(seed, dim, n):
     # gives g0 with probability 1 and every other row is pruned
     lab, target = random_lab(np.random.default_rng(seed), dim, dim)
     protocol = ProtocolSpec((MeasureStep("m"),) * 3 + (StopIfStep("g0"),))
-    assert mc_counts(protocol, lab, target, n, seed) == {state_key(target): n}
+    assert mc_counts(protocol, lab, target, n, seed) == {target.key: n}
 
 
 # (lab seed, Monte Carlo seed), fixed before any result was seen
@@ -489,7 +486,7 @@ def test_monte_carlo_chi_square_against_exact(lab_seed, mc_seed):
     protocol = codes_protocol(codes, n_groups)
     n = 20_000
     tree = enumerate_protocol(protocol, lab, initial)
-    exact = {state_key(st_): p for st_, p in aggregate_leaves(tree)}
+    exact = {st_.key: p for st_, p in aggregate_leaves(tree)}
     counts = mc_counts(protocol, lab, initial, n, mc_seed)
     assert set(counts) <= set(exact) and sum(counts.values()) == n
     _, _, p_value = chi_square_test(counts, exact, n)
@@ -552,7 +549,7 @@ def test_monte_carlo_ignores_table_history(lab_seed):
 def test_stop_if_before_any_measurement_never_fires():
     lab, psi = random_lab(np.random.default_rng(5), 3, 3)
     protocol = ProtocolSpec((StopIfStep("g0"), UnitaryStep("u"), StopIfStep("g1")))
-    moved = state_key(apply_unitary(lab.unitaries["u"], psi))
+    moved = apply_unitary(lab.unitaries["u"], psi).key
     assert mc_counts(protocol, lab, psi, 4097, 9) == {moved: 4097}
 
 

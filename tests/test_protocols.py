@@ -37,7 +37,6 @@ from catlab import (
     make_state,
     projector_from_state,
     run_monte_carlo,
-    state_key,
     total_variation,
     tree_to_json,
 )
@@ -447,7 +446,7 @@ def test_first_state_interned_on_a_lab_represents_its_key():
     rep = table.states[table.intern(a)]
     # b lies in a's 1e-6 grid cell, and it is interned after a
     b = make_state(ph.space, a.amps + [1e-9, 0.0])
-    assert state_key(b) == state_key(a)
+    assert b.key == a.key
     there_and_back = ProtocolSpec((UnitaryStep("rotate45"), UnitaryStep("rotate45_inv")))
     tree = enumerate_protocol(there_and_back, ph.lab, b)
     [(state, mass)] = aggregate_leaves(tree)
@@ -567,6 +566,24 @@ def test_chi_square_zero_expected_zero_observed_dropped():
 def test_chi_square_ignores_the_order_of_expected(counts, expected, result):
     for order in itertools.permutations(expected):
         assert chi_square_test(counts, {l: expected[l] for l in order}, 100) == result, order
+
+
+def test_discrimination_statistics_ignore_label_order():
+    # the terms are inexact here, so a sum in label order would show in the
+    # last bits; small Dirichlet weights also fill the catch-all bin
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        labels = list("abcdef"[: rng.integers(3, 7)])
+        p, q = (dict(zip(labels, rng.dirichlet(np.full(len(labels), 0.4)))) for _ in "pq")
+        counts = dict(zip(labels, rng.multinomial(1000, list(p.values())).tolist()))
+        chi = chi_square_test(counts, p, 1000)
+        tv = total_variation(p, q)
+        for _ in range(6):
+            order = rng.permutation(labels)
+            other = rng.permutation(labels)
+            assert chi_square_test(counts, {l: p[l] for l in order}, 1000) == chi, (p, order)
+            assert total_variation({l: p[l] for l in order}, {l: q[l] for l in other}) == tv
+            assert total_variation({l: q[l] for l in other}, {l: p[l] for l in order}) == tv
 
 
 def test_chi_square_one_bin_left_is_no_evidence():
