@@ -10,7 +10,9 @@ Four subcommands over a scenario file (a path or a shipped name):
 * ``enumerate``    - dump the full outcome tree of a protocol.
 
 Reports go to stdout; wall-time and errors go to stderr.  With fixed
-inputs and seed the stdout bytes are identical across runs.
+inputs and seed the stdout bytes are identical across runs.  Every report
+is laid out here, under ``FORMAT_VERSION``, except the ``enumerate`` tree,
+which ``protocols.tree_to_json`` builds from the tree's walk.
 Exit codes: 0 no violation / success, 1 input error, 2 violation witness.
 """
 
@@ -26,16 +28,17 @@ from typing import Mapping
 
 from . import __version__
 from .errors import CatlabError
-from .lab import DEFAULT_MAX_DEPTH, nogo_verdict, verdict_to_json
+from .lab import DEFAULT_MAX_DEPTH, NoGoVerdict, nogo_verdict
 from .protocols import (
     MAX_TRIALS,
+    DiscriminationReport,
     aggregate_leaves,
     discriminate,
     enumerate_protocol,
     run_monte_carlo,
     tree_to_json,
 )
-from .qstate import format_state
+from .qstate import StateVector, format_state
 from .rng import MAX_SEED
 from .scenario import SCENARIO_NAMES, Scenario, load_scenario
 
@@ -119,6 +122,72 @@ def _named(scenario: Scenario, kind: str, table: Mapping, name: str):
     return table[name]
 
 
+def state_to_json(psi: StateVector) -> dict:
+    """A vector's space (labels, and name and factors when it has them) and
+    the real and imaginary parts of its amplitudes."""
+
+    def labelled(space) -> dict:
+        return {"labels": list(space.labels), **({"name": space.name} if space.name else {})}
+
+    doc = labelled(psi.space)
+    if psi.space.factors is not None:
+        doc["factors"] = [labelled(f) for f in psi.space.factors]
+    doc["re"] = [float(v) for v in psi.amps.real]
+    doc["im"] = [float(v) for v in psi.amps.imag]
+    return doc
+
+
+def verdict_to_json(v: NoGoVerdict) -> dict:
+    witness = None
+    if v.witness is not None:
+        witness = {
+            "steps": [
+                {"operation": name, "outcome": label} for name, label in v.witness.steps
+            ],
+            "probability": v.witness.probability,
+            "final_state": state_to_json(v.witness.final_state),
+        }
+    return {
+        "operator": v.operator_name,
+        "violated": v.violated,
+        "bound_reached": v.bound_reached,
+        "certificate": None if v.certificate is None else {"invariant_dim": v.certificate},
+        "witness": witness,
+    }
+
+
+def discrimination_to_json(r: DiscriminationReport) -> dict:
+    return {
+        "measurement": r.measurement,
+        "total_variation": r.total_variation,
+        "n_trials": r.n_trials,
+        "seed": r.seed,
+        "outcomes": [
+            {
+                "label": lab,
+                "exact_a": r.dist_a[lab],
+                "exact_b": r.dist_b[lab],
+                "freq_a": r.freq_a[lab],
+                "freq_b": r.freq_b[lab],
+            }
+            for lab in r.labels
+        ],
+        "chi_square": {"statistic": r.chi_square, "df": r.chi_square_df, "p_value": r.p_value},
+    }
+
+
+def discrimination_csv_rows(doc: dict) -> list[list]:
+    """The CSV rows of a ``discrimination_to_json`` document: source A's
+    outcomes, then source B's."""
+    rows = [["source", "label", "exact_p", "empirical_freq", "n"]]
+    for src, exact, freq in (("A", "exact_a", "freq_a"), ("B", "exact_b", "freq_b")):
+        rows += [
+            [src, o["label"], repr(o[exact]), repr(o[freq]), doc["n_trials"]]
+            for o in doc["outcomes"]
+        ]
+    return rows
+
+
 def cmd_check(scenario: Scenario, args: argparse.Namespace):
     name, colon, label = args.candidate.partition(":")
     m = _named(scenario, "measurement", scenario.measurements, name)
@@ -145,6 +214,16 @@ def cmd_check(scenario: Scenario, args: argparse.Namespace):
     return params, verdict_to_json(verdict), None, code
 
 
+def _enumerated(scenario: Scenario, args: argparse.Namespace):
+    """The params of ``run`` and ``enumerate``, the protocol and initial
+    state they name, looked up in that order, and its outcome tree."""
+    protocol = _named(scenario, "protocol", scenario.protocols, args.protocol)
+    initial = scenario.initial(args.initial)
+    tree = enumerate_protocol(protocol, scenario.lab, initial)
+    params = {"protocol": args.protocol, "initial": args.initial}
+    return params, protocol, initial, tree
+
+
 def cmd_run(scenario: Scenario, args: argparse.Namespace):
     if args.exact and args.trials is not None:
         raise CatlabError("--exact and --trials are mutually exclusive")
@@ -153,16 +232,12 @@ def cmd_run(scenario: Scenario, args: argparse.Namespace):
         raise CatlabError("need at least one trial (or use --exact)")
     if not args.exact and trials > MAX_TRIALS:
         raise CatlabError(f"trial count must be <= {MAX_TRIALS}")
-    protocol = _named(scenario, "protocol", scenario.protocols, args.protocol)
-    initial = scenario.initial(args.initial)
-    tree = enumerate_protocol(protocol, scenario.lab, initial)
+    params, protocol, initial, tree = _enumerated(scenario, args)
     exact = aggregate_leaves(tree)
-    params = {"protocol": args.protocol, "initial": args.initial}
+    rows = [["state", "exact_p", "empirical_freq", "n"]]
 
     if args.exact:
-        table = [
-            {"state": format_state(st), "probability": p} for st, p in exact
-        ]
+        table = [{"state": format_state(st), "probability": p} for st, p in exact]
         result = {
             "mode": "exact",
             "nodes": tree.n_nodes(),
@@ -170,27 +245,19 @@ def cmd_run(scenario: Scenario, args: argparse.Namespace):
             "pruned_mass": tree.pruned_mass,
             "table": table,
         }
-        rows = [["state", "exact_p", "empirical_freq", "n"]]
-        rows += [[format_state(st), repr(p), "", ""] for st, p in exact]
+        rows += [[t["state"], repr(t["probability"]), "", ""] for t in table]
         return params, result, rows, EXIT_OK
 
     params["trials"] = trials
     mc = run_monte_carlo(protocol, scenario.lab, initial, trials, args.seed)
     exact_p = dict(exact)  # keyed by the lab table's state objects
-    histogram = []
-    rows = [["state", "exact_p", "empirical_freq", "n"]]
-    for st, count, freq in mc.rows():
-        p = exact_p.get(st, 0.0)
-        histogram.append(
-            {
-                "state": format_state(st),
-                "count": count,
-                "frequency": freq,
-                "exact_p": p,
-            }
-        )
-        rows.append([format_state(st), repr(p), repr(freq), trials])
+    histogram = [
+        {"state": format_state(st), "count": count, "frequency": freq,
+         "exact_p": exact_p.get(st, 0.0)}
+        for st, count, freq in mc.rows()
+    ]
     result = {"mode": "sample", "trials": trials, "histogram": histogram}
+    rows += [[h["state"], repr(h["exact_p"]), repr(h["frequency"]), trials] for h in histogram]
     return params, result, rows, EXIT_OK
 
 
@@ -209,13 +276,12 @@ def cmd_discriminate(scenario: Scenario, args: argparse.Namespace):
         "measurement": args.measurement,
         "trials": args.trials,
     }
-    return params, report.to_json(), report.to_csv_rows(), EXIT_OK
+    result = discrimination_to_json(report)
+    return params, result, discrimination_csv_rows(result), EXIT_OK
 
 
 def cmd_enumerate(scenario: Scenario, args: argparse.Namespace):
-    protocol = _named(scenario, "protocol", scenario.protocols, args.protocol)
-    tree = enumerate_protocol(protocol, scenario.lab, scenario.initial(args.initial))
-    params = {"protocol": args.protocol, "initial": args.initial}
+    params, _, _, tree = _enumerated(scenario, args)
     return params, tree_to_json(tree), None, EXIT_OK
 
 

@@ -31,7 +31,6 @@ from .qstate import (
     StateVector,
     apply_unitary,
     overlap,
-    state_to_json,
     states_match,
 )
 
@@ -342,23 +341,20 @@ def nogo_verdict(
         adjoined += "'"
     extended = lab.with_measurement(adjoined, m)
     basis = invariant_subspace(extended, d_state)
+    certificate = None
     if basis is not None:
         off = l_state.amps - basis @ (basis.conj().T @ l_state.amps)
         if float(np.vdot(off, off).real) > NEW_DIRECTION:
-            return NoGoVerdict(
-                operator_name=name,
-                violated=False,
-                witness=None,
-                bound_reached=False,
-                certificate=basis.shape[1],
-            )
-    path, bound = _search(extended, d_state, l_state, max_depth)
+            certificate = basis.shape[1]
+    path, bound = None, False
+    if certificate is None:
+        path, bound = _search(extended, d_state, l_state, max_depth)
     return NoGoVerdict(
         operator_name=name,
         violated=path is not None,
         witness=path,
         bound_reached=bound,
-        certificate=None,
+        certificate=certificate,
     )
 
 
@@ -381,22 +377,3 @@ def replay_path(lab: Laboratory, start: State, path: SteeringPath) -> tuple[floa
         state = row[2]
     return prob, state
 
-
-def verdict_to_json(v: NoGoVerdict) -> dict:
-    doc: dict = {
-        "operator": v.operator_name,
-        "violated": v.violated,
-        "bound_reached": v.bound_reached,
-        "certificate": None if v.certificate is None else {"invariant_dim": v.certificate},
-        "witness": None,
-    }
-    if v.witness is not None:
-        doc["witness"] = {
-            "steps": [
-                {"operation": name, "outcome": label}
-                for name, label in v.witness.steps
-            ],
-            "probability": v.witness.probability,
-            "final_state": state_to_json(v.witness.final_state),
-        }
-    return doc

@@ -153,8 +153,8 @@ class OutcomeNode(NamedTuple):
     ``operation``/``label`` describe the edge from the parent (both None at
     the root; ``label`` is None for unitary edges).  ``probability`` is the
     branch probability, ``cumulative`` the product along the path.
-    ``sid`` is the id of the leaf's state in the tree's lab: the state
-    is ``tree.lab.states[leaf.sid]``.
+    ``sid`` is the id of the leaf's state in the lab that the tree was
+    enumerated over: the state is ``lab.states[leaf.sid]``.
     """
 
     operation: str | None
@@ -185,7 +185,7 @@ class OutcomeTree:
         nodes: int,
         leaves: int,
     ) -> None:
-        self.lab = lab
+        self._lab = lab
         # (sid, exact leaf mass times 2**scale), in first-leaf order
         self._finals = finals
         self._scale = scale
@@ -200,7 +200,7 @@ class OutcomeTree:
         ``(depth, is leaf, operation, label, probability, cumulative, sid,
         stopped)``.  A node at depth i branches over the kept rows of the
         program's i-th operation, unless a ``stop_if`` halted it."""
-        program, rows = self._program, self.lab.rows
+        program, rows = self._program, self._lab.rows
         # a node as _walk yields it, less the leaf flag, then its last outcome label
         stack = [(0, None, None, 1.0, 1.0, self._start, False, None)]
         while stack:
@@ -315,7 +315,7 @@ def enumerate_protocol(
 def leaf_mass(tree: OutcomeTree, target: StateVector) -> float:
     """Total probability of leaves whose state matches ``target``: the
     correctly rounded value of the exact sum."""
-    states = tree.lab.states
+    states = tree._lab.states
     num = sum(n for sid, n in tree._finals if states_match(states[sid], target))
     return num / (1 << tree._scale)
 
@@ -324,7 +324,7 @@ def aggregate_leaves(tree: OutcomeTree) -> list[tuple[State, float]]:
     """Leaf masses merged by interned final state, in first-leaf order; each
     mass is the correctly rounded value of its exact sum."""
     den = 1 << tree._scale
-    return [(tree.lab.states[sid], n / den) for sid, n in tree._finals]
+    return [(tree._lab.states[sid], n / den) for sid, n in tree._finals]
 
 
 def tree_to_json(tree: OutcomeTree) -> dict:
@@ -334,7 +334,7 @@ def tree_to_json(tree: OutcomeTree) -> dict:
     for depth, _, operation, label, p, cum, sid, stopped in tree._walk():
         state = shown.get(sid)
         if state is None:
-            state = shown[sid] = format_state(tree.lab.states[sid])
+            state = shown[sid] = format_state(tree._lab.states[sid])
         doc = {
             "operation": operation,
             "label": label,
@@ -485,36 +485,6 @@ class DiscriminationReport(NamedTuple):
     chi_square: float
     chi_square_df: int
     p_value: float
-
-    def to_json(self) -> dict:
-        return {
-            "measurement": self.measurement,
-            "total_variation": self.total_variation,
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-            "outcomes": [
-                {
-                    "label": lab,
-                    "exact_a": self.dist_a[lab],
-                    "exact_b": self.dist_b[lab],
-                    "freq_a": self.freq_a[lab],
-                    "freq_b": self.freq_b[lab],
-                }
-                for lab in self.labels
-            ],
-            "chi_square": {
-                "statistic": self.chi_square,
-                "df": self.chi_square_df,
-                "p_value": self.p_value,
-            },
-        }
-
-    def to_csv_rows(self) -> list[list]:
-        rows = [["source", "label", "exact_p", "empirical_freq", "n"]]
-        for src, dist, freq in (("A", self.dist_a, self.freq_a), ("B", self.dist_b, self.freq_b)):
-            for lab in self.labels:
-                rows.append([src, lab, repr(dist[lab]), repr(freq[lab]), self.n_trials])
-        return rows
 
 
 def total_variation(dist_a: Mapping[str, float], dist_b: Mapping[str, float]) -> float:

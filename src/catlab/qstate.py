@@ -380,7 +380,7 @@ def canonical_amps(amps: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# formatting and JSON
+# formatting
 
 
 def format_state(x: State) -> str:
@@ -407,21 +407,3 @@ def format_state(x: State) -> str:
     )
     return f"mixed({diag})"
 
-
-def space_to_json(space: HilbertSpace) -> dict:
-    doc: dict = {"labels": list(space.labels)}
-    if space.name:
-        doc["name"] = space.name
-    if space.factors is not None:
-        doc["factors"] = [
-            {"labels": list(f.labels), **({"name": f.name} if f.name else {})}
-            for f in space.factors
-        ]
-    return doc
-
-
-def state_to_json(psi: StateVector) -> dict:
-    doc = space_to_json(psi.space)
-    doc["re"] = [float(v) for v in psi.amps.real]
-    doc["im"] = [float(v) for v in psi.amps.imag]
-    return doc

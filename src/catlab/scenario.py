@@ -33,6 +33,8 @@ Example layout (sections other than ``space`` may be omitted):
 Product spaces replace ``labels`` with a ``factors`` list of inner space
 declarations.  Measurements may alternatively give explicit ``projectors``
 as label -> matrix.  Every name must be declared before it is referenced.
+YAML aliases are refused, and so are collections nested deeper than
+``MAX_NESTING``.
 When the ``lab`` section is omitted every declared operation is allowed;
 when it is present, only the listed names are (an omitted list means none
 of that kind).
@@ -88,6 +90,7 @@ from .qstate import (
 #   allowed; its repeat protocols amplify the forbidden transition.
 SCENARIO_NAMES = ("cat", "composite", "photon", "stone-bread", "resurrection")
 
+MAX_NESTING = 64  # collections nested deeper than this are rejected before composing
 AMP_CHARS = frozenset("0123456789.+-eEi")
 
 _TOP_KEYS = (
@@ -155,11 +158,11 @@ class _Walker:
     def __init__(self, path: str):
         self.path = path
 
-    def where(self, node: yaml.Node) -> str:
+    def where(self, node: yaml.Node | yaml.Event) -> str:
         mark = node.start_mark
         return f"{self.path}:{mark.line + 1}:{mark.column + 1}"
 
-    def fail(self, node: yaml.Node, msg: str) -> NoReturn:
+    def fail(self, node: yaml.Node | yaml.Event, msg: str) -> NoReturn:
         raise ParseError(f"{self.where(node)}: {msg}")
 
     @contextmanager
@@ -331,12 +334,41 @@ def _parse_steps(
     return tuple(steps)
 
 
+_NESTING = {
+    yaml.MappingStartEvent: 1,
+    yaml.SequenceStartEvent: 1,
+    yaml.MappingEndEvent: -1,
+    yaml.SequenceEndEvent: -1,
+}
+
+
+def _check_events(w: _Walker, events: Iterator[yaml.Event]) -> None:
+    """Reject an alias, and collections nested deeper than ``MAX_NESTING``,
+    at the first event that shows one, before any node is composed.
+
+    An alias lets a short document stand for an exponentially large one,
+    and deep nesting overflows the stack of the composer and of the walkers
+    below, so both are refused while the document is still a stream.
+    """
+    depth = 0
+    for event in events:
+        step = _NESTING.get(type(event))
+        if step is not None:
+            depth += step
+            if depth > MAX_NESTING:
+                w.fail(event, f"collections nested deeper than {MAX_NESTING}")
+        elif type(event) is yaml.AliasEvent:
+            w.fail(event, f"aliases are not supported: *{event.anchor}")
+
+
 def parse_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
     """Parse and validate a scenario document; ``path`` locates diagnostics
     and, without a ``name`` section, names the scenario after its stem."""
     w = _Walker(path)
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        root = yaml.compose(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        _check_events(w, yaml.parse(text, Loader=loader))
+        root = yaml.compose(text, Loader=loader)
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         at = f"{path}:{mark.line + 1}:{mark.column + 1}: " if mark else f"{path}: "

@@ -19,8 +19,8 @@ from catlab import (
     pure_density,
     run_monte_carlo,
     superposition_projector,
-    verdict_to_json,
 )
+from catlab.cli import verdict_to_json
 
 
 def test_all_names_build():

@@ -38,6 +38,7 @@ REMOVED = {
         "Transitions",
         "OutcomeRecord",
         "state_key",
+        "verdict_to_json",
     ),
     catlab.qstate: (
         "density_from_json",
@@ -52,12 +53,14 @@ REMOVED = {
         "tensor",
         "unitary_operator",
         "canonical_state",
+        "state_to_json",
+        "space_to_json",
     ),
     catlab.errors: ("NotInSpan",),
     catlab.cli: ("resolve_seed",),
     catlab.lab: (
         "DEFAULT_MIN_PROB", "MIN_PROB", "_canonical", "Transitions", "_operation_key", "_born_rows",
-        "GRID", "state_key",
+        "GRID", "state_key", "verdict_to_json",
     ),
     catlab.measure: ("records_to_json", "sample_outcome", "OutcomeRecord"),
     catlab.protocols: (
@@ -71,6 +74,7 @@ REMOVED = {
     catlab.Operator: ("rank",),
     catlab.OutcomeNode: ("state", "children", "is_leaf"),
     catlab.OutcomeTree: ("root", "_build"),
+    catlab.DiscriminationReport: ("to_json", "to_csv_rows"),
 }
 
 
@@ -89,10 +93,10 @@ def test_removed_names_stay_removed():
             assert not hasattr(owner, name), (owner, name)
     for fn in (catlab.nogo_verdict, catlab.find_steering_path):
         assert "min_prob" not in inspect.signature(fn).parameters, fn
-    # a tree reads its lab's table as ``tree.lab``; ``tree.table`` is gone
+    # a tree reads its lab's table privately; its caller holds the lab
     sc = catlab.load_scenario("resurrection")[0]
     tree = catlab.enumerate_protocol(sc.protocols["resurrect1"], sc.lab, sc.states["dead"])
-    assert tree.lab is sc.lab and not hasattr(tree, "table")
+    assert not hasattr(tree, "lab") and not hasattr(tree, "table")
     # a tree keeps no nodes
     assert not hasattr(tree, "_root")
     # ``keys`` was set per lab, so the class cannot show it gone; a state
@@ -283,3 +287,29 @@ def test_only_measure_cuts_rows():
     # that compared against PRUNE_TOL would keep a cut of its own.
     users = _modules_using("PRUNE_TOL")
     assert users == {"measure.py"}, users
+
+
+REPORT_KEYS = {"final_state", "invariant_dim", "empirical_freq", "exact_a", "freq_b", "re", "im"}
+
+
+def test_only_the_cli_lays_out_reports():
+    # A report key written in a library module would lay out a report
+    # outside FORMAT_VERSION's module; these keys belong to reports alone.
+    users = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in REPORT_KEYS
+    }
+    assert users == {"cli.py"}, users
+
+
+def test_one_verdict_site():
+    # nogo_verdict decides a verdict's fields once; a second NoGoVerdict
+    # call would be a second place to keep in step with the report.
+    tree = ast.parse((SRC / "lab.py").read_text(encoding="utf-8"))
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "NoGoVerdict"
+    ]
+    assert len(calls) == 1

@@ -32,8 +32,8 @@ from catlab import (
     replay_path,
     states_match,
     superposition_projector,
-    verdict_to_json,
 )
+from catlab.cli import verdict_to_json
 from catlab.lab import DEFAULT_MAX_DEPTH, born_rows, invariant_subspace
 from catlab.measure import COMPLEMENT_LABEL, EPS, ProjectiveMeasurement
 from catlab.qstate import MATCH_TOL, DensityMatrix, StateVector

@@ -338,7 +338,7 @@ def test_tree_agrees_with_propagation_and_sampling(seed, dim, data, mixed, kinds
     # the propagation's answers are the correctly rounded exact path sums
     by_sid, by_label, pruned, nodes, order = exact_walk(lab, lab.intern(initial), protocol.steps)
     leaves = len(order)
-    states = tree.lab.states
+    states = lab.states
     assert len(agg) == len(by_sid)
     for (st_, p), (sid, m) in zip(agg, by_sid.items()):
         assert st_ is states[sid] and p == float(m)

@@ -40,6 +40,7 @@ from catlab import (
     total_variation,
     tree_to_json,
 )
+from catlab.cli import discrimination_csv_rows, discrimination_to_json
 from catlab.protocols import MAX_TRIALS, _chi2_sf, _program
 
 
@@ -189,7 +190,7 @@ def test_failure_branches_return_to_start():
     tree = enumerate_protocol(sc.protocols["resurrect3"], sc.lab, dead)
     for leaf in tree.leaves():
         if not leaf.stopped:
-            state = tree.lab.states[leaf.sid]
+            state = sc.lab.states[leaf.sid]
             assert abs(abs(np.vdot(state.amps, dead.amps)) - 1.0) < 1e-10
 
 
@@ -257,7 +258,7 @@ def test_node_with_every_row_pruned_is_a_leaf(monkeypatch):
     agg = aggregate_leaves(tree)
     assert len(agg) == 2
     for (st, p), leaf in zip(agg, leaves):
-        assert st is tree.lab.states[leaf.sid] and p == leaf.cumulative
+        assert st is sc.lab.states[leaf.sid] and p == leaf.cumulative
     assert abs(tree.pruned_mass - 1.0) < 1e-15
     # sampling has nowhere to put such a cell's trials
     with pytest.raises(CatlabError, match="ran out of probability mass mid-trial"):
@@ -509,10 +510,10 @@ def test_discrimination_report_shapes():
         cat.states["cat_plus"], cat.mixtures["rho_cat"],
         cat.measurements["plusminus"], 1000, 5, name="plusminus",
     )
-    doc = rep.to_json()
+    doc = discrimination_to_json(rep)
     assert doc["measurement"] == "plusminus"
     assert len(doc["outcomes"]) == 2
-    rows = rep.to_csv_rows()
+    rows = discrimination_csv_rows(doc)
     assert rows[0] == ["source", "label", "exact_p", "empirical_freq", "n"]
     assert len(rows) == 1 + 2 * len(rep.labels)
     assert abs(rep.total_variation - 0.5) < 1e-10
@@ -634,7 +635,7 @@ def test_discrimination_report_keyword_construction():
         chi_square_df=0,
         p_value=0.0,
     )
-    doc = report.to_json()
+    doc = discrimination_to_json(report)
     assert (doc["measurement"], doc["n_trials"], doc["seed"]) == ("m", 4, 9)
     assert doc["outcomes"][1] == {
         "label": "b", "exact_a": 0.0, "exact_b": 0.5, "freq_a": 0.0, "freq_b": 0.75,

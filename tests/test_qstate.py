@@ -25,7 +25,8 @@ from catlab import (
     states_match,
     tensor_space,
 )
-from catlab.qstate import canonical_amps, space_to_json, state_to_json
+from catlab.cli import state_to_json
+from catlab.qstate import canonical_amps
 from helpers import rand_density, rand_state, rand_unitary, space_of_dim
 
 CAT = HilbertSpace(("alive", "dead"), name="cat")
@@ -389,7 +390,9 @@ def test_state_json_roundtrip_bit_exact():
 
 
 def test_space_json_roundtrip_keeps_factors():
-    assert space_to_json(tensor_space(DEV, CAT)) == {
+    doc = state_to_json(basis_state(tensor_space(DEV, CAT), "decayed⊗dead"))
+    assert (doc.pop("re"), doc.pop("im")) == ([0.0, 0.0, 0.0, 1.0], [0.0] * 4)
+    assert doc == {
         "labels": [
             "undecayed⊗alive",
             "undecayed⊗dead",

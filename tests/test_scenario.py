@@ -1,5 +1,8 @@
 """Scenario file parsing and lookup."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -286,6 +289,14 @@ V = ValidationError
          P, "t.scn:11:3: name 'm' already declared as a measurement"),
         (MINIMAL + "measurements:\n  m:\n    projectors: {}\n",
          P, "t.scn:6:17: measurement 'm' declares no outcomes"),
+        # refused before composing: an alias, and nesting past MAX_NESTING,
+        # which is 64 deep (the root mapping is the first level)
+        (MINIMAL + "states:\n  x: &v [1, 0]\n  y: *v\n",
+         P, "t.scn:6:6: aliases are not supported: *v"),
+        ("a: " + "[" * 64 + "]" * 64 + "\n",
+         P, "t.scn:1:67: collections nested deeper than 64"),
+        ("a: " + "[" * 63 + "]" * 63 + "\n",
+         P, "t.scn:1:1: unknown section 'a'"),
     ],
 )
 def test_diagnostics_are_pinned(text, cls, message):
@@ -352,6 +363,38 @@ protocols:
             base
             + "protocols:\n  p:\n    - repeat:\n        count: -1\n        body:\n          - {measure: m}\n"
         )
+
+
+def _nested_repeats(levels):
+    body = "{measure: m}"
+    for _ in range(levels):
+        body = f"{{repeat: {{count: 1, body: [{body}]}}}}"
+    return WITH_M + f"protocols:\n  p: [{body}]\n"
+
+
+def test_deep_repeats_are_a_parse_error():
+    # each repeat nests three collections: 20 levels pass the guard and 21
+    # do not; 1000 once overflowed the stack of the step walker
+    assert len(parse(_nested_repeats(20)).protocols["p"].unrolled()) == 1
+    with pytest.raises(ParseError, match="collections nested deeper than 64"):
+        parse(_nested_repeats(21))
+    with pytest.raises(ParseError, match="collections nested deeper than 64"):
+        parse(_nested_repeats(1000))
+
+
+def test_a_deep_flow_document_is_an_input_error(tmp_path):
+    # 30000 nested flow sequences once crashed the YAML composer itself
+    f = tmp_path / "deep.scn"
+    f.write_text("space:\n  labels: [a, b]\nstates: {a: " + "[" * 30000 + "]" * 30000 + "}\n",
+                 encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "catlab", "enumerate", "--scenario", str(f), "p",
+         "--initial", "a"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"catlab: error: {f}:3:75: collections nested deeper than 64\n"
 
 
 def test_two_parses_give_equal_protocols():
