@@ -201,13 +201,17 @@ class Operator:
     def __init__(self, space: HilbertSpace, mat, kind: OperatorKind) -> None:
         d = space.dim
         arr = _frozen_array(mat, (d, d), "operator")
+        # no entry of a projector or a unitary exceeds 1 in modulus; refusing
+        # larger parts before any product keeps it from overflowing to nan,
+        # which every "> HERM_TOL" test would pass
+        huge = float(np.max(np.abs(arr.view(np.float64)))) > 2.0
         if kind == "projector":
             if float(np.max(np.abs(arr - arr.conj().T))) > HERM_TOL:
                 raise CatlabError("projector is not Hermitian")
-            if float(np.max(np.abs(arr @ arr - arr))) > HERM_TOL:
+            if huge or float(np.max(np.abs(arr @ arr - arr))) > HERM_TOL:
                 raise CatlabError("projector is not idempotent")
         elif kind == "unitary":
-            if float(np.max(np.abs(arr.conj().T @ arr - np.eye(d)))) > HERM_TOL:
+            if huge or float(np.max(np.abs(arr.conj().T @ arr - np.eye(d)))) > HERM_TOL:
                 raise CatlabError("matrix is not unitary")
         else:
             raise CatlabError(f"unknown operator kind {kind!r}")

@@ -33,8 +33,8 @@ Example layout (sections other than ``space`` may be omitted):
 Product spaces replace ``labels`` with a ``factors`` list of inner space
 declarations.  Measurements may alternatively give explicit ``projectors``
 as label -> matrix.  Every name must be declared before it is referenced.
-YAML aliases are refused, and so are collections nested deeper than
-``MAX_NESTING``.
+A file is read in one pass over libyaml's events, as one YAML document
+without aliases, reused anchors or collections nested past ``MAX_NESTING``.
 When the ``lab`` section is omitted every declared operation is allowed;
 when it is present, only the listed names are (an omitted list means none
 of that kind).
@@ -90,8 +90,10 @@ from .qstate import (
 #   allowed; its repeat protocols amplify the forbidden transition.
 SCENARIO_NAMES = ("cat", "composite", "photon", "stone-bread", "resurrection")
 
-MAX_NESTING = 64  # collections nested deeper than this are rejected before composing
+MAX_NESTING = 64  # collections nested deeper than this are rejected as they are read
 AMP_CHARS = frozenset("0123456789.+-eEi")
+_NULL_TAG = "tag:yaml.org,2002:null"
+_NODE_OF = {yaml.MappingStartEvent: yaml.MappingNode, yaml.SequenceStartEvent: yaml.SequenceNode}
 
 _TOP_KEYS = (
     "name",
@@ -182,11 +184,7 @@ class _Walker:
 
     @staticmethod
     def is_null(node: yaml.Node | None) -> bool:
-        if node is None:
-            return True
-        return isinstance(node, yaml.ScalarNode) and (
-            node.tag.endswith(":null") or node.value in ("", "~", "null")
-        )
+        return node is None or (isinstance(node, yaml.ScalarNode) and node.tag == _NULL_TAG)
 
     def mapping(self, node: yaml.Node, what: str) -> list[tuple[str, yaml.Node, yaml.Node]]:
         """(key, key node, value node) triples; duplicate keys rejected."""
@@ -334,31 +332,44 @@ def _parse_steps(
     return tuple(steps)
 
 
-_NESTING = {
-    yaml.MappingStartEvent: 1,
-    yaml.SequenceStartEvent: 1,
-    yaml.MappingEndEvent: -1,
-    yaml.SequenceEndEvent: -1,
-}
-
-
-def _check_events(w: _Walker, events: Iterator[yaml.Event]) -> None:
-    """Reject an alias, and collections nested deeper than ``MAX_NESTING``,
-    at the first event that shows one, before any node is composed.
-
-    An alias lets a short document stand for an exponentially large one,
-    and deep nesting overflows the stack of the composer and of the walkers
-    below, so both are refused while the document is still a stream.
-    """
-    depth = 0
+def _compose(w: _Walker, events: Iterator[yaml.Event]) -> yaml.Node | None:
+    """The root node, built from the events as PyYAML's composer builds it,
+    or None.  Aliases (a short document could stand for a huge one), reused
+    anchors, a second document and nesting past ``MAX_NESTING`` (it would
+    overflow the walkers' stack) fail at their event.  Quoted ``''``, ``'~'``
+    and ``'null'`` are tagged null, as the resolver tags the plain nulls."""
+    doc: list[yaml.Node] = []  # the root node, once read
+    stack: list[yaml.Node] = []  # the open collections, innermost last
+    anchors: set[str | None] = set()
     for event in events:
-        step = _NESTING.get(type(event))
-        if step is not None:
-            depth += step
-            if depth > MAX_NESTING:
-                w.fail(event, f"collections nested deeper than {MAX_NESTING}")
-        elif type(event) is yaml.AliasEvent:
+        kind = type(event)
+        if kind is yaml.ScalarEvent:
+            value, tag = event.value, event.tag
+            if value in ("", "~", "null") or (event.implicit[0] and value in ("Null", "NULL")):
+                tag = _NULL_TAG
+            node = yaml.ScalarNode(tag, value, event.start_mark, event.end_mark, event.style)
+        elif kind in _NODE_OF:
+            node = _NODE_OF[kind](event.tag, [], event.start_mark, event.end_mark, event.flow_style)
+        elif kind is yaml.AliasEvent:
             w.fail(event, f"aliases are not supported: *{event.anchor}")
+        elif kind is yaml.DocumentStartEvent and doc:
+            w.fail(event, "a scenario file holds one YAML document")
+        else:
+            if kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+                node = stack.pop()
+                node.end_mark = event.end_mark
+                if kind is yaml.MappingEndEvent:  # (key node, value node) pairs
+                    node.value = list(zip(node.value[::2], node.value[1::2]))
+            continue
+        if event.anchor is not None and event.anchor in anchors:
+            w.fail(event, f"anchor &{event.anchor} is defined twice")
+        anchors.add(event.anchor)
+        (stack[-1].value if stack else doc).append(node)
+        if kind is not yaml.ScalarEvent:
+            stack.append(node)
+            if len(stack) > MAX_NESTING:
+                w.fail(event, f"collections nested deeper than {MAX_NESTING}")
+    return doc[0] if doc else None
 
 
 def parse_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
@@ -367,8 +378,7 @@ def parse_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
     w = _Walker(path)
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        _check_events(w, yaml.parse(text, Loader=loader))
-        root = yaml.compose(text, Loader=loader)
+        root = _compose(w, yaml.parse(text, Loader=loader))
     except yaml.YAMLError as err:
         mark = getattr(err, "problem_mark", None)
         at = f"{path}:{mark.line + 1}:{mark.column + 1}: " if mark else f"{path}: "

@@ -537,6 +537,26 @@ def test_console_script():
     assert json.loads(a.stdout)["seed"] == 13
 
 
+
+def test_a_huge_non_unitary_is_one_located_error(tmp_path):
+    # U^dagger U overflows to nan here; the unitary once loaded, and the run
+    # then failed with numpy warnings and an unlocated non-finite state
+    f = tmp_path / "huge.scn"
+    f.write_text(
+        "space:\n  labels: [a, b]\nstates:\n  a: [1, 0]\nunitaries:\n"
+        '  u: [["1e176-1e176i", "1e176-1e176i"], ["1e176-1e176i", "-1e176-1e176i"]]\n'
+        "protocols:\n  p:\n    - {unitary: u}\n",
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "catlab", "run", "--scenario", str(f), "p", "--initial", "a",
+         "--exact"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"catlab: error: {f}:6:6: CatlabError: matrix is not unitary\n"
+
 THREE_LEVELS = """\
 space:
   labels: [a, b, c]

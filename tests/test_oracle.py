@@ -20,15 +20,24 @@ from hypothesis import given, settings, strategies as st
 
 from catlab import (
     Laboratory,
+    MeasureStep,
     Operator,
+    ProtocolSpec,
+    StopIfStep,
+    UnitaryStep,
+    enumerate_protocol,
     load_scenario,
     make_measurement,
+    make_mixture,
     make_state,
     nogo_verdict,
     projector_from_state,
     superposition_projector,
+    tree_to_json,
 )
+from catlab.lab import invariant_subspace
 from catlab.qstate import MATCH_TOL
+from catlab.scenario import SCENARIO_NAMES
 from helpers import space_of_dim
 
 CAT_DEPTH = 3  # every cat witness has one or two steps
@@ -190,3 +199,75 @@ def test_the_oracle_agrees_with_verdicts_on_random_real_labs(
     v = check_with_oracle(lab, cand, alive, dead, depth)
     if leak is None:
         assert v.certificate is not None
+
+
+# ---------------------------------------------------------------------------
+# the paper's conclusion across protocols (ROADMAP item 10)
+#
+# V = invariant_subspace(lab, d) holds d and is mapped into itself by every
+# operation of the lab, and so by their adjoints.  For psi = a l + b d and
+# its dephased mixture rho, an outcome path with operator K has
+# P_psi - P_rho = 2 Re(conj(a) b <l|K^dagger K|d>), and K^dagger K d lies in
+# V, so |P_psi - P_rho| <= 2 |a| |b| |Pi_V l|.  With l orthogonal to V no
+# protocol of the lab tells the cat from the mixture.  Exact enumeration
+# (forward propagation) is held here against the closure (linear algebra).
+
+
+def path_masses(tree) -> dict[tuple, float]:
+    """The mass of every node of the tree, keyed by its path's (operation,
+    label) pairs: the trees of psi and rho differ in shape where rows are 0."""
+    out = {}
+
+    def walk(doc, path):
+        out[path] = doc["cumulative"]
+        for child in doc["children"]:
+            walk(child, path + ((child["operation"], child["label"]),))
+
+    walk(tree_to_json(tree)["root"], ())
+    return out
+
+
+def largest_gap_over_bound(lab, protocols, alive, dead, a2) -> tuple[float, float]:
+    """The largest |P_psi - P_rho| over every path of every protocol, minus
+    2|a||b| |Pi_V l|, and |Pi_V l| itself."""
+    basis = invariant_subspace(lab, dead)
+    assert basis is not None
+    leak = float(np.linalg.norm(basis.conj().T @ alive.amps))
+    a, b = math.sqrt(a2), math.sqrt(1 - a2)
+    cat = make_state(lab.space, a * alive.amps + b * dead.amps)
+    mixture = make_mixture([(a2, alive), (1 - a2, dead)])
+    worst = 0.0
+    for protocol in protocols:
+        p_cat = path_masses(enumerate_protocol(protocol, lab, cat))
+        p_mix = path_masses(enumerate_protocol(protocol, lab, mixture))
+        worst = max(worst, *(abs(p_cat.get(k, 0.0) - p_mix.get(k, 0.0))
+                             for k in p_cat.keys() | p_mix.keys()))
+    return worst - 2 * a * b * leak, leak
+
+
+STEPS = {"m": MeasureStep("m"), "u": UnitaryStep("u"), "stop": StopIfStep("g0")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 4),
+       st.sampled_from([None, "unitary"]), st.floats(-6, math.log10(0.8)),
+       st.lists(st.sampled_from(sorted(STEPS)), min_size=1, max_size=5))
+def test_no_protocol_of_a_real_lab_tells_the_cat_from_its_mixture(
+    seed, dim, groups, leak, log_a2, steps
+):
+    rng = np.random.default_rng(seed)
+    lab, _, alive, dead = real_alive_lab(rng, dim, min(groups, dim), leak, 0.5)
+    protocol = ProtocolSpec([STEPS[s] for s in steps])
+    excess, alive_in_v = largest_gap_over_bound(lab, [protocol], alive, dead, 10.0**log_a2)
+    assert excess <= 1e-12
+    if leak is None:  # no chain leaves the complement of alive
+        assert alive_in_v <= 1e-12
+
+
+@pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n != "photon"])  # photon forbids nothing
+@pytest.mark.parametrize("a2", [1e-6, 0.3, 0.8])
+def test_no_shipped_protocol_tells_a_forbidden_cat_from_its_mixture(name, a2):
+    sc = load_scenario(name)[0]
+    for dead, alive in sc.lab.forbidden:
+        excess, _ = largest_gap_over_bound(sc.lab, sc.protocols.values(), alive, dead, a2)
+        assert excess <= 1e-12

@@ -221,6 +221,9 @@ def test_projector_checks():
     assert np.allclose(p.mat @ p.mat, p.mat, atol=1e-12)
     with pytest.raises(CatlabError):
         Operator(CAT, np.array([[1, 0], [0, 0.5]], dtype=complex), "projector")
+    # Hermitian, and so huge that P @ P overflows to nan, which no "> tol" test catches
+    with pytest.raises(CatlabError, match="projector is not idempotent"):
+        Operator(CAT, [[1e200, 1e200 + 1e200j], [1e200 - 1e200j, -1e200]], "projector")
 
 
 def test_unitary_checks():
@@ -228,6 +231,9 @@ def test_unitary_checks():
     assert u.kind == "unitary"
     with pytest.raises(CatlabError):
         Operator(CAT, np.array([[1, 1], [0, 1]], dtype=complex), "unitary")
+    with pytest.raises(CatlabError, match="matrix is not unitary"):
+        Operator(CAT, [[1e176 - 1e176j, 1e176 - 1e176j], [1e176 - 1e176j, -1e176 - 1e176j]],
+                 "unitary")
     assert np.linalg.matrix_rank(Operator(CAT, np.eye(2), "projector").mat) == 2
     with pytest.raises(TypeError):
         Operator(CAT, np.eye(2))  # the kind is required

@@ -1,10 +1,13 @@
 """Scenario file parsing and lookup."""
 
+import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import catlab.scenario
 from catlab import (
@@ -307,18 +310,23 @@ def test_diagnostics_are_pinned(text, cls, message):
 
 
 @pytest.mark.parametrize(
-    "text, prefix",
+    "text, prefix, own",
     [
-        ("space:\n  labels: [x, y\nname: t\n", "t.scn:3:5: "),  # unterminated flow sequence
-        ("a: b: c\n", "t.scn:1:5: "),
-        ("space:\n  labels: *ghost\n", "t.scn:2:11: "),  # undefined alias
+        ("space:\n  labels: [x, y\nname: t\n", "t.scn:3:5: ", False),  # unterminated flow sequence
+        ("a: b: c\n", "t.scn:1:5: ", False),
+        ("space:\n  labels: *ghost\n", "t.scn:2:11: ", True),  # undefined alias
+        # refused by catlab, not libyaml, in one line
+        ("space: {labels: [a, b]}\n---\nspace: {labels: [c, d]}\n", "t.scn:2:1: ", True),
+        ("space: {labels: [&x a, &x b]}\n", "t.scn:1:24: ", True),
     ],
 )
-def test_yaml_syntax_errors_are_located(text, prefix):
+def test_yaml_syntax_errors_are_located(text, prefix, own):
     with pytest.raises(CatlabError) as exc:
         parse(text)
     assert type(exc.value) is ParseError
     assert str(exc.value).startswith(prefix)
+    if own:
+        assert "\n" not in str(exc.value)
 
 
 def test_a_state_and_a_mixture_may_not_share_a_name():
@@ -395,6 +403,80 @@ def test_a_deep_flow_document_is_an_input_error(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"catlab: error: {f}:3:75: collections nested deeper than 64\n"
+
+
+# ---------------------------------------------------------------------------
+# the one-pass builder, against yaml.compose as the reference
+
+EDGE_DOCUMENTS = [
+    "a: 1\nb: [x, 'y', \"z\"]\nc: {d: e, f: [g, {h: i}]}\n",
+    "seq:\n  - 1\n  - - 2\n    - {k: v}\n  -\n? [complex, key]\n: value\n",
+    "folded: >\n  one\n  two\nliteral: |\n  three\n   four\nplain: five\n  six\n"
+    "quoted: \"seven\\n  eight\"\nsingle: 'nine\n\n  ten'\n",
+    "nulls: [~, null, Null, NULL, '', '~', 'null', 'Null', \"NULL\", nil, nULL]\nempty:\n",
+    "tags:\n  - !!null x\n  - !!null\n  - !foo ''\n  - !foo y\n  - !!str null\n  - !!str\n"
+    "  - ! Null\n  - ! 'NULL'\n  - !!int 3\n",
+    "%YAML 1.1\n---\n- &a anchored\n- &b {k: v}\n...\n",
+    "--- just a scalar\n",
+    "---\n",
+    "# only a comment\n",
+    "",
+]
+
+
+def _shape(node, is_null):
+    """Kind, start line and column, null-ness and value of every node."""
+    if node is None:  # a stream without a document
+        return None
+    mark = node.start_mark
+    if isinstance(node, yaml.MappingNode):
+        value = [(_shape(k, is_null), _shape(v, is_null)) for k, v in node.value]
+    elif isinstance(node, yaml.SequenceNode):
+        value = [_shape(n, is_null) for n in node.value]
+    else:
+        value = node.value
+    return type(node).__name__, mark.line, mark.column, is_null(node), value
+
+
+def _reference_null(node):
+    # what the resolver reads as null, and '', '~' and 'null' in any style
+    return isinstance(node, yaml.ScalarNode) and (
+        node.tag == "tag:yaml.org,2002:null" or node.value in ("", "~", "null"))
+
+
+@pytest.mark.parametrize("loader", [yaml.CSafeLoader, yaml.SafeLoader], ids=lambda L: L.__name__)
+def test_the_builder_gives_the_tree_compose_gives(loader, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    gen = importlib.import_module("gen")
+    files = [shipped_scenario_path(name) for name in catlab.scenario.SCENARIO_NAMES] + [
+        Path(p) for workload in ("random-labs", "resurrection")
+        for p in gen.write_inputs(workload, 1, tmp_path / workload)["scenarios"]]
+    walker = catlab.scenario._Walker("t.scn")
+    for text in EDGE_DOCUMENTS + [f.read_text(encoding="utf-8") for f in files]:
+        built = catlab.scenario._compose(walker, yaml.parse(text, Loader=loader))
+        composed = yaml.compose(text, Loader=loader)
+        assert _shape(built, walker.is_null) == _shape(composed, _reference_null), text
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_a_scenario_is_tokenized_once(monkeypatch, fallback):
+    if fallback:  # a PyYAML built without libyaml
+        monkeypatch.delattr(yaml, "CSafeLoader")
+    loaders = []
+    real_parse = yaml.parse
+
+    def parse_once(stream, Loader):
+        loaders.append(Loader)
+        return real_parse(stream, Loader=Loader)
+
+    def no_compose(*args, **kwargs):
+        raise AssertionError("yaml.compose tokenizes the text a second time")
+
+    monkeypatch.setattr(yaml, "parse", parse_once)
+    monkeypatch.setattr(yaml, "compose", no_compose)
+    sc, _ = load_scenario("resurrection")
+    assert sc.protocols
+    assert loaders == [yaml.SafeLoader if fallback else yaml.CSafeLoader]
 
 
 def test_two_parses_give_equal_protocols():
