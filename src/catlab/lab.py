@@ -11,7 +11,7 @@ target out at every depth.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,19 +37,23 @@ from .qstate import (
 DEFAULT_MAX_DEPTH = 8
 NEW_DIRECTION = 1e-6  # closure directions (and target residuals) above this count
 MEMO_ROWS = 1024  # the memo is cleared when it holds this many entries
+SPLIT_GRID = float(1 << 40)  # a split snaps probabilities to multiples of 1/SPLIT_GRID
 _ROWS: dict[tuple, object] = {}  # the memo of born_rows and invariant_subspace
 
 
 class Laboratory:
     """Declared operations plus forbidden transitions, all on one space, and
-    the lab's interned transition table, which the search, the tree and
-    Monte Carlo share.  Compares by identity.
+    the lab's interned transition table, which the search, the tree, exact
+    propagation and Monte Carlo share.  Compares by identity.
 
     ``intern`` gives each state a dense integer id under its ``key``; the
     first state interned under a key represents it from then on, as it is
     (``states[id]``).  ``rows`` memoises, per (operation, id), the outcome
-    rows ``(label, probability, next id)``, read off ``born_rows``.  A lab
-    keeps its rows for its own lifetime, also after the memo is cleared.
+    rows ``(label, probability, next id)``, read off ``born_rows``.
+    ``split`` and ``dyadic`` memoise, per (operation, id), the two views of
+    those rows that sampling and exact propagation step over.  Each is
+    built the first time any run meets the pair, and a lab keeps its rows
+    and both views for its own lifetime, also after the memo is cleared.
     """
 
     def __init__(
@@ -87,6 +91,8 @@ class Laboratory:
         self.states: list[State] = []
         self._ids: dict[tuple, int] = {}
         self._rows: dict[tuple[str, int], tuple[tuple[str, float, int | None], ...]] = {}
+        self._splits: dict[tuple[str, int], tuple[tuple, np.ndarray | None]] = {}
+        self._dyadic_rows: dict[tuple[str, int], tuple[tuple[str, int, int, int | None], ...]] = {}
 
     def with_measurement(self, name: str, m: ProjectiveMeasurement) -> "Laboratory":
         """A copy of this lab with one more allowed measurement appended.
@@ -123,6 +129,53 @@ class Laboratory:
                 for label, p, post in born_rows(self._ops[name], self.states[sid])
             )
         return hit
+
+    def split(self, name: str, sid: int) -> tuple[tuple, np.ndarray | None]:
+        """How sampling splits a count at state ``sid`` under ``name``:
+        ``(kept, weights)``, the rows with a next id and their read-only
+        ``_weights``, or None for weights when one row is kept.  Raises
+        ``CatlabError`` when no row is kept, on every call, since no empty
+        split is stored."""
+        hit = self._splits.get((name, sid))
+        if hit is None:
+            kept = tuple(row for row in self.rows(name, sid) if row[2] is not None)
+            if not kept:
+                raise CatlabError("ran out of probability mass mid-trial")
+            weights = None
+            if len(kept) > 1:
+                weights = _weights([p for _, p, _ in kept])
+                weights.setflags(write=False)
+            hit = self._splits[(name, sid)] = (kept, weights)
+        return hit
+
+    def dyadic(self, name: str, sid: int) -> tuple[tuple[str, int, int, int | None], ...]:
+        """The rows of ``name`` on ``sid`` as ``(label, n, k, next id)``,
+        with probability ``n / 2**k`` exactly."""
+        hit = self._dyadic_rows.get((name, sid))
+        if hit is None:
+            hit = self._dyadic_rows[(name, sid)] = tuple(
+                (label, *_dyadic(p), nid) for label, p, nid in self.rows(name, sid)
+            )
+        return hit
+
+
+def _weights(probs: Sequence[float]) -> np.ndarray:
+    """The multinomial probabilities that sampling draws for outcomes of
+    probabilities ``probs``.  Each probability is snapped to an integer
+    weight over ``SPLIT_GRID`` and the weights are renormalised, so that
+    two representatives of one key, whose probabilities may differ in the
+    last bits, draw alike.  A probability of at least about
+    0.5 / SPLIT_GRID keeps a weight of at least 1.  A kept vector row can be
+    as faint as ``(d * EPS)**2``; below about 0.5 / SPLIT_GRID it gets
+    weight 0 and draws no trial."""
+    w = np.rint(np.multiply(probs, SPLIT_GRID))
+    return w / w.sum()
+
+
+def _dyadic(p: float) -> tuple[int, int]:
+    """``(n, k)`` with ``p == n / 2**k``: every finite float is dyadic."""
+    n, d = p.as_integer_ratio()
+    return n, d.bit_length() - 1
 
 
 class SteeringPath(NamedTuple):

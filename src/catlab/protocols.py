@@ -15,17 +15,14 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-import numpy as np
-
 from .errors import CatlabError, DepthCeiling, DimensionMismatch, DisallowedOperation
-from .lab import Laboratory, born_rows
+from .lab import Laboratory, _weights, born_rows
 from .measure import COMPLEMENT_LABEL, ProjectiveMeasurement
 from .qstate import State, StateVector, format_state, states_match
 from .rng import RandomStream
 
 MAX_UNROLLED_STEPS = 64
 MAX_TRIALS = (1 << 63) - 1  # numpy draws counts as 64-bit integers
-SPLIT_GRID = float(1 << 40)  # a split snaps probabilities to multiples of 1/SPLIT_GRID
 CHI2_MIN_EXPECTED = 5.0
 
 
@@ -226,12 +223,6 @@ class OutcomeTree:
         return self._leaves
 
 
-def _dyadic(p: float) -> tuple[int, int]:
-    """``(n, k)`` with ``p == n / 2**k``: every finite float is dyadic."""
-    n, d = p.as_integer_ratio()
-    return n, d.bit_length() - 1
-
-
 # the last label of an ended cell: its nodes are leaves, which no step expands
 _ENDED = object()
 
@@ -253,9 +244,10 @@ def enumerate_protocol(
     node of a cell has the same subtree, and a leaf none, cells stay in
     depth-first order of their first nodes, and final states come in
     first-leaf order.  Rows with no post state, on a vector those below
-    ``(d * EPS)**2``, are dropped; their mass is in ``tree.pruned_mass``.  Each
-    (operation, state id) pair's rows are converted to dyadic form once per
-    run, however many cells and steps meet the pair.
+    ``(d * EPS)**2``, are dropped; their mass is in ``tree.pruned_mass``.  The
+    rows are read in dyadic form from ``lab.dyadic``, which converts each
+    (operation, state id) pair's rows once in the lab's lifetime, however
+    many runs, cells and steps meet the pair.
     """
     if initial.space != lab.space:
         raise DimensionMismatch("initial state lives outside the laboratory space")
@@ -265,19 +257,9 @@ def enumerate_protocol(
     cells: dict[tuple[int, object], list[int]] = {(start, None): [1, 1]}
     scale = pruned = 0
     nodes = 1  # the root is a node
-    # (name, sid) -> its rows as (label, n, k, next id), p == n / 2**k
-    dyadic: dict[tuple[str, int], list[tuple[str, int, int, int | None]]] = {}
+    dyadic = lab.dyadic
     for name, stops in program:
-        expanded = []
-        for sid, last in cells:
-            rows = ()
-            if last is not _ENDED:
-                rows = dyadic.get((name, sid))
-                if rows is None:
-                    rows = dyadic[(name, sid)] = [
-                        (label, *_dyadic(p), nid) for label, p, nid in lab.rows(name, sid)
-                    ]
-            expanded.append(rows)
+        expanded = [() if last is _ENDED else dyadic(name, sid) for sid, last in cells]
         # one denominator per step: the largest one among its rows
         shift = max((k for rows in expanded for _, _, k, _ in rows), default=0)
         pruned <<= shift
@@ -391,12 +373,14 @@ def run_monte_carlo(
     rows of its state by one multinomial draw from stream ``(seed, 0)``; a
     cell with one kept row, such as every unitary row, passes its whole
     count on, which draws nothing from the stream.  The draw's
-    probabilities are ``_weights`` of the kept rows, computed once per
-    (operation, state id) pair in a run, so a cell that meets a pair again
-    only draws.  They renormalise over the kept rows, so a split differs
-    from the exact distribution by the mass of the pruned rows, which
-    ``enumerate_protocol`` reports as pruned, and by the snapping of
-    ``_weights``: a kept row below about 0.5 * 2**-40 draws no trial.  A
+    probabilities are ``_weights`` of the kept rows, read from
+    ``lab.split``, which computes them once per (operation, state id) pair
+    in the lab's lifetime, so a cell that meets a pair again, in this run
+    or a later one, only draws.  They renormalise over the kept rows, so a
+    split differs from the exact distribution by the mass of the pruned
+    rows, which ``enumerate_protocol`` reports as pruned, and by the
+    snapping of ``_weights``: a kept row below about 0.5 * 2**-40 draws no
+    trial.  A cell whose state keeps no row raises ``CatlabError``.  A
     unitary row's empty label keeps the last outcome.  After each split,
     the cells whose last label is one of its stop labels move to the final
     states, in the order the ``stop_if`` steps were written.  Cells are
@@ -419,19 +403,11 @@ def run_monte_carlo(
     if n:
         cells[(lab.intern(initial), None)] = n
     finals: dict[int, int] = {}
-    # (name, sid) -> (kept rows, their weights, or None for a single row)
-    prepared: dict[tuple[str, int], tuple[list, np.ndarray | None]] = {}
+    split = lab.split
     for name, stops in program:
         nxt: dict[tuple[int, str | None], int] = {}
         for (sid, last), count in cells.items():
-            hit = prepared.get((name, sid))
-            if hit is None:
-                kept = [row for row in lab.rows(name, sid) if row[2] is not None]
-                if not kept:
-                    raise CatlabError("ran out of probability mass mid-trial")
-                weights = None if len(kept) == 1 else _weights([p for _, p, _ in kept])
-                hit = prepared[(name, sid)] = (kept, weights)
-            kept, weights = hit
+            kept, weights = split(name, sid)
             counts = [count] if weights is None else stream.multinomial(count, weights).tolist()
             for (label, _, nid), c in zip(kept, counts):
                 if c:
@@ -446,19 +422,6 @@ def run_monte_carlo(
     return MonteCarloResult(
         n, seed, {lab.states[s].key: (lab.states[s], c) for s, c in finals.items()}
     )
-
-
-def _weights(probs: Sequence[float]) -> np.ndarray:
-    """The multinomial probabilities that sampling draws for outcomes of
-    probabilities ``probs``.  Each probability is snapped to an integer
-    weight over ``SPLIT_GRID`` and the weights are renormalised, so that
-    two representatives of one key, whose probabilities may differ in the
-    last bits, draw alike.  A probability of at least about
-    0.5 / SPLIT_GRID keeps a weight of at least 1.  A kept vector row can be
-    as faint as ``(d * EPS)**2``; below about 0.5 / SPLIT_GRID it gets
-    weight 0 and draws no trial."""
-    w = np.rint(np.multiply(probs, SPLIT_GRID))
-    return w / w.sum()
 
 
 # ---------------------------------------------------------------------------

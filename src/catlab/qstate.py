@@ -143,6 +143,15 @@ def _frozen_array(data, shape: tuple[int, ...], what: str) -> np.ndarray:
     return arr
 
 
+def _hermitian(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is its conjugate transpose within ``HERM_TOL``, entry
+    by entry.  The entries are quartered first, which is exact above the
+    subnormals and so decides as the unscaled test does, but keeps the
+    difference of two finite entries, and its modulus, finite."""
+    q = arr * 0.25
+    return float(np.max(np.abs(q - q.conj().T))) <= HERM_TOL * 0.25
+
+
 def _grid_key(tag: str, flat: np.ndarray) -> tuple:
     """``tag`` and ``flat`` on the ``GRID``, as Python ints."""
     return (tag, *np.rint(flat / GRID).astype(np.int64).tolist())
@@ -175,7 +184,7 @@ class DensityMatrix:
     def __init__(self, space: HilbertSpace, mat) -> None:
         d = space.dim
         arr = _frozen_array(mat, (d, d), "density matrix")
-        if float(np.max(np.abs(arr - arr.conj().T))) > HERM_TOL:
+        if not _hermitian(arr):
             raise CatlabError("density matrix is not Hermitian")
         tr = complex(np.trace(arr))
         if abs(tr - 1.0) > NORM_TOL:
@@ -206,7 +215,7 @@ class Operator:
         # which every "> HERM_TOL" test would pass
         huge = float(np.max(np.abs(arr.view(np.float64)))) > 2.0
         if kind == "projector":
-            if float(np.max(np.abs(arr - arr.conj().T))) > HERM_TOL:
+            if not _hermitian(arr):
                 raise CatlabError("projector is not Hermitian")
             if huge or float(np.max(np.abs(arr @ arr - arr))) > HERM_TOL:
                 raise CatlabError("projector is not idempotent")

@@ -205,17 +205,32 @@ def _functions_naming(*names: str) -> set[str]:
     return _functions_with(lambda node: isinstance(node, ast.Name) and node.id in names)
 
 
-def test_one_tree_walker():
-    # The exact propagation and the Monte Carlo split step a program over
-    # lab.rows by cells; OutcomeTree._walk is the one code that expands tree
-    # nodes.  A second node builder in protocols.py would read rows too.
-    users = {
-        f for f in _functions_with(lambda n: isinstance(n, ast.Attribute) and n.attr == "rows")
+def _protocols_reading(attr: str) -> set[str]:
+    """The protocols.py functions that read an attribute named ``attr``."""
+    return {
+        f for f in _functions_with(lambda n: isinstance(n, ast.Attribute) and n.attr == attr)
         if f.startswith("protocols.")
     }
-    assert users == {
-        "protocols.enumerate_protocol", "protocols.run_monte_carlo", "protocols._walk"
-    }, users
+
+
+def test_one_tree_walker():
+    # The exact propagation and the Monte Carlo split step a program over
+    # the lab's dyadic rows and splits by cells; OutcomeTree._walk is the one
+    # code that expands tree nodes.  A second node builder in protocols.py
+    # would read rows too, and a per-run view of the rows would read them
+    # beside the lab's own views.
+    assert _protocols_reading("rows") == {"protocols._walk"}
+    assert _protocols_reading("dyadic") == {"protocols.enumerate_protocol"}
+    assert _protocols_reading("split") == {"protocols.run_monte_carlo"}
+
+
+def test_one_snapping_rule():
+    # Sampling and discrimination draw over the one _weights; a second
+    # module that read SPLIT_GRID would snap probabilities a second way.
+    assert _modules_using("SPLIT_GRID") == {"lab.py"}
+    assert _functions_naming("_weights") == {
+        "lab.split", "protocols.discriminate", "protocols.sample"
+    }
 
 
 def test_only_the_program_builders_read_stop_if():

@@ -260,9 +260,11 @@ def test_node_with_every_row_pruned_is_a_leaf(monkeypatch):
     for (st, p), leaf in zip(agg, leaves):
         assert st is sc.lab.states[leaf.sid] and p == leaf.cumulative
     assert abs(tree.pruned_mass - 1.0) < 1e-15
-    # sampling has nowhere to put such a cell's trials
-    with pytest.raises(CatlabError, match="ran out of probability mass mid-trial"):
-        run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"], 10, 1)
+    # sampling has nowhere to put such a cell's trials; the lab stores no
+    # empty split, so every run says so, also once each pm child has failed
+    for seed in range(1, 5):
+        with pytest.raises(CatlabError, match="ran out of probability mass mid-trial"):
+            run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"], 10, seed)
 
 
 def test_tree_json_shape():
@@ -403,24 +405,24 @@ def test_runs_on_a_lab_share_its_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("initial, pairs, rows", [("dead", 3, 6), ("rho_cat", 4, 8)])
-def test_a_run_prepares_each_pair_once(monkeypatch, initial, pairs, rows):
+def test_a_lab_prepares_each_pair_once(monkeypatch, initial, pairs, rows):
     # resurrect10 meets 3 (operation, state) pairs with two kept rows from
-    # dead and 4 from rho_cat, and 6 and 8 rows in all, over its 20 steps
+    # dead and 4 from rho_cat, and 6 and 8 rows in all, over its 20 steps;
+    # the lab keeps each pair's split and dyadic rows for its lifetime
     calls = {"weights": 0, "dyadic": 0}
 
     def counted(name, real):
         return lambda *a: calls.__setitem__(name, calls[name] + 1) or real(*a)
 
-    monkeypatch.setattr(
-        catlab.protocols, "_weights", counted("weights", catlab.protocols._weights)
-    )
-    monkeypatch.setattr(catlab.protocols, "_dyadic", counted("dyadic", catlab.protocols._dyadic))
-    sc = resurrection()
-    protocol, start = sc.protocols["resurrect10"], sc.initial(initial)
-    for run in range(1, 3):  # nothing is kept from one run to the next
-        run_monte_carlo(protocol, sc.lab, start, 10**6, run)
-        enumerate_protocol(protocol, sc.lab, start)
-        assert calls == {"weights": run * pairs, "dyadic": run * rows}
+    monkeypatch.setattr(catlab.lab, "_weights", counted("weights", catlab.lab._weights))
+    monkeypatch.setattr(catlab.lab, "_dyadic", counted("dyadic", catlab.lab._dyadic))
+    for lab_number in range(1, 3):  # a freshly loaded lab computes them again
+        sc = resurrection()
+        protocol, start = sc.protocols["resurrect10"], sc.initial(initial)
+        for run in range(1, 4):
+            run_monte_carlo(protocol, sc.lab, start, 10**6, run)
+            enumerate_protocol(protocol, sc.lab, start)
+            assert calls == {"weights": lab_number * pairs, "dyadic": lab_number * rows}
 
 
 @pytest.mark.parametrize("initial", ["dead", "rho_cat"])

@@ -7,6 +7,7 @@ from catlab import (
     BadWeights,
     CatlabError,
     DimensionCeiling,
+    DensityMatrix,
     DimensionMismatch,
     HilbertSpace,
     Operator,
@@ -201,6 +202,26 @@ def test_density_validation():
     neg = np.array([[0.75, 0.5], [0.5, 0.25]], dtype=complex)
     with pytest.raises(CatlabError):
         DensityMatrix(CAT, neg)
+
+
+# entries near the float maximum whose differences from their conjugate
+# partners overflow, in sign or in modulus
+HUGE_SKEW = [
+    [[0, 1.7e308], [-1.7e308, 0]],
+    [[0.5, 1.7e308 + 1.7e308j], [-1.7e308 + 1.7e308j, 0.5]],
+]
+
+
+@pytest.mark.parametrize("mat", HUGE_SKEW, ids=["real", "complex"])
+@pytest.mark.parametrize("build, message", [
+    (lambda mat: Operator(CAT, mat, "projector"), "projector is not Hermitian"),
+    (lambda mat: DensityMatrix(CAT, mat), "density matrix is not Hermitian"),
+], ids=["projector", "density"])
+def test_hermitian_checks_do_not_overflow(build, message, mat):
+    # RuntimeWarning is an error under the pytest settings, so an overflow
+    # inside the check would fail here before the message is compared
+    with pytest.raises(CatlabError, match=message):
+        build(mat)
 
 
 def test_pure_density_matches_outer_product():
