@@ -54,6 +54,9 @@ class Laboratory:
     those rows that sampling and exact propagation step over.  Each is
     built the first time any run meets the pair, and a lab keeps its rows
     and both views for its own lifetime, also after the memo is cleared.
+    ``_programs`` memoises, per protocol object, the program that
+    ``protocols`` resolves it into on this lab, so each protocol that runs
+    on the lab is checked and unrolled once in the lab's lifetime.
     """
 
     def __init__(
@@ -93,6 +96,7 @@ class Laboratory:
         self._rows: dict[tuple[str, int], tuple[tuple[str, float, int | None], ...]] = {}
         self._splits: dict[tuple[str, int], tuple[tuple, np.ndarray | None]] = {}
         self._dyadic_rows: dict[tuple[str, int], tuple[tuple[str, int, int, int | None], ...]] = {}
+        self._programs: dict[int, tuple[object, tuple]] = {}  # id(protocol) -> (protocol, program)
 
     def with_measurement(self, name: str, m: ProjectiveMeasurement) -> "Laboratory":
         """A copy of this lab with one more allowed measurement appended.

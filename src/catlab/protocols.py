@@ -2,8 +2,8 @@
 
 A protocol is a list of steps: apply a named measurement, apply a named
 unitary, repeat a block, or stop the current branch when the last outcome
-label matched.  Each run resolves a protocol once into a program of
-(operation name, stop labels) pairs, which every walker reads.  The exact
+label matched.  A protocol is resolved once per laboratory into a program
+of (operation name, stop labels) pairs, which every walker reads.  The exact
 outcome distribution is propagated forward over (state, last label) cells,
 and the outcome tree is walked, not kept, when read.  A seeded Monte Carlo
 histogram is drawn as trial counts over the same cells, and two
@@ -140,6 +140,20 @@ def _program(protocol: ProtocolSpec, lab: Laboratory) -> list[tuple[str, tuple[s
     return program
 
 
+def _resolved(
+    protocol: ProtocolSpec, lab: Laboratory
+) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """``_program(protocol, lab)``, resolved once per protocol object in the
+    lab's lifetime.  ``lab._programs`` is keyed by the object's id and holds
+    the object, so the id stays its own while the entry lives and a hit
+    hashes no step.  A protocol that ``_program`` rejects is not stored, so
+    every run of it raises."""
+    hit = lab._programs.get(id(protocol))
+    if hit is None:
+        hit = lab._programs[id(protocol)] = (protocol, tuple(_program(protocol, lab)))
+    return hit[1]
+
+
 # ---------------------------------------------------------------------------
 # exact enumeration
 
@@ -174,7 +188,7 @@ class OutcomeTree:
     def __init__(
         self,
         lab: Laboratory,
-        program: list[tuple[str, tuple[str, ...]]],
+        program: tuple[tuple[str, tuple[str, ...]], ...],
         start: int,
         finals: list[tuple[int, int]],
         scale: int,
@@ -232,7 +246,8 @@ def enumerate_protocol(
 ) -> OutcomeTree:
     """Exact outcome distribution of a protocol from an initial state.
 
-    The protocol's program is stepped forward over the rows of ``lab``.
+    The protocol's program, which ``lab`` keeps once resolved, is stepped
+    forward over the rows of ``lab``.
     The tree's nodes fall into cells, one per (state id, last outcome
     label), and each cell keeps its exact mass and its number of nodes.  A
     mass is an integer over a power of two: row probabilities are floats,
@@ -251,7 +266,7 @@ def enumerate_protocol(
     """
     if initial.space != lab.space:
         raise DimensionMismatch("initial state lives outside the laboratory space")
-    program = _program(protocol, lab)
+    program = _resolved(protocol, lab)
     start = lab.intern(initial)
     # (sid, last label or _ENDED) -> [mass * 2**scale, node count]
     cells: dict[tuple[int, object], list[int]] = {(start, None): [1, 1]}
@@ -338,22 +353,30 @@ def tree_to_json(tree: OutcomeTree) -> dict:
 
 
 class MonteCarloResult(NamedTuple):
-    """Histogram of final states over ``n`` seeded trials."""
+    """Histogram of final states over ``n`` seeded trials.
+
+    ``finals`` lists ``(state, count)`` once per final state that drew a
+    trial, in order of arrival; the states are the lab's representatives,
+    so no two share a ``key``.  ``bins`` keys the same pairs by ``key``.
+    """
 
     n: int
     seed: int
-    bins: dict[tuple, tuple[State, int]]
+    finals: list[tuple[State, int]]
+
+    @property
+    def bins(self) -> dict[tuple, tuple[State, int]]:
+        """``{state.key: (state, count)}`` over ``finals``, in their order."""
+        return {st.key: (st, c) for st, c in self.finals}
 
     def rows(self) -> list[tuple[State, int, float]]:
         """(state, count, frequency) sorted by dedup key for stable output."""
-        out = []
-        for k in sorted(self.bins):
-            st, c = self.bins[k]
-            out.append((st, c, c / self.n if self.n else 0.0))
-        return out
+        n = self.n
+        ordered = sorted(self.finals, key=lambda final: final[0].key)
+        return [(st, c, c / n if n else 0.0) for st, c in ordered]
 
     def frequency(self, target: StateVector) -> float:
-        total = sum(c for st, c in self.bins.values() if states_match(st, target))
+        total = sum(c for st, c in self.finals if states_match(st, target))
         return total / self.n if self.n else 0.0
 
 
@@ -384,11 +407,14 @@ def run_monte_carlo(
     unitary row's empty label keeps the last outcome.  After each split,
     the cells whose last label is one of its stop labels move to the final
     states, in the order the ``stop_if`` steps were written.  Cells are
-    split in order of first arrival, not in id order, so the bins depend
+    split in order of first arrival, not in id order, so the result depends
     on the protocol, the initial state, the seed and ``n``, and not on what
     the lab's table held before, unless a row probability lies within its
     last bits of a rounding boundary of the grid.  The cost grows with
-    steps times cells, not with ``n``.  Bins hold the lab's state objects.
+    steps times cells, not with ``n``.  The result's ``finals`` lists the
+    lab's state objects with their counts in order of arrival, read by id,
+    so no state's ``key`` is hashed; the program, like the splits, is kept
+    in ``lab`` after the first run.
     """
     if n < 0:
         raise CatlabError("trial count must be >= 0")
@@ -396,7 +422,7 @@ def run_monte_carlo(
         raise CatlabError(f"trial count must be <= {MAX_TRIALS}")
     if initial.space != lab.space:
         raise DimensionMismatch("initial state lives outside the laboratory space")
-    program = _program(protocol, lab)
+    program = _resolved(protocol, lab)
     stream = RandomStream(seed)
     # (sid, last label) -> trial count, in order of first arrival
     cells: dict[tuple[int, str | None], int] = {}
@@ -419,9 +445,8 @@ def run_monte_carlo(
         cells = nxt
     for (sid, _), count in cells.items():
         finals[sid] = finals.get(sid, 0) + count
-    return MonteCarloResult(
-        n, seed, {lab.states[s].key: (lab.states[s], c) for s, c in finals.items()}
-    )
+    states = lab.states
+    return MonteCarloResult(n, seed, [(states[s], c) for s, c in finals.items()])
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,12 @@ class DensityMatrix:
         arr = _frozen_array(mat, (d, d), "density matrix")
         if not _hermitian(arr):
             raise CatlabError("density matrix is not Hermitian")
-        tr = complex(np.trace(arr))
+        # the diagonal is scaled by a power of two above d before it is
+        # summed, which is exact above the subnormals, so the sum rounds as
+        # the unscaled one does but stays finite; scaling back gives inf for
+        # a trace past the float range
+        scale = 0.5 ** d.bit_length()
+        tr = complex((arr.diagonal() * scale).sum()) / scale
         if abs(tr - 1.0) > NORM_TOL:
             raise CatlabError(f"density matrix trace = {tr!r}, expected 1")
         if np.linalg.eigvalsh(arr)[0] < PSD_FLOOR:

@@ -9,19 +9,46 @@ histogram depends only on the seed and the trial count.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 MAX_SEED = (1 << 64) - 1  # the generator is keyed with 64 bits
 
 
+@cache
+def _key_type() -> type:
+    """The seed sequence that hands ``Philox`` the key ``[seed, stream]``
+    itself when it asks for its two 64-bit key words.  ``Philox(key=...)``
+    would first build a ``SeedSequence`` from OS entropy and discard it;
+    this one holds no entropy, so keying a stream reads nothing from the
+    OS.  Made on the first stream, since importing ``numpy.random`` would
+    cost every command that draws nothing."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Key(ISeedSequence):
+        __slots__ = ("key",)
+
+        def __init__(self, key: np.ndarray) -> None:
+            self.key = key
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.key
+
+    return Key
+
+
 class RandomStream:
-    """Multinomial draws from a 64-bit seeded counter-based generator."""
+    """Multinomial draws from a 64-bit seeded counter-based generator: a
+    ``Philox`` keyed with ``[seed, stream]`` at counter 0, bit for bit
+    ``np.random.Philox(key=k)`` for the uint64 array ``k`` of the two.
+    Each stream owns its generator."""
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed) & MAX_SEED
         self.stream = int(stream) & MAX_SEED
         key = np.array([self.seed, self.stream], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = np.random.Generator(np.random.Philox(_key_type()(key)))
 
     def multinomial(self, n: int, pvals) -> np.ndarray:
         """Counts of ``n`` draws over outcomes of probabilities ``pvals``,

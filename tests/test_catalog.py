@@ -24,6 +24,7 @@ from catlab import (
 )
 import catlab.cli
 from catlab.cli import verdict_to_json
+from helpers import mc_every_step
 
 
 def test_all_names_build():
@@ -265,6 +266,21 @@ def warmed(name):
         for seed in WARMING_SEEDS:
             run_monte_carlo(sc.protocols[protocol], sc.lab, start, SAMPLED_TRIALS, seed)
     return sc
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_sampled_result_layout(name):
+    # finals list the lab's states in the order the reference loop finishes
+    # them, bins key the same pairs in that order, and rows sort them by key
+    sc = load_scenario(name)[0]
+    for protocol, initial in run_keys(sc):
+        spec, start = sc.protocols[protocol], sc.initial(initial)
+        mc = run_monte_carlo(spec, sc.lab, start, SAMPLED_TRIALS, SAMPLED_SEED)
+        arrived = mc_every_step(spec, sc.lab, start, SAMPLED_TRIALS, SAMPLED_SEED)
+        assert [(st.key, c) for st, c in mc.finals] == arrived
+        assert all(st is sc.lab.states[sc.lab.intern(st)] for st, _ in mc.finals)
+        assert list(mc.bins.items()) == [(st.key, (st, c)) for st, c in mc.finals]
+        assert [(st.key, c) for st, c, _ in mc.rows()] == sorted(arrived)
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)

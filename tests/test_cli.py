@@ -594,6 +594,15 @@ def test_import_does_not_load_scipy():
     )
 
 
+def test_cli_import_does_not_load_numpy_random():
+    # numpy loads numpy.random on first use; only commands that sample use it
+    subprocess.run(
+        [sys.executable, "-c",
+         "import catlab.cli, sys; assert 'numpy.random' not in sys.modules"],
+        check=True,
+    )
+
+
 def test_cli_import_does_not_load_dataclasses():
     # catlab's records are plain classes: generating dataclass methods took
     # most of catlab's own import time, paid by every cold command

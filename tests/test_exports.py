@@ -234,10 +234,22 @@ def test_one_snapping_rule():
 
 
 def test_only_the_program_builders_read_stop_if():
-    # A run resolves its protocol into a program once; a walker that met
-    # StopIfStep itself would decide a second time what a stop means.
+    # A lab resolves each protocol into a program once; a walker that met
+    # StopIfStep itself would decide a second time what a stop means, and
+    # one that called _program past the lab's memo would resolve it again.
     users = _functions_naming("StopIfStep")
     assert users == {"protocols._unroll", "protocols._program", "scenario._parse_steps"}, users
+    assert _functions_naming("_program") == {"protocols._resolved"}
+    assert _functions_naming("_resolved") == {
+        "protocols.enumerate_protocol", "protocols.run_monte_carlo"
+    }
+
+
+def test_sampling_hashes_no_state_key():
+    # run_monte_carlo returns the lab's states by id; a key read per final
+    # state would hash a whole key tuple, 513 entries at d = 16, per run
+    readers = _protocols_reading("key")
+    assert "protocols.run_monte_carlo" not in readers, readers
 
 
 def test_only_born_rows_applies_an_operation():

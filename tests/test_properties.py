@@ -39,13 +39,12 @@ from catlab import (
     tensor_space,
     tree_to_json,
     Operator,
-    RandomStream,
 )
 from catlab.measure import EPS, PRUNE_TOL
 from catlab.protocols import MAX_TRIALS
 from catlab.qstate import GRID, MATCH_TOL, PSD_FLOOR, DensityMatrix, StateVector, canonical_amps
 
-from helpers import rand_density, rand_state, rand_unitary, space_of_dim
+from helpers import mc_every_step, rand_density, rand_state, rand_unitary, space_of_dim
 
 SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -402,35 +401,6 @@ def test_monte_carlo_bins_sum_to_n(seed, dim, groups, mixed, codes, n):
     counts = mc_counts(codes_protocol(codes, n_groups), lab, initial, n, seed)
     assert sum(counts.values()) == n
     assert all(c > 0 for c in counts.values())
-
-
-def mc_every_step(protocol, lab, initial, n, seed):
-    """Monte Carlo counts by final state key, with the split weights of
-    every cell re-derived on every step: the kept rows' probabilities
-    snapped to a 2**-40 grid and renormalised, then one multinomial draw."""
-    stream = RandomStream(seed)
-    cells = {(lab.intern(initial), None): n} if n else {}
-    finals = {}
-    for step in protocol.unrolled():
-        if isinstance(step, StopIfStep):
-            for key in [key for key in cells if key[1] == step.outcome]:
-                finals[key[0]] = finals.get(key[0], 0) + cells.pop(key)
-            continue
-        name = step.measurement if isinstance(step, MeasureStep) else step.unitary
-        nxt = {}
-        for (sid, last), count in cells.items():
-            kept = [row for row in lab.rows(name, sid) if row[2] is not None]
-            counts = [count]
-            if len(kept) > 1:
-                w = np.rint(np.multiply([p for _, p, _ in kept], float(1 << 40)))
-                counts = stream.multinomial(count, w / w.sum()).tolist()
-            for (label, _, nid), c in zip(kept, counts):
-                if c:
-                    nxt[(nid, label or last)] = nxt.get((nid, label or last), 0) + c
-        cells = nxt
-    for (sid, _), count in cells.items():
-        finals[sid] = finals.get(sid, 0) + count
-    return [(lab.states[sid].key, c) for sid, c in finals.items()]
 
 
 @settings(max_examples=40, deadline=None)

@@ -41,7 +41,7 @@ from catlab import (
     tree_to_json,
 )
 from catlab.cli import discrimination_csv_rows, discrimination_to_json
-from catlab.protocols import MAX_TRIALS, _chi2_sf, _program
+from catlab.protocols import MAX_TRIALS, MAX_UNROLLED_STEPS, _chi2_sf, _program
 
 
 def resurrection():
@@ -423,6 +423,52 @@ def test_a_lab_prepares_each_pair_once(monkeypatch, initial, pairs, rows):
             run_monte_carlo(protocol, sc.lab, start, 10**6, run)
             enumerate_protocol(protocol, sc.lab, start)
             assert calls == {"weights": lab_number * pairs, "dyadic": lab_number * rows}
+
+
+def test_a_lab_resolves_each_protocol_once(monkeypatch):
+    # the lab keeps each protocol's program, so a later run on it neither
+    # checks the protocol's operations nor unrolls it again
+    calls = []
+    real = catlab.protocols._program
+    monkeypatch.setattr(catlab.protocols, "_program", lambda *a: calls.append(a) or real(*a))
+    for lab_number in range(1, 3):  # a freshly loaded lab resolves it again
+        sc = resurrection()
+        protocol, dead = sc.protocols["resurrect10"], sc.states["dead"]
+        for run in range(1, 4):
+            run_monte_carlo(protocol, sc.lab, dead, 10**6, run)
+        enumerate_protocol(protocol, sc.lab, dead)
+        assert len(calls) == lab_number
+
+
+def test_a_lab_keeps_each_protocol_apart():
+    # protocols built and dropped one after another, whose ids the
+    # interpreter may hand on, each run their own program
+    sc, fresh = resurrection(), resurrection()
+    dead, alive = sc.states["dead"], sc.states["alive"]
+    for k in range(1, 6):
+        def spec():
+            body = (MeasureStep("pm"), MeasureStep("basis"), StopIfStep("alive"))
+            return ProtocolSpec((RepeatStep(body, k),))
+
+        mass = leaf_mass(enumerate_protocol(spec(), sc.lab, dead), alive)
+        assert abs(mass - (1.0 - 2.0**-k)) < 1e-12
+        mc = run_monte_carlo(spec(), sc.lab, dead, 10**6, k)
+        assert mc == run_monte_carlo(spec(), fresh.lab, dead, 10**6, k)
+
+
+@pytest.mark.parametrize("steps, error", [
+    ((MeasureStep("plusminus"),), DisallowedOperation),
+    ((RepeatStep((MeasureStep("basis"),), MAX_UNROLLED_STEPS + 1),), DepthCeiling),
+], ids=["disallowed", "past-the-ceiling"])
+def test_a_rejected_protocol_raises_on_every_run(steps, error):
+    # no program is kept for a protocol that _program rejects
+    sc = load_scenario("cat")[0]
+    spec, dead = ProtocolSpec(steps), sc.states["dead"]
+    for _ in range(3):
+        with pytest.raises(error):
+            run_monte_carlo(spec, sc.lab, dead, 10, 1)
+        with pytest.raises(error):
+            enumerate_protocol(spec, sc.lab, dead)
 
 
 @pytest.mark.parametrize("initial", ["dead", "rho_cat"])

@@ -224,6 +224,24 @@ def test_hermitian_checks_do_not_overflow(build, message, mat):
         build(mat)
 
 
+@pytest.mark.parametrize("dim, diagonal, trace", [
+    (2, [1.0, 1.0], "(2+0j)"),
+    (2, [0.6, 0.7], "(1.2999999999999998+0j)"),
+    (3, [0.1, 0.2, 0.3], "(0.6000000000000001+0j)"),
+    (5, [0.3] * 5, "(1.5+0j)"),
+    # a trace past the float range: the diagonal's sum, and at d = 8 the sum
+    # of its quarters too, would overflow
+    (2, [1.7e308] * 2, "(inf+0j)"),
+    (8, [1.7e308] * 8, "(inf+0j)"),
+])
+def test_trace_check_reports_the_trace_without_overflow(dim, diagonal, trace):
+    # under the pytest settings an overflow warning would fail here first
+    message = f"density matrix trace = {trace}, expected 1"
+    with pytest.raises(CatlabError) as exc:
+        DensityMatrix(space_of_dim(dim), np.diag(diagonal))
+    assert str(exc.value) == message
+
+
 def test_pure_density_matches_outer_product():
     rng = np.random.default_rng(3)
     psi = rand_state(rng, space_of_dim(3))

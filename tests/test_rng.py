@@ -1,6 +1,8 @@
 import numpy as np
+import numpy.random.bit_generator
+import pytest
 
-from catlab.rng import RandomStream
+from catlab.rng import MAX_SEED, RandomStream
 
 P = [0.1, 0.2, 0.3, 0.4]
 
@@ -37,3 +39,45 @@ def test_wide_ints_masked_to_64_bits():
     big = RandomStream(1 << 80, 1 << 72)
     assert big.seed == 0 and big.stream == 0
     assert np.all(splits(big, k=4) == splits(RandomStream(0, 0), k=4))
+
+
+# 0, the top of the key range, and wide ints that mask to 64 bits
+KEYS = [0, 1, 123456789, (1 << 63) + 5, MAX_SEED, -1, (1 << 80) | 3]
+
+
+def reference(seed, stream):
+    """The generator a stream is defined as: Philox keyed with [seed, stream].
+    The key goes in as uint64, since numpy converts a list key through
+    float64, which rounds keys above 2**53."""
+    key = np.array([seed & MAX_SEED, stream & MAX_SEED], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@pytest.mark.parametrize("seed", KEYS)
+@pytest.mark.parametrize("stream", [0, 1, MAX_SEED, (1 << 72) | 9])
+def test_streams_match_the_reference_generator(seed, stream):
+    ref = reference(seed, stream)
+    assert np.array_equal(
+        splits(RandomStream(seed, stream)), [ref.multinomial(1000, P) for _ in range(32)]
+    )
+
+
+def test_one_pair_keys_one_state():
+    def state(gen):
+        inner = gen.bit_generator.state
+        return {**inner, "state": {k: v.tolist() for k, v in inner["state"].items()},
+                "buffer": inner["buffer"].tolist()}
+
+    a, b = RandomStream(5, 9), RandomStream(5, 9)
+    assert state(a._gen) == state(b._gen) == state(reference(5, 9))
+    assert a._gen.bit_generator is not b._gen.bit_generator
+
+
+def test_keying_a_stream_draws_no_entropy(monkeypatch):
+    def no_entropy(*args):
+        raise AssertionError("OS entropy drawn")
+
+    monkeypatch.setattr(numpy.random.bit_generator, "randbits", no_entropy)
+    stream = RandomStream(3, 4)
+    assert not hasattr(stream._gen.bit_generator.seed_seq, "entropy")
+    assert np.array_equal(splits(stream, k=4), splits(RandomStream(3, 4), k=4))
