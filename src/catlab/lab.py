@@ -29,6 +29,7 @@ from .qstate import (
     Operator,
     State,
     StateVector,
+    _IDENTITY,
     apply_unitary,
     overlap,
     states_match,
@@ -86,6 +87,10 @@ class Laboratory:
                 raise CatlabError(
                     "forbidden pair must be distinct orthogonal states"
                 )
+        self._fill(space, measurements, unitaries, forbidden)
+
+    def _fill(self, space, measurements, unitaries, forbidden) -> None:
+        """Hold the checked declarations and start an empty table."""
         self.space = space
         self.measurements: dict[str, ProjectiveMeasurement] = measurements
         self.unitaries: dict[str, Operator] = unitaries
@@ -101,15 +106,19 @@ class Laboratory:
     def with_measurement(self, name: str, m: ProjectiveMeasurement) -> "Laboratory":
         """A copy of this lab with one more allowed measurement appended.
 
-        The copy starts with an empty table.  Rows come from the one
+        Only ``m`` and its name are checked: the rest passed this lab's
+        checks.  The copy starts with an empty table.  Rows come from the one
         ``born_rows`` memo, keyed by an operation's value, so the copy reads
         this lab's rows, and a later copy with an equal measurement reads
         this one's.
         """
-        if name in self.measurements:
+        if name in self._ops:
             raise CatlabError(f"operation name {name!r} already in use")
-        meas = {**self.measurements, name: m}
-        return Laboratory(self.space, meas, self.unitaries, self.forbidden)
+        if m.space != self.space:
+            raise DimensionMismatch(f"measurement {name!r} on another space")
+        lab = Laboratory.__new__(Laboratory)
+        lab._fill(self.space, {**self.measurements, name: m}, self.unitaries, self.forbidden)
+        return lab
 
     def intern(self, x: State) -> int:
         """The id of ``x``, which represents its key if the key is new."""
@@ -201,11 +210,12 @@ class NoGoVerdict(NamedTuple):
 
 
 def check_conditions(lab: Laboratory, l_state: StateVector, d_state: StateVector) -> bool:
-    """Both hypotheses of the no-go check: orthogonality of the pair and
-    the d->l transition being declared forbidden."""
+    """Both hypotheses of the no-go check: orthogonality of the pair, by
+    the rule a lab applies to its forbidden pairs (|<l|d>| <= ``ORTHO_TOL``),
+    and the d->l transition being declared forbidden."""
     if l_state.space != lab.space or d_state.space != lab.space:
         raise DimensionMismatch("states live outside the laboratory space")
-    if abs(overlap(l_state, d_state)) >= ORTHO_TOL:
+    if abs(overlap(l_state, d_state)) > ORTHO_TOL:
         return False
     for frm, to in lab.forbidden:
         if states_match(frm, d_state) and states_match(to, l_state):
@@ -301,9 +311,12 @@ def _search(
     Deterministic: operations expand in declaration order and outcomes in
     outcome order.  Each state is the first one interned under its key in
     ``lab`` during the lab's lifetime, and the witness ends on that
-    representative.  Revisited ids keep their highest-probability path
-    (position in the frontier is fixed by first arrival).  A path is
-    followed however faint it is; only a row with no next id is dropped.
+    representative.  Each state is tested against the target once, when
+    the search first reaches it: the root before the first step, any other
+    id on its first arrival, so a revisit tests nothing.  Revisited ids keep
+    their highest-probability path (position in the frontier is fixed by
+    first arrival).  A path is followed however faint it is; only a row
+    with no next id is dropped.
     """
     if max_depth < 0:
         raise CatlabError(f"search depth must be >= 0, got {max_depth}")
@@ -323,11 +336,12 @@ def _search(
                         continue
                     new_prob = prob * p
                     new_steps = steps + ((name, label),)
-                    post = lab.states[nid]
-                    if states_match(post, target):
-                        return SteeringPath(new_steps, new_prob, post), False
                     best = visited.get(nid)
-                    if best is not None and best >= new_prob:
+                    if best is None:
+                        post = lab.states[nid]
+                        if states_match(post, target):
+                            return SteeringPath(new_steps, new_prob, post), False
+                    elif best >= new_prob:
                         continue
                     visited[nid] = new_prob
                     next_frontier[nid] = (new_steps, new_prob)
@@ -379,6 +393,7 @@ def nogo_verdict(
     search.  Closure directions weaker than ``d * eps`` are rounding; a
     direction between that and ``NEW_DIRECTION``, or a target too close to
     V, gives no certificate, and the depth-bounded search decides alone.
+    A V that is the whole space leaves no residual, so none is computed.
     """
     if max_depth < 0:
         raise CatlabError(f"search depth must be >= 0, got {max_depth}")
@@ -390,7 +405,7 @@ def nogo_verdict(
         raise PreconditionFailed(
             "need orthogonal states with the d->l transition declared forbidden"
         )
-    rest = complement(lab.space, np.eye(lab.space.dim) - candidate.mat)
+    rest = complement(lab.space, _IDENTITY[lab.space.dim] - candidate.mat)
     rest_label = COMPLEMENT_LABEL + "'" * (outcome_label == COMPLEMENT_LABEL)
     m = ProjectiveMeasurement(lab.space, [(outcome_label, candidate), (rest_label, rest)])
     adjoined = name
@@ -399,7 +414,7 @@ def nogo_verdict(
     extended = lab.with_measurement(adjoined, m)
     basis = invariant_subspace(extended, d_state)
     certificate = None
-    if basis is not None:
+    if basis is not None and basis.shape[1] < lab.space.dim:
         off = l_state.amps - basis @ (basis.conj().T @ l_state.amps)
         if float(np.vdot(off, off).real) > NEW_DIRECTION:
             certificate = basis.shape[1]

@@ -21,6 +21,8 @@ from .qstate import (
     Operator,
     State,
     StateVector,
+    _IDENTITY,
+    _largest,
     projector_from_state,
 )
 
@@ -54,8 +56,10 @@ class ProjectiveMeasurement:
             if op.kind != "projector":
                 raise CatlabError(f"outcome {label!r} is not a projector")
         _check_pairs(outcomes)
-        total = sum(op.mat for _, op in outcomes)
-        if float(np.max(np.abs(total - np.eye(d)))) > COMPLETE_TOL:
+        total = outcomes[0][1].mat
+        for _, op in outcomes[1:]:
+            total = total + op.mat
+        if _largest(total - _IDENTITY[d]) > COMPLETE_TOL:
             raise CatlabError("projectors do not resolve the identity")
         self.space = space
         self.outcomes: tuple[tuple[str, Operator], ...] = outcomes
@@ -76,7 +80,7 @@ def _check_pairs(outcomes: Sequence[tuple[str, Operator]]) -> None:
     """Raise ``NotOrthogonal`` naming the first two projectors that overlap."""
     for i, (a, p) in enumerate(outcomes):
         for b, q in outcomes[i + 1:]:
-            if float(np.max(np.abs(p.mat @ q.mat))) > COMPLETE_TOL:
+            if _largest(p.mat @ q.mat) > COMPLETE_TOL:
                 raise NotOrthogonal(f"projectors {a!r} and {b!r} overlap")
 
 
@@ -99,8 +103,8 @@ def make_measurement(
         if op.space != space:
             raise DimensionMismatch(f"outcome {label!r} lives on another space")
         total = total + op.mat
-    rest = np.eye(d) - total
-    if float(np.max(np.abs(rest))) > COMPLETE_TOL:
+    rest = _IDENTITY[d] - total
+    if _largest(rest) > COMPLETE_TOL:
         if any(l == COMPLEMENT_LABEL for l, _ in outcomes):
             raise CatlabError(
                 f"cannot auto-complete: label {COMPLEMENT_LABEL!r} already used"
@@ -179,7 +183,7 @@ def outcome_distribution(
         for label, op in m.outcomes:
             proj = op.mat @ x.amps
             norm2 = float(np.vdot(proj, proj).real)
-            p = float(np.real(np.vdot(x.amps, proj)))
+            p = float(np.vdot(x.amps, proj).real)
             p = min(1.0, max(0.0, norm2 if p < 1e-3 else p))
             post = None
             if p >= cut:
@@ -188,7 +192,7 @@ def outcome_distribution(
     else:
         for label, op in m.outcomes:
             left = op.mat @ x.mat
-            p = float(np.real(np.trace(left)))
+            p = float(left.trace().real)
             p = min(1.0, max(0.0, p))
             post = None
             if p >= PRUNE_TOL:
@@ -197,6 +201,6 @@ def outcome_distribution(
                 if p < 1e-3:  # and its zero eigenvalues, amplified by 1/p, stay >= 0
                     w, v = np.linalg.eigh(collapsed)
                     collapsed = (v * np.maximum(w, 0.0)) @ v.conj().T
-                post = DensityMatrix(m.space, collapsed / np.trace(collapsed).real)
+                post = DensityMatrix(m.space, collapsed / collapsed.trace().real)
             rows.append((label, p, post))
     return tuple(rows)

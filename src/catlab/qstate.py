@@ -43,6 +43,11 @@ TENSOR_SEP = "⊗"  # the circled-times sign used in product labels
 
 OperatorKind = Literal["projector", "unitary"]
 
+# the identity matrix of each dimension up to the ceiling, read-only
+_IDENTITY = tuple(np.eye(d) for d in range(DIM_CEILING + 1))
+for _eye in _IDENTITY:
+    _eye.setflags(write=False)
+
 
 # ---------------------------------------------------------------------------
 # spaces
@@ -53,7 +58,11 @@ class HilbertSpace:
 
     ``factors`` carries the tensor factorisation when the space was built by
     :func:`tensor_space`; it is what makes :func:`partial_trace` possible.
-    Spaces compare and hash by labels, name and factors.
+    Spaces compare and hash by labels, name and factors.  The hash is
+    computed once, in ``__init__``, since every ``born_rows`` key holds the
+    space once per outcome and once more.  A string's hash depends on the
+    process's hash seed, so pickling rebuilds the space through its
+    constructor instead of carrying the stored hash along.
     """
 
     def __init__(
@@ -84,6 +93,11 @@ class HilbertSpace:
         self.labels: tuple[str, ...] = labels
         self.name = name
         self.factors: tuple[HilbertSpace, ...] | None = factors
+        self.dim = len(labels)
+        self._hash = hash((labels, name, factors))
+
+    def __reduce__(self) -> tuple:
+        return HilbertSpace, (self.labels, self.name, self.factors)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -95,11 +109,7 @@ class HilbertSpace:
         )
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.name, self.factors))
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
+        return self._hash
 
     def index(self, label: str) -> int:
         try:
@@ -133,14 +143,23 @@ def tensor_space(a: HilbertSpace, b: HilbertSpace) -> HilbertSpace:
 # states
 
 
-def _frozen_array(data, shape: tuple[int, ...], what: str) -> np.ndarray:
+def _frozen_array(data, shape: tuple[int, ...], what: str) -> tuple[np.ndarray, float]:
+    """A read-only complex copy of ``data`` and the largest modulus among
+    its real and imaginary parts, which is nan or inf exactly when an entry
+    is not finite."""
     arr = np.array(data, dtype=np.complex128)
     if arr.shape != shape:
         raise DimensionMismatch(f"{what}: expected shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
+    top = _largest(arr.view(np.float64))
+    if not top < math.inf:
         raise CatlabError(f"{what}: non-finite entries")
     arr.setflags(write=False)
-    return arr
+    return arr, top
+
+
+def _largest(x: np.ndarray) -> float:
+    """The largest modulus among the entries of ``x``, nan if one is nan."""
+    return float(np.maximum.reduce(np.abs(x), axis=None))
 
 
 def _hermitian(arr: np.ndarray) -> bool:
@@ -149,7 +168,7 @@ def _hermitian(arr: np.ndarray) -> bool:
     subnormals and so decides as the unscaled test does, but keeps the
     difference of two finite entries, and its modulus, finite."""
     q = arr * 0.25
-    return float(np.max(np.abs(q - q.conj().T))) <= HERM_TOL * 0.25
+    return _largest(q - q.conj().T) <= HERM_TOL * 0.25
 
 
 def _grid_key(tag: str, flat: np.ndarray) -> tuple:
@@ -163,9 +182,9 @@ class StateVector:
     on the ``GRID``.  Compares by identity."""
 
     def __init__(self, space: HilbertSpace, amps) -> None:
-        arr = canonical_amps(_frozen_array(amps, (space.dim,), "state vector"))
+        arr = canonical_amps(_frozen_array(amps, (space.dim,), "state vector")[0])
         arr.setflags(write=False)
-        norm2 = float(np.real(np.vdot(arr, arr)))
+        norm2 = float(np.vdot(arr, arr).real)
         if abs(norm2 - 1.0) > NORM_TOL:
             raise CatlabError(f"state vector norm^2 = {norm2!r}, expected 1")
         self.space = space
@@ -183,7 +202,7 @@ class DensityMatrix:
 
     def __init__(self, space: HilbertSpace, mat) -> None:
         d = space.dim
-        arr = _frozen_array(mat, (d, d), "density matrix")
+        arr = _frozen_array(mat, (d, d), "density matrix")[0]
         if not _hermitian(arr):
             raise CatlabError("density matrix is not Hermitian")
         # the diagonal is scaled by a power of two above d before it is
@@ -214,18 +233,18 @@ class Operator:
 
     def __init__(self, space: HilbertSpace, mat, kind: OperatorKind) -> None:
         d = space.dim
-        arr = _frozen_array(mat, (d, d), "operator")
+        arr, top = _frozen_array(mat, (d, d), "operator")
         # no entry of a projector or a unitary exceeds 1 in modulus; refusing
         # larger parts before any product keeps it from overflowing to nan,
         # which every "> HERM_TOL" test would pass
-        huge = float(np.max(np.abs(arr.view(np.float64)))) > 2.0
+        huge = top > 2.0
         if kind == "projector":
             if not _hermitian(arr):
                 raise CatlabError("projector is not Hermitian")
-            if huge or float(np.max(np.abs(arr @ arr - arr))) > HERM_TOL:
+            if huge or _largest(arr @ arr - arr) > HERM_TOL:
                 raise CatlabError("projector is not idempotent")
         elif kind == "unitary":
-            if huge or float(np.max(np.abs(arr.conj().T @ arr - np.eye(d)))) > HERM_TOL:
+            if huge or _largest(arr.conj().T @ arr - _IDENTITY[d]) > HERM_TOL:
                 raise CatlabError("matrix is not unitary")
         else:
             raise CatlabError(f"unknown operator kind {kind!r}")
@@ -250,18 +269,18 @@ def make_state(space: HilbertSpace, raw_amps: Sequence[complex]) -> StateVector:
         raise DimensionMismatch(
             f"{arr.shape[0] if arr.ndim == 1 else arr.shape} amplitudes for dim {space.dim}"
         )
-    norm2 = float(np.real(np.vdot(arr, arr)))
+    norm2 = float(np.vdot(arr, arr).real)
     if not 1e-20 <= norm2 < math.inf and np.isfinite(arr).all():
         # scale tiny or huge finite amplitudes by their largest magnitude
         # first, so that |a|^2 can neither underflow nor overflow; huge ones
         # by their largest re or im part, as a modulus can overflow on its
         # own.  The division is real, since a complex one overflows at
         # subnormal scale
-        top = float(np.max(np.abs(arr if norm2 < 1.0 else arr.view(np.float64))))
+        top = _largest(arr if norm2 < 1.0 else arr.view(np.float64))
         if top == 0.0:
             raise ZeroVector("cannot normalise an all-zero amplitude list")
         arr = (arr.view(np.float64) / top).view(np.complex128)
-        norm2 = float(np.real(np.vdot(arr, arr)))
+        norm2 = float(np.vdot(arr, arr).real)
     # skip the division when already normalised: amplitudes written
     # normalised and in canonical phase in a .scn file load bit for bit as
     # written, and report bytes depend on those doubles
@@ -358,7 +377,7 @@ def apply_unitary(u: Operator, x: State) -> State:
     if isinstance(x, StateVector):
         amps = u.mat @ x.amps
         # unitarity keeps the norm up to rounding; renormalise the dust away
-        amps = amps / math.sqrt(float(np.real(np.vdot(amps, amps))))
+        amps = amps / math.sqrt(float(np.vdot(amps, amps).real))
         return StateVector(x.space, amps)
     return DensityMatrix(x.space, u.mat @ x.mat @ u.mat.conj().T)
 
@@ -378,7 +397,7 @@ def states_match(x: State, target: StateVector) -> bool:
     """Is ``x`` the pure state ``target`` (up to global phase)?"""
     if isinstance(x, StateVector):
         return squared_overlap(x, target) > 1.0 - MATCH_TOL
-    fid = float(np.real(np.vdot(target.amps, x.mat @ target.amps)))
+    fid = float(np.vdot(target.amps, x.mat @ target.amps).real)
     return fid > 1.0 - MATCH_TOL
 
 

@@ -45,6 +45,29 @@ def test_check_violation_exit_2(capsys):
     assert "elapsed" in err
 
 
+def test_check_accepts_a_pair_the_lab_accepts(capsys, tmp_path):
+    # |<alive|dead>| is exactly 1e-9: the lab loads dead -> alive as a
+    # forbidden pair, so check must not refuse it as non-orthogonal
+    f = tmp_path / "tilted.scn"
+    f.write_text(
+        "space: {labels: [alive, dead, x]}\n"
+        "states:\n"
+        "  alive: [1, 0, 0]\n"
+        "  dead: [1e-9, 1, 0]\n"
+        "forbidden:\n"
+        "  - {from: dead, to: alive}\n"
+        "measurements:\n"
+        "  basis:\n"
+        "    states: {alive: alive}\n",
+        encoding="utf-8",
+    )
+    code, doc, _ = run_json(
+        capsys, "check", "--scenario", str(f), "basis:alive", "--from", "dead", "--to", "alive",
+    )
+    assert code == 2
+    assert doc["result"]["witness"]["probability"] == 1e-18
+
+
 def test_check_candidate_default_outcome(capsys):
     # bare NAME means the measurement's first declared outcome
     code, doc, _ = run_json(

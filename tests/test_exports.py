@@ -233,6 +233,21 @@ def test_one_snapping_rule():
     }
 
 
+def test_one_largest_modulus_rule():
+    # Every validation reads its largest entry through qstate._largest, one
+    # ufunc reduction with no numpy wrapper in Python between it and C.
+    def calls(owner: str, attr: str):
+        return lambda n: (
+            isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute) and n.func.attr == attr
+            and ast.unparse(n.func.value) == owner
+        )
+
+    assert _functions_with(calls("np", "max")) == set()
+    assert _functions_with(calls("np", "amax")) == set()
+    assert _functions_with(calls("np.maximum", "reduce")) == {"qstate._largest"}
+
+
 def test_only_the_program_builders_read_stop_if():
     # A lab resolves each protocol into a program once; a walker that met
     # StopIfStep itself would decide a second time what a stop means, and

@@ -18,6 +18,7 @@ from catlab import (
     NoGoVerdict,
     Operator,
     PreconditionFailed,
+    SCENARIO_NAMES,
     SteeringPath,
     basis_state,
     check_conditions,
@@ -27,6 +28,7 @@ from catlab import (
     make_state,
     measurement_from_states,
     nogo_verdict,
+    overlap,
     projector_from_state,
     pure_density,
     replay_path,
@@ -35,7 +37,7 @@ from catlab import (
 )
 from catlab.cli import verdict_to_json
 from catlab.lab import DEFAULT_MAX_DEPTH, born_rows, invariant_subspace
-from catlab.measure import COMPLEMENT_LABEL, EPS, ProjectiveMeasurement
+from catlab.measure import COMPLEMENT_LABEL, EPS, ORTHO_TOL, ProjectiveMeasurement
 from catlab.qstate import MATCH_TOL, DensityMatrix, StateVector
 
 from helpers import rand_density, rand_state, rand_unitary, space_of_dim
@@ -104,6 +106,19 @@ def test_with_measurement_collision():
         extended.with_measurement("pm", m)
 
 
+def test_with_measurement_checks_only_what_it_adds():
+    # the copy keeps the lab's checked declarations and checks the new
+    # measurement's space and name
+    lab = cat_lab()
+    other = HilbertSpace(("up", "down"))
+    with pytest.raises(DimensionMismatch, match="measurement 'z' on another space"):
+        lab.with_measurement("z", measurement_from_states([make_state(other, [1, 0])], ["u"]))
+    extended = lab.with_measurement("z", lab.measurements["basis"])
+    assert extended.forbidden is lab.forbidden and extended.unitaries is lab.unitaries
+    assert list(extended._ops) == ["basis", "z"] and list(lab._ops) == ["basis"]
+    assert extended.states == [] and extended._rows == {}
+
+
 def test_measurement_and_unitary_may_not_share_a_name():
     # With one name for both, the search applied the unitary while a measure
     # step and a replay read the measurement; a lab's table caches rows per
@@ -130,6 +145,18 @@ def test_check_conditions():
     assert not check_conditions(lab, dead, alive)
     # non-orthogonal pair fails condition (i)
     assert not check_conditions(lab, make_state(CAT, [1, 1]), dead)
+
+
+def test_check_conditions_applies_the_labs_orthogonality_rule():
+    # a lab accepts a forbidden pair whose overlap is exactly ORTHO_TOL, so
+    # the verdict on that pair must accept it too
+    space = HilbertSpace(("alive", "dead", "x"))
+    alive, dead = make_state(space, [1, 0, 0]), make_state(space, [1e-9, 1, 0])
+    assert abs(overlap(alive, dead)) == ORTHO_TOL
+    lab = Laboratory(space, forbidden=[(dead, alive)])
+    assert check_conditions(lab, alive, dead)
+    v = nogo_verdict(lab, projector_from_state(alive), alive, dead)
+    assert v.violated and v.witness.probability == 1e-18
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +486,83 @@ def test_find_steering_path_absent():
     lab = cat_lab()  # only the diagonal basis: dead stays dead
     path = find_steering_path(lab, basis_state(CAT, "dead"), basis_state(CAT, "alive"))
     assert path is None
+
+
+def search_testing_every_arrival(lab, start, target, max_depth):
+    """The steering search with the target test made on every row that
+    reaches a state, also on a revisit, as it was written before."""
+    root = lab.intern(start)
+    if states_match(lab.states[root], target):
+        return SteeringPath((), 1.0, lab.states[root]), False
+    visited = {root: 1.0}
+    frontier = {root: ((), 1.0)}
+    for _ in range(max_depth):
+        next_frontier = {}
+        for sid, (steps, prob) in frontier.items():
+            for name in lab._ops:
+                for label, p, nid in lab.rows(name, sid):
+                    if nid is None:
+                        continue
+                    new_prob, new_steps = prob * p, steps + ((name, label),)
+                    post = lab.states[nid]
+                    if states_match(post, target):
+                        return SteeringPath(new_steps, new_prob, post), False
+                    best = visited.get(nid)
+                    if best is not None and best >= new_prob:
+                        continue
+                    visited[nid] = new_prob
+                    next_frontier[nid] = (new_steps, new_prob)
+        if not next_frontier:
+            return None, False
+        frontier = next_frontier
+    return None, True
+
+
+def test_the_search_tests_each_state_once(monkeypatch):
+    # a revisited id was tested on its first arrival, and missed
+    sc = load_scenario("composite")[0]
+    (frm, to), = sc.lab.forbidden
+    tested = []
+    monkeypatch.setattr(catlab.lab, "states_match",
+                        lambda x, target: tested.append(x) or states_match(x, target))
+    assert catlab.lab._search(sc.lab, frm, to, DEFAULT_MAX_DEPTH) == (None, False)
+    assert len(tested) == len({id(x) for x in tested}) == len(sc.lab.states) == 4
+
+
+def witness_bits(path):
+    if path is None:
+        return None
+    return path.steps, path.probability.hex(), path.final_state.amps.tobytes()
+
+
+def test_shipped_searches_and_verdicts_match_a_search_testing_every_arrival(monkeypatch):
+    # every shipped forbidden pair, searched on the lab alone and under each
+    # outcome projector the scenario declares as a candidate, each on a
+    # fresh load
+    for scenario in SCENARIO_NAMES:
+        sc = load_scenario(scenario)[0]
+        candidates = [
+            (m, i, label)
+            for m, meas in sc.measurements.items()
+            for i, (label, _) in enumerate(meas.outcomes)
+        ]
+        for pair in range(len(sc.lab.forbidden)):
+            results = []
+            for search in (catlab.lab._search, search_testing_every_arrival):
+                monkeypatch.setattr(catlab.lab, "_search", search)
+                fresh = load_scenario(scenario)[0]
+                frm, to = fresh.lab.forbidden[pair]
+                path, bound = search(fresh.lab, frm, to, DEFAULT_MAX_DEPTH)
+                got = [(witness_bits(path), bound)]
+                for m, i, label in candidates:
+                    fresh = load_scenario(scenario)[0]
+                    frm, to = fresh.lab.forbidden[pair]
+                    op = fresh.measurements[m].outcomes[i][1]
+                    v = nogo_verdict(fresh.lab, op, to, frm, name=m, outcome_label=label)
+                    got.append((v.violated, v.bound_reached, v.certificate,
+                                witness_bits(v.witness)))
+                results.append(got)
+            assert results[0] == results[1], (scenario, pair)
 
 
 def weak_lab(eps: float) -> Laboratory:

@@ -1,5 +1,9 @@
 """States, densities, operators: construction, algebra, serialization."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -26,12 +30,14 @@ from catlab import (
     states_match,
     tensor_space,
 )
+import catlab
 from catlab.cli import state_to_json
 from catlab.qstate import canonical_amps
 from helpers import rand_density, rand_state, rand_unitary, space_of_dim
 
 CAT = HilbertSpace(("alive", "dead"), name="cat")
 DEV = HilbertSpace(("undecayed", "decayed"), name="device")
+SRC = os.path.dirname(os.path.dirname(catlab.__file__))
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +79,35 @@ def test_spaces_compare_and_hash_by_value():
     other = HilbertSpace(prod.labels, name=prod.name, factors=(space_of_dim(2), CAT))
     assert other != prod
     assert len({CAT, same, DEV, prod, rebuilt}) == 3
+
+
+SPACES_SCRIPT = """
+import pickle, sys
+from catlab import HilbertSpace, tensor_space
+cat = HilbertSpace(("alive", "dead"), name="cat")
+spaces = [cat, tensor_space(HilbertSpace(("undecayed", "decayed"), name="device"), cat)]
+if sys.argv[1] == "dump":
+    sys.stdout.write(pickle.dumps(spaces).hex())
+else:
+    loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+    loaded.append(loaded[1].factors[1])
+    fresh = {s: i for i, s in enumerate(spaces)}
+    print([(s == spaces[i % 2], hash(s) == hash(spaces[i % 2]), fresh.get(s))
+           for i, s in enumerate(loaded)])
+"""
+
+
+def test_a_space_hashes_like_a_fresh_one_after_pickling():
+    # a string's hash depends on PYTHONHASHSEED, so a hash stored at
+    # construction must not travel with the pickle
+    def run(seed, mode, data=None):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+        return subprocess.run([sys.executable, "-c", SPACES_SCRIPT, mode], input=data,
+                              capture_output=True, text=True, check=True, env=env).stdout
+
+    got = run("2", "load", run("1", "dump"))
+    assert got == "[(True, True, 0), (True, True, 1), (True, True, 0)]\n"
 
 
 def test_tensor_space_labels_and_factors():
