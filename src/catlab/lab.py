@@ -81,12 +81,7 @@ class Laboratory:
             if name in measurements:
                 raise CatlabError(f"operation name {name!r} already in use")
         for frm, to in forbidden:
-            if frm.space != space or to.space != space:
-                raise DimensionMismatch("forbidden pair on another space")
-            if abs(overlap(frm, to)) > ORTHO_TOL:
-                raise CatlabError(
-                    "forbidden pair must be distinct orthogonal states"
-                )
+            _check_forbidden_pair(space, frm, to)
         self._fill(space, measurements, unitaries, forbidden)
 
     def _fill(self, space, measurements, unitaries, forbidden) -> None:
@@ -172,6 +167,15 @@ class Laboratory:
         return hit
 
 
+def _check_forbidden_pair(space: HilbertSpace, frm: StateVector, to: StateVector) -> None:
+    """A lab's rule for a forbidden pair: both states on ``space``, with
+    |<frm|to>| at most ``ORTHO_TOL``."""
+    if frm.space != space or to.space != space:
+        raise DimensionMismatch("forbidden pair on another space")
+    if abs(overlap(frm, to)) > ORTHO_TOL:
+        raise CatlabError("forbidden pair must be distinct orthogonal states")
+
+
 def _weights(probs: Sequence[float]) -> np.ndarray:
     """The multinomial probabilities that sampling draws for outcomes of
     probabilities ``probs``.  Each probability is snapped to an integer
@@ -207,20 +211,6 @@ class NoGoVerdict(NamedTuple):
     witness: SteeringPath | None
     bound_reached: bool
     certificate: int | None  # dim of the invariant subspace that rules l out
-
-
-def check_conditions(lab: Laboratory, l_state: StateVector, d_state: StateVector) -> bool:
-    """Both hypotheses of the no-go check: orthogonality of the pair, by
-    the rule a lab applies to its forbidden pairs (|<l|d>| <= ``ORTHO_TOL``),
-    and the d->l transition being declared forbidden."""
-    if l_state.space != lab.space or d_state.space != lab.space:
-        raise DimensionMismatch("states live outside the laboratory space")
-    if abs(overlap(l_state, d_state)) > ORTHO_TOL:
-        return False
-    for frm, to in lab.forbidden:
-        if states_match(frm, d_state) and states_match(to, l_state):
-            return True
-    return False
 
 
 def born_rows(
@@ -351,19 +341,6 @@ def _search(
     return None, True
 
 
-def find_steering_path(
-    lab: Laboratory,
-    start: StateVector,
-    target: StateVector,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> SteeringPath | None:
-    """Minimal-depth chain of allowed operations steering start onto target,
-    or None when none exists within the depth bound; no probability floor
-    applies.  Raises ``CatlabError`` for a negative ``max_depth``."""
-    path, _ = _search(lab, start, target, max_depth)
-    return path
-
-
 def nogo_verdict(
     lab: Laboratory,
     candidate: Operator,
@@ -378,7 +355,9 @@ def nogo_verdict(
     path that realises the forbidden d->l transition.  The complement
     I - P is labelled ⊥, primed when ``outcome_label`` is ⊥ (zero if P = I).
 
-    Raises ``PreconditionFailed`` unless the pair is orthogonal and d->l is
+    Raises ``DimensionMismatch`` for states on another space,
+    ``PreconditionFailed`` unless the pair is orthogonal by the rule a lab
+    applies to its forbidden pairs (|<l|d>| <= ``ORTHO_TOL``) and d->l is
     declared forbidden, and ``CatlabError`` for a negative ``max_depth``.
     ``violated=True`` means a witness path exists; with ``violated=False``,
     ``bound_reached`` distinguishes a conclusive "no" (relative to the
@@ -401,7 +380,11 @@ def nogo_verdict(
         raise CatlabError("the no-go candidate must be a projector")
     if candidate.space != lab.space:
         raise DimensionMismatch("candidate lives outside the laboratory space")
-    if not check_conditions(lab, l_state, d_state):
+    if l_state.space != lab.space or d_state.space != lab.space:
+        raise DimensionMismatch("states live outside the laboratory space")
+    if abs(overlap(l_state, d_state)) > ORTHO_TOL or not any(
+        states_match(frm, d_state) and states_match(to, l_state) for frm, to in lab.forbidden
+    ):
         raise PreconditionFailed(
             "need orthogonal states with the d->l transition declared forbidden"
         )

@@ -120,37 +120,32 @@ def _unroll(steps: Sequence[Step], out: list[Step]) -> None:
             )
 
 
-def _program(protocol: ProtocolSpec, lab: Laboratory) -> list[tuple[str, tuple[str, ...]]]:
-    """The unrolled protocol as (operation name, stop labels) pairs: each
-    ``stop_if`` adds its label to the operation before it, and one before
-    the first operation, which nothing can match, is dropped."""
-    program: list[tuple[str, tuple[str, ...]]] = []
-    for step in protocol.unrolled():
-        if isinstance(step, StopIfStep):
-            if program:
-                program[-1] = (program[-1][0], program[-1][1] + (step.outcome,))
-            continue
-        if isinstance(step, MeasureStep):
-            kind, name, allowed = "measurement", step.measurement, lab.measurements
-        else:
-            kind, name, allowed = "unitary", step.unitary, lab.unitaries
-        if name not in allowed:
-            raise DisallowedOperation(f"{kind} {name!r} is not allowed in this laboratory")
-        program.append((name, ()))
-    return program
-
-
 def _resolved(
     protocol: ProtocolSpec, lab: Laboratory
 ) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """``_program(protocol, lab)``, resolved once per protocol object in the
-    lab's lifetime.  ``lab._programs`` is keyed by the object's id and holds
-    the object, so the id stays its own while the entry lives and a hit
-    hashes no step.  A protocol that ``_program`` rejects is not stored, so
-    every run of it raises."""
+    """The unrolled protocol as (operation name, stop labels) pairs, resolved
+    once per protocol object in the lab's lifetime: each ``stop_if`` adds its
+    label to the operation before it, and one before the first operation,
+    which nothing can match, is dropped.  ``lab._programs`` is keyed by the
+    object's id and holds the object, so the id stays its own while the
+    entry lives and a hit hashes no step.  A rejected protocol is not
+    stored, so every run of it raises."""
     hit = lab._programs.get(id(protocol))
     if hit is None:
-        hit = lab._programs[id(protocol)] = (protocol, tuple(_program(protocol, lab)))
+        program: list[tuple[str, tuple[str, ...]]] = []
+        for step in protocol.unrolled():
+            if isinstance(step, StopIfStep):
+                if program:
+                    program[-1] = (program[-1][0], program[-1][1] + (step.outcome,))
+                continue
+            if isinstance(step, MeasureStep):
+                kind, name, allowed = "measurement", step.measurement, lab.measurements
+            else:
+                kind, name, allowed = "unitary", step.unitary, lab.unitaries
+            if name not in allowed:
+                raise DisallowedOperation(f"{kind} {name!r} is not allowed in this laboratory")
+            program.append((name, ()))
+        hit = lab._programs[id(protocol)] = (protocol, tuple(program))
     return hit[1]
 
 
@@ -357,17 +352,12 @@ class MonteCarloResult(NamedTuple):
 
     ``finals`` lists ``(state, count)`` once per final state that drew a
     trial, in order of arrival; the states are the lab's representatives,
-    so no two share a ``key``.  ``bins`` keys the same pairs by ``key``.
+    so no two share a ``key``.
     """
 
     n: int
     seed: int
     finals: list[tuple[State, int]]
-
-    @property
-    def bins(self) -> dict[tuple, tuple[State, int]]:
-        """``{state.key: (state, count)}`` over ``finals``, in their order."""
-        return {st.key: (st, c) for st, c in self.finals}
 
     def rows(self) -> list[tuple[State, int, float]]:
         """(state, count, frequency) sorted by dedup key for stable output."""
@@ -491,8 +481,11 @@ def _chi2_sf(x: float, df: int) -> float:
 
     Finite series, Abramowitz & Stegun 26.4.4-26.4.5 with h = x/2: even
     df sums e^-h h^i / i! for i < df/2; odd df is erfc(sqrt h) plus
-    e^-h h^(r-1/2) / Gamma(r+1/2) for r = 1..(df-1)/2.
+    e^-h h^(r-1/2) / Gamma(r+1/2) for r = 1..(df-1)/2.  An infinite ``x``
+    has tail 0, which the series would give as 0 * inf.
     """
+    if x == math.inf:
+        return 0.0
     h = x / 2.0
     if df % 2:
         total = math.erfc(math.sqrt(h))

@@ -316,11 +316,6 @@ def make_mixture(parts: Iterable[tuple[float, StateVector]]) -> DensityMatrix:
     return DensityMatrix(space, mat)
 
 
-def pure_density(psi: StateVector) -> DensityMatrix:
-    """The rank-one density matrix of a pure state."""
-    return DensityMatrix(psi.space, np.outer(psi.amps, psi.amps.conj()))
-
-
 def projector_from_state(psi: StateVector) -> Operator:
     """Rank-one projector onto a pure state."""
     return Operator(psi.space, np.outer(psi.amps, psi.amps.conj()), "projector")

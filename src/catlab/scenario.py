@@ -57,7 +57,7 @@ from typing import Iterator, Mapping, NoReturn
 import yaml
 
 from .errors import CatlabError, ParseError, UnknownScenario, ValidationError
-from .lab import Laboratory
+from .lab import Laboratory, _check_forbidden_pair
 from .measure import ProjectiveMeasurement, make_measurement, measurement_from_states
 from .protocols import (
     MeasureStep,
@@ -462,6 +462,8 @@ def parse_scenario_text(text: str, path: str = "<scenario>") -> Scenario:
         f = w.fields(pnode, "forbidden pair", ("from", "to"), required=True)
         frm = w.ref(f["from"], states, "state", "forbidden from")
         to = w.ref(f["to"], states, "state", "forbidden to")
+        with w.checked(pnode):
+            _check_forbidden_pair(space, states[frm], states[to])
         forbidden.append((states[frm], states[to]))
 
     allowed = {"measurements": measurements, "unitaries": unitaries}

@@ -25,11 +25,11 @@ from catlab import (
     leaf_mass,
     load_scenario,
     make_measurement,
+    make_mixture,
     measurement_from_states,
     nogo_verdict,
     outcome_distribution,
     partial_trace,
-    pure_density,
     run_monte_carlo,
     superposition_projector,
     total_variation,
@@ -169,7 +169,7 @@ def test_5_reduced_state_identity():
     started = time.perf_counter()
     psi_plus = load_scenario("composite")[0].states["psi_plus"]
     rho_cat = load_scenario("cat")[0].mixtures["rho_cat"]
-    reduced = partial_trace(pure_density(psi_plus), keep="cat")
+    reduced = partial_trace(make_mixture([(1.0, psi_plus)]), keep="cat")
     err = float(np.max(np.abs(reduced.mat - rho_cat.mat)))
     _report(
         5, "reduced-state-identity", err < 1e-12,

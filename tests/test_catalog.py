@@ -16,9 +16,9 @@ from catlab import (
     enumerate_protocol,
     format_state,
     load_scenario,
+    make_mixture,
     nogo_verdict,
     partial_trace,
-    pure_density,
     run_monte_carlo,
     superposition_projector,
 )
@@ -58,7 +58,7 @@ def test_schroedinger_state_amplitudes():
 
 
 def test_reduced_cat_state_is_even_mixture():
-    rho = pure_density(load_scenario("composite")[0].states["psi_plus"])
+    rho = make_mixture([(1.0, load_scenario("composite")[0].states["psi_plus"])])
     reduced = partial_trace(rho, keep="cat")
     rho_cat = load_scenario("cat")[0].mixtures["rho_cat"]
     assert np.allclose(reduced.mat, rho_cat.mat, atol=1e-12)
@@ -236,12 +236,12 @@ def run_keys(sc):
 
 
 def sampled_bins(sc, key):
-    """The bins of one seeded run on ``sc``'s lab, keys, states and counts."""
+    """The final states of one seeded run on ``sc``'s lab: keys, states and counts."""
     protocol, initial = key
     mc = run_monte_carlo(
         sc.protocols[protocol], sc.lab, sc.initial(initial), SAMPLED_TRIALS, SAMPLED_SEED
     )
-    return [(k, format_state(st), c) for k, (st, c) in mc.bins.items()]
+    return [(st.key, format_state(st), c) for st, c in mc.finals]
 
 
 def run_report(monkeypatch, sc, key, fmt):
@@ -271,7 +271,7 @@ def warmed(name):
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_sampled_result_layout(name):
     # finals list the lab's states in the order the reference loop finishes
-    # them, bins key the same pairs in that order, and rows sort them by key
+    # them, and rows sort them by key
     sc = load_scenario(name)[0]
     for protocol, initial in run_keys(sc):
         spec, start = sc.protocols[protocol], sc.initial(initial)
@@ -279,7 +279,6 @@ def test_sampled_result_layout(name):
         arrived = mc_every_step(spec, sc.lab, start, SAMPLED_TRIALS, SAMPLED_SEED)
         assert [(st.key, c) for st, c in mc.finals] == arrived
         assert all(st is sc.lab.states[sc.lab.intern(st)] for st, _ in mc.finals)
-        assert list(mc.bins.items()) == [(st.key, (st, c)) for st, c in mc.finals]
         assert [(st.key, c) for st, c, _ in mc.rows()] == sorted(arrived)
 
 

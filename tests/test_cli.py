@@ -315,6 +315,35 @@ def test_discriminate_csv(capsys):
     assert {line.split(",")[0] for line in lines[1:]} == {"A", "B"}
 
 
+def test_discriminate_a_faint_expected_outcome_prints_p_value_zero(capsys, tmp_path):
+    # A's outcome e has probability 2.5e-321, so B's counts there make the
+    # statistic inf; its tail is 0, not NaN
+    f = tmp_path / "faint.scn"
+    f.write_text(
+        "space: {labels: [a, b, c, d, e]}\n"
+        "states:\n"
+        "  A: [1, 1, 1, 1, 1e-160]\n"
+        "  B: [1, 1, 1, 1, 1]\n"
+        "  a: [1, 0, 0, 0, 0]\n"
+        "  b: [0, 1, 0, 0, 0]\n"
+        "  c: [0, 0, 1, 0, 0]\n"
+        "  d: [0, 0, 0, 1, 0]\n"
+        "  e: [0, 0, 0, 0, 1]\n"
+        "measurements:\n"
+        "  basis:\n"
+        "    states: {a: a, b: b, c: c, d: d, e: e}\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(
+        capsys, "discriminate", "--scenario", str(f), "A", "B", "basis",
+        "--trials", "1000", "--seed", "3",
+    )
+    assert code == 0
+    assert "NaN" not in out
+    chi = json.loads(out)["result"]["chi_square"]
+    assert chi == {"statistic": float("inf"), "df": 4, "p_value": 0.0}
+
+
 BIG_TRIALS = (
     ("run", "--scenario", "resurrection", "--initial", "dead", "resurrect10"),
     ("discriminate", "--scenario", "cat", "cat_plus", "cat_minus", "plusminus"),

@@ -39,6 +39,9 @@ REMOVED = {
         "OutcomeRecord",
         "state_key",
         "verdict_to_json",
+        "check_conditions",
+        "find_steering_path",
+        "pure_density",
     ),
     catlab.qstate: (
         "density_from_json",
@@ -55,19 +58,21 @@ REMOVED = {
         "canonical_state",
         "state_to_json",
         "space_to_json",
+        "pure_density",
     ),
     catlab.errors: ("NotInSpan",),
     catlab.cli: ("resolve_seed",),
     catlab.lab: (
         "DEFAULT_MIN_PROB", "MIN_PROB", "_canonical", "Transitions", "_operation_key", "_born_rows",
-        "GRID", "state_key", "verdict_to_json",
+        "GRID", "state_key", "verdict_to_json", "check_conditions", "find_steering_path",
     ),
     catlab.measure: ("records_to_json", "sample_outcome", "OutcomeRecord"),
     catlab.protocols: (
         "merge_histograms", "total_reach_probability", "TRIALS_PER_BLOCK", "_split",
-        "_resolve_steps",
+        "_resolve_steps", "_program",
     ),
     catlab.RandomStream: ("derive", "uniform", "uniforms"),
+    catlab.MonteCarloResult: ("bins",),
     catlab.StateVector: ("amplitude",),
     catlab.DensityMatrix: ("probability",),
     catlab.Laboratory: ("operations", "transitions", "_intern_keyed"),
@@ -91,7 +96,7 @@ def test_removed_names_stay_removed():
         for name in names:
             assert name not in getattr(owner, "__all__", ()), (owner, name)
             assert not hasattr(owner, name), (owner, name)
-    for fn in (catlab.nogo_verdict, catlab.find_steering_path):
+    for fn in (catlab.nogo_verdict, catlab.lab._search):
         assert "min_prob" not in inspect.signature(fn).parameters, fn
     # a tree reads its lab's table privately; its caller holds the lab
     sc = catlab.load_scenario("resurrection")[0]
@@ -251,10 +256,9 @@ def test_one_largest_modulus_rule():
 def test_only_the_program_builders_read_stop_if():
     # A lab resolves each protocol into a program once; a walker that met
     # StopIfStep itself would decide a second time what a stop means, and
-    # one that called _program past the lab's memo would resolve it again.
+    # one that resolved a protocol past the lab's memo would resolve it again.
     users = _functions_naming("StopIfStep")
-    assert users == {"protocols._unroll", "protocols._program", "scenario._parse_steps"}, users
-    assert _functions_naming("_program") == {"protocols._resolved"}
+    assert users == {"protocols._unroll", "protocols._resolved", "scenario._parse_steps"}, users
     assert _functions_naming("_resolved") == {
         "protocols.enumerate_protocol", "protocols.run_monte_carlo"
     }

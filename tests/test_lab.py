@@ -21,22 +21,20 @@ from catlab import (
     SCENARIO_NAMES,
     SteeringPath,
     basis_state,
-    check_conditions,
-    find_steering_path,
     load_scenario,
     make_measurement,
+    make_mixture,
     make_state,
     measurement_from_states,
     nogo_verdict,
     overlap,
     projector_from_state,
-    pure_density,
     replay_path,
     states_match,
     superposition_projector,
 )
 from catlab.cli import verdict_to_json
-from catlab.lab import DEFAULT_MAX_DEPTH, born_rows, invariant_subspace
+from catlab.lab import DEFAULT_MAX_DEPTH, _search, born_rows, invariant_subspace
 from catlab.measure import COMPLEMENT_LABEL, EPS, ORTHO_TOL, ProjectiveMeasurement
 from catlab.qstate import MATCH_TOL, DensityMatrix, StateVector
 
@@ -87,11 +85,12 @@ def test_operations_and_states_on_another_space_are_rejected():
     with pytest.raises(DimensionMismatch, match="candidate lives outside"):
         nogo_verdict(lab, projector_from_state(a), alive, dead)
     with pytest.raises(DimensionMismatch, match="states live outside"):
-        find_steering_path(lab, a, alive)
+        _search(lab, a, alive, DEFAULT_MAX_DEPTH)
     with pytest.raises(DimensionMismatch, match="states live outside"):
-        find_steering_path(lab, dead, b)
-    with pytest.raises(DimensionMismatch, match="states live outside"):
-        check_conditions(lab, alive, b)
+        _search(lab, dead, b, DEFAULT_MAX_DEPTH)
+    for l_state, d_state in ((alive, b), (a, dead)):
+        with pytest.raises(DimensionMismatch, match="states live outside"):
+            nogo_verdict(lab, candidate(0.5), l_state, d_state)
 
 
 def test_with_measurement_collision():
@@ -137,24 +136,28 @@ def test_operations_order():
     assert list(lab.unitaries) == ["rotate45", "rotate45_inv"]
 
 
-def test_check_conditions():
+def test_nogo_verdict_checks_both_hypotheses():
     lab = cat_lab()
     alive, dead = basis_state(CAT, "alive"), basis_state(CAT, "dead")
-    assert check_conditions(lab, alive, dead)
+    assert nogo_verdict(lab, candidate(0.5), alive, dead).violated
     # reversed direction is not declared forbidden
-    assert not check_conditions(lab, dead, alive)
-    # non-orthogonal pair fails condition (i)
-    assert not check_conditions(lab, make_state(CAT, [1, 1]), dead)
+    with pytest.raises(PreconditionFailed, match="need orthogonal states"):
+        nogo_verdict(lab, candidate(0.5), dead, alive)
+    # non-orthogonal pair fails condition (i), also when l matches the
+    # declared target: |<l|dead>| = 1e-5 is far above ORTHO_TOL
+    near_alive = make_state(CAT, [1, 1e-5])
+    assert states_match(near_alive, alive)
+    with pytest.raises(PreconditionFailed, match="need orthogonal states"):
+        nogo_verdict(lab, candidate(0.5), near_alive, dead)
 
 
-def test_check_conditions_applies_the_labs_orthogonality_rule():
+def test_nogo_verdict_applies_the_labs_orthogonality_rule():
     # a lab accepts a forbidden pair whose overlap is exactly ORTHO_TOL, so
     # the verdict on that pair must accept it too
     space = HilbertSpace(("alive", "dead", "x"))
     alive, dead = make_state(space, [1, 0, 0]), make_state(space, [1e-9, 1, 0])
     assert abs(overlap(alive, dead)) == ORTHO_TOL
     lab = Laboratory(space, forbidden=[(dead, alive)])
-    assert check_conditions(lab, alive, dead)
     v = nogo_verdict(lab, projector_from_state(alive), alive, dead)
     assert v.violated and v.witness.probability == 1e-18
 
@@ -171,11 +174,9 @@ def test_state_key_phase_invariant():
 
 
 def test_state_key_separates_vectors_and_matrices():
-    from catlab import pure_density
-
     psi = make_state(CAT, [1, 1])
     assert psi.key[0] == "v"
-    assert pure_density(psi).key[0] == "m"
+    assert make_mixture([(1.0, psi)]).key[0] == "m"
 
 
 # ---------------------------------------------------------------------------
@@ -419,22 +420,22 @@ def test_verdict_deterministic():
 # steering search
 
 
-def test_find_steering_path_photon():
+def test_search_photon():
     # the deterministic rotation route to x_plus wins the frontier dedup over
     # the 0.5-probability xbasis route, then zbasis lands on |0>
     sc = load_scenario("photon")[0]
-    path = find_steering_path(sc.lab, sc.states["z1"], sc.states["z0"])
+    path, _ = _search(sc.lab, sc.states["z1"], sc.states["z0"], DEFAULT_MAX_DEPTH)
     assert path is not None
     assert path.steps == (("rotate45_inv", ""), ("zbasis", "0"))
     assert abs(path.probability - 0.5) < 1e-12
     assert states_match(path.final_state, sc.states["z0"])
 
 
-def test_find_steering_path_through_unitaries():
+def test_search_through_unitaries():
     sc = load_scenario("photon")[0]
     lab = Laboratory(sc.space, {}, sc.lab.unitaries)
     z0, x_plus = sc.states["z0"], sc.states["x_plus"]
-    path = find_steering_path(lab, z0, x_plus)
+    path, _ = _search(lab, z0, x_plus, DEFAULT_MAX_DEPTH)
     assert path is not None
     assert path.steps == (("rotate45", ""),)
     prob, final = replay_path(lab, z0, path)
@@ -458,7 +459,7 @@ def test_negative_depth_rejected():
     lab = cat_lab()
     alive, dead = basis_state(CAT, "alive"), basis_state(CAT, "dead")
     with pytest.raises(CatlabError, match="depth"):
-        find_steering_path(lab, dead, alive, max_depth=-3)
+        _search(lab, dead, alive, -3)
     with pytest.raises(CatlabError, match="depth"):
         nogo_verdict(lab, candidate(0.5), alive, dead, max_depth=-1)
 
@@ -477,15 +478,15 @@ def test_a_start_on_the_target_needs_no_step():
     lab = cat_lab()
     dead = basis_state(CAT, "dead")
     for depth in (0, DEFAULT_MAX_DEPTH):
-        path = find_steering_path(lab, dead, make_state(CAT, [0, 1j]), max_depth=depth)
+        path, _ = _search(lab, dead, make_state(CAT, [0, 1j]), depth)
         assert path.steps == () and path.probability == 1.0
         assert path.final_state is dead is lab.states[lab.intern(dead)]
 
 
-def test_find_steering_path_absent():
+def test_search_absent():
     lab = cat_lab()  # only the diagonal basis: dead stays dead
-    path = find_steering_path(lab, basis_state(CAT, "dead"), basis_state(CAT, "alive"))
-    assert path is None
+    dead, alive = basis_state(CAT, "dead"), basis_state(CAT, "alive")
+    assert _search(lab, dead, alive, DEFAULT_MAX_DEPTH) == (None, False)
 
 
 def search_testing_every_arrival(lab, start, target, max_depth):
@@ -591,7 +592,7 @@ def test_search_follows_every_kept_row(eps, found):
     assert (eps >= (3 * EPS) ** 2) == found
     lab = weak_lab(eps)
     dead, alive = basis_state(lab.space, "dead"), basis_state(lab.space, "alive")
-    path = find_steering_path(lab, dead, alive)
+    path, _ = _search(lab, dead, alive, DEFAULT_MAX_DEPTH)
     if not found:
         assert path is None
         return
@@ -717,7 +718,7 @@ def test_memo_keys_vectors_and_matrices_apart():
     psi = rand_state(np.random.default_rng(4), lab.space)
     m = lab.measurements["m"]
     with empty_memo() as memo:
-        vector_rows, matrix_rows = born_rows(m, psi), born_rows(m, pure_density(psi))
+        vector_rows, matrix_rows = born_rows(m, psi), born_rows(m, make_mixture([(1.0, psi)]))
         assert len(memo) == 2
     assert isinstance(vector_rows[0][2], StateVector)
     assert isinstance(matrix_rows[0][2], DensityMatrix)

@@ -20,7 +20,6 @@ from catlab import (
     chi_square_test,
     enumerate_protocol,
     exact_distribution,
-    find_steering_path,
     leaf_mass,
     load_scenario,
     run_monte_carlo,
@@ -32,7 +31,6 @@ from catlab import (
     overlap,
     partial_trace,
     projector_from_state,
-    pure_density,
     replay_path,
     states_match,
     superposition_projector,
@@ -40,6 +38,7 @@ from catlab import (
     tree_to_json,
     Operator,
 )
+from catlab.lab import _search
 from catlab.measure import EPS, PRUNE_TOL
 from catlab.protocols import MAX_TRIALS
 from catlab.qstate import GRID, MATCH_TOL, PSD_FLOOR, DensityMatrix, StateVector, canonical_amps
@@ -136,11 +135,12 @@ def test_state_keys_equal_the_per_element_formula(seed, dim, small):
     for i, (re, im) in enumerate(small[: dim - 1], start=1):
         raw[i] = complex(re, im)
     psi = make_state(space, raw)
-    mixed = DensityMatrix(space, 0.5 * pure_density(psi).mat + 0.5 * np.eye(dim) / dim)
+    pure = make_mixture([(1.0, psi)])
+    mixed = DensityMatrix(space, 0.5 * pure.mat + 0.5 * np.eye(dim) / dim)
     # entries exactly half a grid step off it (4.5 and 0.5 steps): the key rounds half to even
     ties = np.eye(dim, dtype=complex) / dim
     ties[0, 1], ties[1, 0] = 4.5e-6 + 5e-7j, 4.5e-6 - 5e-7j
-    for x in (psi, pure_density(psi), mixed, DensityMatrix(space, ties)):
+    for x in (psi, pure, mixed, DensityMatrix(space, ties)):
         assert x.key == per_element_state_key(x)
         assert all(type(v) is int for v in x.key[1:])
 
@@ -209,14 +209,6 @@ def test_unitary_preserves_overlap(seed, dim):
     before = abs(overlap(a, b))
     after = abs(overlap(apply_unitary(u, a), apply_unitary(u, b)))
     assert abs(before - after) < 1e-10
-
-
-@SETTINGS
-@given(state_vectors())
-def test_pure_density_matches_projector(psi):
-    assert np.allclose(
-        pure_density(psi).mat, projector_from_state(psi).mat, atol=1e-15
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +321,7 @@ def test_tree_agrees_with_propagation_and_sampling(seed, dim, data, mixed, kinds
     rng = np.random.default_rng(seed)
     lab, target = random_lab(rng, dim, data.draw(st.integers(2, dim)))
     initial = rand_density(rng, lab.space) if mixed else rand_state(rng, lab.space)
-    rho = initial.mat if mixed else pure_density(initial).mat
+    rho = initial.mat if mixed else make_mixture([(1.0, initial)]).mat
     protocol = ProtocolSpec(tuple(STEP_KINDS[k] for k in kinds))
     tree = enumerate_protocol(protocol, lab, initial)
     agg = aggregate_leaves(tree)
@@ -355,9 +347,10 @@ def test_tree_agrees_with_propagation_and_sampling(seed, dim, data, mixed, kinds
     n = 2000
     mc = run_monte_carlo(protocol, lab, initial, n, seed)
     exact = {st_.key: p for st_, p in agg}
-    assert set(mc.bins) <= set(exact)
+    counts = {st_.key: c for st_, c in mc.finals}
+    assert set(counts) <= set(exact)
     for key, p in exact.items():
-        count = mc.bins[key][1] if key in mc.bins else 0
+        count = counts.get(key, 0)
         # 6 sigma, plus one count so that outcomes with n*p << 1 may occur once
         assert abs(count - n * p) <= 6 * math.sqrt(n * p * (1 - p)) + 1
 
@@ -376,7 +369,7 @@ def codes_protocol(codes, n_groups):
 
 def mc_counts(protocol, lab, initial, n, seed):
     mc = run_monte_carlo(protocol, lab, initial, n, seed)
-    return {key: c for key, (_, c) in mc.bins.items()}
+    return {state.key: c for state, c in mc.finals}
 
 
 step_codes = st.one_of(st.just("m"), st.just("u"), st.integers(0, 3))
@@ -425,7 +418,7 @@ def test_monte_carlo_draws_as_if_weights_were_derived_every_step(
     initial = rand_density(rng, lab.space) if mixed else rand_state(rng, lab.space)
     protocol = codes_protocol(codes, n_groups)
     mc = run_monte_carlo(protocol, lab, initial, n, seed)
-    assert [(key, c) for key, (_, c) in mc.bins.items()] == mc_every_step(
+    assert [(state.key, c) for state, c in mc.finals] == mc_every_step(
         protocol, lab, initial, n, seed
     )
 
@@ -598,7 +591,7 @@ def test_certificate_agrees_with_every_chain(seed, dim, groups, leak):
     v = nogo_verdict(lab, cand, alive, dead, max_depth=6, name="c", outcome_label="S")
     extended = lab.with_measurement("c", make_measurement(lab.space, [("S", cand)]))
     reached = chains_reach(extended, dead, alive, 6)
-    path = find_steering_path(extended, dead, alive, max_depth=6)
+    path, _ = _search(extended, dead, alive, 6)
     assert (path is not None) == reached == v.violated
     if v.certificate is not None:
         assert not reached

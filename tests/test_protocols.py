@@ -30,7 +30,6 @@ from catlab import (
     discriminate,
     enumerate_protocol,
     exact_distribution,
-    find_steering_path,
     leaf_mass,
     load_scenario,
     make_measurement,
@@ -41,7 +40,8 @@ from catlab import (
     tree_to_json,
 )
 from catlab.cli import discrimination_csv_rows, discrimination_to_json
-from catlab.protocols import MAX_TRIALS, MAX_UNROLLED_STEPS, _chi2_sf, _program
+from catlab.lab import DEFAULT_MAX_DEPTH, _search
+from catlab.protocols import MAX_TRIALS, MAX_UNROLLED_STEPS, _chi2_sf, _resolved
 
 
 def resurrection():
@@ -144,14 +144,14 @@ def test_program_folds_each_stop_if_into_the_operation_before_it():
     steps = (StopIfStep("g0"), MeasureStep("m"), StopIfStep("g1"), StopIfStep("g0"),
              UnitaryStep("u"), MeasureStep("m"))
     # the leading stop_if can match nothing: no outcome has been seen yet
-    assert _program(ProtocolSpec(steps), lab) == [("m", ("g1", "g0")), ("u", ()), ("m", ())]
+    assert _resolved(ProtocolSpec(steps), lab) == (("m", ("g1", "g0")), ("u", ()), ("m", ()))
     # the first disallowed operation in step order names itself
     with pytest.raises(DisallowedOperation, match="^unitary 'v' is not allowed in this laboratory$"):
-        _program(ProtocolSpec(steps + (UnitaryStep("v"), MeasureStep("n"))), lab)
+        _resolved(ProtocolSpec(steps + (UnitaryStep("v"), MeasureStep("n"))), lab)
     with pytest.raises(
         DisallowedOperation, match="^measurement 'n' is not allowed in this laboratory$"
     ):
-        _program(ProtocolSpec(steps + (MeasureStep("n"), UnitaryStep("v"))), lab)
+        _resolved(ProtocolSpec(steps + (MeasureStep("n"), UnitaryStep("v"))), lab)
 
 
 def test_initial_state_on_another_space():
@@ -311,13 +311,9 @@ def test_monte_carlo_reproducible():
     a = run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"], 4096, 9)
     b = run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"], 4096, 9)
     assert a.n == b.n == 4096
-    assert {k: c for k, (_, c) in a.bins.items()} == {
-        k: c for k, (_, c) in b.bins.items()
-    }
+    assert a.finals == b.finals
     c = run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"], 4096, 10)
-    assert {k: cnt for k, (_, cnt) in a.bins.items()} != {
-        k: cnt for k, (_, cnt) in c.bins.items()
-    }
+    assert {st.key: cnt for st, cnt in a.finals} != {st.key: cnt for st, cnt in c.finals}
 
 
 def test_monte_carlo_frequencies_near_exact():
@@ -341,7 +337,7 @@ def test_monte_carlo_skips_pruned_outcomes():
     sc = load_scenario("cat")[0]
     n = 3 * 4096 + 5
     mc = run_monte_carlo(sc.protocols["observe"], sc.lab, sc.states["alive"], n, 11)
-    assert [c for _, c in mc.bins.values()] == [n]
+    assert [c for _, c in mc.finals] == [n]
     assert mc.frequency(sc.states["alive"]) == 1.0
 
 
@@ -358,7 +354,7 @@ def test_monte_carlo_cost_does_not_grow_with_n():
     sc = resurrection()
     n = 10**15
     mc = run_monte_carlo(sc.protocols["resurrect10"], sc.lab, sc.states["dead"], n, 7)
-    assert sum(c for _, c in mc.bins.values()) == n
+    assert sum(c for _, c in mc.finals) == n
     p = 1.0 - 2.0**-10
     assert abs(mc.frequency(sc.states["alive"]) - p) < 6 * math.sqrt(p * (1 - p) / n)
 
@@ -371,7 +367,7 @@ def test_trials_validation():
         run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"],
                         MAX_TRIALS + 1, 1)
     empty = run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"], 0, 1)
-    assert empty.n == 0 and empty.bins == {}
+    assert empty.n == 0 and empty.finals == []
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +392,7 @@ def test_runs_on_a_lab_share_its_rows(monkeypatch):
     for run in (
         lambda: enumerate_protocol(protocol, sc.lab, dead),
         lambda: run_monte_carlo(protocol, sc.lab, dead, 4096, 2),
-        lambda: find_steering_path(sc.lab, dead, alive),
+        lambda: _search(sc.lab, dead, alive, DEFAULT_MAX_DEPTH),
     ):
         run()
         before = len(calls)
@@ -429,8 +425,8 @@ def test_a_lab_resolves_each_protocol_once(monkeypatch):
     # the lab keeps each protocol's program, so a later run on it neither
     # checks the protocol's operations nor unrolls it again
     calls = []
-    real = catlab.protocols._program
-    monkeypatch.setattr(catlab.protocols, "_program", lambda *a: calls.append(a) or real(*a))
+    real = ProtocolSpec.unrolled
+    monkeypatch.setattr(ProtocolSpec, "unrolled", lambda self: calls.append(self) or real(self))
     for lab_number in range(1, 3):  # a freshly loaded lab resolves it again
         sc = resurrection()
         protocol, dead = sc.protocols["resurrect10"], sc.states["dead"]
@@ -461,7 +457,7 @@ def test_a_lab_keeps_each_protocol_apart():
     ((RepeatStep((MeasureStep("basis"),), MAX_UNROLLED_STEPS + 1),), DepthCeiling),
 ], ids=["disallowed", "past-the-ceiling"])
 def test_a_rejected_protocol_raises_on_every_run(steps, error):
-    # no program is kept for a protocol that _program rejects
+    # no program is kept for a protocol that _resolved rejects
     sc = load_scenario("cat")[0]
     spec, dead = ProtocolSpec(steps), sc.states["dead"]
     for _ in range(3):
@@ -503,7 +499,7 @@ def test_first_state_interned_on_a_lab_represents_its_key():
     [(state, count, _)] = run_monte_carlo(there_and_back, ph.lab, b, 10, 1).rows()
     assert state is rep and count == 10
     start = apply_unitary(ph.unitaries["rotate45"], b)
-    path = find_steering_path(ph.lab, start, b)
+    path, _ = _search(ph.lab, start, b, DEFAULT_MAX_DEPTH)
     assert path.steps == (("rotate45_inv", ""),)
     assert path.final_state is rep
 
@@ -654,6 +650,22 @@ def test_chi2_sf_exact_points():
         assert _chi2_sf(x, 1) == math.erfc(math.sqrt(x / 2))
     for df in CHI2_DFS:
         assert _chi2_sf(0.0, df) == 1.0
+        # the series would multiply e^-inf = 0 by a power of inf, giving nan
+        assert _chi2_sf(math.inf, df) == 0.0
+
+
+def test_a_faint_expected_outcome_gives_p_value_zero():
+    # A's fifth outcome has probability 2.5e-321: positive, so its bin is
+    # not empty, but every count B draws there makes the statistic inf
+    space = HilbertSpace(tuple("abcde"))
+    a = make_state(space, [1, 1, 1, 1, 1e-160])
+    b = make_state(space, [1, 1, 1, 1, 1])
+    basis = make_measurement(
+        space, [(l, projector_from_state(basis_state(space, l))) for l in space.labels]
+    )
+    report = discriminate(a, b, basis, 1000, 3)
+    assert 0.0 < report.dist_a["e"] < 1e-300
+    assert (report.chi_square, report.chi_square_df, report.p_value) == (math.inf, 4, 0.0)
 
 
 def test_chi2_sf_matches_scipy():

@@ -25,7 +25,6 @@ from catlab import (
     overlap,
     partial_trace,
     projector_from_state,
-    pure_density,
     squared_overlap,
     states_match,
     tensor_space,
@@ -277,13 +276,6 @@ def test_trace_check_reports_the_trace_without_overflow(dim, diagonal, trace):
     assert str(exc.value) == message
 
 
-def test_pure_density_matches_outer_product():
-    rng = np.random.default_rng(3)
-    psi = rand_state(rng, space_of_dim(3))
-    rho = pure_density(psi)
-    assert np.allclose(rho.mat, np.outer(psi.amps, psi.amps.conj()), atol=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # operators
 
@@ -341,9 +333,9 @@ def test_apply_unitary_on_density():
 def test_partial_trace_of_entangled_pair_is_even_mixture():
     prod = tensor_space(DEV, CAT)
     psi = make_state(prod, [1, 0, 0, 1])
-    red = partial_trace(pure_density(psi), keep="cat")
+    red = partial_trace(make_mixture([(1.0, psi)]), keep="cat")
     assert np.max(np.abs(red.mat - np.eye(2) / 2)) < 1e-12
-    red_dev = partial_trace(pure_density(psi), keep="device")
+    red_dev = partial_trace(make_mixture([(1.0, psi)]), keep="device")
     assert np.max(np.abs(red_dev.mat - np.eye(2) / 2)) < 1e-12
 
 
@@ -421,7 +413,7 @@ def test_states_match_ignores_global_phase():
 
 def test_states_match_mixed_vs_pure():
     plus = make_state(CAT, [1, 1])
-    assert states_match(pure_density(plus), plus)
+    assert states_match(make_mixture([(1.0, plus)]), plus)
     even = make_mixture(
         [(0.5, basis_state(CAT, "alive")), (0.5, basis_state(CAT, "dead"))]
     )

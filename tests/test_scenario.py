@@ -262,9 +262,9 @@ V = ValidationError
         (MINIMAL + "unitaries:\n  u:\n    - [1, 1]\n    - [0, 1]\n",
          V, "t.scn:6:5: CatlabError: matrix is not unitary"),
         (XYP + "forbidden:\n  - {from: x, to: p}\nlab:\n  measurements: []\n",
-         V, "t.scn:11:3: CatlabError: forbidden pair must be distinct orthogonal states"),
+         V, "t.scn:9:5: CatlabError: forbidden pair must be distinct orthogonal states"),
         (XYP + "forbidden:\n  - {from: x, to: p}\n",
-         V, "t.scn:1:1: CatlabError: forbidden pair must be distinct orthogonal states"),
+         V, "t.scn:9:5: CatlabError: forbidden pair must be distinct orthogonal states"),
         # node shapes and scalar forms
         (XY + "mixtures: [1, 2]\n",
          P, "t.scn:7:11: mixtures must be a mapping"),

@@ -1,5 +1,6 @@
 """Smoke runs of the study scripts with small sizes, and their numbers."""
 
+import hashlib
 import pathlib
 import subprocess
 import sys
@@ -30,6 +31,23 @@ def run_script(script, args):
 @pytest.mark.parametrize("script, args, header", CASES, ids=[c[0] for c in CASES])
 def test_script_runs(script, args, header):
     assert run_script(script, args)[0].split() == header
+
+
+# sha256 of each script's stdout at its default arguments: a change that
+# moves any printed digit, or the layout, shows here
+STDOUT_SHA256 = {
+    "theorem_grid.py": "cb7df4d809f90d77ef3ca412dd03767bc2f6b445bdd07d9b652041ce722cc6a5",
+    "resurrection_curve.py": "4101368667f309ba85b5dbe2f5a5f744d1ab81888d1b501e7a411759360fbc8e",
+    "discrimination_table.py": "edf30c881cbba38c54b168174891a8010784ca709752af7eada1bbe4ad8ab753",
+}
+
+
+@pytest.mark.parametrize("script", sorted(STDOUT_SHA256))
+def test_default_stdout_is_pinned(script):
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / script)], capture_output=True, check=True,
+    ).stdout
+    assert hashlib.sha256(out).hexdigest() == STDOUT_SHA256[script]
 
 
 def test_theorem_grid_witnesses_match_the_closed_form():
