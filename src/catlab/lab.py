@@ -52,9 +52,11 @@ class Laboratory:
     (``states[id]``).  ``rows`` memoises, per (operation, id), the outcome
     rows ``(label, probability, next id)``, read off ``born_rows``.
     ``split`` and ``dyadic`` memoise, per (operation, id), the two views of
-    those rows that sampling and exact propagation step over.  Each is
-    built the first time any run meets the pair, and a lab keeps its rows
-    and both views for its own lifetime, also after the memo is cleared.
+    those rows that sampling and exact propagation step over: the kept rows
+    with their weights, and the rows as integers over the pair's largest
+    denominator.  Each is built the first time any run meets the pair, and
+    a lab keeps its rows and both views for its own lifetime, also after
+    the memo is cleared.
     ``_programs`` memoises, per protocol object, the program that
     ``protocols`` resolves it into on this lab, so each protocol that runs
     on the lab is checked and unrolled once in the lab's lifetime.
@@ -71,10 +73,10 @@ class Laboratory:
         unitaries = dict(unitaries or {})
         forbidden = tuple(forbidden)
         for name, m in measurements.items():
-            if m.space != space:
+            if m.space is not space and m.space != space:
                 raise DimensionMismatch(f"measurement {name!r} on another space")
         for name, u in unitaries.items():
-            if u.space != space:
+            if u.space is not space and u.space != space:
                 raise DimensionMismatch(f"unitary {name!r} on another space")
             if u.kind != "unitary":
                 raise CatlabError(f"operator {name!r} is not unitary")
@@ -95,7 +97,7 @@ class Laboratory:
         self._ids: dict[tuple, int] = {}
         self._rows: dict[tuple[str, int], tuple[tuple[str, float, int | None], ...]] = {}
         self._splits: dict[tuple[str, int], tuple[tuple, np.ndarray | None]] = {}
-        self._dyadic_rows: dict[tuple[str, int], tuple[tuple[str, int, int, int | None], ...]] = {}
+        self._dyadic_rows: dict[tuple[str, int], tuple[int, tuple[tuple, ...]]] = {}
         self._programs: dict[int, tuple[object, tuple]] = {}  # id(protocol) -> (protocol, program)
 
     def with_measurement(self, name: str, m: ProjectiveMeasurement) -> "Laboratory":
@@ -109,7 +111,7 @@ class Laboratory:
         """
         if name in self._ops:
             raise CatlabError(f"operation name {name!r} already in use")
-        if m.space != self.space:
+        if m.space is not self.space and m.space != self.space:
             raise DimensionMismatch(f"measurement {name!r} on another space")
         lab = Laboratory.__new__(Laboratory)
         lab._fill(self.space, {**self.measurements, name: m}, self.unitaries, self.forbidden)
@@ -156,21 +158,30 @@ class Laboratory:
             hit = self._splits[(name, sid)] = (kept, weights)
         return hit
 
-    def dyadic(self, name: str, sid: int) -> tuple[tuple[str, int, int, int | None], ...]:
-        """The rows of ``name`` on ``sid`` as ``(label, n, k, next id)``,
-        with probability ``n / 2**k`` exactly."""
+    def dyadic(self, name: str, sid: int) -> tuple[int, tuple[tuple, ...]]:
+        """The rows of ``name`` on ``sid`` over one denominator, as ``(k,
+        rows)``: ``2**k`` is the largest of the rows' denominators, and each
+        row is ``(n, label, next id, (next id, label))``, with probability
+        ``n / 2**k`` exactly.  The last field is the key of the cell that a
+        measurement row leads to in exact propagation; it is None when the
+        next id is."""
         hit = self._dyadic_rows.get((name, sid))
         if hit is None:
-            hit = self._dyadic_rows[(name, sid)] = tuple(
-                (label, *_dyadic(p), nid) for label, p, nid in self.rows(name, sid)
-            )
+            rows = [(label, *_dyadic(p), nid) for label, p, nid in self.rows(name, sid)]
+            k = max(k for _, _, k, _ in rows)
+            hit = self._dyadic_rows[(name, sid)] = (k, tuple(
+                (n << (k - kr), label, nid, None if nid is None else (nid, label))
+                for label, n, kr, nid in rows
+            ))
         return hit
 
 
 def _check_forbidden_pair(space: HilbertSpace, frm: StateVector, to: StateVector) -> None:
     """A lab's rule for a forbidden pair: both states on ``space``, with
     |<frm|to>| at most ``ORTHO_TOL``."""
-    if frm.space != space or to.space != space:
+    if (frm.space is not space and frm.space != space) or (
+        to.space is not space and to.space != space
+    ):
         raise DimensionMismatch("forbidden pair on another space")
     if abs(overlap(frm, to)) > ORTHO_TOL:
         raise CatlabError("forbidden pair must be distinct orthogonal states")
@@ -310,7 +321,9 @@ def _search(
     """
     if max_depth < 0:
         raise CatlabError(f"search depth must be >= 0, got {max_depth}")
-    if start.space != lab.space or target.space != lab.space:
+    if (start.space is not lab.space and start.space != lab.space) or (
+        target.space is not lab.space and target.space != lab.space
+    ):
         raise DimensionMismatch("states live outside the laboratory space")
     root = lab.intern(start)
     if states_match(lab.states[root], target):
@@ -378,9 +391,11 @@ def nogo_verdict(
         raise CatlabError(f"search depth must be >= 0, got {max_depth}")
     if candidate.kind != "projector":
         raise CatlabError("the no-go candidate must be a projector")
-    if candidate.space != lab.space:
+    if candidate.space is not lab.space and candidate.space != lab.space:
         raise DimensionMismatch("candidate lives outside the laboratory space")
-    if l_state.space != lab.space or d_state.space != lab.space:
+    if (l_state.space is not lab.space and l_state.space != lab.space) or (
+        d_state.space is not lab.space and d_state.space != lab.space
+    ):
         raise DimensionMismatch("states live outside the laboratory space")
     if abs(overlap(l_state, d_state)) > ORTHO_TOL or not any(
         states_match(frm, d_state) and states_match(to, l_state) for frm, to in lab.forbidden

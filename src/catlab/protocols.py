@@ -195,6 +195,7 @@ class OutcomeTree:
         # (sid, exact leaf mass times 2**scale), in first-leaf order
         self._finals = finals
         self._scale = scale
+        self._pruned = pruned  # exact pruned mass times 2**scale
         self.pruned_mass = pruned / (1 << scale)
         self._program = program
         self._start = start
@@ -257,9 +258,14 @@ def enumerate_protocol(
     ``(d * EPS)**2``, are dropped; their mass is in ``tree.pruned_mass``.  The
     rows are read in dyadic form from ``lab.dyadic``, which converts each
     (operation, state id) pair's rows once in the lab's lifetime, however
-    many runs, cells and steps meet the pair.
+    many runs, cells and steps meet the pair, to integers over the pair's
+    largest denominator ``2**k``.  A step is one pass over its cells, with
+    every mass it writes over ``2**shift``: the shift starts at 0 and rises
+    to a pair's ``k`` when that is larger, scaling up the cells written so
+    far and the pruned mass.  It ends at the largest ``k`` of the step, so
+    each integer is the one a step over that denominator would write.
     """
-    if initial.space != lab.space:
+    if initial.space is not lab.space and initial.space != lab.space:
         raise DimensionMismatch("initial state lives outside the laboratory space")
     program = _resolved(protocol, lab)
     start = lab.intern(initial)
@@ -269,27 +275,46 @@ def enumerate_protocol(
     nodes = 1  # the root is a node
     dyadic = lab.dyadic
     for name, stops in program:
-        expanded = [() if last is _ENDED else dyadic(name, sid) for sid, last in cells]
-        # one denominator per step: the largest one among its rows
-        shift = max((k for rows in expanded for _, _, k, _ in rows), default=0)
-        pruned <<= shift
+        # the step's denominator exponent: the largest k met so far this step
+        shift = 0
         nxt: dict[tuple[int, object], list[int]] = {}
-        for ((sid, last), (num, count)), rows in zip(cells.items(), expanded):
-            branched = False
-            for label, n, k, nid in rows:
-                mass = num * n << (shift - k)
-                if nid is None:
-                    pruned += mass
+        for cell_key, (num, count) in cells.items():
+            sid, last = cell_key
+            if last is not _ENDED:
+                k, rows = dyadic(name, sid)
+                if k > shift:
+                    # re-scale what this step wrote over the smaller denominator
+                    rise = k - shift
+                    pruned <<= rise
+                    for cell in nxt.values():
+                        cell[0] <<= rise
+                    shift = k
+                up = shift - k
+                branched = False
+                for n, label, nid, key in rows:
+                    if nid is None:
+                        pruned += num * n << up
+                        continue
+                    branched = True
+                    nodes += count
+                    if not label:  # a unitary row's empty label keeps the last outcome
+                        label = last
+                        key = (nid, last)
+                    if label in stops:
+                        key = (nid, _ENDED)
+                    cell = nxt.get(key)
+                    if cell is None:
+                        nxt[key] = [num * n << up, count]
+                    else:
+                        cell[0] += num * n << up
+                        cell[1] += count
+                if branched:
                     continue
-                branched = True
-                nodes += count
-                # a unitary row's empty label keeps the last outcome
-                now = label or last
-                cell = nxt.setdefault((nid, _ENDED if now in stops else now), [0, 0])
-                cell[0] += mass
-                cell[1] += count
-            if not branched:
-                cell = nxt.setdefault((sid, _ENDED), [0, 0])
+                cell_key = (sid, _ENDED)
+            cell = nxt.get(cell_key)
+            if cell is None:
+                nxt[cell_key] = [num << shift, count]
+            else:
                 cell[0] += num << shift
                 cell[1] += count
         scale += shift
@@ -410,7 +435,7 @@ def run_monte_carlo(
         raise CatlabError("trial count must be >= 0")
     if n > MAX_TRIALS:
         raise CatlabError(f"trial count must be <= {MAX_TRIALS}")
-    if initial.space != lab.space:
+    if initial.space is not lab.space and initial.space != lab.space:
         raise DimensionMismatch("initial state lives outside the laboratory space")
     program = _resolved(protocol, lab)
     stream = RandomStream(seed)

@@ -62,7 +62,9 @@ class HilbertSpace:
     computed once, in ``__init__``, since every ``born_rows`` key holds the
     space once per outcome and once more.  A string's hash depends on the
     process's hash seed, so pickling rebuilds the space through its
-    constructor instead of carrying the stored hash along.
+    constructor instead of carrying the stored hash along.  catlab's own
+    space checks test identity before ``!=``, so checking a space against
+    itself runs no Python code.
     """
 
     def __init__(
@@ -307,7 +309,7 @@ def make_mixture(parts: Iterable[tuple[float, StateVector]]) -> DensityMatrix:
         w = float(w)
         if w < 0.0 or not math.isfinite(w):
             raise BadWeights(f"weight {w!r} is negative or non-finite")
-        if psi.space != space:
+        if psi.space is not space and psi.space != space:
             raise DimensionMismatch("mixture components live on different spaces")
         total += w
         mat += w * np.outer(psi.amps, psi.amps.conj())
@@ -367,7 +369,7 @@ def apply_unitary(u: Operator, x: State) -> State:
     """Evolve a state by a unitary: U|psi> or U rho U^dagger."""
     if u.kind != "unitary":
         raise CatlabError("apply_unitary needs an operator of kind 'unitary'")
-    if u.space != x.space:
+    if u.space is not x.space and u.space != x.space:
         raise DimensionMismatch("unitary and state live on different spaces")
     if isinstance(x, StateVector):
         amps = u.mat @ x.amps
@@ -379,7 +381,7 @@ def apply_unitary(u: Operator, x: State) -> State:
 
 def overlap(a: StateVector, b: StateVector) -> complex:
     """The inner product <a|b>."""
-    if a.space != b.space:
+    if a.space is not b.space and a.space != b.space:
         raise DimensionMismatch("states live on different spaces")
     return complex(np.vdot(a.amps, b.amps))
 

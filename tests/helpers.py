@@ -14,6 +14,7 @@ from catlab import (
     make_mixture,
     make_state,
 )
+from catlab.protocols import _ENDED, _resolved
 
 LABEL_POOL = "abcdefghijklmnop"
 
@@ -69,3 +70,60 @@ def mc_every_step(protocol, lab, initial, n, seed):
     for (sid, _), count in cells.items():
         finals[sid] = finals.get(sid, 0) + count
     return [(lab.states[sid].key, c) for sid, c in finals.items()]
+
+
+def enumerate_two_pass(protocol, lab, initial):
+    """``(finals, scale, pruned, nodes, leaves)`` of the exact propagation by
+    a reference step of two passes: the first lists every cell's rows as
+    ``(label, n, k, next id)``, probability ``n / 2**k``, and takes the
+    step's denominator as the largest ``2**k`` among them; the second adds
+    each row's mass over that denominator into its next cell."""
+    program = _resolved(protocol, lab)
+    cells = {(lab.intern(initial), None): [1, 1]}
+    scale = pruned = 0
+    nodes = 1
+    for name, stops in program:
+        expanded = [() if last is _ENDED else _dyadic_rows(lab, name, sid) for sid, last in cells]
+        shift = max((k for rows in expanded for _, _, k, _ in rows), default=0)
+        pruned <<= shift
+        nxt = {}
+        for ((sid, last), (num, count)), rows in zip(cells.items(), expanded):
+            branched = False
+            for label, n, k, nid in rows:
+                mass = num * n << (shift - k)
+                if nid is None:
+                    pruned += mass
+                    continue
+                branched = True
+                nodes += count
+                now = label or last
+                cell = nxt.setdefault((nid, _ENDED if now in stops else now), [0, 0])
+                cell[0] += mass
+                cell[1] += count
+            if not branched:
+                cell = nxt.setdefault((sid, _ENDED), [0, 0])
+                cell[0] += num << shift
+                cell[1] += count
+        scale += shift
+        cells = nxt
+    finals = {}
+    leaves = 0
+    for (sid, _), (num, count) in cells.items():
+        finals[sid] = finals.get(sid, 0) + num
+        leaves += count
+    return list(finals.items()), scale, pruned, nodes, leaves
+
+
+def _dyadic_rows(lab, name, sid):
+    """The rows of ``name`` on ``sid`` as ``(label, n, k, next id)``."""
+    out = []
+    for label, p, nid in lab.rows(name, sid):
+        n, d = p.as_integer_ratio()
+        out.append((label, n, d.bit_length() - 1, nid))
+    return out
+
+
+def tree_integers(tree):
+    """The exact integers an outcome tree holds, in the order of
+    ``enumerate_two_pass``."""
+    return tree._finals, tree._scale, tree._pruned, tree._nodes, tree._leaves

@@ -20,7 +20,10 @@ from catlab import (
     PreconditionFailed,
     SCENARIO_NAMES,
     SteeringPath,
+    aggregate_leaves,
     basis_state,
+    enumerate_protocol,
+    leaf_mass,
     load_scenario,
     make_measurement,
     make_mixture,
@@ -924,3 +927,34 @@ def test_candidate_rows_die_with_the_candidate(monkeypatch):
     del made[:], measurement
     gc.collect()
     assert ref() is None
+
+
+def test_a_space_compared_with_itself_calls_no_eq(monkeypatch):
+    # every space check tests identity first, so a verdict with its audit,
+    # and an exact run, on a loaded lab whose objects share one space run
+    # no HilbertSpace.__eq__.  Each starts with an empty born_rows memo:
+    # rows memoised for another load of an equal space hold that load's
+    # space object, which is equal to this one but not the same.
+    calls = []
+    real = HilbertSpace.__eq__
+    monkeypatch.setattr(HilbertSpace, "__eq__", lambda a, b: calls.append(b) or real(a, b))
+    cat = load_scenario("cat")[0]
+    candidate = cat.measurements["plusminus"].projector("+")
+    alive, dead = cat.states["alive"], cat.states["dead"]
+    with empty_memo():
+        v = nogo_verdict(cat.lab, candidate, alive, dead, name="plusminus")
+        lab = cat.lab.with_measurement("plusminus", make_measurement(cat.space, [("S", candidate)]))
+        assert replay_path(lab, dead, v.witness)[0] == v.witness.probability
+    res = load_scenario("resurrection")[0]
+    with empty_memo():
+        for initial in ("dead", "rho_cat"):
+            tree = enumerate_protocol(res.protocols["resurrect10"], res.lab, res.initial(initial))
+            aggregate_leaves(tree)
+            assert leaf_mass(tree, res.states["alive"]) == pytest.approx(1 - 2.0**-10)
+    assert calls == []
+    # equal spaces that are distinct objects still compare through __eq__
+    twin = HilbertSpace(cat.space.labels, name=cat.space.name)
+    assert twin is not cat.space and twin == cat.space and not twin != cat.space
+    assert calls == [cat.space, cat.space]
+    with pytest.raises(DimensionMismatch):
+        nogo_verdict(cat.lab, candidate, make_state(space_of_dim(2), [1, 0]), dead)

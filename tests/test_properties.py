@@ -43,7 +43,15 @@ from catlab.measure import EPS, PRUNE_TOL
 from catlab.protocols import MAX_TRIALS
 from catlab.qstate import GRID, MATCH_TOL, PSD_FLOOR, DensityMatrix, StateVector, canonical_amps
 
-from helpers import mc_every_step, rand_density, rand_state, rand_unitary, space_of_dim
+from helpers import (
+    enumerate_two_pass,
+    mc_every_step,
+    rand_density,
+    rand_state,
+    rand_unitary,
+    space_of_dim,
+    tree_integers,
+)
 
 SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -373,6 +381,22 @@ def mc_counts(protocol, lab, initial, n, seed):
 
 
 step_codes = st.one_of(st.just("m"), st.just("u"), st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(2, 4), st.integers(2, 4), st.booleans(),
+       st.lists(step_codes, min_size=1, max_size=10))
+@example(7, 3, 3, False, ["m", 0, "u", "m", 1, "m", "u", "m"])
+def test_one_pass_step_matches_two_pass(seed, dim, groups, mixed, codes):
+    # the step's denominator rises lazily; every integer must be the one a
+    # step over the largest denominator of all its rows gives
+    rng = np.random.default_rng(seed)
+    n_groups = min(groups, dim)
+    lab, _ = random_lab(rng, dim, n_groups)
+    initial = rand_density(rng, lab.space) if mixed else rand_state(rng, lab.space)
+    protocol = codes_protocol(codes, n_groups)
+    tree = enumerate_protocol(protocol, lab, initial)
+    assert tree_integers(tree) == enumerate_two_pass(protocol, lab, initial)
 
 
 @settings(max_examples=30, deadline=None)

@@ -21,6 +21,7 @@ from catlab import (
     Operator,
     ProtocolSpec,
     RepeatStep,
+    SCENARIO_NAMES,
     StopIfStep,
     UnitaryStep,
     aggregate_leaves,
@@ -42,6 +43,8 @@ from catlab import (
 from catlab.cli import discrimination_csv_rows, discrimination_to_json
 from catlab.lab import DEFAULT_MAX_DEPTH, _search
 from catlab.protocols import MAX_TRIALS, MAX_UNROLLED_STEPS, _chi2_sf, _resolved
+
+from helpers import enumerate_two_pass, tree_integers
 
 
 def resurrection():
@@ -300,6 +303,96 @@ def test_unitary_steps_in_tree():
     state, mass = agg[0]
     assert abs(mass - 1.0) < 1e-12
     assert abs(abs(np.vdot(state.amps, ph.states["z0"].amps)) - 1) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the one-pass step against the two-pass reference
+
+
+def assert_steps_agree(protocol, lab, initial):
+    tree = enumerate_protocol(protocol, lab, initial)
+    assert tree_integers(tree) == enumerate_two_pass(protocol, lab, initial)
+    return tree
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_one_pass_step_matches_two_pass_on_shipped_runs(name):
+    sc = load_scenario(name)[0]
+    for protocol in sc.protocols.values():
+        for initial in [*sc.states, *sc.mixtures]:
+            assert_steps_agree(protocol, sc.lab, sc.initial(initial))
+
+
+@pytest.mark.parametrize("initial", ["dead", "rho_cat"])
+def test_one_pass_step_matches_two_pass_on_the_sweep(initial):
+    sc = resurrection()
+    body = (MeasureStep("pm"), MeasureStep("basis"), StopIfStep("alive"))
+    for k in range(1, 13):
+        assert_steps_agree(ProtocolSpec((RepeatStep(body, k),)), sc.lab, sc.initial(initial))
+
+
+def test_a_larger_denominator_later_in_a_step_rescales_what_it_wrote():
+    # After "split", the cells are a then b.  Under "m", a prunes a row of
+    # about 1e-40 and b one of about 1e-60, whose denominator is larger, so
+    # the step's denominator rises at b: a's kept cell and the pruned mass,
+    # written over a's denominator, must be scaled up to it.
+    space = HilbertSpace(("a", "b", "c"))
+    v = np.array([1e-20, 1e-30, 1.0])
+    lab = Laboratory(space, {
+        "split": make_measurement(space, [
+            (label, projector_from_state(basis_state(space, label))) for label in "abc"
+        ]),
+        "m": make_measurement(space, [("v", Operator(space, np.outer(v, v), "projector"))]),
+    })
+    start = make_state(space, [1, 1, 0])
+    protocol = ProtocolSpec((MeasureStep("split"), MeasureStep("m")))
+    tree = assert_steps_agree(protocol, lab, start)
+    a, b = (lab.intern(basis_state(space, label)) for label in "ab")
+    (k_a, rows_a), (k_b, rows_b) = lab.dyadic("m", a), lab.dyadic("m", b)
+    assert 0 < k_a < k_b
+    assert [nid is None for _, _, nid, _ in rows_a] == [True, False]
+    assert rows_a[0][0] > 0 and tree._pruned > 0
+    assert tree.pruned_mass == pytest.approx(0.5e-40, rel=1e-6)
+
+
+def flip_lab():
+    """A 2-level lab with the basis measurement and the unitary that swaps
+    alive and dead."""
+    space = HilbertSpace(("alive", "dead"))
+    basis = make_measurement(space, [
+        (label, projector_from_state(basis_state(space, label))) for label in space.labels
+    ])
+    flip = Operator(space, np.array([[0, 1], [1, 0]]), "unitary")
+    return Laboratory(space, {"basis": basis}, {"flip": flip}), make_state(space, [1, 1])
+
+
+def test_a_stop_matches_a_label_kept_through_a_unitary_row():
+    # dead then flip keeps the label "dead"; stop_if dead halts that branch
+    lab, start = flip_lab()
+    protocol = ProtocolSpec((
+        MeasureStep("basis"), UnitaryStep("flip"), StopIfStep("dead"), MeasureStep("basis"),
+    ))
+    tree = assert_steps_agree(protocol, lab, start)
+    stopped = [leaf for leaf in tree.leaves() if leaf.stopped]
+    assert [(leaf.operation, leaf.label) for leaf in stopped] == [("flip", None)]
+    assert (tree.n_nodes(), tree.n_leaves()) == (6, 2)
+
+
+def test_an_ended_cell_is_carried_through_later_steps():
+    # alive stops at step 1 and is passed on unexpanded by steps 2 to 4;
+    # dead, flipped to alive, stops at step 2 and joins its cell
+    lab, start = flip_lab()
+    protocol = ProtocolSpec((
+        MeasureStep("basis"), StopIfStep("alive"), UnitaryStep("flip"), StopIfStep("dead"),
+        MeasureStep("basis"), UnitaryStep("flip"),
+    ))
+    tree = assert_steps_agree(protocol, lab, start)
+    alive = lab.intern(basis_state(lab.space, "alive"))
+    assert [(leaf.operation, leaf.stopped, leaf.sid) for leaf in tree.leaves()] == [
+        ("basis", True, alive), ("flip", True, alive)
+    ]
+    assert (tree.n_nodes(), tree.n_leaves()) == (4, 2)
+    assert [sid for sid, _ in tree._finals] == [alive]
 
 
 # ---------------------------------------------------------------------------
