@@ -34,6 +34,7 @@ from .qstate import (
     overlap,
     states_match,
 )
+from .rng import draw_weights
 
 DEFAULT_MAX_DEPTH = 8
 NEW_DIRECTION = 1e-6  # closure directions (and target residuals) above this count
@@ -96,7 +97,7 @@ class Laboratory:
         self.states: list[State] = []
         self._ids: dict[tuple, int] = {}
         self._rows: dict[tuple[str, int], tuple[tuple[str, float, int | None], ...]] = {}
-        self._splits: dict[tuple[str, int], tuple[tuple, np.ndarray | None]] = {}
+        self._splits: dict[tuple[str, int], tuple[tuple, float | np.ndarray | None]] = {}
         self._dyadic_rows: dict[tuple[str, int], tuple[int, tuple[tuple, ...]]] = {}
         self._programs: dict[int, tuple[object, tuple]] = {}  # id(protocol) -> (protocol, program)
 
@@ -140,12 +141,14 @@ class Laboratory:
             )
         return hit
 
-    def split(self, name: str, sid: int) -> tuple[tuple, np.ndarray | None]:
+    def split(self, name: str, sid: int) -> tuple[tuple, float | np.ndarray | None]:
         """How sampling splits a count at state ``sid`` under ``name``:
-        ``(kept, weights)``, the rows with a next id and their read-only
-        ``_weights``, or None for weights when one row is kept.  Raises
-        ``CatlabError`` when no row is kept, on every call, since no empty
-        split is stored."""
+        ``(kept, weights)``, the rows with a next id and their ``_weights``
+        in ``draw_weights``' form, which ``RandomStream.draw`` draws over:
+        the first row's weight as a float when two rows are kept, and the
+        read-only array when more are.  Weights are None when one row is
+        kept, since its count passes on whole.  Raises ``CatlabError`` when
+        no row is kept, on every call, since no empty split is stored."""
         hit = self._splits.get((name, sid))
         if hit is None:
             kept = tuple(row for row in self.rows(name, sid) if row[2] is not None)
@@ -153,8 +156,7 @@ class Laboratory:
                 raise CatlabError("ran out of probability mass mid-trial")
             weights = None
             if len(kept) > 1:
-                weights = _weights([p for _, p, _ in kept])
-                weights.setflags(write=False)
+                weights = draw_weights(_weights([p for _, p, _ in kept]))
             hit = self._splits[(name, sid)] = (kept, weights)
         return hit
 
@@ -188,14 +190,15 @@ def _check_forbidden_pair(space: HilbertSpace, frm: StateVector, to: StateVector
 
 
 def _weights(probs: Sequence[float]) -> np.ndarray:
-    """The multinomial probabilities that sampling draws for outcomes of
-    probabilities ``probs``.  Each probability is snapped to an integer
-    weight over ``SPLIT_GRID`` and the weights are renormalised, so that
-    two representatives of one key, whose probabilities may differ in the
-    last bits, draw alike.  A probability of at least about
-    0.5 / SPLIT_GRID keeps a weight of at least 1.  A kept vector row can be
-    as faint as ``(d * EPS)**2``; below about 0.5 / SPLIT_GRID it gets
-    weight 0 and draws no trial."""
+    """The probabilities that sampling draws over for outcomes of
+    probabilities ``probs``; ``draw_weights`` puts them in the form a draw
+    takes.  Each probability is snapped to an integer weight over
+    ``SPLIT_GRID`` and the weights are renormalised, so that two
+    representatives of one key, whose probabilities may differ in the last
+    bits, draw alike.  A probability of at least about 0.5 / SPLIT_GRID
+    keeps a weight of at least 1.  A kept vector row can be as faint as
+    ``(d * EPS)**2``; below about 0.5 / SPLIT_GRID it gets weight 0 and
+    draws no trial."""
     w = np.rint(np.multiply(probs, SPLIT_GRID))
     return w / w.sum()
 

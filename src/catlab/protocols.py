@@ -19,7 +19,7 @@ from .errors import CatlabError, DepthCeiling, DimensionMismatch, DisallowedOper
 from .lab import Laboratory, _weights, born_rows
 from .measure import COMPLEMENT_LABEL, ProjectiveMeasurement
 from .qstate import State, StateVector, format_state, states_match
-from .rng import RandomStream
+from .rng import RandomStream, draw_weights
 
 MAX_UNROLLED_STEPS = 64
 MAX_TRIALS = (1 << 63) - 1  # numpy draws counts as 64-bit integers
@@ -408,28 +408,30 @@ def run_monte_carlo(
     in cells, one per (state id in ``lab``, last outcome label), like the
     masses of ``enumerate_protocol``, starting with all ``n`` in the
     initial state's cell.  A step splits each cell's count over the kept
-    rows of its state by one multinomial draw from stream ``(seed, 0)``; a
-    cell with one kept row, such as every unitary row, passes its whole
-    count on, which draws nothing from the stream.  The draw's
-    probabilities are ``_weights`` of the kept rows, read from
-    ``lab.split``, which computes them once per (operation, state id) pair
-    in the lab's lifetime, so a cell that meets a pair again, in this run
-    or a later one, only draws.  They renormalise over the kept rows, so a
-    split differs from the exact distribution by the mass of the pruned
-    rows, which ``enumerate_protocol`` reports as pruned, and by the
-    snapping of ``_weights``: a kept row below about 0.5 * 2**-40 draws no
-    trial.  A cell whose state keeps no row raises ``CatlabError``.  A
-    unitary row's empty label keeps the last outcome.  After each split,
-    the cells whose last label is one of its stop labels move to the final
-    states, in the order the ``stop_if`` steps were written.  Cells are
-    split in order of first arrival, not in id order, so the result depends
-    on the protocol, the initial state, the seed and ``n``, and not on what
-    the lab's table held before, unless a row probability lies within its
-    last bits of a rounding boundary of the grid.  The cost grows with
-    steps times cells, not with ``n``.  The result's ``finals`` lists the
-    lab's state objects with their counts in order of arrival, read by id,
-    so no state's ``key`` is hashed; the program, like the splits, is kept
-    in ``lab`` after the first run.
+    rows of its state by one draw from stream ``(seed, 0)``, through
+    ``RandomStream.draw``: a binomial draw for two kept rows and a
+    multinomial draw for more, which for two rows is the same draw; a cell
+    with one kept row, such as every unitary row, passes its whole count
+    on, which draws nothing from the stream.  The draw's probabilities are
+    ``_weights`` of the kept rows, read from ``lab.split``, which computes
+    them once per (operation, state id) pair in the lab's lifetime, so a
+    cell that meets a pair again, in this run or a later one, only draws.
+    They renormalise over the kept rows, so a split differs from the exact
+    distribution by the mass of the pruned rows, which
+    ``enumerate_protocol`` reports as pruned, and by the snapping of
+    ``_weights``: a kept row below about 0.5 * 2**-40 draws no trial.  A
+    cell whose state keeps no row raises ``CatlabError``.  A unitary row's
+    empty label keeps the last outcome.  After each split, the cells whose
+    last label is one of its stop labels move to the final states, in the
+    order the ``stop_if`` steps were written.  Cells are split in order of
+    first arrival, not in id order, so the result depends on the protocol,
+    the initial state, the seed and ``n``, and not on what the lab's table
+    held before, unless a row probability lies within its last bits of a
+    rounding boundary of the grid.  The cost grows with steps times cells,
+    not with ``n``.  The result's ``finals`` lists the lab's state objects
+    with their counts in order of arrival, read by id, so no state's ``key``
+    is hashed; the program, like the splits, is kept in ``lab`` after the
+    first run.
     """
     if n < 0:
         raise CatlabError("trial count must be >= 0")
@@ -444,12 +446,12 @@ def run_monte_carlo(
     if n:
         cells[(lab.intern(initial), None)] = n
     finals: dict[int, int] = {}
-    split = lab.split
+    split, draw = lab.split, stream.draw
     for name, stops in program:
         nxt: dict[tuple[int, str | None], int] = {}
         for (sid, last), count in cells.items():
             kept, weights = split(name, sid)
-            counts = [count] if weights is None else stream.multinomial(count, weights).tolist()
+            counts = (count,) if weights is None else draw(count, weights)
             for (label, _, nid), c in zip(kept, counts):
                 if c:
                     key = (nid, label or last)
@@ -566,10 +568,11 @@ def discriminate(
 ) -> DiscriminationReport:
     """Compare two sources through one measurement, exactly and by sampling.
 
-    Exact Born distributions give the total variation distance; one
-    multinomial draw of ``n`` trials per source over its ``_weights``, on
-    streams 0 and 1 under ``seed``, gives the empirical frequencies and the
-    chi-square p-value of B against A.
+    Exact Born distributions give the total variation distance; one draw
+    of ``n`` trials per source over its ``_weights``, on streams 0 and 1
+    under ``seed``, gives the empirical frequencies and the chi-square
+    p-value of B against A.  The draw is ``RandomStream.draw``'s: one
+    binomial for a two-label measurement, one multinomial for more.
     """
     if n < 1:
         raise CatlabError("discrimination needs at least one trial")
@@ -581,8 +584,8 @@ def discriminate(
     tv = total_variation(dist_a, dist_b)
 
     def sample(dist: Mapping[str, float], stream: int) -> dict[str, int]:
-        weights = _weights([dist[l] for l in labels])
-        return dict(zip(labels, RandomStream(seed, stream).multinomial(n, weights).tolist()))
+        weights = draw_weights(_weights([dist[l] for l in labels]))
+        return dict(zip(labels, RandomStream(seed, stream).draw(n, weights)))
 
     counts_a, counts_b = sample(dist_a, 0), sample(dist_b, 1)
     freq_a = {l: c / n for l, c in counts_a.items()}

@@ -1,10 +1,12 @@
 """Seeded counter-based random streams.
 
 A stream is addressed by the pair ``(seed, stream)``; distinct ids give
-statistically independent sequences.  The package draws only multinomial
-counts: Monte Carlo splits its trial counts on stream 0, and
-``discriminate`` samples its two sources on streams 0 and 1, so a
-histogram depends only on the seed and the trial count.
+statistically independent sequences.  The package draws only counts split
+over rows, through ``RandomStream.draw``: one binomial draw for two rows
+and one multinomial draw for more, which for two rows are the same draw.
+Monte Carlo splits its trial counts on stream 0, and ``discriminate``
+samples its two sources on streams 0 and 1, so a histogram depends only
+on the seed and the trial count.
 """
 
 from __future__ import annotations
@@ -38,11 +40,22 @@ def _key_type() -> type:
     return Key
 
 
+def draw_weights(weights: np.ndarray) -> float | np.ndarray:
+    """The form in which ``RandomStream.draw`` draws over ``weights``, the
+    probabilities of two or more rows: for two, the first weight as a
+    Python float; for more, the array itself, made read-only.  The one
+    place that tells a two-row split from a wider one."""
+    if len(weights) == 2:
+        return float(weights[0])
+    weights.setflags(write=False)
+    return weights
+
+
 class RandomStream:
-    """Multinomial draws from a 64-bit seeded counter-based generator: a
-    ``Philox`` keyed with ``[seed, stream]`` at counter 0, bit for bit
-    ``np.random.Philox(key=k)`` for the uint64 array ``k`` of the two.
-    Each stream owns its generator."""
+    """Binomial and multinomial draws from a 64-bit seeded counter-based
+    generator: a ``Philox`` keyed with ``[seed, stream]`` at counter 0, bit
+    for bit ``np.random.Philox(key=k)`` for the uint64 array ``k`` of the
+    two.  Each stream owns its generator."""
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed) & MAX_SEED
@@ -55,6 +68,22 @@ class RandomStream:
         by numpy's conditional-binomial generator: one binomial draw per
         outcome but the last, which takes the remainder."""
         return self._gen.multinomial(n, pvals)
+
+    def binomial(self, n: int, p: float) -> int:
+        """Successes among ``n`` draws of probability ``p``, by numpy's
+        binomial generator.  ``multinomial(n, [p, q])`` makes this one draw,
+        on the same generator state, and gives the rest to the second
+        outcome, so ``(k, n - k)`` are its counts bit for bit."""
+        return self._gen.binomial(n, p)
+
+    def draw(self, n: int, weights: float | np.ndarray) -> tuple[int, int] | list[int]:
+        """Counts of ``n`` draws over rows whose weights are in
+        ``draw_weights``' form: one binomial draw on a float, the first of
+        two rows' weights, and one multinomial draw on an array."""
+        if weights.__class__ is float:
+            k = self.binomial(n, weights)
+            return k, n - k
+        return self.multinomial(n, weights).tolist()
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream={self.stream})"

@@ -210,12 +210,14 @@ def _functions_naming(*names: str) -> set[str]:
     return _functions_with(lambda node: isinstance(node, ast.Name) and node.id in names)
 
 
+def _functions_reading(attr: str) -> set[str]:
+    """The catlab functions, as ``module.function``, that read an attribute named ``attr``."""
+    return _functions_with(lambda n: isinstance(n, ast.Attribute) and n.attr == attr)
+
+
 def _protocols_reading(attr: str) -> set[str]:
     """The protocols.py functions that read an attribute named ``attr``."""
-    return {
-        f for f in _functions_with(lambda n: isinstance(n, ast.Attribute) and n.attr == attr)
-        if f.startswith("protocols.")
-    }
+    return {f for f in _functions_reading(attr) if f.startswith("protocols.")}
 
 
 def test_one_tree_walker():
@@ -235,6 +237,26 @@ def test_one_snapping_rule():
     assert _modules_using("SPLIT_GRID") == {"lab.py"}
     assert _functions_naming("_weights") == {
         "lab.split", "protocols.discriminate", "protocols.sample"
+    }
+
+
+def test_one_draw_rule():
+    # RandomStream.draw is the one function that picks a binomial or a
+    # multinomial, by the form draw_weights gave the weights; a second
+    # chooser could split two rows another way.  Only rng.py holds the
+    # numpy Generator, and sampling and discrimination draw through
+    # RandomStream.draw alone.
+    assert _functions_reading("binomial") & _functions_reading("multinomial") == {"rng.draw"}
+    assert _functions_reading("binomial") == {"rng.draw", "rng.binomial"}
+    assert _functions_reading("multinomial") == {"rng.draw", "rng.multinomial"}
+    assert _functions_naming("draw_weights") == {
+        "lab.split", "protocols.discriminate", "protocols.sample"
+    }
+    assert _modules_using("Generator") == {"rng.py"}
+    assert _modules_using("_gen") == {"rng.py"}
+    assert _modules_using("random") == {"rng.py"}
+    assert _protocols_reading("draw") == {
+        "protocols.run_monte_carlo", "protocols.discriminate", "protocols.sample"
     }
 
 

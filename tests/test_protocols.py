@@ -41,7 +41,7 @@ from catlab import (
     tree_to_json,
 )
 from catlab.cli import discrimination_csv_rows, discrimination_to_json
-from catlab.lab import DEFAULT_MAX_DEPTH, _search
+from catlab.lab import DEFAULT_MAX_DEPTH, _search, _weights
 from catlab.protocols import MAX_TRIALS, MAX_UNROLLED_STEPS, _chi2_sf, _resolved
 
 from helpers import enumerate_two_pass, tree_integers
@@ -514,6 +514,45 @@ def test_a_lab_prepares_each_pair_once(monkeypatch, initial, pairs, rows):
             assert calls == {"weights": lab_number * pairs, "dyadic": lab_number * rows}
 
 
+def three_levels():
+    """A three-level space, a measurement with outcomes a and bc, and the
+    basis measurement."""
+    space = HilbertSpace(("a", "b", "c"))
+    a = projector_from_state(basis_state(space, "a"))
+    halves = make_measurement(
+        space, [("a", a), ("bc", Operator(space, np.eye(3) - a.mat, "projector"))]
+    )
+    basis = make_measurement(
+        space, [(l, projector_from_state(basis_state(space, l))) for l in space.labels]
+    )
+    return space, halves, basis
+
+
+def test_a_split_keeps_one_weight_view_per_pair():
+    # a pair's split holds None for one kept row, the first row's weight as
+    # a float for two, and the read-only array for more; the lab keeps its
+    # four tables and no other
+    space, halves, basis = three_levels()
+    lab = Laboratory(space, {"basis": basis, "halves": halves})
+    start = make_state(space, [1, 2, 3])
+    protocol = ProtocolSpec((MeasureStep("halves"), MeasureStep("basis"), MeasureStep("basis")))
+    run_monte_carlo(protocol, lab, start, 10**6, 1)
+    sid = lab.intern(start)
+    probs = [p for _, p, _ in lab.rows("halves", sid)]
+    assert lab.split("halves", sid)[1] == _weights(probs)[0].item()
+    assert lab.split("halves", sid)[1].__class__ is float
+    wide = lab.split("basis", sid)[1]
+    assert np.array_equal(wide, _weights([p for _, p, _ in lab.rows("basis", sid)]))
+    assert len(wide) == 3 and not wide.flags.writeable
+    for (name, _), (kept, weights) in lab._splits.items():
+        assert len(kept) == {None: 1, float: 2, np.ndarray: 3}[
+            None if weights is None else weights.__class__
+        ], name
+    tables = {key for key, value in vars(lab).items() if isinstance(value, dict)}
+    assert tables == {"measurements", "unitaries", "_ops", "_ids", "_rows", "_splits",
+                      "_dyadic_rows", "_programs"}
+
+
 def test_a_lab_resolves_each_protocol_once(monkeypatch):
     # the lab keeps each protocol's program, so a later run on it neither
     # checks the protocol's operations nor unrolls it again
@@ -794,3 +833,29 @@ def test_discrimination_report_keyword_construction():
         "label": "b", "exact_a": 0.0, "exact_b": 0.5, "freq_a": 0.0, "freq_b": 0.75,
     }
     assert doc["chi_square"] == {"statistic": math.inf, "df": 0, "p_value": 0.0}
+
+
+def _multinomial_frequencies(dist, labels, n, seed, stream):
+    """Frequencies of one numpy multinomial draw of ``n`` over the
+    ``_weights`` of ``dist``, on the generator of stream ``(seed, stream)``."""
+    key = np.array([seed, stream], dtype=np.uint64)
+    counts = np.random.Generator(np.random.Philox(key=key)).multinomial(
+        n, _weights([dist[l] for l in labels])
+    )
+    return {l: c / n for l, c in zip(labels, counts.tolist())}
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["2-label", "3-label"])
+def test_discrimination_draws_as_the_multinomial_reference(wide):
+    # a two-label measurement draws one binomial per source, a wider one a
+    # multinomial; both must be numpy's multinomial draw on streams 0 and 1
+    space, halves, basis = three_levels()
+    m = basis if wide else halves
+    rng = np.random.default_rng(43)
+    for seed in (0, 5, MAX_TRIALS):
+        x, y = (make_state(space, rng.normal(size=3) + 1j * rng.normal(size=3)) for _ in "xy")
+        for n in (1, 1000, 10**12, MAX_TRIALS):
+            report = discriminate(x, y, m, n, seed)
+            assert report.labels == m.labels
+            assert report.freq_a == _multinomial_frequencies(report.dist_a, m.labels, n, seed, 0)
+            assert report.freq_b == _multinomial_frequencies(report.dist_b, m.labels, n, seed, 1)

@@ -2,7 +2,9 @@ import numpy as np
 import numpy.random.bit_generator
 import pytest
 
-from catlab.rng import MAX_SEED, RandomStream
+from catlab.lab import _weights
+from catlab.protocols import MAX_TRIALS
+from catlab.rng import MAX_SEED, RandomStream, draw_weights
 
 P = [0.1, 0.2, 0.3, 0.4]
 
@@ -62,12 +64,14 @@ def test_streams_match_the_reference_generator(seed, stream):
     )
 
 
-def test_one_pair_keys_one_state():
-    def state(gen):
-        inner = gen.bit_generator.state
-        return {**inner, "state": {k: v.tolist() for k, v in inner["state"].items()},
-                "buffer": inner["buffer"].tolist()}
+def state(gen):
+    """A generator's bit-generator state, with its arrays as lists."""
+    inner = gen.bit_generator.state
+    return {**inner, "state": {k: v.tolist() for k, v in inner["state"].items()},
+            "buffer": inner["buffer"].tolist()}
 
+
+def test_one_pair_keys_one_state():
     a, b = RandomStream(5, 9), RandomStream(5, 9)
     assert state(a._gen) == state(b._gen) == state(reference(5, 9))
     assert a._gen.bit_generator is not b._gen.bit_generator
@@ -81,3 +85,51 @@ def test_keying_a_stream_draws_no_entropy(monkeypatch):
     stream = RandomStream(3, 4)
     assert not hasattr(stream._gen.bit_generator.seed_seq, "entropy")
     assert np.array_equal(splits(stream, k=4), splits(RandomStream(3, 4), k=4))
+
+
+GRID = 1 << 40  # lab.SPLIT_GRID
+# a first weight of 0 and 1, one grid step from each, an even split, and
+# grid weights drawn once from a seeded generator
+FIRST_WEIGHTS = [0.0, 2.0**-40, 0.5, 1 - 2.0**-40, 1.0] + [
+    int(a) / GRID for a in np.random.default_rng(37).integers(0, GRID, 6, endpoint=True)
+]
+TRIALS = [1, 2, 10**4, 1 << 40, MAX_TRIALS]
+
+
+@pytest.mark.parametrize("seed", [0, 1, MAX_SEED])
+@pytest.mark.parametrize("stream", [0, 1])
+@pytest.mark.parametrize("first", FIRST_WEIGHTS)
+def test_a_two_row_draw_is_the_multinomial_draw(seed, stream, first):
+    # A two-row split draws one binomial on the first weight; numpy's
+    # multinomial over the pair makes that one draw and gives the rest to
+    # the second row, so the counts and the randomness consumed must agree.
+    pair = _weights([first, 1.0 - first])
+    assert pair[0] == first
+    weights = draw_weights(pair)
+    assert weights.__class__ is float and weights == first
+    ours, ref = RandomStream(seed, stream), reference(seed, stream)
+    for n in TRIALS:
+        for _ in range(3):  # a repeat reuses the binomial set-up of the last draw
+            counts = ours.draw(n, weights)
+            assert counts == tuple(ref.multinomial(n, pair).tolist()), (n, first)
+            assert all(c.__class__ is int for c in counts)
+            assert state(ours._gen) == state(ref)
+
+
+def test_a_wider_draw_is_the_multinomial_draw():
+    rng = np.random.default_rng(41)
+    for rows in (1, 3, 4, 5):
+        pvals = _weights(rng.dirichlet(np.ones(rows)))
+        weights = draw_weights(pvals)
+        assert weights is pvals and not weights.flags.writeable
+        ours, ref = RandomStream(9, rows), reference(9, rows)
+        for n in TRIALS:
+            assert ours.draw(n, weights) == ref.multinomial(n, pvals).tolist()
+            assert state(ours._gen) == state(ref)
+
+
+def test_a_binomial_draws_the_first_of_two_rows():
+    ours, ref = RandomStream(3, 0), reference(3, 0)
+    for p in (0.0, 0.25, 1.0):
+        k = ours.binomial(1000, p)
+        assert [k, 1000 - k] == ref.multinomial(1000, [p, 1.0 - p]).tolist()
