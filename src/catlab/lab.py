@@ -61,6 +61,12 @@ class Laboratory:
     ``_programs`` memoises, per protocol object, the program that
     ``protocols`` resolves it into on this lab, so each protocol that runs
     on the lab is checked and unrolled once in the lab's lifetime.
+    ``_matches`` memoises, per target on this lab's space, keyed by the
+    target's bits (``amps.tobytes()``), whether each id matches it
+    (``states_match``), so ``leaf_mass``, its one reader, tests each final
+    state against a target once in the lab's lifetime.  An entry is exact:
+    on one space the test depends only on the two states' bits, and an
+    interned state never changes.  These five tables are all a lab keeps.
     """
 
     def __init__(
@@ -100,6 +106,7 @@ class Laboratory:
         self._splits: dict[tuple[str, int], tuple[tuple, float | np.ndarray | None]] = {}
         self._dyadic_rows: dict[tuple[str, int], tuple[int, tuple[tuple, ...]]] = {}
         self._programs: dict[int, tuple[object, tuple]] = {}  # id(protocol) -> (protocol, program)
+        self._matches: dict[bytes, dict[int, bool]] = {}  # target bits -> {id: match}
 
     def with_measurement(self, name: str, m: ProjectiveMeasurement) -> "Laboratory":
         """A copy of this lab with one more allowed measurement appended.

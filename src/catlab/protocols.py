@@ -331,9 +331,23 @@ def enumerate_protocol(
 
 def leaf_mass(tree: OutcomeTree, target: StateVector) -> float:
     """Total probability of leaves whose state matches ``target``: the
-    correctly rounded value of the exact sum."""
-    states = tree._lab.states
-    num = sum(n for sid, n in tree._finals if states_match(states[sid], target))
+    correctly rounded value of the exact sum.
+
+    Raises ``DimensionMismatch`` for a target outside the lab's space.
+    Whether a final state matches is read from ``lab._matches``, under the
+    target's bits, and tested with ``states_match`` only the first time the
+    lab meets that (state id, target bits) pair, in this tree or another."""
+    lab = tree._lab
+    if target.space is not lab.space and target.space != lab.space:
+        raise DimensionMismatch("target lives outside the laboratory space")
+    matches = lab._matches.setdefault(target.amps.tobytes(), {})
+    num = 0
+    for sid, n in tree._finals:
+        hit = matches.get(sid)
+        if hit is None:
+            hit = matches[sid] = states_match(lab.states[sid], target)
+        if hit:
+            num += n
     return num / (1 << tree._scale)
 
 

@@ -391,9 +391,12 @@ def squared_overlap(a: StateVector, b: StateVector) -> float:
 
 
 def states_match(x: State, target: StateVector) -> bool:
-    """Is ``x`` the pure state ``target`` (up to global phase)?"""
+    """Is ``x`` the pure state ``target`` (up to global phase)?  Raises
+    ``DimensionMismatch`` when the two live on different spaces."""
     if isinstance(x, StateVector):
         return squared_overlap(x, target) > 1.0 - MATCH_TOL
+    if x.space is not target.space and x.space != target.space:
+        raise DimensionMismatch("states live on different spaces")
     fid = float(np.vdot(target.amps, x.mat @ target.amps).real)
     return fid > 1.0 - MATCH_TOL
 

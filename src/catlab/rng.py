@@ -79,9 +79,11 @@ class RandomStream:
     def draw(self, n: int, weights: float | np.ndarray) -> tuple[int, int] | list[int]:
         """Counts of ``n`` draws over rows whose weights are in
         ``draw_weights``' form: one binomial draw on a float, the first of
-        two rows' weights, and one multinomial draw on an array."""
+        two rows' weights, and one multinomial draw on an array.  The
+        binomial draw is ``binomial``'s, made on the generator directly so
+        that a split costs no second Python frame."""
         if weights.__class__ is float:
-            k = self.binomial(n, weights)
+            k = self._gen.binomial(n, weights)
             return k, n - k
         return self.multinomial(n, weights).tolist()
 

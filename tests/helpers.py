@@ -13,6 +13,7 @@ from catlab import (
     StopIfStep,
     make_mixture,
     make_state,
+    states_match,
 )
 from catlab.protocols import _ENDED, _resolved
 
@@ -127,3 +128,12 @@ def tree_integers(tree):
     """The exact integers an outcome tree holds, in the order of
     ``enumerate_two_pass``."""
     return tree._finals, tree._scale, tree._pruned, tree._nodes, tree._leaves
+
+
+def uncached_leaf_mass(tree, target):
+    """``leaf_mass`` as the sum it stands for, with every final state tested
+    against ``target`` afresh: the sum of n * [states_match] over the
+    tree's finals, over ``2**scale``."""
+    states = tree._lab.states
+    num = sum(n for sid, n in tree._finals if states_match(states[sid], target))
+    return num / (1 << tree._scale)

@@ -231,6 +231,18 @@ def test_one_tree_walker():
     assert _protocols_reading("split") == {"protocols.run_monte_carlo"}
 
 
+def test_only_leaf_mass_reads_the_match_table():
+    # Laboratory._fill starts the match table and leaf_mass is its one
+    # reader; a second reader could miss the space check that guards it.
+    # The set of states_match callers is fixed: the search and the verdict
+    # test on a fresh lab, where a table would never hit, and a histogram's
+    # frequency tests its own finals.
+    assert _functions_reading("_matches") == {"lab._fill", "protocols.leaf_mass"}
+    assert _functions_naming("states_match") == {
+        "lab._search", "lab.nogo_verdict", "protocols.leaf_mass", "protocols.frequency"
+    }
+
+
 def test_one_snapping_rule():
     # Sampling and discrimination draw over the one _weights; a second
     # module that read SPLIT_GRID would snap probabilities a second way.

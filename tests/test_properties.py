@@ -51,6 +51,7 @@ from helpers import (
     rand_unitary,
     space_of_dim,
     tree_integers,
+    uncached_leaf_mass,
 )
 
 SETTINGS = settings(max_examples=50, deadline=None)
@@ -418,6 +419,29 @@ def test_monte_carlo_bins_sum_to_n(seed, dim, groups, mixed, codes, n):
     counts = mc_counts(codes_protocol(codes, n_groups), lab, initial, n, seed)
     assert sum(counts.values()) == n
     assert all(c > 0 for c in counts.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(2, 4), st.integers(2, 4), st.booleans(),
+       st.lists(st.lists(step_codes, min_size=1, max_size=6), min_size=1, max_size=4))
+def test_leaf_mass_is_the_uncached_sum(seed, dim, groups, mixed, programs):
+    # the match table answers as a fresh test of every final would, in any
+    # order of reads, for twins of a target, and with states interned by
+    # later enumerations between the reads
+    rng = np.random.default_rng(seed)
+    n_groups = min(groups, dim)
+    lab, target = random_lab(rng, dim, n_groups)
+    initial = rand_density(rng, lab.space) if mixed else rand_state(rng, lab.space)
+    trees, targets = [], [target, rand_state(rng, lab.space)]
+    for codes in programs:
+        tree = enumerate_protocol(codes_protocol(codes, n_groups), lab, initial)
+        trees.append(tree)
+        finals = [lab.states[sid] for sid, _ in tree._finals]
+        targets += [StateVector(lab.space, x.amps) for x in finals if isinstance(x, StateVector)]
+        for t in rng.permutation(len(trees)):
+            for i in rng.permutation(len(targets)):
+                got = leaf_mass(trees[t], targets[i])
+                assert got == uncached_leaf_mass(trees[t], targets[i])
 
 
 @settings(max_examples=40, deadline=None)

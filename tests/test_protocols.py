@@ -22,6 +22,7 @@ from catlab import (
     ProtocolSpec,
     RepeatStep,
     SCENARIO_NAMES,
+    StateVector,
     StopIfStep,
     UnitaryStep,
     aggregate_leaves,
@@ -44,11 +45,17 @@ from catlab.cli import discrimination_csv_rows, discrimination_to_json
 from catlab.lab import DEFAULT_MAX_DEPTH, _search, _weights
 from catlab.protocols import MAX_TRIALS, MAX_UNROLLED_STEPS, _chi2_sf, _resolved
 
-from helpers import enumerate_two_pass, tree_integers
+from helpers import enumerate_two_pass, tree_integers, uncached_leaf_mass
 
 
 def resurrection():
     return load_scenario("resurrection")[0]
+
+
+def sweep():
+    """The resurrection sweep: rounds of pm, basis, stop_if alive, K = 1..12."""
+    body = (MeasureStep("pm"), MeasureStep("basis"), StopIfStep("alive"))
+    return [ProtocolSpec((RepeatStep(body, k),)) for k in range(1, 13)]
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +333,8 @@ def test_one_pass_step_matches_two_pass_on_shipped_runs(name):
 @pytest.mark.parametrize("initial", ["dead", "rho_cat"])
 def test_one_pass_step_matches_two_pass_on_the_sweep(initial):
     sc = resurrection()
-    body = (MeasureStep("pm"), MeasureStep("basis"), StopIfStep("alive"))
-    for k in range(1, 13):
-        assert_steps_agree(ProtocolSpec((RepeatStep(body, k),)), sc.lab, sc.initial(initial))
+    for protocol in sweep():
+        assert_steps_agree(protocol, sc.lab, sc.initial(initial))
 
 
 def test_a_larger_denominator_later_in_a_step_rescales_what_it_wrote():
@@ -531,7 +537,7 @@ def three_levels():
 def test_a_split_keeps_one_weight_view_per_pair():
     # a pair's split holds None for one kept row, the first row's weight as
     # a float for two, and the read-only array for more; the lab keeps its
-    # four tables and no other
+    # five tables and no other
     space, halves, basis = three_levels()
     lab = Laboratory(space, {"basis": basis, "halves": halves})
     start = make_state(space, [1, 2, 3])
@@ -550,7 +556,7 @@ def test_a_split_keeps_one_weight_view_per_pair():
         ], name
     tables = {key for key, value in vars(lab).items() if isinstance(value, dict)}
     assert tables == {"measurements", "unitaries", "_ops", "_ids", "_rows", "_splits",
-                      "_dyadic_rows", "_programs"}
+                      "_dyadic_rows", "_programs", "_matches"}
 
 
 def test_a_lab_resolves_each_protocol_once(monkeypatch):
@@ -634,6 +640,120 @@ def test_first_state_interned_on_a_lab_represents_its_key():
     path, _ = _search(ph.lab, start, b, DEFAULT_MAX_DEPTH)
     assert path.steps == (("rotate45_inv", ""),)
     assert path.final_state is rep
+
+
+# ---------------------------------------------------------------------------
+# the match table: each final state is tested against a target once
+
+
+def twin(target):
+    """A second target object with the bits of ``target``."""
+    return StateVector(target.space, target.amps)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_leaf_mass_is_the_uncached_sum_on_shipped_runs(name):
+    # each order runs on a fresh lab: enumerations that intern more states
+    # fall between the reads, and every target is read as itself and as a
+    # twin, first or second
+    sc = load_scenario(name)[0]
+    runs = [(p, i) for p in sc.protocols for i in [*sc.states, *sc.mixtures]]
+    for order in (1, -1):
+        sc = load_scenario(name)[0]
+        targets = [*sc.states.values()][::order]
+        for protocol, initial in runs[::order]:
+            tree = enumerate_protocol(sc.protocols[protocol], sc.lab, sc.initial(initial))
+            for target in targets:
+                for t in (target, twin(target))[::order]:
+                    assert leaf_mass(tree, t) == uncached_leaf_mass(tree, t), (protocol, initial)
+        assert len(sc.lab._matches) == len({t.amps.tobytes() for t in targets})
+
+
+def test_leaf_mass_is_the_uncached_sum_on_the_sweep():
+    sc = resurrection()
+    trees = [
+        enumerate_protocol(protocol, sc.lab, sc.initial(initial))
+        for initial in ("dead", "rho_cat") for protocol in sweep()
+    ]
+    targets = [sc.states["alive"], sc.states["dead"], make_state(sc.space, [1, 1])]
+    for tree in [*trees, *trees[::-1]]:
+        for target in targets:
+            assert leaf_mass(tree, target) == uncached_leaf_mass(tree, target)
+            assert leaf_mass(tree, twin(target)) == uncached_leaf_mass(tree, target)
+    # the closed form 1 - 2**-k from dead
+    assert [leaf_mass(tree, sc.states["alive"]) for tree in trees[:12]] == pytest.approx(
+        [1.0 - 2.0**-k for k in range(1, 13)], abs=1e-12
+    )
+
+
+def test_a_fresh_target_each_call_reads_its_own_entry():
+    # targets made and dropped one after another may share an address; an
+    # entry keyed by anything but the bits would serve one the other's answer
+    sc = resurrection()
+    tree = enumerate_protocol(sc.protocols["resurrect3"], sc.lab, sc.initial("rho_cat"))
+    amps = [sc.states[name].amps for name in ("alive", "dead")]
+    for a in amps * 4:
+        target = StateVector(sc.space, a)
+        want = uncached_leaf_mass(tree, target)
+        del target
+        assert leaf_mass(tree, StateVector(sc.space, a)) == want
+    # the two answers differ, so a stale one shows
+    assert uncached_leaf_mass(tree, sc.states["alive"]) == 0.875
+
+
+def test_a_lab_tests_each_final_against_a_target_once(monkeypatch):
+    # over the sweep, states_match runs once per (final id, target bits)
+    # pair: 2 finals per initial state, and no test on a later pass or for
+    # a twin of the target; a freshly loaded lab tests them again
+    pairs = []
+    real = catlab.protocols.states_match
+
+    def counted(x, target):
+        pairs.append((id(x), target.amps.tobytes()))
+        return real(x, target)
+
+    monkeypatch.setattr(catlab.protocols, "states_match", counted)
+    protocols = sweep()
+    for _ in range(2):
+        sc = resurrection()
+        alive = sc.states["alive"]
+        del pairs[:]
+        for initial in ("dead", "rho_cat"):
+            before = len(pairs)
+            for protocol in protocols:
+                leaf_mass(enumerate_protocol(protocol, sc.lab, sc.initial(initial)), alive)
+            assert len(pairs) - before == 2, initial
+        before = len(pairs)
+        for initial in ("dead", "rho_cat"):
+            for protocol in protocols:
+                tree = enumerate_protocol(protocol, sc.lab, sc.initial(initial))
+                leaf_mass(tree, alive)
+                leaf_mass(tree, twin(alive))
+        assert len(pairs) == len(set(pairs)) == before == 4
+    leaf_mass(tree, sc.states["dead"])
+    assert len(pairs) == 4 + len(tree._finals)
+
+
+def test_leaf_mass_refuses_a_target_from_another_space():
+    # photon's z0 has the bits of resurrection's alive; a table that alive
+    # filled must not answer for it
+    sc, ph = resurrection(), load_scenario("photon")[0]
+    z0, alive = ph.states["z0"], sc.states["alive"]
+    assert z0.amps.tobytes() == alive.amps.tobytes() and z0.space != sc.space
+    four = basis_state(HilbertSpace(("a", "b", "c", "d")), "a")
+    for initial in ("rho_cat", "dead"):
+        tree = enumerate_protocol(sc.protocols["resurrect3"], sc.lab, sc.initial(initial))
+        for target in (z0, four):
+            with pytest.raises(DimensionMismatch):
+                leaf_mass(tree, target)
+        assert leaf_mass(tree, alive) == uncached_leaf_mass(tree, alive)
+        for target in (z0, four):
+            with pytest.raises(DimensionMismatch):
+                leaf_mass(tree, target)
+        mc = run_monte_carlo(sc.protocols["resurrect3"], sc.lab, sc.initial(initial), 1000, 1)
+        for target in (z0, four):
+            with pytest.raises(DimensionMismatch):
+                mc.frequency(target)
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,16 @@ def test_states_match_mixed_vs_pure():
     assert not states_match(even, plus)
 
 
+def test_states_match_refuses_a_target_on_another_space():
+    # both branches: a target of equal dimension and bits on another space,
+    # and one of another dimension, which the matrix product would refuse
+    # with numpy's own error
+    for x in (basis_state(CAT, "alive"), make_mixture([(1.0, basis_state(CAT, "alive"))])):
+        for target in (basis_state(DEV, "undecayed"), basis_state(space_of_dim(4), "a")):
+            with pytest.raises(DimensionMismatch):
+                states_match(x, target)
+
+
 def test_canonical_amps_phase_rule():
     raw = np.exp(0.7j) * np.array([0.6, 0.8j])
     canon = canonical_amps(raw)
