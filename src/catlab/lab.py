@@ -80,10 +80,10 @@ class Laboratory:
         unitaries = dict(unitaries or {})
         forbidden = tuple(forbidden)
         for name, m in measurements.items():
-            if m.space is not space and m.space != space:
+            if m.space is not space:
                 raise DimensionMismatch(f"measurement {name!r} on another space")
         for name, u in unitaries.items():
-            if u.space is not space and u.space != space:
+            if u.space is not space:
                 raise DimensionMismatch(f"unitary {name!r} on another space")
             if u.kind != "unitary":
                 raise CatlabError(f"operator {name!r} is not unitary")
@@ -119,7 +119,7 @@ class Laboratory:
         """
         if name in self._ops:
             raise CatlabError(f"operation name {name!r} already in use")
-        if m.space is not self.space and m.space != self.space:
+        if m.space is not self.space:
             raise DimensionMismatch(f"measurement {name!r} on another space")
         lab = Laboratory.__new__(Laboratory)
         lab._fill(self.space, {**self.measurements, name: m}, self.unitaries, self.forbidden)
@@ -188,9 +188,7 @@ class Laboratory:
 def _check_forbidden_pair(space: HilbertSpace, frm: StateVector, to: StateVector) -> None:
     """A lab's rule for a forbidden pair: both states on ``space``, with
     |<frm|to>| at most ``ORTHO_TOL``."""
-    if (frm.space is not space and frm.space != space) or (
-        to.space is not space and to.space != space
-    ):
+    if frm.space is not space or to.space is not space:
         raise DimensionMismatch("forbidden pair on another space")
     if abs(overlap(frm, to)) > ORTHO_TOL:
         raise CatlabError("forbidden pair must be distinct orthogonal states")
@@ -331,9 +329,7 @@ def _search(
     """
     if max_depth < 0:
         raise CatlabError(f"search depth must be >= 0, got {max_depth}")
-    if (start.space is not lab.space and start.space != lab.space) or (
-        target.space is not lab.space and target.space != lab.space
-    ):
+    if start.space is not lab.space or target.space is not lab.space:
         raise DimensionMismatch("states live outside the laboratory space")
     root = lab.intern(start)
     if states_match(lab.states[root], target):
@@ -401,11 +397,9 @@ def nogo_verdict(
         raise CatlabError(f"search depth must be >= 0, got {max_depth}")
     if candidate.kind != "projector":
         raise CatlabError("the no-go candidate must be a projector")
-    if candidate.space is not lab.space and candidate.space != lab.space:
+    if candidate.space is not lab.space:
         raise DimensionMismatch("candidate lives outside the laboratory space")
-    if (l_state.space is not lab.space and l_state.space != lab.space) or (
-        d_state.space is not lab.space and d_state.space != lab.space
-    ):
+    if l_state.space is not lab.space or d_state.space is not lab.space:
         raise DimensionMismatch("states live outside the laboratory space")
     if abs(overlap(l_state, d_state)) > ORTHO_TOL or not any(
         states_match(frm, d_state) and states_match(to, l_state) for frm, to in lab.forbidden

@@ -51,7 +51,7 @@ class ProjectiveMeasurement:
             raise CatlabError("outcome labels must be non-empty")
         d = space.dim
         for label, op in outcomes:
-            if op.space is not space and op.space != space:
+            if op.space is not space:
                 raise DimensionMismatch(f"outcome {label!r} lives on another space")
             if op.kind != "projector":
                 raise CatlabError(f"outcome {label!r} is not a projector")
@@ -100,7 +100,7 @@ def make_measurement(
     d = space.dim
     total = np.zeros((d, d), dtype=np.complex128)
     for label, op in outcomes:
-        if op.space is not space and op.space != space:
+        if op.space is not space:
             raise DimensionMismatch(f"outcome {label!r} lives on another space")
         total = total + op.mat
     rest = _IDENTITY[d] - total
@@ -148,7 +148,7 @@ def measurement_from_states(
     if len(states) > space.dim:
         raise DimensionMismatch("more states than the dimension allows")
     for s in states:
-        if s.space is not space and s.space != space:
+        if s.space is not space:
             raise DimensionMismatch("states live on different spaces")
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
@@ -175,7 +175,7 @@ def outcome_distribution(
     rounding in ``p`` cannot denormalise it.  A vector's ``p`` below 1e-3 is
     ``||P psi||^2``, blind to the global phase.
     """
-    if x.space is not m.space and x.space != m.space:
+    if x.space is not m.space:
         raise DimensionMismatch("state and measurement live on different spaces")
     rows = []
     if isinstance(x, StateVector):

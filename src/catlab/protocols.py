@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 from .errors import CatlabError, DepthCeiling, DimensionMismatch, DisallowedOperation
 from .lab import Laboratory, _weights, born_rows
 from .measure import COMPLEMENT_LABEL, ProjectiveMeasurement
-from .qstate import State, StateVector, format_state, states_match
+from .qstate import HilbertSpace, State, StateVector, format_state, states_match
 from .rng import RandomStream, draw_weights
 
 MAX_UNROLLED_STEPS = 64
@@ -265,7 +265,7 @@ def enumerate_protocol(
     far and the pruned mass.  It ends at the largest ``k`` of the step, so
     each integer is the one a step over that denominator would write.
     """
-    if initial.space is not lab.space and initial.space != lab.space:
+    if initial.space is not lab.space:
         raise DimensionMismatch("initial state lives outside the laboratory space")
     program = _resolved(protocol, lab)
     start = lab.intern(initial)
@@ -338,7 +338,7 @@ def leaf_mass(tree: OutcomeTree, target: StateVector) -> float:
     target's bits, and tested with ``states_match`` only the first time the
     lab meets that (state id, target bits) pair, in this tree or another."""
     lab = tree._lab
-    if target.space is not lab.space and target.space != lab.space:
+    if target.space is not lab.space:
         raise DimensionMismatch("target lives outside the laboratory space")
     matches = lab._matches.setdefault(target.amps.tobytes(), {})
     num = 0
@@ -391,12 +391,13 @@ class MonteCarloResult(NamedTuple):
 
     ``finals`` lists ``(state, count)`` once per final state that drew a
     trial, in order of arrival; the states are the lab's representatives,
-    so no two share a ``key``.
+    so no two share a ``key``.  ``space`` is the lab's, for ``frequency``.
     """
 
     n: int
     seed: int
     finals: list[tuple[State, int]]
+    space: HilbertSpace
 
     def rows(self) -> list[tuple[State, int, float]]:
         """(state, count, frequency) sorted by dedup key for stable output."""
@@ -405,6 +406,8 @@ class MonteCarloResult(NamedTuple):
         return [(st, c, c / n if n else 0.0) for st, c in ordered]
 
     def frequency(self, target: StateVector) -> float:
+        if target.space is not self.space:
+            raise DimensionMismatch("target lives outside the laboratory space")
         total = sum(c for st, c in self.finals if states_match(st, target))
         return total / self.n if self.n else 0.0
 
@@ -451,7 +454,7 @@ def run_monte_carlo(
         raise CatlabError("trial count must be >= 0")
     if n > MAX_TRIALS:
         raise CatlabError(f"trial count must be <= {MAX_TRIALS}")
-    if initial.space is not lab.space and initial.space != lab.space:
+    if initial.space is not lab.space:
         raise DimensionMismatch("initial state lives outside the laboratory space")
     program = _resolved(protocol, lab)
     stream = RandomStream(seed)
@@ -477,7 +480,7 @@ def run_monte_carlo(
     for (sid, _), count in cells.items():
         finals[sid] = finals.get(sid, 0) + count
     states = lab.states
-    return MonteCarloResult(n, seed, [(states[s], c) for s, c in finals.items()])
+    return MonteCarloResult(n, seed, [(states[s], c) for s, c in finals.items()], lab.space)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 Constructors validate their input and make the underlying numpy buffers
 read-only, and no attribute is reassigned after construction, so instances
 can be shared freely between threads and reused as dictionary payloads.
+A ``HilbertSpace`` is one object per value, so every space check is an
+``is`` test.
 The types are plain classes, so that rule is kept by the code, not enforced:
 assigning an attribute raises no error.  No record has a mutable part: an
 operation's Born rows are memoised in ``lab.born_rows`` under its ``key``.
@@ -52,27 +54,29 @@ for _eye in _IDENTITY:
 # ---------------------------------------------------------------------------
 # spaces
 
+_SPACES: dict[tuple, "HilbertSpace"] = {}  # every space built, by (labels, name, factors)
+
 
 class HilbertSpace:
     """An ordered, labelled basis.  Dimension 2..16.
 
     ``factors`` carries the tensor factorisation when the space was built by
     :func:`tensor_space`; it is what makes :func:`partial_trace` possible.
-    Spaces compare and hash by labels, name and factors.  The hash is
-    computed once, in ``__init__``, since every ``born_rows`` key holds the
-    space once per outcome and once more.  A string's hash depends on the
-    process's hash seed, so pickling rebuilds the space through its
-    constructor instead of carrying the stored hash along.  catlab's own
-    space checks test identity before ``!=``, so checking a space against
-    itself runs no Python code.
+    There is one object per value: the constructor returns the space it
+    already built with equal labels, name and factors, so spaces compare
+    and hash by identity.  The process keeps each distinct space it builds,
+    in ``_SPACES``; every part of the key hashes in C, so ``setdefault``
+    stores it atomically and two threads building one new space get one
+    object.  Pickling and copying rebuild the space through the
+    constructor, so they return the process's own space.
     """
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         labels: Iterable[str],
         name: str | None = None,
         factors: Iterable["HilbertSpace"] | None = None,
-    ) -> None:
+    ) -> "HilbertSpace":
         labels = tuple(labels)
         if len(labels) < 2:
             raise CatlabError("a space needs at least two basis labels")
@@ -85,33 +89,28 @@ class HilbertSpace:
                 raise CatlabError("basis labels must be non-empty strings")
         if len(set(labels)) != len(labels):
             raise CatlabError("basis labels must be unique within a space")
+        if name is not None and not isinstance(name, str):
+            raise CatlabError("a space name must be a string")
         if factors is not None:
             factors = tuple(factors)
             prod = 1
             for f in factors:
+                if not isinstance(f, HilbertSpace):
+                    raise CatlabError("each factor must be a HilbertSpace")
                 prod *= f.dim
             if prod != len(labels):
                 raise DimensionMismatch("factor dimensions do not multiply to dim")
-        self.labels: tuple[str, ...] = labels
-        self.name = name
-        self.factors: tuple[HilbertSpace, ...] | None = factors
-        self.dim = len(labels)
-        self._hash = hash((labels, name, factors))
+        key = (labels, name, factors)
+        space = _SPACES.get(key)
+        if space is None:
+            space = object.__new__(cls)
+            space.labels, space.name, space.factors = key
+            space.dim = len(labels)
+            space = _SPACES.setdefault(key, space)
+        return space
 
     def __reduce__(self) -> tuple:
         return HilbertSpace, (self.labels, self.name, self.factors)
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not HilbertSpace:
-            return NotImplemented
-        return (self.labels, self.name, self.factors) == (
-            other.labels, other.name, other.factors
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def index(self, label: str) -> int:
         try:
@@ -309,7 +308,7 @@ def make_mixture(parts: Iterable[tuple[float, StateVector]]) -> DensityMatrix:
         w = float(w)
         if w < 0.0 or not math.isfinite(w):
             raise BadWeights(f"weight {w!r} is negative or non-finite")
-        if psi.space is not space and psi.space != space:
+        if psi.space is not space:
             raise DimensionMismatch("mixture components live on different spaces")
         total += w
         mat += w * np.outer(psi.amps, psi.amps.conj())
@@ -369,7 +368,7 @@ def apply_unitary(u: Operator, x: State) -> State:
     """Evolve a state by a unitary: U|psi> or U rho U^dagger."""
     if u.kind != "unitary":
         raise CatlabError("apply_unitary needs an operator of kind 'unitary'")
-    if u.space is not x.space and u.space != x.space:
+    if u.space is not x.space:
         raise DimensionMismatch("unitary and state live on different spaces")
     if isinstance(x, StateVector):
         amps = u.mat @ x.amps
@@ -381,7 +380,7 @@ def apply_unitary(u: Operator, x: State) -> State:
 
 def overlap(a: StateVector, b: StateVector) -> complex:
     """The inner product <a|b>."""
-    if a.space is not b.space and a.space != b.space:
+    if a.space is not b.space:
         raise DimensionMismatch("states live on different spaces")
     return complex(np.vdot(a.amps, b.amps))
 
@@ -395,7 +394,7 @@ def states_match(x: State, target: StateVector) -> bool:
     ``DimensionMismatch`` when the two live on different spaces."""
     if isinstance(x, StateVector):
         return squared_overlap(x, target) > 1.0 - MATCH_TOL
-    if x.space is not target.space and x.space != target.space:
+    if x.space is not target.space:
         raise DimensionMismatch("states live on different spaces")
     fid = float(np.vdot(target.amps, x.mat @ target.amps).real)
     return fid > 1.0 - MATCH_TOL

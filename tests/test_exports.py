@@ -393,3 +393,27 @@ def test_one_verdict_site():
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "NoGoVerdict"
     ]
     assert len(calls) == 1
+
+
+def test_spaces_compare_by_identity_only():
+    # HilbertSpace is one object per value, so a space check is an `is`
+    # test; an `==` on a space, or an __eq__ to serve it, would be a second
+    # way to decide that two spaces are the same
+    def space(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr == "space") or (
+            isinstance(node, ast.Name) and node.id == "space"
+        )
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(space(x) for x in (node.left, *node.comparators))
+    ]
+    assert found == []
+    tree = ast.parse((SRC / "qstate.py").read_text(encoding="utf-8"))
+    [cls] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "HilbertSpace"]
+    methods = {f.name for f in cls.body if isinstance(f, ast.FunctionDef)}
+    assert not methods & {"__eq__", "__hash__"}, methods

@@ -929,32 +929,36 @@ def test_candidate_rows_die_with_the_candidate(monkeypatch):
     assert ref() is None
 
 
-def test_a_space_compared_with_itself_calls_no_eq(monkeypatch):
-    # every space check tests identity first, so a verdict with its audit,
-    # and an exact run, on a loaded lab whose objects share one space run
-    # no HilbertSpace.__eq__.  Each starts with an empty born_rows memo:
-    # rows memoised for another load of an equal space hold that load's
-    # space object, which is equal to this one but not the same.
-    calls = []
-    real = HilbertSpace.__eq__
-    monkeypatch.setattr(HilbertSpace, "__eq__", lambda a, b: calls.append(b) or real(a, b))
+def test_a_space_compared_with_itself_calls_no_eq():
+    # equal spaces are one object, so HilbertSpace keeps object's identity
+    # __eq__ and __hash__, and every space check is an `is` test
+    assert HilbertSpace.__eq__ is object.__eq__ and HilbertSpace.__hash__ is object.__hash__
     cat = load_scenario("cat")[0]
+    twin = HilbertSpace(cat.space.labels, name=cat.space.name)
+    assert twin is cat.space and load_scenario("cat")[0].space is cat.space
     candidate = cat.measurements["plusminus"].projector("+")
     alive, dead = cat.states["alive"], cat.states["dead"]
-    with empty_memo():
-        v = nogo_verdict(cat.lab, candidate, alive, dead, name="plusminus")
-        lab = cat.lab.with_measurement("plusminus", make_measurement(cat.space, [("S", candidate)]))
-        assert replay_path(lab, dead, v.witness)[0] == v.witness.probability
-    res = load_scenario("resurrection")[0]
-    with empty_memo():
-        for initial in ("dead", "rho_cat"):
-            tree = enumerate_protocol(res.protocols["resurrect10"], res.lab, res.initial(initial))
-            aggregate_leaves(tree)
-            assert leaf_mass(tree, res.states["alive"]) == pytest.approx(1 - 2.0**-10)
-    assert calls == []
-    # equal spaces that are distinct objects still compare through __eq__
-    twin = HilbertSpace(cat.space.labels, name=cat.space.name)
-    assert twin is not cat.space and twin == cat.space and not twin != cat.space
-    assert calls == [cat.space, cat.space]
+    v = nogo_verdict(cat.lab, candidate, alive, make_state(twin, [0, 1]), name="plusminus")
+    assert v.witness is not None and v.witness.final_state.space is cat.space
+    lab = cat.lab.with_measurement("plusminus", make_measurement(twin, [("S", candidate)]))
+    assert replay_path(lab, dead, v.witness)[0] == v.witness.probability
     with pytest.raises(DimensionMismatch):
         nogo_verdict(cat.lab, candidate, make_state(space_of_dim(2), [1, 0]), dead)
+
+
+def test_a_load_interns_only_states_on_its_own_space():
+    # born_rows' memo hands the rows of a cat verdict to a later load of
+    # resurrection, whose space has the same value; one object per value
+    # means those rows' post states carry the resurrection lab's space
+    with empty_memo():
+        cat = load_scenario("cat")[0]
+        candidate = cat.measurements["plusminus"].projector("+")
+        nogo_verdict(cat.lab, candidate, cat.states["alive"], cat.states["dead"], name="plusminus")
+        res = load_scenario("resurrection")[0]
+        lab = res.lab
+        for initial in ("dead", "rho_cat"):
+            tree = enumerate_protocol(res.protocols["resurrect10"], lab, res.initial(initial))
+            aggregate_leaves(tree)
+            assert leaf_mass(tree, res.states["alive"]) == pytest.approx(1 - 2.0**-10)
+    assert len(lab.states) == 9
+    assert sum(s.space is not lab.space for s in lab.states) == 0

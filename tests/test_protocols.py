@@ -739,7 +739,7 @@ def test_leaf_mass_refuses_a_target_from_another_space():
     # filled must not answer for it
     sc, ph = resurrection(), load_scenario("photon")[0]
     z0, alive = ph.states["z0"], sc.states["alive"]
-    assert z0.amps.tobytes() == alive.amps.tobytes() and z0.space != sc.space
+    assert z0.amps.tobytes() == alive.amps.tobytes() and z0.space is not sc.space
     four = basis_state(HilbertSpace(("a", "b", "c", "d")), "a")
     for initial in ("rho_cat", "dead"):
         tree = enumerate_protocol(sc.protocols["resurrect3"], sc.lab, sc.initial(initial))
@@ -750,10 +750,13 @@ def test_leaf_mass_refuses_a_target_from_another_space():
         for target in (z0, four):
             with pytest.raises(DimensionMismatch):
                 leaf_mass(tree, target)
-        mc = run_monte_carlo(sc.protocols["resurrect3"], sc.lab, sc.initial(initial), 1000, 1)
-        for target in (z0, four):
-            with pytest.raises(DimensionMismatch):
-                mc.frequency(target)
+        for n in (1000, 0):  # a run with no finals still knows its space
+            mc = run_monte_carlo(sc.protocols["resurrect3"], sc.lab, sc.initial(initial), n, 1)
+            assert mc.space is sc.space and (n == 0) == (mc.finals == [])
+            for target in (z0, four):
+                with pytest.raises(DimensionMismatch):
+                    mc.frequency(target)
+        assert mc.frequency(alive) == 0.0
 
 
 # ---------------------------------------------------------------------------

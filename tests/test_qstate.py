@@ -1,8 +1,10 @@
 """States, densities, operators: construction, algebra, serialization."""
 
+import copy
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -61,23 +63,87 @@ def test_space_validation():
         HilbertSpace(tuple(f"x{i}" for i in range(17)))
     with pytest.raises(DimensionMismatch, match="do not multiply"):
         HilbertSpace(("a", "b", "c"), factors=(CAT, DEV))
+    # a name and the factors are part of the space's identity, so they are
+    # checked before it is looked up
+    with pytest.raises(CatlabError, match="factor must be a HilbertSpace"):
+        HilbertSpace(("w", "x", "y", "z"), factors=[2, 2])
+    for name in (["x"], 3, b"cat"):
+        with pytest.raises(CatlabError, match="name must be a string"):
+            HilbertSpace(("a", "b"), name=name)
 
 
 def test_spaces_compare_and_hash_by_value():
+    # one object per value: equal arguments give the same space, so value
+    # and identity agree
     same = HilbertSpace(["alive", "dead"], name="cat")
-    assert same is not CAT
-    assert same == CAT and hash(same) == hash(CAT)
-    assert HilbertSpace(("alive", "dead")) != CAT  # no name
-    assert HilbertSpace(("alive", "dead"), name="box") != CAT
-    assert HilbertSpace(("dead", "alive"), name="cat") != CAT
+    assert same is CAT
+    for other in (
+        HilbertSpace(("alive", "dead")),  # no name
+        HilbertSpace(("alive", "dead"), name="box"),
+        HilbertSpace(("dead", "alive"), name="cat"),
+    ):
+        assert other is not CAT and other != CAT
     assert CAT != ("alive", "dead")
     prod = tensor_space(DEV, CAT)
     rebuilt = HilbertSpace(labels=prod.labels, name=prod.name, factors=list(prod.factors))
-    assert rebuilt == prod and hash(rebuilt) == hash(prod)
-    assert HilbertSpace(prod.labels, name=prod.name) != prod  # no factors
+    assert rebuilt is prod
+    bare = HilbertSpace(prod.labels, name=prod.name)  # no factors
+    assert bare is not prod and bare.factors is None and prod.factors == (DEV, CAT)
     other = HilbertSpace(prod.labels, name=prod.name, factors=(space_of_dim(2), CAT))
-    assert other != prod
+    assert other is not prod and other.factors[0] is space_of_dim(2)
     assert len({CAT, same, DEV, prod, rebuilt}) == 3
+
+
+def test_equal_arguments_give_one_space():
+    labels = ("one-a", "one-b")  # built nowhere else, so the first call is fresh
+    first = HilbertSpace(labels, name="one")
+    assert HilbertSpace(list(labels), name="one") is first
+    assert HilbertSpace(iter(labels), "one", None) is first
+    assert copy.copy(first) is first and copy.deepcopy(first) is first
+    prod = tensor_space(DEV, first)
+    assert tensor_space(DEV, first) is prod
+    assert copy.copy(prod) is prod and copy.deepcopy(prod) is prod
+    a, b = (catlab.load_scenario("cat")[0] for _ in range(2))
+    assert a.space is b.space and a.lab is not b.lab
+    assert a.states["alive"].space is b.space
+    # a differing name or factors is a different space
+    distinct = [
+        first,
+        HilbertSpace(labels),
+        HilbertSpace(labels, name="two"),
+        HilbertSpace(labels, name=""),
+        HilbertSpace(("one-b", "one-a"), name="one"),
+        HilbertSpace(prod.labels, name=prod.name),
+        HilbertSpace(prod.labels, name=prod.name, factors=(first, DEV)),
+        prod,
+    ]
+    assert len({id(s) for s in distinct}) == len(distinct)
+    assert [s.name for s in distinct[:4]] == ["one", None, "two", ""]
+    assert distinct[5].factors is None and distinct[6].factors == (first, DEV)
+
+
+def test_threads_building_one_new_space_get_one_object():
+    barrier = threading.Barrier(8)
+    built = [None] * 8
+
+    def build(i):
+        barrier.wait(timeout=30)
+        built[i] = [HilbertSpace((f"race-{k}", "other"), name="race") for k in range(200)]
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between the lookup and the store
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(200):
+        assert len({id(row[k]) for row in built}) == 1, k
+    assert len({id(s) for s in built[0]}) == 200
 
 
 SPACES_SCRIPT = """
