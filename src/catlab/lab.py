@@ -52,12 +52,13 @@ class Laboratory:
     first state interned under a key represents it from then on, as it is
     (``states[id]``).  ``rows`` memoises, per (operation, id), the outcome
     rows ``(label, probability, next id)``, read off ``born_rows``.
-    ``split`` and ``dyadic`` memoise, per (operation, id), the two views of
-    those rows that sampling and exact propagation step over: the kept rows
-    with their weights, and the rows as integers over the pair's largest
-    denominator.  Each is built the first time any run meets the pair, and
-    a lab keeps its rows and both views for its own lifetime, also after
-    the memo is cleared.
+    ``step`` memoises, per (operation, id), the one view of those rows that
+    exact propagation and sampling step over: the kept rows as integers
+    over the pair's largest denominator, the exact pruned mass, and the
+    kept rows' weights.  It is built the first time either run meets the
+    pair, and a lab keeps its rows and views for its own lifetime, also
+    after the memo is cleared.  The search and the tree walk read ``rows``
+    alone.
     ``_programs`` memoises, per protocol object, the program that
     ``protocols`` resolves it into on this lab, so each protocol that runs
     on the lab is checked and unrolled once in the lab's lifetime.
@@ -66,7 +67,7 @@ class Laboratory:
     (``states_match``), so ``leaf_mass``, its one reader, tests each final
     state against a target once in the lab's lifetime.  An entry is exact:
     on one space the test depends only on the two states' bits, and an
-    interned state never changes.  These five tables are all a lab keeps.
+    interned state never changes.  These four tables are all a lab keeps.
     """
 
     def __init__(
@@ -103,8 +104,7 @@ class Laboratory:
         self.states: list[State] = []
         self._ids: dict[tuple, int] = {}
         self._rows: dict[tuple[str, int], tuple[tuple[str, float, int | None], ...]] = {}
-        self._splits: dict[tuple[str, int], tuple[tuple, float | np.ndarray | None]] = {}
-        self._dyadic_rows: dict[tuple[str, int], tuple[int, tuple[tuple, ...]]] = {}
+        self._steps: dict[tuple[str, int], tuple[int, tuple, int, float | np.ndarray | None]] = {}
         self._programs: dict[int, tuple[object, tuple]] = {}  # id(protocol) -> (protocol, program)
         self._matches: dict[bytes, dict[int, bool]] = {}  # target bits -> {id: match}
 
@@ -148,40 +148,33 @@ class Laboratory:
             )
         return hit
 
-    def split(self, name: str, sid: int) -> tuple[tuple, float | np.ndarray | None]:
-        """How sampling splits a count at state ``sid`` under ``name``:
-        ``(kept, weights)``, the rows with a next id and their ``_weights``
-        in ``draw_weights``' form, which ``RandomStream.draw`` draws over:
-        the first row's weight as a float when two rows are kept, and the
-        read-only array when more are.  Weights are None when one row is
-        kept, since its count passes on whole.  Raises ``CatlabError`` when
-        no row is kept, on every call, since no empty split is stored."""
-        hit = self._splits.get((name, sid))
+    def step(
+        self, name: str, sid: int
+    ) -> tuple[int, tuple[tuple, ...], int, float | np.ndarray | None]:
+        """The one view of ``name`` on ``sid`` that exact propagation and
+        sampling step over, as ``(k, kept, cut, weights)``.  ``2**k`` is the
+        largest denominator of all the rows, kept or not.  ``kept`` holds
+        the rows with a next id, in row order, each as ``(n, label, next id,
+        (next id, label))`` with probability ``n / 2**k`` exactly; the last
+        field is the key of the cell that a measurement row leads to.
+        ``cut / 2**k`` is the exact mass of the rows with no next id.
+        ``weights`` are the kept rows' ``_weights`` in ``draw_weights``'
+        form, or None when fewer than two rows are kept."""
+        hit = self._steps.get((name, sid))
         if hit is None:
-            kept = tuple(row for row in self.rows(name, sid) if row[2] is not None)
-            if not kept:
-                raise CatlabError("ran out of probability mass mid-trial")
-            weights = None
-            if len(kept) > 1:
-                weights = draw_weights(_weights([p for _, p, _ in kept]))
-            hit = self._splits[(name, sid)] = (kept, weights)
-        return hit
-
-    def dyadic(self, name: str, sid: int) -> tuple[int, tuple[tuple, ...]]:
-        """The rows of ``name`` on ``sid`` over one denominator, as ``(k,
-        rows)``: ``2**k`` is the largest of the rows' denominators, and each
-        row is ``(n, label, next id, (next id, label))``, with probability
-        ``n / 2**k`` exactly.  The last field is the key of the cell that a
-        measurement row leads to in exact propagation; it is None when the
-        next id is."""
-        hit = self._dyadic_rows.get((name, sid))
-        if hit is None:
-            rows = [(label, *_dyadic(p), nid) for label, p, nid in self.rows(name, sid)]
-            k = max(k for _, _, k, _ in rows)
-            hit = self._dyadic_rows[(name, sid)] = (k, tuple(
-                (n << (k - kr), label, nid, None if nid is None else (nid, label))
-                for label, n, kr, nid in rows
-            ))
+            rows = self.rows(name, sid)
+            dyadic = [_dyadic(p) for _, p, _ in rows]
+            k = max(kr for _, kr in dyadic)
+            kept, probs, cut = [], [], 0
+            for (label, p, nid), (n, kr) in zip(rows, dyadic):
+                n <<= k - kr
+                if nid is None:
+                    cut += n
+                else:
+                    kept.append((n, label, nid, (nid, label)))
+                    probs.append(p)
+            weights = draw_weights(_weights(probs)) if len(kept) > 1 else None
+            hit = self._steps[(name, sid)] = (k, tuple(kept), cut, weights)
         return hit
 
 

@@ -256,10 +256,11 @@ def enumerate_protocol(
     depth-first order of their first nodes, and final states come in
     first-leaf order.  Rows with no post state, on a vector those below
     ``(d * EPS)**2``, are dropped; their mass is in ``tree.pruned_mass``.  The
-    rows are read in dyadic form from ``lab.dyadic``, which converts each
-    (operation, state id) pair's rows once in the lab's lifetime, however
-    many runs, cells and steps meet the pair, to integers over the pair's
-    largest denominator ``2**k``.  A step is one pass over its cells, with
+    rows are read from ``lab.step``, the view that sampling reads too, which
+    converts each (operation, state id) pair's rows once in the lab's
+    lifetime, however many runs, cells and steps meet the pair, to the kept
+    rows and the pruned mass as integers over the pair's largest
+    denominator ``2**k``.  A step is one pass over its cells, with
     every mass it writes over ``2**shift``: the shift starts at 0 and rises
     to a pair's ``k`` when that is larger, scaling up the cells written so
     far and the pruned mass.  It ends at the largest ``k`` of the step, so
@@ -273,7 +274,7 @@ def enumerate_protocol(
     cells: dict[tuple[int, object], list[int]] = {(start, None): [1, 1]}
     scale = pruned = 0
     nodes = 1  # the root is a node
-    dyadic = lab.dyadic
+    step = lab.step
     for name, stops in program:
         # the step's denominator exponent: the largest k met so far this step
         shift = 0
@@ -281,7 +282,7 @@ def enumerate_protocol(
         for cell_key, (num, count) in cells.items():
             sid, last = cell_key
             if last is not _ENDED:
-                k, rows = dyadic(name, sid)
+                k, kept, cut, _ = step(name, sid)
                 if k > shift:
                     # re-scale what this step wrote over the smaller denominator
                     rise = k - shift
@@ -290,25 +291,21 @@ def enumerate_protocol(
                         cell[0] <<= rise
                     shift = k
                 up = shift - k
-                branched = False
-                for n, label, nid, key in rows:
-                    if nid is None:
-                        pruned += num * n << up
-                        continue
-                    branched = True
-                    nodes += count
-                    if not label:  # a unitary row's empty label keeps the last outcome
-                        label = last
-                        key = (nid, last)
-                    if label in stops:
-                        key = (nid, _ENDED)
-                    cell = nxt.get(key)
-                    if cell is None:
-                        nxt[key] = [num * n << up, count]
-                    else:
-                        cell[0] += num * n << up
-                        cell[1] += count
-                if branched:
+                pruned += num * cut << up
+                if kept:
+                    nodes += count * len(kept)
+                    for n, label, nid, key in kept:
+                        if not label:  # a unitary row's empty label keeps the last outcome
+                            label = last
+                            key = (nid, last)
+                        if label in stops:
+                            key = (nid, _ENDED)
+                        cell = nxt.get(key)
+                        if cell is None:
+                            nxt[key] = [num * n << up, count]
+                        else:
+                            cell[0] += num * n << up
+                            cell[1] += count
                     continue
                 cell_key = (sid, _ENDED)
             cell = nxt.get(cell_key)
@@ -430,25 +427,26 @@ def run_monte_carlo(
     multinomial draw for more, which for two rows is the same draw; a cell
     with one kept row, such as every unitary row, passes its whole count
     on, which draws nothing from the stream.  The draw's probabilities are
-    ``_weights`` of the kept rows, read from ``lab.split``, which computes
-    them once per (operation, state id) pair in the lab's lifetime, so a
-    cell that meets a pair again, in this run or a later one, only draws.
+    ``_weights`` of the kept rows, read from ``lab.step``, the view that
+    exact propagation reads too, which computes them once per (operation,
+    state id) pair in the lab's lifetime, so a cell that meets a pair
+    again, in this run or a later one, only draws.
     They renormalise over the kept rows, so a split differs from the exact
     distribution by the mass of the pruned rows, which
     ``enumerate_protocol`` reports as pruned, and by the snapping of
     ``_weights``: a kept row below about 0.5 * 2**-40 draws no trial.  A
-    cell whose state keeps no row raises ``CatlabError``.  A unitary row's
-    empty label keeps the last outcome.  After each split, the cells whose
-    last label is one of its stop labels move to the final states, in the
-    order the ``stop_if`` steps were written.  Cells are split in order of
-    first arrival, not in id order, so the result depends on the protocol,
-    the initial state, the seed and ``n``, and not on what the lab's table
-    held before, unless a row probability lies within its last bits of a
+    cell whose state keeps no row raises ``CatlabError``, in every run that
+    reaches it.  A unitary row's empty label keeps the last outcome.  After
+    each split, the cells whose last label is one of its stop labels move
+    to the final states, in the order the ``stop_if`` steps were written.
+    Cells are split in order of first arrival, not in id order, so the
+    result depends on the protocol, the initial state, the seed and ``n``,
+    and not on what the lab's table held before, unless a row probability lies within its last bits of a
     rounding boundary of the grid.  The cost grows with steps times cells,
     not with ``n``.  The result's ``finals`` lists the lab's state objects
     with their counts in order of arrival, read by id, so no state's ``key``
-    is hashed; the program, like the splits, is kept in ``lab`` after the
-    first run.
+    is hashed; the program, like the step views, is kept in ``lab`` after
+    the first run.
     """
     if n < 0:
         raise CatlabError("trial count must be >= 0")
@@ -463,15 +461,18 @@ def run_monte_carlo(
     if n:
         cells[(lab.intern(initial), None)] = n
     finals: dict[int, int] = {}
-    split, draw = lab.split, stream.draw
+    step, draw = lab.step, stream.draw
     for name, stops in program:
         nxt: dict[tuple[int, str | None], int] = {}
         for (sid, last), count in cells.items():
-            kept, weights = split(name, sid)
+            _, kept, _, weights = step(name, sid)
+            if not kept:
+                raise CatlabError("ran out of probability mass mid-trial")
             counts = (count,) if weights is None else draw(count, weights)
-            for (label, _, nid), c in zip(kept, counts):
+            for (_, label, nid, key), c in zip(kept, counts):
                 if c:
-                    key = (nid, label or last)
+                    if not label:  # a unitary row's empty label keeps the last outcome
+                        key = (nid, last)
                     nxt[key] = nxt.get(key, 0) + c
         for stop in stops:
             for key in [key for key in nxt if key[1] == stop]:

@@ -4,9 +4,10 @@ A stream is addressed by the pair ``(seed, stream)``; distinct ids give
 statistically independent sequences.  The package draws only counts split
 over rows, through ``RandomStream.draw``: one binomial draw for two rows
 and one multinomial draw for more, which for two rows are the same draw.
-Monte Carlo splits its trial counts on stream 0, and ``discriminate``
-samples its two sources on streams 0 and 1, so a histogram depends only
-on the seed and the trial count.
+Monte Carlo splits its trial counts on stream 0, over the weights that
+``Laboratory.step`` keeps per (operation, state) pair, and
+``discriminate`` samples its two sources on streams 0 and 1, so a
+histogram depends only on the seed and the trial count.
 """
 
 from __future__ import annotations
@@ -69,19 +70,13 @@ class RandomStream:
         outcome but the last, which takes the remainder."""
         return self._gen.multinomial(n, pvals)
 
-    def binomial(self, n: int, p: float) -> int:
-        """Successes among ``n`` draws of probability ``p``, by numpy's
-        binomial generator.  ``multinomial(n, [p, q])`` makes this one draw,
-        on the same generator state, and gives the rest to the second
-        outcome, so ``(k, n - k)`` are its counts bit for bit."""
-        return self._gen.binomial(n, p)
-
     def draw(self, n: int, weights: float | np.ndarray) -> tuple[int, int] | list[int]:
         """Counts of ``n`` draws over rows whose weights are in
         ``draw_weights``' form: one binomial draw on a float, the first of
-        two rows' weights, and one multinomial draw on an array.  The
-        binomial draw is ``binomial``'s, made on the generator directly so
-        that a split costs no second Python frame."""
+        two rows' weights, and one multinomial draw on an array.
+        ``multinomial(n, [p, q])`` makes that one binomial draw, on the same
+        generator state, and gives the rest to the second row, so
+        ``(k, n - k)`` are its counts bit for bit."""
         if weights.__class__ is float:
             k = self._gen.binomial(n, weights)
             return k, n - k

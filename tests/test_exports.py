@@ -71,11 +71,13 @@ REMOVED = {
         "merge_histograms", "total_reach_probability", "TRIALS_PER_BLOCK", "_split",
         "_resolve_steps", "_program",
     ),
-    catlab.RandomStream: ("derive", "uniform", "uniforms"),
+    catlab.RandomStream: ("derive", "uniform", "uniforms", "binomial"),
     catlab.MonteCarloResult: ("bins",),
     catlab.StateVector: ("amplitude",),
     catlab.DensityMatrix: ("probability",),
-    catlab.Laboratory: ("operations", "transitions", "_intern_keyed"),
+    catlab.Laboratory: (
+        "operations", "transitions", "_intern_keyed", "split", "dyadic", "_splits", "_dyadic_rows",
+    ),
     catlab.Operator: ("rank",),
     catlab.OutcomeNode: ("state", "children", "is_leaf"),
     catlab.OutcomeTree: ("root", "_build"),
@@ -222,13 +224,14 @@ def _protocols_reading(attr: str) -> set[str]:
 
 def test_one_tree_walker():
     # The exact propagation and the Monte Carlo split step a program over
-    # the lab's dyadic rows and splits by cells; OutcomeTree._walk is the one
-    # code that expands tree nodes.  A second node builder in protocols.py
-    # would read rows too, and a per-run view of the rows would read them
-    # beside the lab's own views.
+    # the lab's one step view by cells; OutcomeTree._walk is the one code
+    # that expands tree nodes.  A second node builder in protocols.py would
+    # read rows too, and a per-run view of the rows would read them beside
+    # the lab's own view.
     assert _protocols_reading("rows") == {"protocols._walk"}
-    assert _protocols_reading("dyadic") == {"protocols.enumerate_protocol"}
-    assert _protocols_reading("split") == {"protocols.run_monte_carlo"}
+    assert _protocols_reading("step") == {
+        "protocols.enumerate_protocol", "protocols.run_monte_carlo"
+    }
 
 
 def test_only_leaf_mass_reads_the_match_table():
@@ -248,7 +251,7 @@ def test_one_snapping_rule():
     # module that read SPLIT_GRID would snap probabilities a second way.
     assert _modules_using("SPLIT_GRID") == {"lab.py"}
     assert _functions_naming("_weights") == {
-        "lab.split", "protocols.discriminate", "protocols.sample"
+        "lab.step", "protocols.discriminate", "protocols.sample"
     }
 
 
@@ -259,10 +262,10 @@ def test_one_draw_rule():
     # numpy Generator, and sampling and discrimination draw through
     # RandomStream.draw alone.
     assert _functions_reading("binomial") & _functions_reading("multinomial") == {"rng.draw"}
-    assert _functions_reading("binomial") == {"rng.draw", "rng.binomial"}
+    assert _functions_reading("binomial") == {"rng.draw"}
     assert _functions_reading("multinomial") == {"rng.draw", "rng.multinomial"}
     assert _functions_naming("draw_weights") == {
-        "lab.split", "protocols.discriminate", "protocols.sample"
+        "lab.step", "protocols.discriminate", "protocols.sample"
     }
     assert _modules_using("Generator") == {"rng.py"}
     assert _modules_using("_gen") == {"rng.py"}

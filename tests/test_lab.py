@@ -533,6 +533,16 @@ def test_the_search_tests_each_state_once(monkeypatch):
     assert len(tested) == len({id(x) for x in tested}) == len(sc.lab.states) == 4
 
 
+def test_the_search_builds_no_step_view():
+    # the search reads rows alone: building the view that exact runs and
+    # sampling step over, for every pair it meets, would slow every verdict
+    for name in SCENARIO_NAMES:
+        sc = load_scenario(name)[0]
+        for frm, to in sc.lab.forbidden:
+            _search(sc.lab, frm, to, DEFAULT_MAX_DEPTH)
+        assert sc.lab._steps == {} and bool(sc.lab._rows) == bool(sc.lab.forbidden), name
+
+
 def witness_bits(path):
     if path is None:
         return None

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from catlab import (
 from catlab.cli import discrimination_csv_rows, discrimination_to_json
 from catlab.lab import DEFAULT_MAX_DEPTH, _search, _weights
 from catlab.protocols import MAX_TRIALS, MAX_UNROLLED_STEPS, _chi2_sf, _resolved
+from catlab.rng import draw_weights
 
 from helpers import enumerate_two_pass, tree_integers, uncached_leaf_mass
 
@@ -270,8 +272,8 @@ def test_node_with_every_row_pruned_is_a_leaf(monkeypatch):
     for (st, p), leaf in zip(agg, leaves):
         assert st is sc.lab.states[leaf.sid] and p == leaf.cumulative
     assert abs(tree.pruned_mass - 1.0) < 1e-15
-    # sampling has nowhere to put such a cell's trials; the lab stores no
-    # empty split, so every run says so, also once each pm child has failed
+    # sampling has nowhere to put such a cell's trials; the lab stores the
+    # empty view, and every run that reaches it says so
     for seed in range(1, 5):
         with pytest.raises(CatlabError, match="ran out of probability mass mid-trial"):
             run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"], 10, seed)
@@ -354,10 +356,9 @@ def test_a_larger_denominator_later_in_a_step_rescales_what_it_wrote():
     protocol = ProtocolSpec((MeasureStep("split"), MeasureStep("m")))
     tree = assert_steps_agree(protocol, lab, start)
     a, b = (lab.intern(basis_state(space, label)) for label in "ab")
-    (k_a, rows_a), (k_b, rows_b) = lab.dyadic("m", a), lab.dyadic("m", b)
+    (k_a, kept_a, cut_a, _), (k_b, _, _, _) = lab.step("m", a), lab.step("m", b)
     assert 0 < k_a < k_b
-    assert [nid is None for _, _, nid, _ in rows_a] == [True, False]
-    assert rows_a[0][0] > 0 and tree._pruned > 0
+    assert len(kept_a) == 1 and cut_a > 0 and tree._pruned > 0
     assert tree.pruned_mass == pytest.approx(0.5e-40, rel=1e-6)
 
 
@@ -499,11 +500,16 @@ def test_runs_on_a_lab_share_its_rows(monkeypatch):
         assert len(calls) == before
 
 
-@pytest.mark.parametrize("initial, pairs, rows", [("dead", 3, 6), ("rho_cat", 4, 8)])
-def test_a_lab_prepares_each_pair_once(monkeypatch, initial, pairs, rows):
+@pytest.mark.parametrize("initial, pairs, rows, sample_first, n", [
+    pytest.param("dead", 3, 6, True, 10**6, id="dead-3-6"),
+    pytest.param("rho_cat", 4, 8, True, 10**6, id="rho_cat-4-8"),
+    pytest.param("dead", 3, 6, False, 1, id="dead-3-6-enumerate-first"),
+])
+def test_a_lab_prepares_each_pair_once(monkeypatch, initial, pairs, rows, sample_first, n):
     # resurrect10 meets 3 (operation, state) pairs with two kept rows from
     # dead and 4 from rho_cat, and 6 and 8 rows in all, over its 20 steps;
-    # the lab keeps each pair's split and dyadic rows for its lifetime
+    # the lab keeps each pair's one step view for its lifetime, whichever
+    # walker meets the pair first
     calls = {"weights": 0, "dyadic": 0}
 
     def counted(name, real):
@@ -515,8 +521,12 @@ def test_a_lab_prepares_each_pair_once(monkeypatch, initial, pairs, rows):
         sc = resurrection()
         protocol, start = sc.protocols["resurrect10"], sc.initial(initial)
         for run in range(1, 4):
-            run_monte_carlo(protocol, sc.lab, start, 10**6, run)
-            enumerate_protocol(protocol, sc.lab, start)
+            if sample_first:
+                run_monte_carlo(protocol, sc.lab, start, n, run)
+                enumerate_protocol(protocol, sc.lab, start)
+            else:
+                enumerate_protocol(protocol, sc.lab, start)
+                run_monte_carlo(protocol, sc.lab, start, n, run)
             assert calls == {"weights": lab_number * pairs, "dyadic": lab_number * rows}
 
 
@@ -534,29 +544,56 @@ def three_levels():
     return space, halves, basis
 
 
-def test_a_split_keeps_one_weight_view_per_pair():
-    # a pair's split holds None for one kept row, the first row's weight as
+def assert_step_view(lab, name, sid, view):
+    """``view`` is ``lab.step(name, sid)`` as its rows give it: the kept rows
+    exactly over the largest denominator of all rows, the pruned mass
+    exactly, and the kept rows' weights in ``draw_weights``' form."""
+    k, kept, cut, weights = view
+    rows = lab.rows(name, sid)
+    assert 1 << k == max(Fraction(p).denominator for _, p, _ in rows)
+    kept_rows = [row for row in rows if row[2] is not None]
+    assert [(label, nid, key) for _, label, nid, key in kept] == [
+        (label, nid, (nid, label)) for label, _, nid in kept_rows
+    ]
+    assert [Fraction(n, 1 << k) for n, _, _, _ in kept] == [Fraction(p) for _, p, _ in kept_rows]
+    assert Fraction(cut, 1 << k) == sum(Fraction(p) for _, p, nid in rows if nid is None)
+    if len(kept) < 2:
+        assert weights is None
+        return
+    probs = _weights([p for _, p, _ in kept_rows])
+    if len(kept) == 2:
+        assert weights.__class__ is float and weights == draw_weights(probs)
+    else:
+        assert weights.__class__ is np.ndarray and not weights.flags.writeable
+        assert np.array_equal(weights, probs)
+
+
+def test_a_lab_keeps_one_step_view_per_pair():
+    # a pair's view holds None for one kept row, the first row's weight as
     # a float for two, and the read-only array for more; the lab keeps its
-    # five tables and no other
+    # four tables and no other
     space, halves, basis = three_levels()
     lab = Laboratory(space, {"basis": basis, "halves": halves})
     start = make_state(space, [1, 2, 3])
     protocol = ProtocolSpec((MeasureStep("halves"), MeasureStep("basis"), MeasureStep("basis")))
     run_monte_carlo(protocol, lab, start, 10**6, 1)
     sid = lab.intern(start)
-    probs = [p for _, p, _ in lab.rows("halves", sid)]
-    assert lab.split("halves", sid)[1] == _weights(probs)[0].item()
-    assert lab.split("halves", sid)[1].__class__ is float
-    wide = lab.split("basis", sid)[1]
-    assert np.array_equal(wide, _weights([p for _, p, _ in lab.rows("basis", sid)]))
-    assert len(wide) == 3 and not wide.flags.writeable
-    for (name, _), (kept, weights) in lab._splits.items():
-        assert len(kept) == {None: 1, float: 2, np.ndarray: 3}[
-            None if weights is None else weights.__class__
-        ], name
+    assert [len(lab.step(name, sid)[1]) for name in ("halves", "basis")] == [2, 3]
+    for (name, sid), view in lab._steps.items():
+        assert_step_view(lab, name, sid, view)
     tables = {key for key, value in vars(lab).items() if isinstance(value, dict)}
-    assert tables == {"measurements", "unitaries", "_ops", "_ids", "_rows", "_splits",
-                      "_dyadic_rows", "_programs", "_matches"}
+    assert tables == {"measurements", "unitaries", "_ops", "_ids", "_rows", "_steps",
+                      "_programs", "_matches"}
+    # every pair that a shipped protocol meets from a shipped initial state
+    for scenario in SCENARIO_NAMES:
+        names = load_scenario(scenario)[0]
+        for protocol in names.protocols:
+            for initial in [*names.states, *names.mixtures]:
+                sc = load_scenario(scenario)[0]
+                enumerate_protocol(sc.protocols[protocol], sc.lab, sc.initial(initial))
+                assert sc.lab._steps
+                for (name, sid), view in sc.lab._steps.items():
+                    assert_step_view(sc.lab, name, sid, view)
 
 
 def test_a_lab_resolves_each_protocol_once(monkeypatch):

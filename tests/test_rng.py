@@ -126,10 +126,3 @@ def test_a_wider_draw_is_the_multinomial_draw():
         for n in TRIALS:
             assert ours.draw(n, weights) == ref.multinomial(n, pvals).tolist()
             assert state(ours._gen) == state(ref)
-
-
-def test_a_binomial_draws_the_first_of_two_rows():
-    ours, ref = RandomStream(3, 0), reference(3, 0)
-    for p in (0.0, 0.25, 1.0):
-        k = ours.binomial(1000, p)
-        assert [k, 1000 - k] == ref.multinomial(1000, [p, 1.0 - p]).tolist()
