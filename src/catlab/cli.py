@@ -14,12 +14,18 @@ inputs and seed the stdout bytes are identical across runs.  Every report
 is laid out here, under ``FORMAT_VERSION``, except the ``enumerate`` tree,
 which ``protocols.tree_to_json`` builds from the tree's walk.
 Exit codes: 0 no violation / success, 1 input error, 2 violation witness.
+
+``main`` runs one command and can be called in process.  ``entry`` is the
+process entry that ``python -m catlab`` and the ``catlab`` script call: it
+runs ``main``, then freezes every object still alive, so that the garbage
+collections of interpreter shutdown do not walk them.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import sys
@@ -323,6 +329,20 @@ def main(argv=None) -> int:
     return code
 
 
+def entry() -> int:
+    """Run ``main`` as the process, then freeze what is left alive.
+
+    Interpreter shutdown runs full collections; frozen objects, among them
+    the tens of thousands that numpy, PyYAML, argparse and catlab leave
+    tracked, are skipped.  Exit handlers, stream flushes and module
+    teardown still run.  ``main`` itself does not freeze, because tests
+    and library callers run it in process."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 def _note(line: str) -> None:
     """Print a line to stderr.  A closed stderr loses the line, not the
     exit code."""
@@ -340,4 +360,4 @@ def _to_devnull(stream) -> None:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

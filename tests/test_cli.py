@@ -1,6 +1,8 @@
 """Command line interface, run in-process through main(argv)."""
 
 import argparse
+import ast
+import gc
 import json
 import os
 import subprocess
@@ -588,6 +590,63 @@ def test_console_script():
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)["seed"] == 13
 
+
+# what each probe runs, and the exit code it gives
+ENDINGS = (
+    (("run", "--scenario", "resurrection", "--initial", "dead", "--exact", "resurrect3"), 0),
+    (("run", "--scenario", "no-such-scenario", "--initial", "dead", "resurrect3"), 1),
+    (("run", "--scenario", "cat"), 1),
+)
+ENDING_IDS = ["success", "input-error", "usage-error"]
+
+# runs the package as `python -m catlab` does, then reports the freeze
+# count from an exit handler, which runs before shutdown's collections
+FREEZE_PROBE = """\
+import atexit, gc, runpy, sys
+before = gc.get_freeze_count()
+atexit.register(lambda: print("frozen", before, gc.get_freeze_count(), file=sys.stderr))
+runpy.run_module("catlab", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv, code", ENDINGS, ids=ENDING_IDS)
+def test_the_process_entry_freezes_what_is_left_before_shutdown(argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, *argv], capture_output=True, text=True)
+    assert proc.returncode == code
+    tag, before, after = proc.stderr.splitlines()[-1].split()
+    assert (tag, before) == ("frozen", "0")
+    assert int(after) > 0
+
+
+@pytest.mark.parametrize("argv, code", ENDINGS, ids=ENDING_IDS)
+def test_main_freezes_nothing(capsys, argv, code):
+    before = gc.get_freeze_count()
+    try:
+        assert main(list(argv)) == code
+    except SystemExit as exc:
+        assert exc.code == code
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_the_console_script_is_the_entry_of_python_m_catlab():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    tree = ast.parse(Path(catlab.cli.__file__).with_name("__main__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) == (1, "cli")
+        for alias in node.names
+    }
+    called = {
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    } - {"SystemExit"}
+    (name,) = called
+    assert imported == {name}
+    assert scripts == {"catlab": f"catlab.cli:{name}"}
 
 
 def test_a_huge_non_unitary_is_one_located_error(tmp_path):

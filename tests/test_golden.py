@@ -3,7 +3,9 @@
 Each case runs ``catlab.cli.main`` in process and compares stdout with
 ``tests/golden/<id>.txt`` byte for byte, and the exit code with the
 recorded one.  Reports too large to check in are pinned by the sha256 of
-their stdout instead (``HASHED``).  After an intended report change,
+their stdout instead (``HASHED``).  The cases in ``PROCESS`` also run as
+a user runs them, through ``python -m catlab``, and must print the same
+bytes.  After an intended report change,
 rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``,
 copy the digests it prints into ``HASHED``, and explain the diff.
 """
@@ -11,7 +13,10 @@ copy the digests it prints into ``HASHED``, and explain the diff.
 import contextlib
 import hashlib
 import io
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -89,6 +94,21 @@ HASHED = (
 )
 
 
+# one case per subcommand and format, and the largest report
+PROCESS = (
+    "check-cat",
+    "run-exact-csv-rho",
+    "run-sample-cat",
+    "disc-cat-basis-csv",
+    "enumerate-resurrect1",
+    "enumerate-resurrect10",
+)
+
+# discriminate prints the chi-square statistic of counts on an outcome the
+# other source never gives as Infinity, which is not JSON (ROADMAP item 4)
+NOT_STRICT_JSON = ("disc-cat-pm", "disc-photon-x")
+
+
 def run_case(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -113,6 +133,59 @@ def test_hashed_stdout(cid, argv, sha256):
     code, out = run_case(argv)
     assert code == 0
     assert digest(out) == sha256
+
+
+def run_process(argv):
+    proc = subprocess.run([sys.executable, "-m", "catlab", *argv], capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "cid, argv, exit_code",
+    [c for c in CASES if c[0] in PROCESS],
+    ids=[c[0] for c in CASES if c[0] in PROCESS],
+)
+def test_golden_stdout_of_the_process(cid, argv, exit_code):
+    code, out, _ = run_process(argv)
+    assert code == exit_code
+    assert out == (GOLDEN / f"{cid}.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "cid, argv, sha256",
+    [c for c in HASHED if c[0] in PROCESS],
+    ids=[c[0] for c in HASHED if c[0] in PROCESS],
+)
+def test_hashed_stdout_of_the_process(cid, argv, sha256):
+    code, out, _ = run_process(argv)
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == sha256
+
+
+def test_an_input_error_of_the_process():
+    code, out, err = run_process(
+        ["run", "--scenario", "cat", "--initial", "cat_plus", "missing"])
+    assert (code, out) == (1, b"")
+    assert err == b"catlab: error: no protocol named 'missing' in scenario 'cat'\n"
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "cid",
+    [
+        pytest.param(cid, marks=pytest.mark.xfail(
+            strict=True, raises=ValueError,
+            reason="a non-finite chi-square statistic prints as Infinity (ROADMAP item 4)"))
+        if cid in NOT_STRICT_JSON else cid
+        for cid, argv, _ in CASES
+        if "csv" not in argv
+    ],
+)
+def test_json_goldens_are_strict_json(cid):
+    json.loads((GOLDEN / f"{cid}.txt").read_text(encoding="utf-8"), parse_constant=_refuse)
 
 
 if __name__ == "__main__":
