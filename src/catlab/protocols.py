@@ -19,7 +19,7 @@ from .errors import CatlabError, DepthCeiling, DimensionMismatch, DisallowedOper
 from .lab import Laboratory, _weights, born_rows
 from .measure import COMPLEMENT_LABEL, ProjectiveMeasurement
 from .qstate import HilbertSpace, State, StateVector, format_state, states_match
-from .rng import RandomStream, draw_weights
+from .rng import draw_weights, give_back, take_stream
 
 MAX_UNROLLED_STEPS = 64
 MAX_TRIALS = (1 << 63) - 1  # numpy draws counts as 64-bit integers
@@ -423,7 +423,9 @@ def run_monte_carlo(
     masses of ``enumerate_protocol``, starting with all ``n`` in the
     initial state's cell.  A step splits each cell's count over the kept
     rows of its state by one draw from stream ``(seed, 0)``, through
-    ``RandomStream.draw``: a binomial draw for two kept rows and a
+    ``RandomStream.draw``, on a stream that ``take_stream`` re-keys from
+    the idle pool once the input is checked and the run holds until it
+    returns or raises: a binomial draw for two kept rows and a
     multinomial draw for more, which for two rows is the same draw; a cell
     with one kept row, such as every unitary row, passes its whole count
     on, which draws nothing from the stream.  The draw's probabilities are
@@ -455,29 +457,32 @@ def run_monte_carlo(
     if initial.space is not lab.space:
         raise DimensionMismatch("initial state lives outside the laboratory space")
     program = _resolved(protocol, lab)
-    stream = RandomStream(seed)
     # (sid, last label) -> trial count, in order of first arrival
     cells: dict[tuple[int, str | None], int] = {}
     if n:
         cells[(lab.intern(initial), None)] = n
     finals: dict[int, int] = {}
+    stream = take_stream(seed)
     step, draw = lab.step, stream.draw
-    for name, stops in program:
-        nxt: dict[tuple[int, str | None], int] = {}
-        for (sid, last), count in cells.items():
-            _, kept, _, weights = step(name, sid)
-            if not kept:
-                raise CatlabError("ran out of probability mass mid-trial")
-            counts = (count,) if weights is None else draw(count, weights)
-            for (_, label, nid, key), c in zip(kept, counts):
-                if c:
-                    if not label:  # a unitary row's empty label keeps the last outcome
-                        key = (nid, last)
-                    nxt[key] = nxt.get(key, 0) + c
-        for stop in stops:
-            for key in [key for key in nxt if key[1] == stop]:
-                finals[key[0]] = finals.get(key[0], 0) + nxt.pop(key)
-        cells = nxt
+    try:
+        for name, stops in program:
+            nxt: dict[tuple[int, str | None], int] = {}
+            for (sid, last), count in cells.items():
+                _, kept, _, weights = step(name, sid)
+                if not kept:
+                    raise CatlabError("ran out of probability mass mid-trial")
+                counts = (count,) if weights is None else draw(count, weights)
+                for (_, label, nid, key), c in zip(kept, counts):
+                    if c:
+                        if not label:  # a unitary row's empty label keeps the last outcome
+                            key = (nid, last)
+                        nxt[key] = nxt.get(key, 0) + c
+            for stop in stops:
+                for key in [key for key in nxt if key[1] == stop]:
+                    finals[key[0]] = finals.get(key[0], 0) + nxt.pop(key)
+            cells = nxt
+    finally:
+        give_back(stream)
     for (sid, _), count in cells.items():
         finals[sid] = finals.get(sid, 0) + count
     states = lab.states
@@ -590,7 +595,9 @@ def discriminate(
     of ``n`` trials per source over its ``_weights``, on streams 0 and 1
     under ``seed``, gives the empirical frequencies and the chi-square
     p-value of B against A.  The draw is ``RandomStream.draw``'s: one
-    binomial for a two-label measurement, one multinomial for more.
+    binomial for a two-label measurement, one multinomial for more.  Each
+    source's draw holds a stream from ``take_stream`` for that draw alone,
+    so one idle stream serves both.
     """
     if n < 1:
         raise CatlabError("discrimination needs at least one trial")
@@ -603,7 +610,11 @@ def discriminate(
 
     def sample(dist: Mapping[str, float], stream: int) -> dict[str, int]:
         weights = draw_weights(_weights([dist[l] for l in labels]))
-        return dict(zip(labels, RandomStream(seed, stream).draw(n, weights)))
+        rs = take_stream(seed, stream)
+        try:
+            return dict(zip(labels, rs.draw(n, weights)))
+        finally:
+            give_back(rs)
 
     counts_a, counts_b = sample(dist_a, 0), sample(dist_b, 1)
     freq_a = {l: c / n for l, c in counts_a.items()}

@@ -47,7 +47,9 @@ def rand_density(
 def mc_every_step(protocol, lab, initial, n, seed):
     """Monte Carlo counts by final state key, with the split weights of
     every cell re-derived on every step: the kept rows' probabilities
-    snapped to a 2**-40 grid and renormalised, then one multinomial draw."""
+    snapped to a 2**-40 grid and renormalised, then one multinomial draw.
+    It builds its own stream rather than take a pooled one, so that a run
+    on a re-keyed stream is compared with an independent reference."""
     stream = RandomStream(seed)
     cells = {(lab.intern(initial), None): n} if n else {}
     finals = {}

@@ -275,6 +275,27 @@ def test_one_draw_rule():
     }
 
 
+def test_only_rng_keys_a_generator():
+    # rng.py builds every Philox and is the one writer of a bit generator's
+    # state, so a stream is keyed one way whether it is built or re-keyed.
+    # Runs take their streams from rng's idle pool: protocols builds none,
+    # and take_stream is the one place that builds a stream for a run.
+    def writes_state(node) -> bool:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        return any(isinstance(t, ast.Attribute) and t.attr == "state" for t in targets)
+
+    assert _modules_using("Philox") == {"rng.py"}
+    assert _functions_with(writes_state) == {"rng.rekey"}
+    assert "protocols.py" not in _modules_using("RandomStream")
+    builds = _functions_with(
+        lambda n: isinstance(n, ast.Call) and ast.unparse(n.func) == "RandomStream"
+    )
+    assert builds == {"rng.take_stream"}
+    assert _functions_naming("take_stream") == {
+        "protocols.run_monte_carlo", "protocols.discriminate", "protocols.sample"
+    }
+
+
 def test_one_largest_modulus_rule():
     # Every validation reads its largest entry through qstate._largest, one
     # ufunc reduction with no numpy wrapper in Python between it and C.

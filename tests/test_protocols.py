@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 import catlab.lab
 import catlab.protocols
 import catlab.qstate
+import catlab.rng
 from catlab import (
     CatlabError,
     DepthCeiling,
@@ -47,7 +50,7 @@ from catlab.lab import DEFAULT_MAX_DEPTH, _search, _weights
 from catlab.protocols import MAX_TRIALS, MAX_UNROLLED_STEPS, _chi2_sf, _resolved
 from catlab.rng import draw_weights
 
-from helpers import enumerate_two_pass, tree_integers, uncached_leaf_mass
+from helpers import enumerate_two_pass, mc_every_step, tree_integers, uncached_leaf_mass
 
 
 def resurrection():
@@ -468,6 +471,90 @@ def test_trials_validation():
                         MAX_TRIALS + 1, 1)
     empty = run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"], 0, 1)
     assert empty.n == 0 and empty.finals == []
+
+
+# ---------------------------------------------------------------------------
+# stream ownership
+
+
+def _arrivals(mc):
+    return [(state.key, c) for state, c in mc.finals]
+
+
+def test_a_run_that_raises_gives_its_stream_back(monkeypatch):
+    pool = []
+    monkeypatch.setattr(catlab.rng, "_IDLE", pool)
+    sc = resurrection()
+    rows = sc.lab.rows  # every "basis" row pruned, as in the leaf test above
+    monkeypatch.setattr(sc.lab, "rows", lambda name, sid: tuple(
+        (label, p, None if name == "basis" else nid) for label, p, nid in rows(name, sid)
+    ))
+    with pytest.raises(CatlabError, match="ran out of probability mass mid-trial"):
+        run_monte_carlo(sc.protocols["resurrect1"], sc.lab, sc.states["dead"], 10, 3)
+    [held] = pool
+    # the next run takes that stream back, re-keyed: it draws what a fresh
+    # stream draws
+    ok = resurrection()
+    spec, dead = ok.protocols["resurrect10"], ok.states["dead"]
+    mc = run_monte_carlo(spec, ok.lab, dead, 10**6, 5)
+    assert pool == [held]
+    assert _arrivals(mc) == mc_every_step(spec, ok.lab, dead, 10**6, 5)
+
+
+def test_a_rejected_call_takes_no_stream(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("a stream was taken")
+
+    monkeypatch.setattr(catlab.protocols, "take_stream", no_stream)
+    sc, cat = resurrection(), load_scenario("cat")[0]
+    spec, dead = sc.protocols["resurrect1"], sc.states["dead"]
+    elsewhere = basis_state(HilbertSpace(("x", "y")), "x")
+    for n in (-1, MAX_TRIALS + 1):
+        with pytest.raises(CatlabError, match="trial count"):
+            run_monte_carlo(spec, sc.lab, dead, n, 1)
+    not_allowed = ProtocolSpec((MeasureStep("plusminus"),))
+    with pytest.raises(DisallowedOperation):
+        run_monte_carlo(not_allowed, cat.lab, cat.states["dead"], 10, 1)
+    with pytest.raises(DimensionMismatch):
+        run_monte_carlo(spec, sc.lab, elsewhere, 10, 1)
+    pm = sc.measurements["pm"]
+    for n in (0, MAX_TRIALS + 1):
+        with pytest.raises(CatlabError):
+            discriminate(dead, sc.states["alive"], pm, n, 1)
+
+
+def test_concurrent_runs_hold_distinct_streams(monkeypatch):
+    pool = []
+    monkeypatch.setattr(catlab.rng, "_IDLE", pool)
+    sc = resurrection()
+    spec, lab, dead = sc.protocols["resurrect10"], sc.lab, sc.states["dead"]
+    seeds = [[4 * i + j for i in range(25)] for j in range(4)]  # one list per thread
+    # run in sequence first, which also fills the lab's tables, so the
+    # threads below only read them
+    want = [[_arrivals(run_monte_carlo(spec, lab, dead, 10**6, s)) for s in part]
+            for part in seeds]
+    got = [None] * 4
+    start = threading.Barrier(4)
+
+    def runs(j):
+        start.wait(timeout=60)
+        got[j] = [_arrivals(run_monte_carlo(spec, lab, dead, 10**6, s)) for s in seeds[j]]
+
+    threads = [threading.Thread(target=runs, args=(j,)) for j in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # so that the runs interleave
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+    # every stream is idle again, and one was built per run held at once
+    assert 1 <= len(pool) <= 4
+    assert len({id(rs) for rs in pool}) == len(pool)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import pytest
 
 from catlab.lab import _weights
 from catlab.protocols import MAX_TRIALS
-from catlab.rng import MAX_SEED, RandomStream, draw_weights
+import catlab.rng
+from catlab.rng import MAX_SEED, RandomStream, draw_weights, give_back, take_stream
 
 P = [0.1, 0.2, 0.3, 0.4]
 
@@ -85,6 +86,56 @@ def test_keying_a_stream_draws_no_entropy(monkeypatch):
     stream = RandomStream(3, 4)
     assert not hasattr(stream._gen.bit_generator.seed_seq, "entropy")
     assert np.array_equal(splits(stream, k=4), splits(RandomStream(3, 4), k=4))
+    # re-keying writes the state it is given and reads nothing
+    stream.rekey(5, 6)
+    assert np.array_equal(splits(stream, k=4), splits(RandomStream(5, 6), k=4))
+    # and so does a pool that builds a stream or re-keys an idle one
+    monkeypatch.setattr(catlab.rng, "_IDLE", [])
+    for _ in range(2):
+        taken = take_stream(7, 8)
+        assert np.array_equal(splits(taken, k=4), splits(RandomStream(7, 8), k=4))
+        give_back(taken)
+
+
+THREE = draw_weights(_weights([0.2, 0.3, 0.5]))
+# numpy's binomial inversion for n * p < 30 and BTPE above, each twice, the
+# second time on the set-up that the generator kept from the first
+DRAWS = [(1000, THREE), (10, 0.3), (10, 0.3), (10**6, 0.3), (10**6, 0.3)]
+
+
+def draws(stream, order=DRAWS):
+    return [stream.draw(n, weights) for n, weights in order]
+
+
+@pytest.mark.parametrize("seed", [0, 1, MAX_SEED])
+@pytest.mark.parametrize("stream", [0, 1])
+def test_a_rekeyed_stream_is_a_new_stream(seed, stream):
+    ours = RandomStream(seed ^ 12345, 77)
+    draws(ours)
+    ours.rekey(seed, stream)
+    assert (ours.seed, ours.stream) == (seed, stream)
+    assert state(ours._gen) == state(reference(seed, stream))
+    # its first draw is the (n, p) of its last before the re-key
+    fresh = RandomStream(seed, stream)
+    for order in (DRAWS[::-1], DRAWS):
+        assert draws(ours, order) == draws(fresh, order)
+    assert state(ours._gen) == state(fresh._gen)
+
+
+def test_the_pool_rekeys_an_idle_stream_and_builds_only_when_none_is(monkeypatch):
+    pool = []
+    monkeypatch.setattr(catlab.rng, "_IDLE", pool)
+    first = take_stream(1, 2)
+    assert (first.seed, first.stream) == (1, 2) and pool == []
+    second = take_stream(3)  # the first is held, so a second is built
+    assert second is not first
+    draws(first)
+    give_back(first)
+    give_back(second)
+    assert pool == [first, second]
+    again = take_stream(4, 5)
+    assert again is second and pool == [first]
+    assert state(again._gen) == state(reference(4, 5))
 
 
 GRID = 1 << 40  # lab.SPLIT_GRID
